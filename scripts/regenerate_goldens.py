@@ -9,16 +9,12 @@ Run from the repository root after an intentional output-format change:
 import pathlib
 import sys
 
-import numpy as np
-
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from endlab import cellsurf, fixtures, polysurf  # noqa: E402
 from endlab.cli import main  # noqa: E402
-
-GOLD = ROOT / "tests" / "golden"
-INP = GOLD / "inputs"
+from scripts_path import GOLDEN, INPUTS, RUNS  # noqa: E402
 
 
 def write(path, text):
@@ -29,50 +25,26 @@ def write(path, text):
 
 def build_inputs():
     pat = cellsurf.thurston_pattern(fixtures.tetrahedron_surface())
-    write(INP / "pattern.surf", cellsurf.serialize_surf(pat))
+    write(INPUTS / "pattern.surf", cellsurf.serialize_surf(pat))
     theta = pat.theta.copy()
     theta[0] += 0.1
-    write(INP / "pattern_bad.surf",
+    write(INPUTS / "pattern_bad.surf",
           cellsurf.serialize_surf(pat.with_theta(theta)))
-    write(INP / "octahedron.poly",
+    write(INPUTS / "octahedron.poly",
           polysurf.serialize_poly(fixtures.ideal_octahedron()))
-    write(INP / "tetrahedron_ideal.poly",
+    write(INPUTS / "tetrahedron_ideal.poly",
           polysurf.serialize_poly(fixtures.ideal_tetrahedron()))
-    write(INP / "tetrahedron_compact.poly",
+    write(INPUTS / "tetrahedron_compact.poly",
           polysurf.serialize_poly(fixtures.compact_tetrahedron(1.0)))
     g = fixtures.genus2_complex()
-    write(INP / "genus2_uniform.surf",
+    write(INPUTS / "genus2_uniform.surf",
           cellsurf.serialize_surf(
               g.surface.with_theta(fixtures.genus2_theta_uniform())))
 
 
-RUNS = [
-    ("check_admissible_pattern.txt", 0,
-     ["check-admissible", str(INP / "pattern.surf")]),
-    ("check_admissible_bad.txt", 1,
-     ["check-admissible", str(INP / "pattern_bad.surf")]),
-    ("check_admissible_genus2.txt", 0,
-     ["check-admissible", "--fixture-labels", str(INP / "genus2_uniform.surf")]),
-    ("rigidity_octahedron.txt", 0,
-     ["rigidity", "--seed", "7", str(INP / "octahedron.poly")]),
-    ("rigidity_compact_tetrahedron.txt", 0,
-     ["rigidity", "--seed", "7", str(INP / "tetrahedron_compact.poly")]),
-    ("render_octahedron.svg", 0,
-     ["render", str(INP / "octahedron.poly")]),
-    ("render_tetrahedron.svg", 0,
-     ["render", str(INP / "tetrahedron_ideal.poly")]),
-    ("pak_search_genus2.txt", 0,
-     ["pak-search", "--seed", "7", "--samples", "1000", "--structured",
-      str(INP / "genus2_uniform.surf")]),
-    ("schlafli.txt", 0, ["schlafli"]),
-    ("crossratio_octahedron.txt", 0,
-     ["crossratio", str(INP / "octahedron.poly")]),
-]
-
-
 def build_outputs():
     for name, expect_code, argv in RUNS:
-        out = GOLD / name
+        out = GOLDEN / name
         out.parent.mkdir(parents=True, exist_ok=True)
         code = main(argv + ["--out", str(out)])
         if code != expect_code:

@@ -11,8 +11,6 @@ import argparse
 import pathlib
 import sys
 
-import numpy as np
-
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from endlab import fixtures, rigidity  # noqa: E402
@@ -22,8 +20,7 @@ def survey(name, fixture_fn, seeds):
     print("==", name)
     for seed in seeds:
         ps = fixture_fn(seed)
-        v = rigidity.projective_rigidity_verdict(
-            ps, rng=np.random.default_rng(seed))
+        v = rigidity.projective_rigidity_verdict(ps)
         gap = "inf" if v.gap == float("inf") else "%.2e" % v.gap
         print("seed %3d: kernel %d (trivial %d, residual %d) gap %s "
               "match %.2e adjoint %.2e"

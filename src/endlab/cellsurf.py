@@ -71,6 +71,9 @@ class CellSurface:
         for e, (u, v) in enumerate(self.edges):
             self.dart_tail[2 * e] = u
             self.dart_tail[2 * e + 1] = v
+        self._tail_darts = {}
+        for d, v in enumerate(self.dart_tail.tolist()):
+            self._tail_darts.setdefault(v, []).append(d)
 
         self.fnext = np.full(self.n_darts, -1, dtype=int)
         self.dart_face = np.full(self.n_darts, -1, dtype=int)
@@ -126,10 +129,10 @@ class CellSurface:
 
     def vertex_star(self, v):
         """Darts with tail v, in rotation order (one full cycle per star)."""
-        out = [d for d in range(self.n_darts) if self.dart_tail[d] == v]
+        out = self._tail_darts.get(v, [])
         if not out:
             return []
-        star = [min(out)]
+        star = [out[0]]
         while True:
             nxt = self.vnext(star[-1])
             if nxt == star[0]:
@@ -142,7 +145,7 @@ class CellSurface:
         return star
 
     def vertex_degree(self, v):
-        return int(np.sum(self.dart_tail == v))
+        return len(self._tail_darts.get(v, ()))
 
     def face_edge_multiset(self, f):
         return tuple(sorted(self.edge_of(d) for d in self.face_cycles[f]))
@@ -340,6 +343,22 @@ def thurston_pattern(surface):
 # cycle enumeration
 
 
+def _canon(vseq, eseq):
+    """Least (vertex tuple, edge tuple) over rotations and reflections of a
+    closed walk given as aligned vertex and edge lists."""
+    best = None
+    for rev in (False, True):
+        vs = vseq[::-1] if rev else vseq
+        es = eseq[::-1] if rev else eseq
+        if rev:
+            vs = vs[-1:] + vs[:-1]
+        for r in range(len(eseq)):
+            cand = (tuple(vs[r:] + vs[:r]), tuple(es[r:] + es[:r]))
+            if best is None or cand < best:
+                best = cand
+    return best
+
+
 def simple_cycles_upto(n_vertices, adjacency, l_max):
     """Undirected simple cycles with at most l_max edges.
 
@@ -352,27 +371,13 @@ def simple_cycles_upto(n_vertices, adjacency, l_max):
     seen = set()
     out = []
 
-    def canon(vseq, eseq):
-        k = len(eseq)
-        best = None
-        for rev in (False, True):
-            vs = vseq[::-1] if rev else vseq
-            es = eseq[::-1] if rev else eseq
-            if rev:
-                vs = vs[-1:] + vs[:-1]
-            for r in range(k):
-                cand = (tuple(vs[r:] + vs[:r]), tuple(es[r:] + es[:r]))
-                if best is None or cand < best:
-                    best = cand
-        return best
-
     def dfs(start, v, vpath, epath):
         for w, e in adjacency[v]:
             if w == start:
                 # closing the cycle (covers loop edges when epath is empty)
                 if e in epath or len(epath) + 1 > l_max:
                     continue
-                key = canon(vpath, epath + [e])
+                key = _canon(vpath, epath + [e])
                 if key not in seen:
                     seen.add(key)
                     out.append(key)
@@ -560,20 +565,6 @@ def closed_trails_upto(n_vertices, adjacency, l_max, theta, budget):
     seen = set()
     out = []
 
-    def canon(vseq, eseq):
-        k = len(eseq)
-        best = None
-        for rev in (False, True):
-            vs = vseq[::-1] if rev else list(vseq)
-            es = eseq[::-1] if rev else list(eseq)
-            if rev:
-                vs = vs[-1:] + vs[:-1]
-            for r in range(k):
-                cand = (tuple(vs[r:] + vs[:r]), tuple(es[r:] + es[:r]))
-                if best is None or cand < best:
-                    best = cand
-        return best
-
     def dfs(start, v, vpath, epath, used, total):
         for w, e in adjacency[v]:
             if e in used:
@@ -582,7 +573,7 @@ def closed_trails_upto(n_vertices, adjacency, l_max, theta, budget):
             if t > budget or len(epath) + 1 > l_max:
                 continue
             if w == start:
-                key = canon(vpath, epath + [e])
+                key = _canon(vpath, epath + [e])
                 if key not in seen:
                     seen.add(key)
                     out.append(key)
@@ -690,7 +681,7 @@ def _returns_through_face(surface, dual_surface, oracle, v, boundary, b_faces,
 
     Closes the path with a walk along the dual face boundary and tests the
     loop for contractibility; the two boundary return routes differ by the
-    face boundary itself, so either一 works and we take the shorter.
+    face boundary itself, so either works and we take the shorter.
     """
     start, end = path_vseq[0], path_vseq[-1]
     i0 = b_faces.index(start)
@@ -711,10 +702,7 @@ def _returns_through_face(surface, dual_surface, oracle, v, boundary, b_faces,
             ret_vseq.append(b_faces[i])
         loop_v = path_vseq[:-1] + ret_vseq[:-1]
         loop_e = path_eseq + ret_edges
-    try:
-        return oracle.cycle_is_contractible(loop_v, loop_e)
-    except ValueError:
-        return False
+    return oracle.cycle_is_contractible(loop_v, loop_e)
 
 
 def dual_cell_surface(surface):

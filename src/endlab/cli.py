@@ -126,9 +126,7 @@ def cmd_check_admissible(args):
 
 def cmd_rigidity(args):
     ps = polysurf.parse_poly(_read(args.files[0]))
-    verdict = rigidity.projective_rigidity_verdict(
-        ps, tau_rank=args.tol_rank,
-        rng=np.random.default_rng(args.seed or 0))
+    verdict = rigidity.projective_rigidity_verdict(ps, tau_rank=args.tol_rank)
     w = ReportWriter("rigidity", seed=args.seed,
                      tolerances={"tol-rank": args.tol_rank,
                                  "branch": mink.BRANCH_CONVENTION})

@@ -289,10 +289,6 @@ def random_isometry(rng, scale=0.6):
     return expm(a)
 
 
-def apply_isometry(mat, v):
-    return np.asarray(mat, dtype=float) @ np.asarray(v, dtype=float)
-
-
 # ---------------------------------------------------------------------------
 # Model conversions (used by the cross-model distance oracle in tests and
 # by the CP^1 chart in polysurf).

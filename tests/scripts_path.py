@@ -1,4 +1,5 @@
-"""Shared locations and golden run definitions for the CLI tests."""
+"""Golden locations and the golden run list, the one copy shared by the CLI
+tests, ``scripts/regenerate_goldens.py`` and the benchmark."""
 
 import pathlib
 

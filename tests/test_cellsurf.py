@@ -333,3 +333,15 @@ def test_hyperideal_genus2_needs_labels():
     s = g.surface.with_theta(np.full(36, 0.52 * math.pi))
     with pytest.raises(MissingLabelError):
         validate_hyperideal(s, l_max=6, presentation=None)
+
+
+def test_hyperideal_genus2_return_paths_need_labels():
+    # at l_max=3 the dual graph has no short cycles, so only the return-path
+    # condition needs contractibility; without labels it must not pass
+    g = genus2_complex()
+    s = g.surface.with_theta(np.full(36, 0.3 * math.pi))
+    rep = validate_hyperideal(s, l_max=3, presentation=g.presentation)
+    assert not rep.passed
+    assert len(rep.violations) == 32
+    with pytest.raises(MissingLabelError):
+        validate_hyperideal(s, l_max=3, presentation=None)

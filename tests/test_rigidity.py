@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -84,11 +85,11 @@ def test_zero_motion_maps_to_zero():
 
 
 def test_adjointness_compact():
-    rng = np.random.default_rng(11)
     for fx in (fixtures.compact_tetrahedron(1.0),
                fixtures.random_convex_compact(8, 8),
                fixtures.hyperideal_tetrahedron(2.0)):
-        assert adjointness_residual(fx, n_pairs=100, rng=rng) < 1e-11
+        assert adjointness_residual(length_variation_operator(fx),
+                                    angle_motion_operator(fx)) < 1e-11
 
 
 def test_angle_motion_orthonormal_corner():
@@ -302,3 +303,55 @@ def test_rigidity_verdict_flat_fixture_flagged():
     v = projective_rigidity_verdict(fixtures.flat_vertex_pyramid())
     assert v.kernel_dim == 7
     assert v.residual_dim == 1  # reported, not asserted away
+
+
+@pytest.mark.parametrize("make, length_op, angle_op, max_bases", [
+    (lambda: fixtures.compact_tetrahedron(1.0), "length_variation_operator",
+     "angle_motion_operator", 0),
+    (fixtures.ideal_octahedron, "decorated_length_variation_operator",
+     "ideal_angle_variation_operator", 2),
+])
+def test_verdict_assembles_and_factors_once(monkeypatch, make, length_op,
+                                            angle_op, max_bases):
+    ps = make()
+    calls = collections.Counter()
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(np.linalg, "svd")
+    for name in ("length_variation_operator", "angle_motion_operator",
+                 "decorated_length_variation_operator",
+                 "ideal_angle_variation_operator", "zero_sum_basis"):
+        counted(rigidity, name)
+    v = rigidity.projective_rigidity_verdict(ps)
+    assert v.kernel_dim == 6
+    assert calls.pop("zero_sum_basis", 0) <= max_bases
+    assert calls == {"svd": 1, length_op: 1, angle_op: 1}
+
+
+def test_adjointness_residual_bounds_every_pair():
+    rng = np.random.default_rng(4)
+    for fx, lbuild, mbuild in (
+            (fixtures.hyperideal_tetrahedron(2.0), length_variation_operator,
+             angle_motion_operator),
+            (fixtures.random_ideal(13, 8), decorated_length_variation_operator,
+             ideal_angle_variation_operator)):
+        lop, mop = lbuild(fx), mbuild(fx)
+        assert adjointness_residual(lop, mop) < 1e-12
+        # a defect in one entry of M shows at its full size, and bounds the
+        # pairing defect of every sampled pair
+        mop.matrix[1, 2] += 1e-3
+        resid = adjointness_residual(lop, mop)
+        assert 0.9e-3 < resid < 1.1e-3
+        for _ in range(50):
+            z = rng.normal(size=lop.matrix.shape[1])
+            t = rng.normal(size=mop.matrix.shape[1])
+            defect = (np.dot(lop.apply(z), t)
+                      - mop.pair_codomain(z, mop.apply(t)))
+            assert abs(defect) <= resid * np.linalg.norm(z) * np.linalg.norm(t)
