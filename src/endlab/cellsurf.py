@@ -5,7 +5,11 @@ A surface is stored as a half-edge (dart) structure: edge e owns darts
 around each face.  Loops and parallel edges are permitted; faces are
 arbitrary cycles, with the quasi-simplicial flag meaning all faces are
 triangles.  The vertex rotation is derived: the dart after d in the
-(clockwise) rotation at its tail is fnext(twin(d)).
+(clockwise) rotation at its tail is fnext(twin(d)).  The constructor stores
+the face predecessor ``fprev`` and walks every vertex star once, so
+``vertex_star`` is a lookup; input that is not a closed surface (an edge
+endpoint out of range, a vertex with no darts, a vertex whose darts form
+more than one rotation cycle) is rejected there.
 
 The module also carries the weighted-graph validators: face sums of an
 edge weight function theta must equal 2*pi, and short contractible cycles
@@ -69,11 +73,12 @@ class CellSurface:
 
         self.dart_tail = np.empty(self.n_darts, dtype=int)
         for e, (u, v) in enumerate(self.edges):
+            if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
+                raise SurfaceFormatError(
+                    "edge %d endpoint out of range 0..%d"
+                    % (e, self.n_vertices - 1))
             self.dart_tail[2 * e] = u
             self.dart_tail[2 * e + 1] = v
-        self._tail_darts = {}
-        for d, v in enumerate(self.dart_tail.tolist()):
-            self._tail_darts.setdefault(v, []).append(d)
 
         self.fnext = np.full(self.n_darts, -1, dtype=int)
         self.dart_face = np.full(self.n_darts, -1, dtype=int)
@@ -93,8 +98,35 @@ class CellSurface:
         if np.any(self.fnext < 0):
             missing = int(np.flatnonzero(self.fnext < 0)[0])
             raise SurfaceFormatError("dart %d missing from faces" % missing)
+        self.fprev = np.empty(self.n_darts, dtype=int)
+        self.fprev[self.fnext] = np.arange(self.n_darts)
+        self._stars = self._walk_stars()
         if self.theta is not None and len(self.theta) != self.n_edges:
             raise SurfaceFormatError("theta length != edge count")
+
+    def _walk_stars(self):
+        """Each vertex's darts in rotation order, starting at its lowest dart;
+        rejects a vertex whose darts are not one rotation cycle."""
+        degree = np.bincount(self.dart_tail, minlength=self.n_vertices).tolist()
+        first = {}
+        for d, v in enumerate(self.dart_tail.tolist()):
+            first.setdefault(v, d)
+        stars = []
+        for v in range(self.n_vertices):
+            if v not in first:
+                raise SurfaceFormatError("vertex %d has no darts" % v)
+            star = [first[v]]
+            while True:
+                nxt = self.vnext(star[-1])
+                if nxt == star[0]:
+                    break
+                star.append(nxt)
+                if len(star) > degree[v]:
+                    raise SurfaceFormatError("vertex %d star does not close" % v)
+            if len(star) != degree[v]:
+                raise SurfaceFormatError("vertex %d has a disconnected star" % v)
+            stars.append(star)
+        return stars
 
     # -- basic queries ----------------------------------------------------
 
@@ -129,23 +161,10 @@ class CellSurface:
 
     def vertex_star(self, v):
         """Darts with tail v, in rotation order (one full cycle per star)."""
-        out = self._tail_darts.get(v, [])
-        if not out:
-            return []
-        star = [out[0]]
-        while True:
-            nxt = self.vnext(star[-1])
-            if nxt == star[0]:
-                break
-            star.append(nxt)
-            if len(star) > len(out):
-                raise SurfaceFormatError("vertex %d star does not close" % v)
-        if len(star) != len(out):
-            raise SurfaceFormatError("vertex %d has a disconnected star" % v)
-        return star
+        return list(self._stars[v])
 
     def vertex_degree(self, v):
-        return len(self._tail_darts.get(v, ()))
+        return len(self._stars[v])
 
     def face_edge_multiset(self, f):
         return tuple(sorted(self.edge_of(d) for d in self.face_cycles[f]))
@@ -282,7 +301,10 @@ def parse_surf(text):
                     raise ValueError("empty face")
                 faces[int(parts[1])] = cyc
             elif parts[0] == "theta" and len(parts) == 3:
-                thetas[int(parts[1])] = float(parts[2])
+                value = float(parts[2])
+                if not math.isfinite(value):
+                    raise ValueError("non-finite theta %r" % parts[2])
+                thetas[int(parts[1])] = value
             elif parts[0] == "geom":
                 continue  # poly v1 extension, handled by polysurf
             else:

@@ -139,8 +139,8 @@ def from_ideal_surface(ps):
     for e in range(s.n_edges):
         d, t = 2 * e, 2 * e + 1
         vi, vj = s.tail(d), s.head(d)
-        vk = s.tail(int(s.fnext[s.fnext[d]]))
-        vl = s.tail(int(s.fnext[s.fnext[t]]))
+        vk = s.tail(int(s.fprev[d]))
+        vl = s.tail(int(s.fprev[t]))
         vals.append(edge_cross_ratio(pos[vi], pos[vj], pos[vk], pos[vl]))
     return CrossRatioAssignment(s, vals)
 
@@ -300,7 +300,7 @@ def holonomy_loop(assignment, darts):
         while t // 2 != d_next // 2 or t != d_next:
             # flip across edge(t): triangle becomes (w, far apex, head(t))
             far = _solve_apex(cr_of(t // 2), q_tail, q_head, q_apex)
-            t = int(s.fnext[t ^ 1])
+            t = s.vnext(t)
             q_tail, q_head, q_apex = q_tail, far, q_head
             guard += 1
             if guard > s.n_darts:

@@ -9,6 +9,11 @@ vertex sees at most 2 changes, and at most 1 at vertices with at least
 three unoriented incident edges or two rotation-consecutive unoriented
 incident edges.
 
+Corner values are computed once per decoration, on first use, and shared
+by the tightness check, the per-vertex totals and the component report;
+the face predecessor and the vertex stars they read are stored on the
+:class:`~endlab.cellsurf.CellSurface`.
+
 The component report deletes faces with no oriented edge and analyzes each
 glued component of the remainder as an abstract surface with boundary
 (vertices pinched by deleted sectors are split), producing the exact
@@ -22,6 +27,8 @@ itself is never asserted as an invariant here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -38,17 +45,22 @@ class DecorationError(ValueError):
 
 @dataclass(frozen=True)
 class Decoration:
-    """Per-edge orientation state, relative to each edge's dart 2e."""
+    """Per-edge orientation state, relative to each edge's dart 2e.
+
+    The states are a read-only copy, so the corner values cached on first
+    use stay those of the decoration.
+    """
 
     surface: CellSurface
     states: np.ndarray
 
     def __post_init__(self):
-        st = np.asarray(self.states, dtype=int)
+        st = np.array(self.states, dtype=int)
         if st.shape != (self.surface.n_edges,):
             raise DecorationError("one state per edge required")
         if not np.all(np.isin(st, (-1, 0, 1))):
             raise DecorationError("states must be in {-1, 0, +1}")
+        st.flags.writeable = False
         object.__setattr__(self, "states", st)
 
     @classmethod
@@ -73,6 +85,11 @@ class Decoration:
         s = int(self.states[d // 2])
         return s if d % 2 == 0 else -s
 
+    @cached_property
+    def _corners(self):
+        return MappingProxyType({d: corner_value(self, d)
+                                 for d in range(self.surface.n_darts)})
+
 
 def serialize_decoration(dec):
     lines = ["# decor v1"]
@@ -91,9 +108,17 @@ def parse_decoration(surface, text):
         if not line:
             continue
         parts = line.split()
-        if parts[0] != "o" or len(parts) != 3 or parts[2] not in "+-":
+        if len(parts) != 3 or parts[0] != "o" or parts[2] not in ("+", "-"):
             raise DecorationError("line %d: bad decoration record" % ln)
-        pairs.append((int(parts[1]), FORWARD if parts[2] == "+" else BACKWARD))
+        try:
+            e = int(parts[1])
+        except ValueError:
+            raise DecorationError(
+                "line %d: bad edge id %r" % (ln, parts[1])) from None
+        if not 0 <= e < surface.n_edges:
+            raise DecorationError("line %d: edge %d out of range 0..%d"
+                                  % (ln, e, surface.n_edges - 1))
+        pairs.append((e, FORWARD if parts[2] == "+" else BACKWARD))
     return Decoration.from_pairs(surface, pairs)
 
 
@@ -101,17 +126,10 @@ def parse_decoration(surface, text):
 # corner machinery
 
 
-def _fprev(surface):
-    prev = np.empty(surface.n_darts, dtype=int)
-    for d in range(surface.n_darts):
-        prev[surface.fnext[d]] = d
-    return prev
-
-
-def corner_value(dec, d, fprev):
+def corner_value(dec, d):
     """Change count at the corner of face(d) at tail(d)."""
     a = dec.away_from_tail(d)
-    b = dec.away_from_tail(twin(int(fprev[d])))
+    b = dec.away_from_tail(twin(int(dec.surface.fprev[d])))
     if a == 0 and b == 0:
         return 0.0
     if a == 0 or b == 0:
@@ -123,21 +141,17 @@ def corner_changes(dec):
     """Per-corner change values, keyed by the corner's outgoing dart.
 
     The corner of dart d is the (face(d), tail(d)) incidence; its edges are
-    edge(d) and the preceding face edge.
+    edge(d) and the preceding face edge.  The values are computed once per
+    decoration and returned as a read-only mapping.
     """
-    fprev = _fprev(dec.surface)
-    return {d: corner_value(dec, d, fprev)
-            for d in range(dec.surface.n_darts)}
+    return dec._corners
 
 
 def vertex_changes(dec):
     """Total change count at each vertex (sum over its corners)."""
     s = dec.surface
-    corners = corner_changes(dec)
-    totals = np.zeros(s.n_vertices)
-    for d, val in corners.items():
-        totals[s.tail(d)] += val
-    return totals
+    return np.bincount(s.dart_tail, weights=list(corner_changes(dec).values()),
+                       minlength=s.n_vertices)
 
 
 @dataclass
@@ -227,7 +241,6 @@ def pak_report(dec):
     s = dec.surface
     if not s.is_quasi_simplicial():
         raise DecorationError("component counting needs a triangulation")
-    fprev = _fprev(s)
     kept = [f for f in range(s.n_faces)
             if any(dec.states[d // 2] != 0 for d in s.face_cycles[f])]
     if not kept:
@@ -259,7 +272,7 @@ def pak_report(dec):
         cuf = _UnionFind(cdarts)
         for d in cdarts:
             if twin(d) in cset:
-                nxt = int(s.fnext[twin(d)])   # next corner at tail(d)
+                nxt = s.vnext(d)   # next corner at tail(d)
                 if nxt in cset:
                     cuf.union(d, nxt)
         n_vertices = len({cuf.find(d) for d in cdarts})
@@ -274,7 +287,7 @@ def pak_report(dec):
                 unvisited.discard(d)
                 t = int(s.fnext[d])
                 while twin(t) in cset:
-                    t = int(s.fnext[twin(t)])
+                    t = s.vnext(t)
                 d = t
                 if d == d0:
                     break
@@ -319,11 +332,7 @@ def orient_by_vertex_order(surface):
 
 def random_decoration(surface, rng, p_oriented=2.0 / 3.0):
     """Seeded random decoration; each edge unoriented with prob 1-p."""
-    st = np.zeros(surface.n_edges, dtype=int)
-    for e in range(surface.n_edges):
-        r = rng.random()
-        if r < p_oriented / 2:
-            st[e] = FORWARD
-        elif r < p_oriented:
-            st[e] = BACKWARD
+    r = rng.random(surface.n_edges)
+    st = np.where(r < p_oriented / 2, FORWARD,
+                  np.where(r < p_oriented, BACKWARD, UNORIENTED))
     return Decoration(surface, st)

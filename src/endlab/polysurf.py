@@ -312,7 +312,7 @@ class PolySurface:
             d1, d2 = 2 * e, 2 * e + 1
             f1 = int(self.tri.dart_face[d1])
             f2 = int(self.tri.dart_face[d2])
-            apex = self.tri.tail(int(self.tri.fnext[self.tri.fnext[d2]]))
+            apex = self.tri.tail(int(self.tri.fprev[d2]))
             val = mdot(self.vectors[apex], self.face_normals[f1])
             scale = max(1.0, float(np.max(np.abs(self.vectors[apex]))))
             margins[e] = val / scale
@@ -558,8 +558,10 @@ def parse_poly(text, **kw):
         if len(parts) != 7 or parts[2] not in (COMPACT, IDEAL, HYPER):
             raise SurfaceFormatError("bad geom record", line=ln)
         try:
-            geoms[int(parts[1])] = VertexGeom(
-                parts[2], np.array([float(x) for x in parts[3:7]]))
+            vec = np.array([float(x) for x in parts[3:7]])
+            if not np.all(np.isfinite(vec)):
+                raise ValueError("non-finite geom coordinate")
+            geoms[int(parts[1])] = VertexGeom(parts[2], vec)
         except (ValueError, PolyBuildError) as exc:
             raise SurfaceFormatError(str(exc), line=ln) from exc
     if sorted(geoms) != list(range(surface.n_vertices)):

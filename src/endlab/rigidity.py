@@ -262,12 +262,7 @@ def decorated_length_variation_operator(ps):
     if ps.kind != IDEAL:
         raise ValueError("ideal surfaces only")
     b_int, q = zero_sum_basis(ps.tri)
-    nv, ne = ps.tri.n_vertices, ps.tri.n_edges
-    links = ps.links()
-    raw = np.zeros((ne, 2 * nv))
-    for d in range(ps.tri.n_darts):
-        v = ps.tri.tail(d)
-        raw[d // 2, 2 * v:2 * v + 2] += links.coords[d]
+    raw = _ideal_link_rows(ps).T
     mat = q.T @ raw
     return OperatorBundle(mat, domain="(+)H_v* (two 1-form coords per vertex)",
                           codomain="edge weights mod shifts (zero-sum coords)",

@@ -37,6 +37,31 @@ def test_vertex_star_closes():
         assert all(s.tail(d) == v for d in star)
 
 
+def test_vertex_star_is_a_lookup(monkeypatch):
+    s = genus2_complex().surface
+    assert np.array_equal(s.fnext[s.fprev], np.arange(s.n_darts))
+    walked = []
+    for v in range(s.n_vertices):
+        star = [min(d for d in range(s.n_darts) if s.tail(d) == v)]
+        while s.vnext(star[-1]) != star[0]:
+            star.append(s.vnext(star[-1]))
+        walked.append(star)
+    steps = []
+    monkeypatch.setattr(CellSurface, "vnext", lambda self, d: steps.append(d))
+    stars = [s.vertex_star(v) for v in range(s.n_vertices)]
+    assert stars == walked and steps == []
+    stars[0].append(-1)
+    assert s.vertex_star(0) == walked[0]
+
+
+def test_vertex_without_darts_rejected():
+    sphere = ("v 0\nv 1\nv 2\ne 0 0 1\ne 1 1 2\ne 2 2 0\n"
+              "f 0 0+ 1+ 2+\nf 1 2- 1- 0-\n")
+    assert parse_surf(sphere).genus() == 0
+    with pytest.raises(SurfaceFormatError, match="vertex 3 has no darts"):
+        parse_surf(sphere + "v 3\nv 4\n")
+
+
 def test_face_cycle_consistency_rejected():
     # [0, 4, 2] is not head-to-tail (dart 0 ends at vertex 1, dart 4 starts at 2)
     with pytest.raises(SurfaceFormatError):

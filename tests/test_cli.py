@@ -44,6 +44,35 @@ def test_exit_codes_usage_errors(tmp_path, capsys):
     assert main(["schlafli", "--definitely-bad-flag"]) == 2
 
 
+def test_edge_endpoint_out_of_range_rejected(tmp_path, capsys):
+    path = tmp_path / "endpoint.surf"
+    path.write_text("v 0\nv 1\nv 2\ne 0 0 1\ne 1 1 7\ne 2 7 0\n"
+                    "f 0 0+ 1+ 2+\nf 1 2- 1- 0-\n")
+    for command in ("check-admissible", "pak-search"):
+        assert main([command, str(path)]) == 2
+        assert "edge 1 endpoint out of range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,name,record,bad", [
+    ("rigidity", "tetrahedron_compact.poly",
+     "geom 0 compact 0.67850272550221846", "geom 0 compact nan"),
+    ("rigidity", "octahedron.poly", "geom 0 ideal 1 ", "geom 0 ideal inf "),
+    ("check-admissible", "pattern.surf", "theta 0 1.5707963267948966\n",
+     "theta 0 nan\n"),
+], ids=["compact-nan", "ideal-inf", "theta-nan"])
+def test_non_finite_numbers_rejected_at_parse(tmp_path, capsys, command, name,
+                                              record, bad):
+    text = (INPUTS / name).read_text()
+    assert record in text
+    text = text.replace(record, bad, 1)
+    line = next(i for i, ln in enumerate(text.splitlines(), start=1)
+                if ln.startswith(bad.strip()))
+    path = tmp_path / name
+    path.write_text(text)
+    assert main([command, str(path)]) == 2
+    assert "line %d: non-finite" % line in capsys.readouterr().err
+
+
 def test_rigidity_rejects_mixed_vertex_kinds(tmp_path, capsys):
     from endlab import polysurf
     text = polysurf.serialize_poly(fixtures.ideal_octahedron())

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from endlab import decor
 from endlab.decor import (BACKWARD, FORWARD, UNORIENTED, Decoration,
-                          corner_changes, is_tight, orient_by_vertex_order,
+                          DecorationError, corner_changes, is_tight, orient_by_vertex_order,
                           pak_report, parse_decoration, random_decoration,
                           serialize_decoration, vertex_changes)
 from endlab.fixtures import genus2_complex, tetrahedron_surface
@@ -155,3 +155,44 @@ def test_decoration_roundtrip(g2surf):
     back = parse_decoration(g2surf, text)
     assert np.array_equal(back.states, dec.states)
     assert serialize_decoration(back) == text
+
+
+def test_corners_computed_once_per_decoration(g2surf, monkeypatch):
+    calls = []
+    corner_value = decor.corner_value
+
+    def counting(*args):
+        calls.append(args[1])
+        return corner_value(*args)
+
+    monkeypatch.setattr(decor, "corner_value", counting)
+    dec = random_decoration(g2surf, np.random.default_rng(0))
+    is_tight(dec)
+    pak_report(dec)
+    assert sorted(calls) == list(range(g2surf.n_darts))
+    with pytest.raises(TypeError):
+        corner_changes(dec)[0] = 1.0
+    with pytest.raises(ValueError):
+        dec.states[0] = 0
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_vectorised_paths_match_loops(g2surf, seed):
+    rng = np.random.default_rng(seed)
+    states = []
+    for _ in range(g2surf.n_edges):
+        r = rng.random()
+        states.append(FORWARD if r < 1 / 3 else BACKWARD if r < 2 / 3
+                      else UNORIENTED)
+    dec = random_decoration(g2surf, np.random.default_rng(seed))
+    assert dec.states.tolist() == states
+    totals = np.zeros(g2surf.n_vertices)
+    for d, val in corner_changes(dec).items():
+        totals[g2surf.tail(d)] += val
+    assert np.array_equal(vertex_changes(dec), totals)
+
+
+def test_parse_decoration_rejects_bad_records(g2surf):
+    for record in ("o -1 +", "o 3 +-", "o 99 +", "o x +"):
+        with pytest.raises(DecorationError, match="line 3"):
+            parse_decoration(g2surf, "# decor v1\no 0 +\n%s\n" % record)
