@@ -279,6 +279,7 @@ def parse_surf(text):
     """Parse "surf v1"; raises SurfaceFormatError with a line number."""
     vertices = []
     edges = {}
+    edge_lines = {}
     faces = {}
     thetas = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -291,6 +292,7 @@ def parse_surf(text):
                 vertices.append(int(parts[1]))
             elif parts[0] == "e" and len(parts) == 4:
                 edges[int(parts[1])] = (int(parts[2]), int(parts[3]))
+                edge_lines[int(parts[1])] = ln
             elif parts[0] == "f":
                 cyc = []
                 for tok in parts[2:]:
@@ -315,6 +317,11 @@ def parse_surf(text):
         raise SurfaceFormatError("no vertices")
     if sorted(vertices) != list(range(len(vertices))):
         raise SurfaceFormatError("vertex ids must be 0..n-1")
+    for e, ends in edges.items():
+        if not all(0 <= u < len(vertices) for u in ends):
+            raise SurfaceFormatError("edge %d endpoint out of range 0..%d"
+                                     % (e, len(vertices) - 1),
+                                     line=edge_lines[e])
     if sorted(edges) != list(range(len(edges))):
         raise SurfaceFormatError("edge ids must be 0..m-1")
     if sorted(faces) != list(range(len(faces))):

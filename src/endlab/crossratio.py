@@ -34,12 +34,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import mink
-from .polysurf import IDEAL, PolySurface
+from .polysurf import IDEAL
 
 TAU_CR = 1e-9
 
@@ -162,7 +162,24 @@ def parse_cr(surface, text):
         parts = line.split()
         if parts[0] != "cr" or len(parts) != 4:
             raise CrossRatioError("line %d: bad cr record" % ln)
-        vals[int(parts[1])] = complex(float(parts[2]), float(parts[3]))
+        try:
+            e = int(parts[1])
+        except ValueError:
+            raise CrossRatioError(
+                "line %d: bad edge id %r" % (ln, parts[1])) from None
+        if not 0 <= e < surface.n_edges:
+            raise CrossRatioError("line %d: edge %d out of range 0..%d"
+                                  % (ln, e, surface.n_edges - 1))
+        if vals[e] is not None:
+            raise CrossRatioError("line %d: duplicate edge %d" % (ln, e))
+        try:
+            z = complex(float(parts[2]), float(parts[3]))
+        except ValueError:
+            raise CrossRatioError("line %d: bad cross-ratio %s %s"
+                                  % (ln, parts[2], parts[3])) from None
+        if not cmath.isfinite(z):
+            raise CrossRatioError("line %d: non-finite cross-ratio" % ln)
+        vals[e] = z
     return CrossRatioAssignment(surface, vals)
 
 

@@ -58,7 +58,7 @@ class Decoration:
         st = np.array(self.states, dtype=int)
         if st.shape != (self.surface.n_edges,):
             raise DecorationError("one state per edge required")
-        if not np.all(np.isin(st, (-1, 0, 1))):
+        if not np.all(np.abs(st) <= 1):
             raise DecorationError("states must be in {-1, 0, +1}")
         st.flags.writeable = False
         object.__setattr__(self, "states", st)

@@ -24,9 +24,8 @@ recorded as unverified in the build diagnostics.
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -188,36 +187,34 @@ def horosphere_chart(u):
 
 
 def ideal_link_point(u_v, u_w):
-    """Intersection of the geodesic (u_v, u_w) with the horosphere of u_v."""
+    """Intersection of the geodesic (u_v, u_w) with the horosphere of u_v.
+
+    Broadcasts over leading axes.
+    """
     mu = -mdot(u_v, u_w)
-    if mu <= 0:
+    if np.any(mu <= 0):
         raise GeometryError("same ideal point")
-    return 0.5 * u_v + u_w / mu
-
-
-@dataclass
-class VertexFrame:
-    kind: str
-    vectors: np.ndarray          # rows: frame vectors (3x4) or chart (ea, eb, m)
-    signs: np.ndarray            # metric signs of the coordinates
+    return 0.5 * u_v + u_w / mu[..., None]
 
 
 @dataclass
 class LinkBundle:
-    """Per-vertex frames and per-dart link coordinates.
+    """Vertex frames and dart link coordinates, as arrays.
 
-    For a dart d with tail v: compact/hyper vertices store the unit tangent
-    at v along the edge, as frame coordinates (3,) and as a 4-vector; ideal
-    vertices store the chart coordinates (2,) of the intersection of the
-    edge with the decorated horosphere, and the intersection point itself.
+    ``frames`` (V, 3, 4) holds the rows of each vertex frame: the
+    Gram-Schmidt frame of the complement of a compact or hyperideal vertex,
+    or the horosphere chart (ea, eb, m) of an ideal one.  ``signs`` (V, k)
+    are the metric signs of the k frame coordinates (k = 3, or 2 for the
+    ideal chart).  For a dart d with tail v, ``raw[d]`` is the unit tangent
+    at v along the edge (compact/hyper) or the intersection point of the
+    edge with the decorated horosphere (ideal), and ``coords[d]`` its frame
+    coordinates, coords[d, i] = signs[v, i] <raw[d], frames[v, i]>.
     """
 
-    frames: list
-    coords: dict
-    raw: dict
-
-    def dim(self, v):
-        return 2 if self.frames[v].kind == IDEAL else 3
+    frames: np.ndarray
+    signs: np.ndarray
+    raw: np.ndarray
+    coords: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -384,38 +381,28 @@ class PolySurface:
     def links(self):
         if self._links is not None:
             return self._links
-        frames = []
-        for v in range(self.tri.n_vertices):
-            g = self.geoms[v]
-            if g.kind == IDEAL:
-                ea, eb, m = horosphere_chart(g.vec)
-                frames.append(VertexFrame(IDEAL, np.array([ea, eb, m]),
-                                          np.array([1, 1])))
-            else:
-                rows, signs = _gram_schmidt_frame(g.vec)
-                frames.append(VertexFrame(g.kind, rows, signs))
-        coords, raw = {}, {}
-        for d in range(self.tri.n_darts):
-            v = self.tri.tail(d)
-            w = self.tri.head(d)
-            gv = self.geoms[v]
-            qv, qw = self.vectors[v], self.vectors[w]
-            if gv.kind == IDEAL:
-                p = ideal_link_point(qv, qw)
-                ea, eb, _ = frames[v].vectors
-                coords[d] = np.array([mdot(p, ea), mdot(p, eb)])
-                raw[d] = p
-            else:
-                t = qw - (mdot(qw, qv) / mdot(qv, qv)) * qv
-                tt = mdot(t, t)
-                if abs(tt) < 1e-14:
-                    raise PolyBuildError("degenerate edge direction at dart %d" % d)
-                t = t / math.sqrt(abs(tt))
-                rows, signs = frames[v].vectors, frames[v].signs
-                coords[d] = np.array([mdot(t, rows[i]) * signs[i]
-                                      for i in range(3)])
-                raw[d] = t
-        self._links = LinkBundle(frames, coords, raw)
+        if self.kind == IDEAL:
+            frames = np.array([horosphere_chart(u) for u in self.vectors])
+            signs = np.ones((self.tri.n_vertices, 2), dtype=int)
+        else:
+            rows, signs = zip(*(_gram_schmidt_frame(v) for v in self.vectors))
+            frames, signs = np.array(rows), np.array(signs)
+        tail = self.tri.dart_tail
+        head = tail[twin(np.arange(self.tri.n_darts))]
+        qv, qw = self.vectors[tail], self.vectors[head]
+        if self.kind == IDEAL:
+            raw = ideal_link_point(qv, qw)
+        else:
+            t = qw - (mdot(qw, qv) / mdot(qv, qv))[:, None] * qv
+            tt = mdot(t, t)
+            bad = np.flatnonzero(np.abs(tt) < 1e-14)
+            if bad.size:
+                raise PolyBuildError("degenerate edge direction at dart %d"
+                                     % bad[0])
+            raw = t / np.sqrt(np.abs(tt))[:, None]
+        k = signs.shape[1]
+        coords = mdot(raw[:, None, :], frames[tail, :k]) * signs[tail]
+        self._links = LinkBundle(frames, signs, raw, coords)
         return self._links
 
     # -- derived constructions ----------------------------------------------
@@ -498,33 +485,27 @@ class PolySurface:
         PolyBuildError is raised.
         """
         links = self.links()
-        vals = np.empty(self.tri.n_darts)
-        scale = 0.0
-        for d in range(self.tri.n_darts):
-            v = self.tri.tail(d)
-            if self.kind == IDEAL:
-                w, c = z[v]
-                vals[d] = float(np.dot(w, links.coords[d]) + c)
-            else:
-                vals[d] = float(mdot(np.asarray(z[v], dtype=float),
-                                     links.raw[d]))
-            scale = max(scale, abs(vals[d]))
+        tail = self.tri.dart_tail
+        if self.kind == IDEAL:
+            w, c = zip(*z)
+            vals = (np.vecdot(np.array(w, dtype=float)[tail], links.coords)
+                    + np.array(c, dtype=float)[tail])
+        else:
+            vals = mdot(np.asarray(z, dtype=float)[tail], links.raw)
+        scale = float(np.max(np.abs(vals), initial=0.0))
         if tau_orient is None:
             tau_orient = 1e-9 * max(scale, 1e-30)
         if certified:
-            for e in range(self.tri.n_edges):
-                resid = abs(vals[2 * e] + vals[2 * e + 1])
-                if resid > 1e3 * tau_orient + 1e-8 * max(scale, 1.0):
-                    raise PolyBuildError(
-                        "not length-preserving: edge %d residual %.3g"
-                        % (e, resid))
-        states = np.zeros(self.tri.n_edges, dtype=int)
-        for e in range(self.tri.n_edges):
-            a = vals[2 * e]
-            if a > tau_orient:
-                states[e] = FORWARD
-            elif a < -tau_orient:
-                states[e] = BACKWARD
+            resid = np.abs(vals[0::2] + vals[1::2])
+            bad = np.flatnonzero(resid > 1e3 * tau_orient
+                                 + 1e-8 * max(scale, 1.0))
+            if bad.size:
+                raise PolyBuildError(
+                    "not length-preserving: edge %d residual %.3g"
+                    % (bad[0], resid[bad[0]]))
+        first = vals[0::2]
+        states = np.where(first > tau_orient, FORWARD,
+                          np.where(first < -tau_orient, BACKWARD, 0))
         return Decoration(self.tri, states)
 
 

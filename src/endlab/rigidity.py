@@ -24,12 +24,19 @@ other way, from that constraint space to the per-vertex chart vectors
 an exact integer basis (kept alongside the orthonormal one) so the
 per-vertex zero-sum condition holds with no rounding at all.
 
-Adjointness is checked as one exact matrix identity: with G the diagonal
-frame metric, <L z, t> - <z, M t>_G = z^T (L^T - G M) t, so the Frobenius
-norm of L^T - G M bounds the pairing defect over every pair (z, t) at
-once.  Each operator keeps its own assembly, so the identity compares two
-independent constructions.  Nothing here is random: the ``--seed`` of
-``endlab rigidity`` is echoed in the report, and nothing is drawn from it.
+Both operators of a pair are read off one link-row matrix A, the link
+coordinates of every dart accumulated into the rows of its tail vertex:
+M = A and L = (G A)^T on compact/hyperideal surfaces (G the diagonal
+frame metric), L = q^T A^T and M = A q on ideal ones (q the orthonormal
+zero-sum basis).  Adjointness is still reported as one matrix identity:
+<L z, t> - <z, M t>_G = z^T (L^T - G M) t, so the Frobenius norm of
+L^T - G M bounds the pairing defect over every pair (z, t) at once.  It
+holds exactly by construction on compact/hyperideal surfaces and up to
+the rounding of the q products on ideal ones, so it guards the
+assembly; the finite-difference tests of the length operators against
+edge_lengths() are the independent check of the geometry.  Nothing here
+is random: the ``--seed`` of ``endlab rigidity`` is echoed in the report,
+and nothing is drawn from it.
 
 The trivial-motion oracle evaluates the six generators of so(3,1) at the
 vertex data; on convex fixtures these span the kernels of the length
@@ -50,9 +57,9 @@ import numpy as np
 import sympy
 
 from . import mink
-from .decor import Decoration, is_tight, pak_report
+from .decor import is_tight, pak_report
 from .mink import mdot
-from .polysurf import COMPACT, HYPER, IDEAL, PolySurface
+from .polysurf import IDEAL
 
 TAU_RANK = 1e-8
 MIN_GAP = 10.0
@@ -162,15 +169,10 @@ def length_variation_operator(ps):
     """
     if ps.kind == IDEAL:
         raise ValueError("use decorated_length_variation_operator for ideal")
-    links = ps.links()
-    ne, nv = ps.tri.n_edges, ps.tri.n_vertices
-    mat = np.zeros((ne, 3 * nv))
-    for d in range(ps.tri.n_darts):
-        v = ps.tri.tail(d)
-        rows = links.frames[v].vectors
-        for i in range(3):
-            mat[d // 2, 3 * v + i] += mdot(links.raw[d], rows[i])
-    metric = np.concatenate([links.frames[v].signs for v in range(nv)]).astype(float)
+    metric = ps.links().signs.reshape(-1).astype(float)
+    # G A pairs each link tangent with the frame rows; adding 0.0 clears
+    # the -0.0 that negative signs put on the zeros of A
+    mat = (metric[:, None] * _link_rows(ps)).T + 0.0
     return OperatorBundle(mat, domain="vertex tangents (+)T_v",
                           codomain="edge weights R^E",
                           domain_metric=metric,
@@ -184,17 +186,8 @@ def angle_motion_operator(ps):
     variations realizable by deformations preserving all edge lengths."""
     if ps.kind == IDEAL:
         raise ValueError("use ideal_angle_variation_operator for ideal")
-    links = ps.links()
-    ne, nv = ps.tri.n_edges, ps.tri.n_vertices
-    mat = np.zeros((3 * nv, ne))
-    for v in range(nv):
-        rows = links.frames[v].vectors
-        signs = links.frames[v].signs
-        for d in ps.tri.vertex_star(v):
-            for i in range(3):
-                mat[3 * v + i, d // 2] += signs[i] * mdot(links.raw[d], rows[i])
-    metric = np.concatenate([links.frames[v].signs for v in range(nv)]).astype(float)
-    return OperatorBundle(mat, domain="edge weights R^E",
+    metric = ps.links().signs.reshape(-1).astype(float)
+    return OperatorBundle(_link_rows(ps), domain="edge weights R^E",
                           codomain="vertex tangents (+)T_v",
                           codomain_metric=metric,
                           meta={"kind": ps.kind})
@@ -239,15 +232,16 @@ def zero_sum_basis(surface):
     return b_int, q
 
 
-def _ideal_link_rows(ps):
-    """Chart coordinates of link points: matrix (2|V|) x |E| accumulating
-    xi_{v,e} into the rows of vertex v for each edge at v."""
+def _link_rows(ps):
+    """Link coordinates accumulated by tail vertex: the (k|V|) x |E| matrix
+    whose column e holds coords[d] in the k rows of tail(d), for both darts
+    d of e (k = 3 frame coordinates, or 2 chart coordinates if ideal)."""
     links = ps.links()
-    nv, ne = ps.tri.n_vertices, ps.tri.n_edges
-    a = np.zeros((2 * nv, ne))
-    for d in range(ps.tri.n_darts):
-        v = ps.tri.tail(d)
-        a[2 * v:2 * v + 2, d // 2] += links.coords[d]
+    nv, k = links.signs.shape
+    rows = k * ps.tri.dart_tail[:, None] + np.arange(k)
+    edges = np.arange(ps.tri.n_darts)[:, None] // 2
+    a = np.zeros((k * nv, ps.tri.n_edges))
+    np.add.at(a, (rows, edges), links.coords)
     return a
 
 
@@ -262,7 +256,7 @@ def decorated_length_variation_operator(ps):
     if ps.kind != IDEAL:
         raise ValueError("ideal surfaces only")
     b_int, q = zero_sum_basis(ps.tri)
-    raw = _ideal_link_rows(ps).T
+    raw = _link_rows(ps).T
     mat = q.T @ raw
     return OperatorBundle(mat, domain="(+)H_v* (two 1-form coords per vertex)",
                           codomain="edge weights mod shifts (zero-sum coords)",
@@ -280,8 +274,7 @@ def ideal_angle_variation_operator(ps):
     if ps.kind != IDEAL:
         raise ValueError("ideal surfaces only")
     b_int, q = zero_sum_basis(ps.tri)
-    a = _ideal_link_rows(ps)
-    mat = a @ q
+    mat = _link_rows(ps) @ q
     return OperatorBundle(mat, domain="zero-sum edge weights (R^E)_0",
                           codomain="(+)H_v (chart vectors, two per vertex)",
                           embedding=q, int_basis=b_int,
@@ -302,24 +295,13 @@ def trivial_motion_basis(ps):
     matrix whose columns span the trivial motions.
     """
     links = ps.links()
-    cols = []
-    for gen in mink.so31_basis():
-        if ps.kind == IDEAL:
-            vec = np.zeros(2 * ps.tri.n_vertices)
-            for v in range(ps.tri.n_vertices):
-                ea, eb, _ = links.frames[v].vectors
-                du = gen @ ps.vectors[v]
-                vec[2 * v] = -mdot(ea, du)
-                vec[2 * v + 1] = -mdot(eb, du)
-        else:
-            vec = np.zeros(3 * ps.tri.n_vertices)
-            for v in range(ps.tri.n_vertices):
-                z = gen @ ps.vectors[v]
-                rows = links.frames[v].vectors
-                signs = links.frames[v].signs
-                for i in range(3):
-                    vec[3 * v + i] = signs[i] * mdot(z, rows[i])
-        cols.append(vec)
+    k = links.signs.shape[1]
+    # the motion of each vertex, in frame coordinates; an ideal vertex
+    # sees the normal displacement -<p, A u> of its horosphere
+    sign = -1 if ps.kind == IDEAL else links.signs
+    cols = [(sign * mdot((ps.vectors @ gen.T)[:, None, :],
+                         links.frames[:, :k])).reshape(-1)
+            for gen in mink.so31_basis()]
     basis = np.array(cols).T
     qb, r = np.linalg.qr(basis)
     keep = np.abs(np.diag(r)) > 1e-10 * max(1.0, np.max(np.abs(r)))
@@ -343,24 +325,15 @@ def adjointness_residual(lop, mop):
 def kernel_vector_as_deformation(ps, op, coords):
     """Convert kernel coordinates of the length operator ``op`` of ``ps``
     into deformation data consumable by decoration_from_deformation."""
-    links = ps.links()
     if ps.kind == IDEAL:
         # choose decoration-shift constants so the raw length variation
         # vanishes, not only its quotient class
         delta = op.meta["raw_rows"] @ coords
         m = shift_map_matrix(ps.tri).astype(float)
         a, *_ = np.linalg.lstsq(m, delta, rcond=None)
-        out = []
-        for v in range(ps.tri.n_vertices):
-            w = np.array([coords[2 * v], coords[2 * v + 1]])
-            out.append((w, -float(a[v])))
-        return out
-    out = []
-    for v in range(ps.tri.n_vertices):
-        rows = links.frames[v].vectors
-        z = sum(coords[3 * v + i] * rows[i] for i in range(3))
-        out.append(z)
-    return out
+        return list(zip(np.reshape(coords, (-1, 2)), -a))
+    c = np.asarray(coords, dtype=float).reshape(-1, 3, 1)
+    return (c * ps.links().frames).sum(axis=1)
 
 
 @dataclass

@@ -50,7 +50,8 @@ def test_edge_endpoint_out_of_range_rejected(tmp_path, capsys):
                     "f 0 0+ 1+ 2+\nf 1 2- 1- 0-\n")
     for command in ("check-admissible", "pak-search"):
         assert main([command, str(path)]) == 2
-        assert "edge 1 endpoint out of range" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "line 5: edge 1 endpoint out of range" in err
 
 
 @pytest.mark.parametrize("command,name,record,bad", [

@@ -263,3 +263,16 @@ def test_cr_roundtrip():
     back = parse_cr(oc.tri, text)
     assert serialize_cr(back) == text
     assert np.allclose(back.cr_array(), a.cr_array())
+
+
+def test_parse_cr_rejects_bad_records():
+    oc = fixtures.ideal_octahedron()
+    header_and_edge0 = serialize_cr(from_ideal_surface(oc)).splitlines()[:2]
+    for record, reason in (("cr -1 0.5 0.5", "out of range"),
+                           ("cr 99 0.5 0.5", "out of range"),
+                           ("cr x 0.5 0.5", "bad edge id"),
+                           ("cr 0 0.5 0.5", "duplicate edge 0"),
+                           ("cr 1 nan 0.5", "non-finite"),
+                           ("cr 1 0.5 inf", "non-finite")):
+        with pytest.raises(CrossRatioError, match="line 3: .*" + reason):
+            parse_cr(oc.tri, "\n".join(header_and_edge0 + [record]))

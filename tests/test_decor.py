@@ -196,3 +196,11 @@ def test_parse_decoration_rejects_bad_records(g2surf):
     for record in ("o -1 +", "o 3 +-", "o 99 +", "o x +"):
         with pytest.raises(DecorationError, match="line 3"):
             parse_decoration(g2surf, "# decor v1\no 0 +\n%s\n" % record)
+
+
+def test_states_outside_unit_range_rejected(g2surf):
+    for bad in (2, -2):
+        states = np.zeros(g2surf.n_edges, dtype=int)
+        states[3] = bad
+        with pytest.raises(DecorationError, match="states must be in"):
+            Decoration(g2surf, states)

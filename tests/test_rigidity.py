@@ -44,7 +44,7 @@ def test_length_rows_match_finite_differences():
     for _ in range(4):
         v = int(rng.integers(0, 4))
         i = int(rng.integers(0, 3))
-        t = links.frames[v].vectors[i]
+        t = links.frames[v][i]
         eps_list = [3e-2, 1e-2, 3e-3, 1e-3]
         resid = []
         for eps in eps_list:
@@ -62,6 +62,56 @@ def test_length_rows_match_finite_differences():
         assert 1.8 <= order <= 2.2, (resid, order)
 
 
+@pytest.mark.parametrize("make, normalize", [
+    (lambda: fixtures.hyperideal_tetrahedron(2.0), mink.normalize_spacelike),
+    (lambda: fixtures.random_convex_compact(3, 9), mink.normalize_timelike),
+], ids=["hyper", "compact"])
+def test_length_columns_match_finite_differences(make, normalize):
+    # every column against the geometry: column 3v+i moves vertex v along
+    # its frame row i, and the operator holds the negative length derivative
+    ps = make()
+    op = length_variation_operator(ps)
+    frames = ps.links().frames
+    eps_list = [1e-2, 1e-3, 1e-4]
+    resid = []
+    for eps in eps_list:
+        worst = 0.0
+        for v in range(ps.tri.n_vertices):
+            for i in range(3):
+                moved = []
+                for step in (eps, -eps):
+                    vecs = ps.vectors.copy()
+                    vecs[v] = normalize(ps.vectors[v] + step * frames[v][i])
+                    moved.append(ps.with_vertex_vectors(vecs).edge_lengths())
+                fd = (moved[0] - moved[1]) / (2 * eps)
+                worst = max(worst, np.max(np.abs(fd + op.matrix[:, 3 * v + i])))
+        resid.append(worst)
+    order = fit_order(eps_list, resid)
+    assert 1.8 <= order <= 2.2, (resid, order)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: fixtures.random_convex_compact(3, 9),
+    lambda: fixtures.hyperideal_tetrahedron(2.0),
+    lambda: fixtures.random_ideal(13, 8),
+], ids=["compact", "hyper", "ideal"])
+def test_length_operator_follows_vertex_relabeling(make):
+    ps = make()
+    length_op = (decorated_length_variation_operator if ps.kind == "ideal"
+                 else length_variation_operator)
+    nv = ps.tri.n_vertices
+    perm = np.random.default_rng(6).permutation(nv)
+    geoms = [None] * nv
+    for v, g in enumerate(ps.geoms):
+        geoms[perm[v]] = g
+    moved = build(ps.base.relabeled(perm.tolist()), geoms)
+    k = ps.links().signs.shape[1]
+    back = (k * perm[:, None] + np.arange(k)).reshape(-1)
+    lop = length_op(moved)
+    assert np.array_equal(lop.matrix[:, back], length_op(ps).matrix)
+    assert kernel_dimension(lop)[0] == 6
+
+
 def test_killing_fields_in_kernel():
     for fx in (fixtures.compact_tetrahedron(1.0),
                fixtures.random_convex_compact(3, 7)):
@@ -71,7 +121,7 @@ def test_killing_fields_in_kernel():
             coords = np.zeros(3 * fx.tri.n_vertices)
             for v in range(fx.tri.n_vertices):
                 z = gen @ fx.vectors[v]
-                rows, signs = links.frames[v].vectors, links.frames[v].signs
+                rows, signs = links.frames[v], links.signs[v]
                 for i in range(3):
                     coords[3 * v + i] = signs[i] * mdot(z, rows[i])
             out = op.apply(coords)
@@ -216,7 +266,7 @@ def test_ideal_length_columns_match_finite_differences():
         w = np.zeros(2 * 6)
         w[2 * v + a] = 1.0
         col = lop.apply(w)
-        ea, eb, _ = links.frames[v].vectors
+        ea, eb, _ = links.frames[v]
         du = -(ea if a == 0 else eb)
         resid = []
         for eps in eps_list:
