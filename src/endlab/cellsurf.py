@@ -85,9 +85,10 @@ class CellSurface:
         for f, cyc in enumerate(self.face_cycles):
             if not cyc:
                 raise SurfaceFormatError("empty face cycle")
-            for d, dn in zip(cyc, cyc[1:] + cyc[:1]):
+            for d in cyc:
                 if not 0 <= d < self.n_darts:
                     raise SurfaceFormatError("dart id %d out of range" % d)
+            for d, dn in zip(cyc, cyc[1:] + cyc[:1]):
                 if self.fnext[d] != -1:
                     raise SurfaceFormatError("dart %d used twice" % d)
                 if self.head(d) != self.dart_tail[dn]:
@@ -275,9 +276,15 @@ def serialize_surf(surface):
     return "\n".join(lines) + "\n"
 
 
+def _record(table, key, value, what):
+    if key in table:
+        raise ValueError("duplicate %s %d" % (what, key))
+    table[key] = value
+
+
 def parse_surf(text):
     """Parse "surf v1"; raises SurfaceFormatError with a line number."""
-    vertices = []
+    vertices = {}
     edges = {}
     edge_lines = {}
     faces = {}
@@ -289,10 +296,11 @@ def parse_surf(text):
         parts = line.split()
         try:
             if parts[0] == "v" and len(parts) == 2:
-                vertices.append(int(parts[1]))
+                _record(vertices, int(parts[1]), None, "vertex")
             elif parts[0] == "e" and len(parts) == 4:
-                edges[int(parts[1])] = (int(parts[2]), int(parts[3]))
-                edge_lines[int(parts[1])] = ln
+                e = int(parts[1])
+                _record(edges, e, (int(parts[2]), int(parts[3])), "edge")
+                edge_lines[e] = ln
             elif parts[0] == "f":
                 cyc = []
                 for tok in parts[2:]:
@@ -301,12 +309,12 @@ def parse_surf(text):
                     cyc.append(2 * int(tok[:-1]) + (0 if tok[-1] == "+" else 1))
                 if not cyc:
                     raise ValueError("empty face")
-                faces[int(parts[1])] = cyc
+                _record(faces, int(parts[1]), cyc, "face")
             elif parts[0] == "theta" and len(parts) == 3:
                 value = float(parts[2])
                 if not math.isfinite(value):
                     raise ValueError("non-finite theta %r" % parts[2])
-                thetas[int(parts[1])] = value
+                _record(thetas, int(parts[1]), value, "theta")
             elif parts[0] == "geom":
                 continue  # poly v1 extension, handled by polysurf
             else:
@@ -513,16 +521,10 @@ class Witness:
 @dataclass
 class ValidationReport:
     passed: bool
-    l_max: int
-    simple_cycles_only: bool
     face_sums: list = field(default_factory=list)
     violations: list = field(default_factory=list)
     checked_cycles: int = 0
     note: str = ""
-
-    def describe(self):
-        head = "pass (up to l_max=%d)" % self.l_max if self.passed else "FAIL"
-        return head
 
 
 def _check_theta(surface):
@@ -534,25 +536,24 @@ def _check_theta(surface):
 
 
 def validate_admissible(surface, l_max=DEFAULT_L_MAX, simple_cycles_only=True,
-                        presentation=None, tau_ang=TAU_ANG):
+                        presentation=None):
     """Admissibility of (surface, theta): face sums 2*pi, short contractible
     non-facial cycles strictly above 2*pi.
     """
     _check_theta(surface)
-    report = ValidationReport(True, l_max, simple_cycles_only)
+    report = ValidationReport(True)
     th = surface.theta
 
     for f in range(surface.n_faces):
         s = float(sum(th[d // 2] for d in surface.face_cycles[f]))
         report.face_sums.append(s)
-        if abs(s - 2.0 * math.pi) > tau_ang:
+        if abs(s - 2.0 * math.pi) > TAU_ANG:
             report.passed = False
             report.violations.append(
                 Witness("face-sum", ("face", f), s, 2.0 * math.pi))
 
     oracle = ContractibilityOracle(surface, presentation)
-    face_keys = {frozenset_with_multiplicity(surface.face_edge_multiset(f))
-                 for f in range(surface.n_faces)}
+    face_keys = {surface.face_edge_multiset(f) for f in range(surface.n_faces)}
     if simple_cycles_only:
         cycles = simple_cycles_upto(surface.n_vertices, surface.adjacency(),
                                     l_max)
@@ -560,27 +561,20 @@ def validate_admissible(surface, l_max=DEFAULT_L_MAX, simple_cycles_only=True,
         report.note = ("trail search pruned to theta-sum <= 2*pi; "
                        "cycles above the bound cannot be witnesses")
         cycles = closed_trails_upto(surface.n_vertices, surface.adjacency(),
-                                    l_max, th, 2.0 * math.pi + tau_ang)
+                                    l_max, th, 2.0 * math.pi + TAU_ANG)
     for vseq, eseq in cycles:
-        if frozenset_with_multiplicity(tuple(sorted(eseq))) in face_keys:
+        if tuple(sorted(eseq)) in face_keys:
             continue
         if not oracle.cycle_is_contractible(list(vseq), list(eseq)):
             continue
         report.checked_cycles += 1
         s = float(sum(th[e] for e in eseq))
-        if s <= 2.0 * math.pi + tau_ang:
+        if s <= 2.0 * math.pi + TAU_ANG:
             report.passed = False
             report.violations.append(
                 Witness("contractible-cycle", ("edges",) + tuple(eseq), s,
                         2.0 * math.pi))
     return report
-
-
-def frozenset_with_multiplicity(items):
-    counts = {}
-    for x in items:
-        counts[x] = counts.get(x, 0) + 1
-    return frozenset(counts.items())
 
 
 def closed_trails_upto(n_vertices, adjacency, l_max, theta, budget):
@@ -616,8 +610,7 @@ def closed_trails_upto(n_vertices, adjacency, l_max, theta, budget):
     return out
 
 
-def validate_hyperideal(surface, l_max=DEFAULT_L_MAX, simple_cycles_only=True,
-                        presentation=None, tau_ang=TAU_ANG):
+def validate_hyperideal(surface, l_max=DEFAULT_L_MAX, presentation=None):
     """Hyperideal angle conditions on the dual graph.
 
     (1) every closed contractible dual cycle has theta-sum > 2*pi;
@@ -626,7 +619,7 @@ def validate_hyperideal(surface, l_max=DEFAULT_L_MAX, simple_cycles_only=True,
         homotopic into the face, has theta-sum > pi.
     """
     _check_theta(surface)
-    report = ValidationReport(True, l_max, simple_cycles_only)
+    report = ValidationReport(True)
     th = surface.theta
     duals = surface.dual_edges()
 
@@ -647,7 +640,7 @@ def validate_hyperideal(surface, l_max=DEFAULT_L_MAX, simple_cycles_only=True,
             continue
         report.checked_cycles += 1
         s = float(sum(th[e] for e in eseq))
-        if s <= 2.0 * math.pi + tau_ang:
+        if s <= 2.0 * math.pi + TAU_ANG:
             report.passed = False
             report.violations.append(
                 Witness("dual-cycle", ("edges",) + tuple(eseq), s, 2.0 * math.pi))
@@ -666,7 +659,7 @@ def validate_hyperideal(surface, l_max=DEFAULT_L_MAX, simple_cycles_only=True,
                                          path_vseq, path_eseq):
                 continue
             s = float(sum(th[e] for e in path_eseq))
-            if s <= math.pi + tau_ang:
+            if s <= math.pi + TAU_ANG:
                 report.passed = False
                 report.violations.append(
                     Witness("return-path", ("vertex", v, "edges") + tuple(path_eseq),

@@ -93,13 +93,11 @@ def edge_cross_ratio(vi, vj, vk, vl):
 class CrossRatioAssignment:
     """Per-edge cross-ratios over a quasi-simplicial surface.
 
-    ``values`` may contain None for missing edges (open data); the chart
-    metadata records how geometric assignments were produced.
+    ``values`` may contain None for missing edges (open data).
     """
 
     surface: object
     values: list
-    chart: str = "stereographic from (0,0,-1,1)"
 
     def __post_init__(self):
         if len(self.values) != self.surface.n_edges:
@@ -190,7 +188,6 @@ def parse_cr(surface, text):
 @dataclass
 class VertexConditionReport:
     per_vertex: list    # dicts: vertex, status, product_residual, sum_residual
-    tau: float
 
     @property
     def passed(self):
@@ -198,8 +195,8 @@ class VertexConditionReport:
         flagged = [r for r in self.per_vertex if r["status"] == "boundary vertex"]
         if flagged:
             return False
-        return all(r["product_residual"] <= self.tau
-                   and r["sum_residual"] <= self.tau for r in ok)
+        return all(r["product_residual"] <= TAU_CR
+                   and r["sum_residual"] <= TAU_CR for r in ok)
 
     def max_residuals(self):
         ok = [r for r in self.per_vertex if r["status"] == "checked"]
@@ -209,7 +206,7 @@ class VertexConditionReport:
                 max(r["sum_residual"] for r in ok))
 
 
-def vertex_conditions(assignment, tau=TAU_CR):
+def vertex_conditions(assignment):
     """Residuals of the two polynomial conditions at every closed vertex.
 
     Both conditions are evaluated on the negated values (see the module
@@ -245,7 +242,7 @@ def vertex_conditions(assignment, tau=TAU_CR):
         rows.append({"vertex": v, "status": "checked",
                      "product_residual": abs(prod - 1.0),
                      "sum_residual": float(sum_res)})
-    return VertexConditionReport(rows, tau)
+    return VertexConditionReport(rows)
 
 
 def shear_angle_split(assignment):
@@ -370,15 +367,15 @@ def _condition_residuals(surface, cr):
     return np.array(res)
 
 
-def solve_vertex_conditions(surface, seed=0, spread=0.08, max_iter=200,
-                            tol=1e-12):
+def solve_vertex_conditions(surface, seed=0, spread=0.08, max_iter=200):
     """Damped Gauss-Newton solve of the vertex conditions from a seeded
     start near the symmetric point cr = i (a solution when every vertex
     degree is divisible by 4, as on the coned-octagon fixture).
 
     ``spread`` scales the random log-modulus (shear) of the start; larger
-    spreads reach solutions with hyperbolic holonomy.  Non-convergence is
-    reported in the result, never retried silently.
+    spreads reach solutions with hyperbolic holonomy.  The iteration stops
+    once every residual is below 1e-12, or after ``max_iter`` steps.
+    Non-convergence is reported in the result, never retried silently.
     """
     rng = np.random.default_rng(seed)
     ne = surface.n_edges
@@ -394,7 +391,7 @@ def solve_vertex_conditions(surface, seed=0, spread=0.08, max_iter=200,
     r = real_residual(x)
     it = 0
     for it in range(1, max_iter + 1):
-        if np.linalg.norm(r, np.inf) < tol:
+        if np.linalg.norm(r, np.inf) < 1e-12:
             break
         jac = np.empty((len(r), len(x)))
         h = 1e-7
@@ -415,7 +412,7 @@ def solve_vertex_conditions(surface, seed=0, spread=0.08, max_iter=200,
             break
     values = list(x[:ne] + 1j * x[ne:])
     return NewtonResult(
-        assignment=CrossRatioAssignment(surface, values, chart="synthetic"),
+        assignment=CrossRatioAssignment(surface, values),
         converged=bool(np.linalg.norm(r, np.inf) < 1e-10),
         residual=float(np.linalg.norm(r, np.inf)),
         iterations=it,

@@ -102,7 +102,7 @@ def serialize_decoration(dec):
 
 
 def parse_decoration(surface, text):
-    pairs = []
+    pairs = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -118,8 +118,10 @@ def parse_decoration(surface, text):
         if not 0 <= e < surface.n_edges:
             raise DecorationError("line %d: edge %d out of range 0..%d"
                                   % (ln, e, surface.n_edges - 1))
-        pairs.append((e, FORWARD if parts[2] == "+" else BACKWARD))
-    return Decoration.from_pairs(surface, pairs)
+        if e in pairs:
+            raise DecorationError("line %d: duplicate edge %d" % (ln, e))
+        pairs[e] = FORWARD if parts[2] == "+" else BACKWARD
+    return Decoration.from_pairs(surface, pairs.items())
 
 
 # ---------------------------------------------------------------------------
@@ -157,13 +159,11 @@ def vertex_changes(dec):
 @dataclass
 class TightnessReport:
     tight: bool
-    totals: np.ndarray
-    limits: np.ndarray
     offenders: list
 
 
 def is_tight(dec):
-    """Tightness per the corner-change rules, with a per-vertex report."""
+    """Tightness per the corner-change rules, with the offending vertices."""
     s = dec.surface
     totals = vertex_changes(dec)
     limits = np.full(s.n_vertices, 2.0)
@@ -176,7 +176,7 @@ def is_tight(dec):
             limits[v] = 1.0
     offenders = [v for v in range(s.n_vertices)
                  if totals[v] > limits[v] + 1e-9]
-    return TightnessReport(not offenders, totals, limits, offenders)
+    return TightnessReport(not offenders, offenders)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +185,6 @@ def is_tight(dec):
 
 @dataclass
 class ComponentReport:
-    faces: list
     n_vertices: int
     n_edges: int
     n_faces: int
@@ -300,7 +299,6 @@ def pak_report(dec):
         genus = g2 // 2
         c_total = float(sum(corners[d] for d in cdarts))
         comp = ComponentReport(
-            faces=sorted(faces),
             n_vertices=n_vertices,
             n_edges=n_edges,
             n_faces=len(faces),
@@ -330,9 +328,10 @@ def orient_by_vertex_order(surface):
     return Decoration(surface, st)
 
 
-def random_decoration(surface, rng, p_oriented=2.0 / 3.0):
-    """Seeded random decoration; each edge unoriented with prob 1-p."""
+def random_decoration(surface, rng):
+    """Seeded random decoration; each edge forward, backward or unoriented
+    with probability 1/3 each."""
     r = rng.random(surface.n_edges)
-    st = np.where(r < p_oriented / 2, FORWARD,
-                  np.where(r < p_oriented, BACKWARD, UNORIENTED))
+    st = np.where(r < 1.0 / 3.0, FORWARD,
+                  np.where(r < 2.0 / 3.0, BACKWARD, UNORIENTED))
     return Decoration(surface, st)

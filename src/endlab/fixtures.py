@@ -70,11 +70,11 @@ def genus2_theta_uniform():
     return np.full(g.surface.n_edges, 2.0 * math.pi / 3.0)
 
 
-def genus2_theta_bad_link(spoke=0.8 * math.pi):
+def genus2_theta_bad_link():
     """Weights with correct face sums but a short failing contractible cycle.
 
-    The four edges at trisection vertex 1 are pinned to ``spoke``; its link
-    4-cycle then sums to 8*pi - 2*4*spoke < 2*pi while every face still
+    The four edges at trisection vertex 1 are pinned to spoke = 0.8*pi; its
+    link 4-cycle then sums to 8*pi - 2*4*spoke < 2*pi while every face still
     sums to 2*pi (remaining weights solved by least squares).  Returns
     (theta, link_cycle_edge_ids).
     """
@@ -85,7 +85,7 @@ def genus2_theta_bad_link(spoke=0.8 * math.pi):
     link_edges = sorted({int(s.fnext[d]) // 2 for d in star})
 
     n = s.n_edges
-    pins = {e: spoke for e in spokes}
+    pins = {e: 0.8 * math.pi for e in spokes}
     a_rows = []
     b = []
     for cyc in s.face_cycles:
@@ -178,17 +178,17 @@ def hyperideal_tetrahedron(k=2.0):
     return polysurf.PolySurface(tetrahedron_surface(), geoms)
 
 
-def _separated_directions(rng, n, min_angle=0.55):
-    """Unit directions with pairwise angular separation, by rejection."""
+def _separated_directions(rng, n):
+    """Unit directions at pairwise angles above 0.55, by rejection."""
     dirs = []
     attempts = 0
     while len(dirs) < n:
         attempts += 1
         if attempts > 20000:
-            raise RuntimeError("direction sampling failed; lower min_angle")
+            raise RuntimeError("direction sampling failed")
         d = rng.normal(size=3)
         d = d / np.linalg.norm(d)
-        if all(np.dot(d, e) < math.cos(min_angle) for e in dirs):
+        if all(np.dot(d, e) < math.cos(0.55) for e in dirs):
             dirs.append(d)
     return np.array(dirs)
 
@@ -226,7 +226,7 @@ def random_convex_compact(seed, n=8):
     return polysurf.PolySurface(surface, geoms)
 
 
-def random_ideal(seed, n=8, decorated=True):
+def random_ideal(seed, n=8):
     """Seeded random ideal surface: n ideal points with random decorations."""
     from . import polysurf
     rng = np.random.default_rng(seed)
@@ -238,17 +238,17 @@ def random_ideal(seed, n=8, decorated=True):
     geoms = []
     for d in dirs:
         u = np.array([d[0], d[1], d[2], 1.0])
-        if decorated:
-            u = math.exp(rng.uniform(-0.3, 0.3)) * u
+        u = math.exp(rng.uniform(-0.3, 0.3)) * u
         geoms.append(polysurf.ideal_point(u))
     return polysurf.PolySurface(surface, geoms)
 
 
-def flat_vertex_pyramid(rho=0.9, height=0.8):
+def flat_vertex_pyramid():
     """Double pyramid over a square with the lower apex flattened into the
     equatorial plane; the flat vertex admits a first-order isometric motion,
     so the rigidity kernel exceeds the trivial dimension."""
     from . import polysurf
+    rho, height = 0.9, 0.8
     base = []
     for i in range(4):
         phi = 2.0 * math.pi * i / 4.0

@@ -61,14 +61,14 @@ def mdot(x, y):
         + x[..., 2] * y[..., 2] - x[..., 3] * y[..., 3]
 
 
-def classify(v, tol=TAU_NULL):
-    """Causal type of v, with |<v,v>| compared against tol * |v|_euc^2."""
+def classify(v):
+    """Causal type of v, with |<v,v>| compared against TAU_NULL * |v|_euc^2."""
     v = np.asarray(v, dtype=float)
     e2 = float(np.dot(v, v))
     if e2 == 0.0:
         raise GeometryError("degenerate vector")
     q = float(mdot(v, v))
-    if abs(q) <= tol * e2:
+    if abs(q) <= TAU_NULL * e2:
         return Causal.NULL
     return Causal.TIMELIKE if q < 0 else Causal.SPACELIKE
 
@@ -94,9 +94,9 @@ def normalize_spacelike(v):
     return v / math.sqrt(q)
 
 
-def is_future_null(v, tol=TAU_NULL):
+def is_future_null(v):
     v = np.asarray(v, dtype=float)
-    return classify(v, tol) is Causal.NULL and v[3] > 0
+    return classify(v) is Causal.NULL and v[3] > 0
 
 
 @dataclass(frozen=True)
@@ -118,10 +118,6 @@ class Horosphere:
     def scaled(self, t):
         """Horosphere moved distance t toward the ideal point."""
         return Horosphere(math.exp(t) * self.u)
-
-    def ideal_direction(self):
-        """Unit-sphere direction of the ideal point (x4 normalized to 1)."""
-        return self.u[:3] / self.u[3]
 
 
 @dataclass(frozen=True)
@@ -145,7 +141,7 @@ class SpacelikePlaneDual:
     normal: np.ndarray
 
 
-def hyp_distance(p, q, tol=1e-9):
+def hyp_distance(p, q):
     """Distance in H^3 between normalized points of the upper sheet."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -153,7 +149,7 @@ def hyp_distance(p, q, tol=1e-9):
         if abs(mdot(x, x) + 1.0) > 1e-6 or x[3] <= 0:
             raise GeometryError("expected normalized H^3 points (upper sheet)")
     c = -mdot(p, q)
-    if c < 1.0 - tol:
+    if c < 1.0 - 1e-9:
         raise GeometryError("not both in same sheet")
     return math.acosh(max(c, 1.0))
 
@@ -224,7 +220,7 @@ class UltraparallelError(GeometryError):
             "planes do not intersect (ultraparallel distance %.12g)" % distance)
 
 
-def dihedral_angle_exterior(n1, n2, tol=1e-12):
+def dihedral_angle_exterior(n1, n2):
     """Exterior dihedral angle acos(<n1,n2>) of two intersecting planes.
 
     Normals must be oriented away from the convex side; returns the dS^3
@@ -233,7 +229,7 @@ def dihedral_angle_exterior(n1, n2, tol=1e-12):
     a = n1.n if isinstance(n1, Plane) else normalize_spacelike(n1)
     b = n2.n if isinstance(n2, Plane) else normalize_spacelike(n2)
     c = float(mdot(a, b))
-    if abs(c) >= 1.0 + tol:
+    if abs(c) >= 1.0 + 1e-12:
         raise UltraparallelError(math.acosh(abs(c)))
     return math.acos(min(1.0, max(-1.0, c)))
 
@@ -280,11 +276,12 @@ def so31_basis():
     return gens
 
 
-def random_isometry(rng, scale=0.6):
-    """Random orthochronous element of SO(3,1) via the exponential map."""
+def random_isometry(rng):
+    """Random orthochronous element of SO(3,1) via the exponential map of a
+    generator combination with N(0, 0.6^2) coefficients."""
     from scipy.linalg import expm
 
-    coeffs = rng.normal(size=6) * scale
+    coeffs = rng.normal(size=6) * 0.6
     a = sum(c * g for c, g in zip(coeffs, so31_basis()))
     return expm(a)
 

@@ -67,11 +67,6 @@ class VertexGeom:
             raise PolyBuildError("unknown vertex kind %r" % self.kind)
         object.__setattr__(self, "vec", v)
 
-    def rescaled(self, t):
-        if self.kind != IDEAL:
-            raise PolyBuildError("only ideal decorations rescale")
-        return VertexGeom(IDEAL, math.exp(t) * self.vec)
-
 
 def compact_point(v):
     return VertexGeom(COMPACT, v)
@@ -335,7 +330,7 @@ class PolySurface:
 
     def edge_lengths(self):
         """Per-edge lengths; for ideal surfaces a representative of the
-        quotient by per-vertex decoration shifts (see length_quotient_flag).
+        quotient by per-vertex decoration shifts.
         """
         out = np.empty(self.tri.n_edges)
         for e, (a, b) in enumerate(self.tri.edges):
@@ -356,10 +351,6 @@ class PolySurface:
                 else:
                     raise PolyBuildError("degenerate hyperideal edge %d" % e)
         return out
-
-    @property
-    def length_quotient_flag(self):
-        return self.kind == IDEAL
 
     def dihedral_angles(self):
         """Exterior dihedral angles acos(<n1,n2>); 0 on diagonals."""
@@ -472,7 +463,7 @@ class PolySurface:
                            reference=reference, strict=False,
                            tau_plane=math.inf)
 
-    def decoration_from_deformation(self, z, tau_orient=None, certified=False):
+    def decoration_from_deformation(self, z, certified=False):
         """Edge decoration induced by a first-order deformation.
 
         For compact/hyperideal surfaces ``z`` is one tangent 4-vector per
@@ -480,9 +471,10 @@ class PolySurface:
         pairing with the link tangent is positive.  For ideal surfaces
         ``z`` is one affine function per vertex, given as (w, c) with a
         2-vector w in the horosphere chart; the pairing is w . xi + c at
-        the link point.  With ``certified`` set, the two endpoint values of
-        every edge must cancel (a length-preserving deformation), else a
-        PolyBuildError is raised.
+        the link point.  An edge stays unoriented when its value is at most
+        1e-9 times the largest one in magnitude.  With ``certified`` set, the
+        two endpoint values of every edge must cancel (a length-preserving
+        deformation), else a PolyBuildError is raised.
         """
         links = self.links()
         tail = self.tri.dart_tail
@@ -493,8 +485,7 @@ class PolySurface:
         else:
             vals = mdot(np.asarray(z, dtype=float)[tail], links.raw)
         scale = float(np.max(np.abs(vals), initial=0.0))
-        if tau_orient is None:
-            tau_orient = 1e-9 * max(scale, 1e-30)
+        tau_orient = 1e-9 * max(scale, 1e-30)
         if certified:
             resid = np.abs(vals[0::2] + vals[1::2])
             bad = np.flatnonzero(resid > 1e3 * tau_orient
@@ -507,10 +498,6 @@ class PolySurface:
         states = np.where(first > tau_orient, FORWARD,
                           np.where(first < -tau_orient, BACKWARD, 0))
         return Decoration(self.tri, states)
-
-
-def build(base, geoms, **kw):
-    return PolySurface(base, geoms, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +513,7 @@ def serialize_poly(ps):
     return text + "\n".join(lines) + "\n"
 
 
-def parse_poly(text, **kw):
+def parse_poly(text):
     surface = parse_surf(text)
     geoms = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -542,10 +529,12 @@ def parse_poly(text, **kw):
             vec = np.array([float(x) for x in parts[3:7]])
             if not np.all(np.isfinite(vec)):
                 raise ValueError("non-finite geom coordinate")
-            geoms[int(parts[1])] = VertexGeom(parts[2], vec)
+            v = int(parts[1])
+            if v in geoms:
+                raise ValueError("duplicate geom %d" % v)
+            geoms[v] = VertexGeom(parts[2], vec)
         except (ValueError, PolyBuildError) as exc:
             raise SurfaceFormatError(str(exc), line=ln) from exc
     if sorted(geoms) != list(range(surface.n_vertices)):
         raise SurfaceFormatError("geom records must cover all vertices")
-    return PolySurface(surface, [geoms[v] for v in range(surface.n_vertices)],
-                       **kw)
+    return PolySurface(surface, [geoms[v] for v in range(surface.n_vertices)])

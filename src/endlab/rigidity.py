@@ -75,30 +75,25 @@ class IndeterminateRankError(ValueError):
 
 @dataclass
 class OperatorBundle:
-    """A matrix over explicit bases with spectral bookkeeping.
+    """A matrix with spectral bookkeeping.
 
-    ``domain_metric`` holds the diagonal signs of the domain pairing (the
-    hyperideal tangent frames are Lorentzian); ``int_basis``, when present,
-    is an exact integer basis of the domain realized inside a larger
-    coordinate space (columns of ``embedding`` give the orthonormal basis
-    actually used for coordinates).  The full SVD behind the spectrum and
+    ``codomain_metric`` holds the diagonal signs of the codomain pairing
+    (the hyperideal tangent frames are Lorentzian); ``int_basis``, when
+    present, is an exact integer basis of the zero-sum space realized
+    inside R^E (columns of ``embedding`` give the orthonormal basis
+    actually used for coordinates); ``meta`` holds the raw link rows of
+    the decorated length operator.  The full SVD behind the spectrum and
     the kernel is computed on first use.
     """
 
     matrix: np.ndarray
-    domain: str
-    codomain: str
-    domain_metric: np.ndarray = None
     codomain_metric: np.ndarray = None
     embedding: np.ndarray = None
     int_basis: np.ndarray = None
-    tau_rank: float = TAU_RANK
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.matrix = m = np.asarray(self.matrix, dtype=float)
-        if self.domain_metric is None:
-            self.domain_metric = np.ones(m.shape[1])
         if self.codomain_metric is None:
             self.codomain_metric = np.ones(m.shape[0])
 
@@ -117,22 +112,20 @@ class OperatorBundle:
     def pair_codomain(self, x, y):
         return float(np.sum(self.codomain_metric * np.asarray(x) * np.asarray(y)))
 
-    def kernel_basis(self, tau_rank=None):
-        tau = self.tau_rank if tau_rank is None else tau_rank
+    def _rank(self, tau_rank):
+        """Number of singular values above tau_rank * sigma_max."""
         s = self.singular_values
         smax = s[0] if len(s) else 0.0
-        rank = int(np.sum(s > tau * smax)) if smax > 0 else 0
-        return self._svd[1][rank:].T
+        return int(np.sum(s > tau_rank * smax)) if smax > 0 else 0
 
-    def rank_profile(self, tau_rank=None):
+    def kernel_basis(self, tau_rank=TAU_RANK):
+        return self._svd[1][self._rank(tau_rank):].T
+
+    def rank_profile(self, tau_rank=TAU_RANK):
         """(rank, kernel dim, spectral gap) under the tolerance."""
-        tau = self.tau_rank if tau_rank is None else tau_rank
         s = self.singular_values
         n = self.matrix.shape[1]
-        smax = s[0] if len(s) else 0.0
-        if smax == 0.0:
-            return 0, n, math.inf
-        rank = int(np.sum(s > tau * smax))
+        rank = self._rank(tau_rank)
         if rank >= len(s) or rank == 0:
             gap = math.inf
         else:
@@ -141,14 +134,14 @@ class OperatorBundle:
         return rank, n - rank, gap
 
 
-def kernel_dimension(bundle, tau_rank=None, min_gap=MIN_GAP):
+def kernel_dimension(bundle, tau_rank=TAU_RANK):
     """Certified kernel dimension: singular values below tau * sigma_max.
 
     Raises IndeterminateRankError (spectrum attached) when the gap between
-    kept and dropped singular values is under ``min_gap``.
+    kept and dropped singular values is under MIN_GAP.
     """
     rank, dim, gap = bundle.rank_profile(tau_rank)
-    if gap < min_gap:
+    if gap < MIN_GAP:
         raise IndeterminateRankError(bundle.singular_values)
     return dim, gap
 
@@ -173,10 +166,7 @@ def length_variation_operator(ps):
     # G A pairs each link tangent with the frame rows; adding 0.0 clears
     # the -0.0 that negative signs put on the zeros of A
     mat = (metric[:, None] * _link_rows(ps)).T + 0.0
-    return OperatorBundle(mat, domain="vertex tangents (+)T_v",
-                          codomain="edge weights R^E",
-                          domain_metric=metric,
-                          meta={"kind": ps.kind})
+    return OperatorBundle(mat)
 
 
 def angle_motion_operator(ps):
@@ -187,10 +177,7 @@ def angle_motion_operator(ps):
     if ps.kind == IDEAL:
         raise ValueError("use ideal_angle_variation_operator for ideal")
     metric = ps.links().signs.reshape(-1).astype(float)
-    return OperatorBundle(_link_rows(ps), domain="edge weights R^E",
-                          codomain="vertex tangents (+)T_v",
-                          codomain_metric=metric,
-                          meta={"kind": ps.kind})
+    return OperatorBundle(_link_rows(ps), codomain_metric=metric)
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +245,8 @@ def decorated_length_variation_operator(ps):
     b_int, q = zero_sum_basis(ps.tri)
     raw = _link_rows(ps).T
     mat = q.T @ raw
-    return OperatorBundle(mat, domain="(+)H_v* (two 1-form coords per vertex)",
-                          codomain="edge weights mod shifts (zero-sum coords)",
-                          embedding=q, int_basis=b_int,
-                          meta={"kind": ps.kind, "raw_rows": raw})
+    return OperatorBundle(mat, embedding=q, int_basis=b_int,
+                          meta={"raw_rows": raw})
 
 
 def ideal_angle_variation_operator(ps):
@@ -275,10 +260,7 @@ def ideal_angle_variation_operator(ps):
         raise ValueError("ideal surfaces only")
     b_int, q = zero_sum_basis(ps.tri)
     mat = _link_rows(ps) @ q
-    return OperatorBundle(mat, domain="zero-sum edge weights (R^E)_0",
-                          codomain="(+)H_v (chart vectors, two per vertex)",
-                          embedding=q, int_basis=b_int,
-                          meta={"kind": ps.kind})
+    return OperatorBundle(mat, embedding=q, int_basis=b_int)
 
 
 # ---------------------------------------------------------------------------

@@ -26,11 +26,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cellsurf import CellSurface, MissingLabelError
+from .cellsurf import CellSurface
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -39,8 +38,9 @@ _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 # words
 
 
-def parse_word(text, genus=2):
-    """Parse 'abAB' or spaced 'a b a- b-' notation into a letter tuple."""
+def parse_word(text):
+    """Parse a genus-2 word in 'abAB' or spaced 'a b a- b-' notation into a
+    letter tuple."""
     letters = []
     toks = text.split() if " " in text.strip() else list(text.strip())
     i = 0
@@ -55,8 +55,8 @@ def parse_word(text, genus=2):
         else:
             base, inv = t, t.isupper()
         idx = _LETTERS.index(base.lower()) + 1
-        if idx > 2 * genus:
-            raise ValueError("letter %r outside genus-%d alphabet" % (t, genus))
+        if idx > 4:
+            raise ValueError("letter %r outside genus-2 alphabet" % t)
         letters.append(-idx if inv else idx)
         i += 1
     return tuple(letters)
@@ -107,33 +107,21 @@ def _relator_forms(relator):
     return sorted(forms)
 
 
-@dataclass(frozen=True)
 class SurfaceGroupPresentation:
-    """Standard presentation of a genus-g surface group with edge labels.
+    """Standard presentation of the genus-g surface group, with the cyclic
+    forms of its relator and their inverses built once for Dehn's
+    algorithm."""
 
-    ``labels`` optionally maps dart ids of an associated surface to words,
-    with the reversed dart carrying the inverse word.
-    """
-
-    genus: int
-    relator: tuple = None
-    labels: dict = None
-
-    def __post_init__(self):
-        if self.genus < 2:
+    def __init__(self, genus):
+        if genus < 2:
             raise ValueError("Dehn's algorithm needs genus >= 2")
-        if self.relator is None:
-            object.__setattr__(self, "relator", standard_relator(self.genus))
-        if len(self.relator) != 4 * self.genus:
-            raise ValueError("relator must have length 4g")
-
-    @property
-    def generators(self):
-        return tuple(range(1, 2 * self.genus + 1))
+        self.genus = genus
+        self.relator = standard_relator(genus)
+        self._forms = _relator_forms(self.relator)
 
     def dehn_reduce(self, word):
         """Shorten by Dehn replacements until no long relator piece remains."""
-        forms = _relator_forms(self.relator)
+        forms = self._forms
         half = len(self.relator) // 2
         w = cyclic_reduce(word)
         changed = True
@@ -162,25 +150,6 @@ class SurfaceGroupPresentation:
 
     def is_trivial(self, word):
         return len(self.dehn_reduce(word)) == 0
-
-
-def is_contractible(word_or_cycle, presentation=None, surface=None):
-    """Decide contractibility of a group word or of a dart cycle.
-
-    Words (strings or letter tuples) are decided by Dehn's algorithm in the
-    given presentation (standard genus-2 by default).  Dart cycles need a
-    presentation with labels; otherwise MissingLabelError is raised.
-    """
-    if isinstance(word_or_cycle, str):
-        pres = presentation or SurfaceGroupPresentation(2)
-        return pres.is_trivial(parse_word(word_or_cycle, pres.genus))
-    if word_or_cycle and isinstance(word_or_cycle[0], int) and presentation is None:
-        return SurfaceGroupPresentation(2).is_trivial(tuple(word_or_cycle))
-    if presentation is None:
-        raise MissingLabelError("missing edge label")
-    if hasattr(presentation, "cycle_is_contractible"):
-        return presentation.cycle_is_contractible(list(word_or_cycle))
-    return presentation.is_trivial(tuple(word_or_cycle))
 
 
 # ---------------------------------------------------------------------------
@@ -429,12 +398,12 @@ class Genus2Complex:
 
     # -- development ---------------------------------------------------------
 
-    def develop(self, darts, close=True):
-        """Homotopy word and deck matrix of a dart path.
+    def develop(self, darts):
+        """Homotopy word and deck matrix of a closed dart path.
 
-        For a closed dart cycle the result is the based class of the loop
-        (basepoint at the path's start vertex); the word is returned
-        freely reduced, with the matrix of the raw development.
+        The result is the based class of the loop (basepoint at the path's
+        start vertex); the word is returned freely reduced, with the matrix
+        of the raw development.
         """
         start_class = self.surface.tail(darts[0])
         start_pos = CENTER if start_class == 0 else min(
@@ -451,11 +420,10 @@ class Genus2Complex:
                     raise ValueError("path discontinuity at dart %d" % d)
                 state.teleport(chosen[0])
             state.pos = chosen[1]
-        if close:
-            if (state.pos == CENTER) != (start_pos == CENTER):
-                raise ValueError("dart path is not closed")
-            if state.pos != CENTER:
-                state.teleport(start_pos)
+        if (state.pos == CENTER) != (start_pos == CENTER):
+            raise ValueError("dart path is not closed")
+        if state.pos != CENTER:
+            state.teleport(start_pos)
         return free_reduce(tuple(state.word)), state.matrix
 
     # -- spanning tree and labels -------------------------------------------
@@ -503,7 +471,7 @@ class Genus2Complex:
         """Word of the based loop tree(base -> tail d) * d * tree(head d -> base)."""
         path = (self.tree_path(0, self.surface.tail(d)) + [d]
                 + self.tree_path(self.surface.head(d), 0))
-        word, _ = self.develop(path, close=True)
+        word, _ = self.develop(path)
         return self.presentation.dehn_reduce(word)
 
 
@@ -511,19 +479,15 @@ class Genus2Presentation(SurfaceGroupPresentation):
     """Presentation attached to the octagon complex, with exact dart labels."""
 
     def __init__(self, complex_):
-        super().__init__(genus=2)
-        object.__setattr__(self, "complex", complex_)
+        super().__init__(2)
+        self.complex = complex_
 
     def cycle_word(self, darts):
-        word, _ = self.complex.develop(list(darts), close=True)
+        word, _ = self.complex.develop(list(darts))
         return word
 
     def cycle_is_contractible(self, darts):
         return self.is_trivial(self.cycle_word(darts))
-
-    def labels_dict(self):
-        return {d: self.complex.dart_label(d)
-                for d in range(self.complex.surface.n_darts)}
 
     def dual_presentation(self):
         return _DualGenus2Presentation(self.complex)
@@ -538,8 +502,8 @@ class _DualGenus2Presentation(SurfaceGroupPresentation):
     """
 
     def __init__(self, complex_):
-        super().__init__(genus=2)
-        object.__setattr__(self, "complex", complex_)
+        super().__init__(2)
+        self.complex = complex_
 
     def cycle_word(self, dual_darts):
         surf = self.complex.surface

@@ -42,8 +42,9 @@ def _clip_line_to_box(a, b, c, x0, y0, x1, y1):
     return uniq[0], uniq[-1]
 
 
-def render_circles(records, size=640):
-    """SVG text for a list of ("circle", center, r) / ("line", a, b, c)."""
+def render_circles(records):
+    """SVG text, 640 px square, for a list of ("circle", center, r) /
+    ("line", a, b, c)."""
     xs, ys = [], []
     for rec in records:
         if rec[0] == "circle":
@@ -63,9 +64,9 @@ def render_circles(records, size=640):
     tiny = 1e-6 * span
 
     lines = []
-    lines.append('<svg xmlns="http://www.w3.org/2000/svg" width="%d" '
-                 'height="%d" viewBox="%s %s %s %s">'
-                 % (size, size, _f(x0), _f(y0), _f(x1 - x0), _f(y1 - y0)))
+    lines.append('<svg xmlns="http://www.w3.org/2000/svg" width="640" '
+                 'height="640" viewBox="%s %s %s %s">'
+                 % (_f(x0), _f(y0), _f(x1 - x0), _f(y1 - y0)))
     # SVG y points down; flip so the chart looks standard
     lines.append('<g transform="translate(0 %s) scale(1 -1)">'
                  % _f(y0 + y1))

@@ -141,16 +141,17 @@ def _fit_order(eps, resid):
 
 
 class TetrahedronFamily:
-    """One ideal tetrahedron parametrized by two angles.
+    """One ideal tetrahedron parametrized by two angles, based at
+    (alpha, beta) = (1.0, 0.9).
 
     The chart realization places the vertices at 0, 1, inf and
     z = (sin b / sin c) e^{ia}; lengths use the canonical decoration of
     the chart lift, optionally rescaled per vertex.
     """
 
-    def __init__(self, alpha=1.0, beta=0.9, scales=None):
-        self.alpha = alpha
-        self.beta = beta
+    def __init__(self, scales=None):
+        self.alpha = 1.0
+        self.beta = 0.9
         self.scales = scales
         self.surface0 = self.surface(0.0, (1.0, 0.0))
 
@@ -189,12 +190,11 @@ class TetrahedronFamily:
         return out
 
 
-def schlafli_residual_tetrahedron(alpha=1.0, beta=0.9, dab=(1.0, -0.4),
-                                  eps_list=(3e-2, 1e-2, 3e-3, 1e-3),
-                                  scales=None):
+def schlafli_residual_tetrahedron(dab=(1.0, -0.4), scales=None):
     """Central-difference check of dV = -(1/2) sum l_e dtheta_e on the
     one-tetrahedron family; returns the sweep and the convergence order."""
-    fam = TetrahedronFamily(alpha, beta, scales)
+    eps_list = (3e-2, 1e-2, 3e-3, 1e-3)
+    fam = TetrahedronFamily(scales)
     dtheta = fam.dtheta(dab)
     lengths = fam.surface0.edge_lengths()
     s_val = -0.5 * float(np.dot(lengths, dtheta))
@@ -226,17 +226,13 @@ class SplitOctahedronFamily:
     """The ideal octahedron split into four tetrahedra along a diagonal.
 
     Chart positions are 0 and inf at the poles and (1, i, -1, -i) on the
-    equator; the family moves the first equatorial position by t along a
-    fixed complex direction.  Volumes sum the four tetrahedra; surface
+    equator; the family moves the first equatorial position by t along the
+    complex direction 0.7 + 0.3i.  Volumes sum the four tetrahedra; surface
     angles are read from the octahedron geometry.
     """
 
-    def __init__(self, direction=0.7 + 0.3j, scales=None):
-        self.direction = direction
-        self.scales = scales
-
     def chart_points(self, t):
-        eq = [1.0 + t * self.direction, 1j, -1.0 + 0j, -1j]
+        eq = [1.0 + t * (0.7 + 0.3j), 1j, -1.0 + 0j, -1j]
         return eq, 0j, complex(math.inf, 0)
 
     def volume(self, t):
@@ -252,32 +248,28 @@ class SplitOctahedronFamily:
         eq, top, bot = self.chart_points(t)
         # vertex order of the octahedron fixture: +x,-x,+y,-y,+z,-z
         chart = {4: top, 5: bot, 0: eq[0], 2: eq[1], 1: eq[2], 3: eq[3]}
-        geoms = []
-        for v in range(6):
-            u = mink.chart_to_null(chart[v])
-            if self.scales is not None:
-                u = math.exp(self.scales[v]) * u
-            geoms.append(polysurf.ideal_point(u))
+        geoms = [polysurf.ideal_point(mink.chart_to_null(chart[v]))
+                 for v in range(6)]
         return polysurf.PolySurface(octahedron_surface(), geoms, strict=False)
 
     def interior_angles(self, t):
         return math.pi - self.surface(t).dihedral_angles()
 
-    def dtheta(self, h=1e-5):
+    def dtheta(self):
         """Constraint-projected interior-angle velocity of the family."""
         from .rigidity import zero_sum_basis
+        h = 1e-5
         fd = (self.interior_angles(h) - self.interior_angles(-h)) / (2 * h)
         b_int, q = zero_sum_basis(self.surface(0.0).tri)
         return q @ (q.T @ fd)
 
 
-def schlafli_residual_split_octahedron(direction=0.7 + 0.3j,
-                                       eps_list=(3e-2, 1e-2, 3e-3),
-                                       scales=None):
+def schlafli_residual_split_octahedron():
     """Sweep for the split octahedron: the Schlafli sum uses the surface
     edges only (the splitting diagonal's angle sum stays 2*pi along the
     family, so it drops from every difference)."""
-    fam = SplitOctahedronFamily(direction, scales)
+    eps_list = (3e-2, 1e-2, 3e-3)
+    fam = SplitOctahedronFamily()
     dtheta = fam.dtheta()
     ps0 = fam.surface(0.0)
     lengths = ps0.edge_lengths()
@@ -289,15 +281,6 @@ def schlafli_residual_split_octahedron(direction=0.7 + 0.3j,
     shift = _decoration_shift_change(ps0, lengths, dtheta)
     return SchlafliReport(list(eps_list), resid, _fit_order(eps_list, resid),
                           s_val, shift)
-
-
-def schlafli_residual_ideal(family, **kw):
-    """Dispatch a named family ("tetrahedron" or "split-octahedron")."""
-    if family == "tetrahedron":
-        return schlafli_residual_tetrahedron(**kw)
-    if family == "split-octahedron":
-        return schlafli_residual_split_octahedron(**kw)
-    raise ValueError("unknown family %r" % family)
 
 
 # ---------------------------------------------------------------------------

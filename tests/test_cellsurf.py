@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -91,6 +92,19 @@ def test_surf_parse_error_line():
 def test_surf_truncated_missing_face():
     with pytest.raises(SurfaceFormatError):
         parse_surf("v 0\nv 1\ne 0 0 1\n")
+
+
+@pytest.mark.parametrize("record,what", [("v", "vertex"), ("e", "edge"),
+                                         ("f", "face"), ("theta", "theta")])
+def test_surf_duplicate_record_rejected(record, what):
+    text = serialize_surf(thurston_pattern(tetrahedron_surface()))
+    lines = text.splitlines()
+    first = next(ln for ln in lines if ln.split()[0] == record)
+    lines.append(first)
+    with pytest.raises(SurfaceFormatError,
+                       match="line %d: duplicate %s %s"
+                       % (len(lines), what, first.split()[1])):
+        parse_surf("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -256,18 +270,37 @@ def test_admissible_genus2_needs_labels():
         validate_admissible(s, presentation=None)
 
 
+def _violation_edges(surface, report, eperm=None):
+    """Sorted (kind, edge multiset) of each violation, edges mapped through
+    ``eperm``; a face-sum witness stands for its face's edges."""
+    out = []
+    for w in report.violations:
+        if w.kind == "face-sum":
+            edges = surface.face_edge_multiset(w.location[1])
+        else:
+            edges = w.location[1:]
+        if eperm is not None:
+            edges = [eperm[e] for e in edges]
+        out.append((w.kind, tuple(sorted(edges))))
+    return sorted(out)
+
+
 def test_admissible_relabel_invariant():
-    pat = thurston_pattern(tetrahedron_surface())
-    theta = pat.theta.copy()
-    theta[0] += 0.05
-    bad = pat.with_theta(theta)
-    rng = np.random.default_rng(5)
-    vperm = list(rng.permutation(bad.n_vertices))
-    eperm = list(rng.permutation(bad.n_edges))
-    rel = bad.relabeled(vperm, eperm)
-    assert validate_admissible(bad).passed == validate_admissible(rel).passed
-    assert len(validate_admissible(bad).violations) == \
-        len(validate_admissible(rel).violations)
+    for nerve, seed in itertools.product(
+            (tetrahedron_surface, octahedron_surface), range(3)):
+        pat = thurston_pattern(nerve())
+        rng = np.random.default_rng(seed)
+        theta = pat.theta.copy()
+        theta[rng.integers(pat.n_edges)] += rng.uniform(-0.3, 0.3)
+        bad = pat.with_theta(theta)
+        vperm = list(rng.permutation(bad.n_vertices))
+        eperm = list(rng.permutation(bad.n_edges))
+        rel = bad.relabeled(vperm, eperm)
+        rep, rep_rel = (validate_admissible(s, l_max=8) for s in (bad, rel))
+        assert not rep.passed and not rep_rel.passed
+        assert rep.checked_cycles == rep_rel.checked_cycles > 0
+        assert (_violation_edges(bad, rep, eperm)
+                == _violation_edges(rel, rep_rel))
 
 
 # ---------------------------------------------------------------------------

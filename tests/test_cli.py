@@ -54,6 +54,19 @@ def test_edge_endpoint_out_of_range_rejected(tmp_path, capsys):
         assert "line 5: edge 1 endpoint out of range" in err
 
 
+@pytest.mark.parametrize("edges,message", [
+    ("e 0 0 1\ne 1 1 2\ne 2 2 0\n", "dart id 10 out of range"),
+    ("e 0 0 1\ne 0 1 2\ne 1 2 0\n", "line 5: duplicate edge 0"),
+], ids=["dart-past-last-edge", "duplicate-edge"])
+def test_face_dart_out_of_range_rejected(tmp_path, capsys, edges, message):
+    path = tmp_path / "darts.surf"
+    path.write_text("v 0\nv 1\nv 2\n" + edges
+                    + "f 0 0+ 5+ 2+\nf 1 2- 1- 0-\n")
+    for command in ("check-admissible", "pak-search"):
+        assert main([command, str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command,name,record,bad", [
     ("rigidity", "tetrahedron_compact.poly",
      "geom 0 compact 0.67850272550221846", "geom 0 compact nan"),

@@ -198,6 +198,17 @@ def test_parse_decoration_rejects_bad_records(g2surf):
             parse_decoration(g2surf, "# decor v1\no 0 +\n%s\n" % record)
 
 
+@pytest.mark.parametrize("first,second", [("o 0 +", "o 0 -"),
+                                           ("o 0 +", "o 0 +"),
+                                           ("o 35 -", "o 35 +")])
+def test_parse_decoration_rejects_duplicate_edge(g2surf, first, second):
+    edge = first.split()[1]
+    with pytest.raises(DecorationError,
+                       match="line 4: duplicate edge %s" % edge):
+        parse_decoration(g2surf, "# decor v1\n%s\no 7 +\n%s\n"
+                         % (first, second))
+
+
 def test_states_outside_unit_range_rejected(g2surf):
     for bad in (2, -2):
         states = np.zeros(g2surf.n_edges, dtype=int)

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from endlab import fixtures, mink, polysurf
-from endlab.cellsurf import from_face_vertex_lists
+from endlab.cellsurf import SurfaceFormatError, from_face_vertex_lists
 from endlab.decor import BACKWARD, FORWARD
 from endlab.mink import mdot
 from endlab.polysurf import (PolyBuildError, PolySurface, UnsupportedGeometry,
-                             VertexGeom, build, compact_point, hyper_point,
+                             VertexGeom, compact_point, hyper_point,
                              ideal_point, parse_poly, serialize_poly)
 
 
@@ -68,7 +68,7 @@ def double_pyramid(h_top, h_bot=-0.8, rho=0.9):
     faces = [[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4],
              [1, 0, 5], [2, 1, 5], [3, 2, 5], [0, 3, 5]]
     surf = from_face_vertex_lists(faces, n_vertices=6)
-    return build(surf, [compact_point(p) for p in pts])
+    return PolySurface(surf, [compact_point(p) for p in pts])
 
 
 def test_concave_vertex_rejected():
@@ -86,7 +86,7 @@ def test_mixed_kinds_rejected():
              ideal_point(np.array([0.0, 1, 0, 1])),
              ideal_point(np.array([0.0, 0, 1, 1]))]
     with pytest.raises(UnsupportedGeometry):
-        build(fixtures.tetrahedron_surface(), geoms)
+        PolySurface(fixtures.tetrahedron_surface(), geoms)
 
 
 # ---------------------------------------------------------------------------
@@ -100,8 +100,8 @@ def test_compact_link_standard_frame():
               np.array([math.sinh(t), 0, 0, math.cosh(t)]),
               np.array([0.0, math.sinh(t), 0, math.cosh(t)])]
     # not convex necessarily; build loosely just to read links
-    ps = build(fixtures.tetrahedron_surface(),
-               [compact_point(p) for p in points], strict=False)
+    ps = PolySurface(fixtures.tetrahedron_surface(),
+                     [compact_point(p) for p in points], strict=False)
     links = ps.links()
     d = next(d for d in range(ps.tri.n_darts)
              if ps.tri.tail(d) == 0 and ps.tri.head(d) == 1)
@@ -219,7 +219,7 @@ def square_pyramid():
     pts.append(np.array([0.0, 0.0, math.sinh(h), math.cosh(h)]))
     faces = [[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4], [3, 2, 1, 0]]
     surf = from_face_vertex_lists(faces, n_vertices=5)
-    return build(surf, [compact_point(p) for p in pts])
+    return PolySurface(surf, [compact_point(p) for p in pts])
 
 
 def test_quad_face_triangulated_flat_diagonal():
@@ -248,7 +248,7 @@ def test_nonplanar_quad_rejected():
     faces = [[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4], [3, 2, 1, 0]]
     surf = from_face_vertex_lists(faces, n_vertices=5)
     with pytest.raises(PolyBuildError, match="non-planar"):
-        build(surf, [compact_point(p) for p in pts])
+        PolySurface(surf, [compact_point(p) for p in pts])
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +362,18 @@ def test_poly_roundtrip():
     back = parse_poly(text)
     assert serialize_poly(back) == text
     assert np.allclose(back.edge_lengths(), oc.edge_lengths(), atol=0)
+
+
+@pytest.mark.parametrize("fixture", [fixtures.ideal_octahedron,
+                                     fixtures.compact_tetrahedron])
+def test_poly_duplicate_geom_rejected(fixture):
+    lines = serialize_poly(fixture()).splitlines()
+    # a second record for vertex 0, carrying vertex 1's vector
+    geom1 = next(ln for ln in lines if ln.startswith("geom 1 "))
+    lines.append(geom1.replace("geom 1 ", "geom 0 "))
+    with pytest.raises(SurfaceFormatError,
+                       match="line %d: duplicate geom 0" % len(lines)):
+        parse_poly("\n".join(lines) + "\n")
 
 
 def test_poly_parse_geom_error():

@@ -7,7 +7,7 @@ import pytest
 from endlab import fixtures, mink, rigidity
 from endlab.cellsurf import from_face_vertex_lists
 from endlab.mink import mdot
-from endlab.polysurf import build, compact_point
+from endlab.polysurf import PolySurface, compact_point
 from endlab.rigidity import (IndeterminateRankError, OperatorBundle,
                              adjointness_residual, angle_motion_operator,
                              decorated_length_variation_operator,
@@ -104,7 +104,7 @@ def test_length_operator_follows_vertex_relabeling(make):
     geoms = [None] * nv
     for v, g in enumerate(ps.geoms):
         geoms[perm[v]] = g
-    moved = build(ps.base.relabeled(perm.tolist()), geoms)
+    moved = PolySurface(ps.base.relabeled(perm.tolist()), geoms)
     k = ps.links().signs.shape[1]
     back = (k * perm[:, None] + np.arange(k)).reshape(-1)
     lop = length_op(moved)
@@ -151,8 +151,8 @@ def test_angle_motion_orthonormal_corner():
            np.array([math.sinh(t), 0, 0, math.cosh(t)]),
            np.array([0.0, math.sinh(t), 0, math.cosh(t)]),
            np.array([0.0, 0, math.sinh(t), math.cosh(t)])]
-    ps = build(fixtures.tetrahedron_surface(),
-               [compact_point(p) for p in pts], strict=False)
+    ps = PolySurface(fixtures.tetrahedron_surface(),
+                     [compact_point(p) for p in pts], strict=False)
     op = angle_motion_operator(ps)
     weights = np.zeros(ps.tri.n_edges)
     for e, (u, v) in enumerate(ps.tri.edges):
@@ -195,14 +195,14 @@ def test_kernel_grows_at_flat_vertex():
 
 
 def test_zero_matrix_full_kernel():
-    b = OperatorBundle(np.zeros((4, 9)), "d", "c")
+    b = OperatorBundle(np.zeros((4, 9)))
     dim, gap = kernel_dimension(b)
     assert dim == 9 and gap == math.inf
 
 
 def test_indeterminate_rank_raises():
     mat = np.diag([1.0, 1.2e-8, 0.9e-8])
-    b = OperatorBundle(mat, "d", "c")
+    b = OperatorBundle(mat)
     with pytest.raises(IndeterminateRankError) as err:
         kernel_dimension(b)
     assert len(err.value.spectrum) == 3
@@ -214,7 +214,7 @@ def test_kernel_dim_rescaling_invariant():
     dim0, _ = kernel_dimension(op)
     r = rng.uniform(0.5, 2.0, size=op.matrix.shape[0])
     c = rng.uniform(0.5, 2.0, size=op.matrix.shape[1])
-    scaled = OperatorBundle(r[:, None] * op.matrix * c[None, :], "d", "c")
+    scaled = OperatorBundle(r[:, None] * op.matrix * c[None, :])
     dim1, _ = kernel_dimension(scaled)
     assert dim0 == dim1
 

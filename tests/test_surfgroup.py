@@ -109,7 +109,7 @@ def test_fixture_short_noncontractible(g2):
 
 
 def test_fixture_labels(g2):
-    labels = g2.presentation.labels_dict()
+    labels = {d: g2.dart_label(d) for d in range(g2.surface.n_darts)}
     assert len(labels) == 72
     # freely reduced
     for w in labels.values():
@@ -140,15 +140,9 @@ def test_develop_matrix_matches_rho(g2):
 
 
 def test_is_contractible_dispatch(g2):
-    assert surfgroup.is_contractible("abABcdCD")
-    assert not surfgroup.is_contractible("a")
-    assert surfgroup.is_contractible("")
+    pres = SurfaceGroupPresentation(2)
+    assert pres.is_trivial(parse_word("abABcdCD"))
+    assert not pres.is_trivial(parse_word("a"))
+    assert pres.is_trivial(parse_word(""))
     cyc = g2.surface.face_cycles[0]
-    assert surfgroup.is_contractible(cyc, presentation=g2.presentation)
-    with pytest.raises(cellsurf_missing_error()):
-        surfgroup.is_contractible([("dart", 3)], presentation=None)
-
-
-def cellsurf_missing_error():
-    from endlab.cellsurf import MissingLabelError
-    return MissingLabelError
+    assert g2.presentation.cycle_is_contractible(cyc)

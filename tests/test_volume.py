@@ -9,7 +9,6 @@ from scipy.integrate import quad
 from endlab import volume as vol
 from endlab.volume import (AngleTriple, D13Profile, d13_profile,
                            d13_second_jump, ideal_tet_volume, lobachevsky,
-                           schlafli_residual_ideal,
                            schlafli_residual_split_octahedron,
                            schlafli_residual_tetrahedron,
                            tet_volume_from_chart)
@@ -126,10 +125,8 @@ def test_schlafli_split_octahedron_order():
 
 
 def test_schlafli_dispatch():
-    rep = schlafli_residual_ideal("tetrahedron", dab=(0.5, 0.2))
+    rep = schlafli_residual_tetrahedron(dab=(0.5, 0.2))
     assert rep.order_in(1.8, 2.2)
-    with pytest.raises(ValueError):
-        schlafli_residual_ideal("dodecahedron")
 
 
 # ---------------------------------------------------------------------------
