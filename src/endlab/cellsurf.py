@@ -276,19 +276,29 @@ def serialize_surf(surface):
     return "\n".join(lines) + "\n"
 
 
-def _record(table, key, value, what):
-    if key in table:
+def _record(lines, token, what, ln):
+    """Record id ``token`` read on line ``ln``; rejects a repeated id."""
+    key = int(token)
+    if key in lines:
         raise ValueError("duplicate %s %d" % (what, key))
-    table[key] = value
+    lines[key] = ln
+    return key
+
+
+def _check_ids(lines, count, message):
+    """Record ids must be exactly 0..count-1; an error names the line of the
+    first record whose id lies outside that range, when there is one."""
+    if sorted(lines) != list(range(count)):
+        outside = [ln for key, ln in lines.items() if not 0 <= key < count]
+        raise SurfaceFormatError(message, line=min(outside, default=None))
 
 
 def parse_surf(text):
     """Parse "surf v1"; raises SurfaceFormatError with a line number."""
-    vertices = {}
-    edges = {}
-    edge_lines = {}
-    faces = {}
-    thetas = {}
+    vertex_lines = {}
+    edges, edge_lines = {}, {}
+    faces, face_lines = {}, {}
+    thetas, theta_lines = {}, {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -296,11 +306,10 @@ def parse_surf(text):
         parts = line.split()
         try:
             if parts[0] == "v" and len(parts) == 2:
-                _record(vertices, int(parts[1]), None, "vertex")
+                _record(vertex_lines, parts[1], "vertex", ln)
             elif parts[0] == "e" and len(parts) == 4:
-                e = int(parts[1])
-                _record(edges, e, (int(parts[2]), int(parts[3])), "edge")
-                edge_lines[e] = ln
+                e = _record(edge_lines, parts[1], "edge", ln)
+                edges[e] = (int(parts[2]), int(parts[3]))
             elif parts[0] == "f":
                 cyc = []
                 for tok in parts[2:]:
@@ -309,38 +318,35 @@ def parse_surf(text):
                     cyc.append(2 * int(tok[:-1]) + (0 if tok[-1] == "+" else 1))
                 if not cyc:
                     raise ValueError("empty face")
-                _record(faces, int(parts[1]), cyc, "face")
+                faces[_record(face_lines, parts[1], "face", ln)] = cyc
             elif parts[0] == "theta" and len(parts) == 3:
                 value = float(parts[2])
                 if not math.isfinite(value):
                     raise ValueError("non-finite theta %r" % parts[2])
-                _record(thetas, int(parts[1]), value, "theta")
+                thetas[_record(theta_lines, parts[1], "theta", ln)] = value
             elif parts[0] == "geom":
                 continue  # poly v1 extension, handled by polysurf
             else:
                 raise ValueError("unrecognized record %r" % parts[0])
         except ValueError as exc:
             raise SurfaceFormatError(str(exc), line=ln) from exc
-    if not vertices:
+    n_vertices = len(vertex_lines)
+    if not n_vertices:
         raise SurfaceFormatError("no vertices")
-    if sorted(vertices) != list(range(len(vertices))):
-        raise SurfaceFormatError("vertex ids must be 0..n-1")
+    _check_ids(vertex_lines, n_vertices, "vertex ids must be 0..n-1")
     for e, ends in edges.items():
-        if not all(0 <= u < len(vertices) for u in ends):
+        if not all(0 <= u < n_vertices for u in ends):
             raise SurfaceFormatError("edge %d endpoint out of range 0..%d"
-                                     % (e, len(vertices) - 1),
+                                     % (e, n_vertices - 1),
                                      line=edge_lines[e])
-    if sorted(edges) != list(range(len(edges))):
-        raise SurfaceFormatError("edge ids must be 0..m-1")
-    if sorted(faces) != list(range(len(faces))):
-        raise SurfaceFormatError("face ids must be 0..k-1")
+    _check_ids(edge_lines, len(edges), "edge ids must be 0..m-1")
+    _check_ids(face_lines, len(faces), "face ids must be 0..k-1")
     theta = None
     if thetas:
-        if sorted(thetas) != list(range(len(edges))):
-            raise SurfaceFormatError("theta must cover all edges")
+        _check_ids(theta_lines, len(edges), "theta must cover all edges")
         theta = [thetas[e] for e in range(len(edges))]
     try:
-        return CellSurface(len(vertices), [edges[e] for e in range(len(edges))],
+        return CellSurface(n_vertices, [edges[e] for e in range(len(edges))],
                            [faces[f] for f in range(len(faces))], theta)
     except SurfaceFormatError:
         raise

@@ -22,6 +22,11 @@ with the two corner-change bounds c >= F and c <= 2V - e_b.  Components of
 negative Euler characteristic close the counting contradiction; disk-like
 components are flagged as outside that argument's coverage, so tightness
 itself is never asserted as an invariant here.
+
+:func:`batch_report` answers the same questions (tight, components
+outside coverage, identities held) for many decorations at once, as array
+operations over an (n x E) state array; :func:`is_tight` and
+:func:`pak_report` stay the per-decoration path and its test oracle.
 """
 
 from __future__ import annotations
@@ -43,6 +48,16 @@ class DecorationError(ValueError):
     pass
 
 
+def _states_array(surface, states, ndim):
+    """Integer copy of per-edge states (last axis) with ``ndim`` axes."""
+    st = np.array(states, dtype=int)
+    if st.ndim != ndim or st.shape[-1] != surface.n_edges:
+        raise DecorationError("one state per edge required")
+    if not np.all(np.abs(st) <= 1):
+        raise DecorationError("states must be in {-1, 0, +1}")
+    return st
+
+
 @dataclass(frozen=True)
 class Decoration:
     """Per-edge orientation state, relative to each edge's dart 2e.
@@ -55,11 +70,7 @@ class Decoration:
     states: np.ndarray
 
     def __post_init__(self):
-        st = np.array(self.states, dtype=int)
-        if st.shape != (self.surface.n_edges,):
-            raise DecorationError("one state per edge required")
-        if not np.all(np.abs(st) <= 1):
-            raise DecorationError("states must be in {-1, 0, +1}")
+        st = _states_array(self.surface, self.states, 1)
         st.flags.writeable = False
         object.__setattr__(self, "states", st)
 
@@ -314,6 +325,142 @@ def pak_report(dec):
     return report
 
 
+# ---------------------------------------------------------------------------
+# batched tightness and component counts, one array program over samples
+
+
+@dataclass
+class BatchReport:
+    """Per-sample results of :func:`batch_report`, one entry per state row."""
+
+    tight: np.ndarray           # bool, as ``is_tight(dec).tight``
+    outside: np.ndarray         # int, components with Euler characteristic >= 0
+    identities: np.ndarray      # bool, as ``pak_report(dec).all_identities_hold()``
+
+
+def _tail_incidence(surface):
+    """(D x V) 0/1 matrix with a one at (d, tail(d))."""
+    inc = np.zeros((surface.n_darts, surface.n_vertices))
+    inc[np.arange(surface.n_darts), surface.dart_tail] = 1.0
+    return inc
+
+
+def _batch_tight(surface, st, inc):
+    """Tight flag per state row, by the rules of :func:`is_tight`.
+
+    With a the away-from-tail state at d and b the one at twin(fprev d),
+    the doubled corner value is |a - b|; vertex totals and unoriented
+    counts are products with the dart-to-tail incidence.
+    """
+    darts = np.arange(surface.n_darts)
+    away = st[:, darts // 2] * np.where(darts % 2 == 0, 1, -1)
+    twice = np.abs(away - away[:, surface.fprev ^ 1])
+    totals2 = twice.astype(float) @ inc
+    unor = away == 0
+    vnext = surface.fnext[darts ^ 1]
+    consec = (unor & unor[:, vnext]).astype(float) @ inc > 0
+    consec &= inc.sum(axis=0) > 1
+    limits2 = np.where((unor.astype(float) @ inc >= 3) | consec, 2.0, 4.0)
+    return ~np.any(totals2 > limits2, axis=1)
+
+
+def _min_labels(labels, succ):
+    """Least label on each orbit of the per-row maps ``succ``, by doubling."""
+    while True:
+        nxt = np.minimum(labels, np.take_along_axis(labels, succ, axis=1))
+        succ = np.take_along_axis(succ, succ, axis=1)
+        if np.array_equal(nxt, labels):
+            return labels
+        labels = nxt
+
+
+def _component_counts(surface, st, inc):
+    """Per-component counts of :func:`pak_report`, for every state row.
+
+    Returns the five (n, F) arrays V, E, F, e_b and b, indexed by the row
+    and the component's least face id, and zero where no component has
+    that least face.  Each count is taken independently, never derived
+    from an identity.
+    """
+    s = surface
+    n, nf, nd = len(st), s.n_faces, s.n_darts
+    darts = np.arange(nd)
+    face_darts = np.array(s.face_cycles)
+    kept = np.any(st[:, face_darts // 2] != 0, axis=2)
+
+    # face components: min-label propagation with pointer jumping
+    nbr = s.dart_face[face_darts ^ 1]
+    sentinel = np.full((n, 1), nf)
+    labels = np.where(kept, np.arange(nf), nf)
+    while True:
+        nxt = np.minimum(labels, labels[:, nbr].min(axis=2))
+        nxt = np.where(kept, nxt, nf)
+        nxt = np.take_along_axis(np.hstack([nxt, sentinel]), nxt, axis=1)
+        if np.array_equal(nxt, labels):
+            break
+        labels = nxt
+
+    face_comp = labels + nf * np.arange(n)[:, None]
+    comp = face_comp[:, s.dart_face]
+    kd = kept[:, s.dart_face]
+    kt = kd[:, darts ^ 1]
+    boundary = kd & ~kt
+
+    # abstract vertices: a corner orbit starts at a kept dart whose
+    # rotation predecessor twin(fprev d) is deleted; a star with every
+    # dart kept is one closed orbit
+    starts = kd & ~kd[:, s.fprev ^ 1]
+    degree = inc.sum(axis=0)
+    closed = kd.astype(float) @ inc == degree
+    first = np.unique(s.dart_tail, return_index=True)[1]
+
+    # boundary successor: fnext, then rotate through interior edges
+    vnext = s.fnext[darts ^ 1]
+    skip = np.where(kt & kd, vnext, darts)
+    for _ in range(int(degree.max()).bit_length()):
+        skip = np.take_along_axis(skip, skip, axis=1)
+    succ = np.where(boundary, skip[:, s.fnext], darts)
+    labels_b = _min_labels(np.broadcast_to(darts, (n, nd)), succ)
+    cycle_starts = boundary & (labels_b == darts)
+
+    size = n * nf
+
+    def per_component(mask, where):
+        return np.bincount(where[mask], minlength=size).reshape(n, nf)
+
+    return (
+        per_component(starts, comp) + per_component(closed, comp[:, first]),
+        per_component(kd & kt & (darts % 2 == 0), comp)
+        + per_component(boundary, comp),
+        per_component(kept, face_comp),
+        per_component(boundary, comp),
+        per_component(cycle_starts, comp),
+    )
+
+
+def batch_report(surface, states):
+    """Tightness and counting identities for each row of an (n x E) state
+    array, the array counterpart of :func:`is_tight` and :func:`pak_report`
+    (which stay the per-decoration path and the test oracle)."""
+    s = surface
+    if not s.is_quasi_simplicial():
+        raise DecorationError("component counting needs a triangulation")
+    st = _states_array(s, states, 2)
+    inc = _tail_incidence(s)
+    nv, ne, nf, eb, nb = _component_counts(s, st, inc)
+    exists = nf > 0
+    chi = nv - ne + nf
+    g2 = 2 - nb - chi
+    if np.any(exists & (g2 % 2 != 0)):
+        raise DecorationError("component has inconsistent Euler data")
+    genus = g2 // 2
+    holds = ((3 * nf == 2 * ne - eb) & (chi == 2 - 2 * genus - nb)
+             & (2 * nv - eb == nf + (4 - 4 * genus - 2 * nb)))
+    return BatchReport(tight=_batch_tight(s, st, inc),
+                       outside=np.sum(exists & (chi >= 0), axis=1),
+                       identities=np.all(holds | ~exists, axis=1))
+
+
 def orient_by_vertex_order(surface):
     """Decoration orienting every edge from its lower to higher vertex id.
 
@@ -328,10 +475,19 @@ def orient_by_vertex_order(surface):
     return Decoration(surface, st)
 
 
+def _states_from_uniform(r):
+    """Forward below 1/3, backward below 2/3, unoriented above."""
+    return np.where(r < 1.0 / 3.0, FORWARD,
+                    np.where(r < 2.0 / 3.0, BACKWARD, UNORIENTED))
+
+
 def random_decoration(surface, rng):
     """Seeded random decoration; each edge forward, backward or unoriented
     with probability 1/3 each."""
-    r = rng.random(surface.n_edges)
-    st = np.where(r < 1.0 / 3.0, FORWARD,
-                  np.where(r < 2.0 / 3.0, BACKWARD, UNORIENTED))
-    return Decoration(surface, st)
+    return Decoration(surface, _states_from_uniform(rng.random(surface.n_edges)))
+
+
+def random_states(surface, rng, n):
+    """(n x E) states of n random decorations; the same draws, in the same
+    order, as n calls of :func:`random_decoration`."""
+    return _states_from_uniform(rng.random((n, surface.n_edges)))

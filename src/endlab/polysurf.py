@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mink
-from .cellsurf import CellSurface, SurfaceFormatError, parse_surf, serialize_surf, twin
+from .cellsurf import (CellSurface, SurfaceFormatError, _check_ids, _record,
+                       parse_surf, serialize_surf, twin)
 from .decor import BACKWARD, FORWARD, Decoration
 from .mink import GeometryError, mdot
 
@@ -515,7 +516,7 @@ def serialize_poly(ps):
 
 def parse_poly(text):
     surface = parse_surf(text)
-    geoms = {}
+    geoms, geom_lines = {}, {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -529,12 +530,10 @@ def parse_poly(text):
             vec = np.array([float(x) for x in parts[3:7]])
             if not np.all(np.isfinite(vec)):
                 raise ValueError("non-finite geom coordinate")
-            v = int(parts[1])
-            if v in geoms:
-                raise ValueError("duplicate geom %d" % v)
+            v = _record(geom_lines, parts[1], "geom", ln)
             geoms[v] = VertexGeom(parts[2], vec)
         except (ValueError, PolyBuildError) as exc:
             raise SurfaceFormatError(str(exc), line=ln) from exc
-    if sorted(geoms) != list(range(surface.n_vertices)):
-        raise SurfaceFormatError("geom records must cover all vertices")
+    _check_ids(geom_lines, surface.n_vertices,
+               "geom records must cover all vertices")
     return PolySurface(surface, [geoms[v] for v in range(surface.n_vertices)])

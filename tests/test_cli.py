@@ -87,6 +87,34 @@ def test_non_finite_numbers_rejected_at_parse(tmp_path, capsys, command, name,
     assert "line %d: non-finite" % line in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,name,record,bad,message", [
+    ("check-admissible", "pattern.surf", "v 7\n", "v 9\n",
+     "vertex ids must be 0..n-1"),
+    ("check-admissible", "pattern.surf", "v 3\n", "v -3\n",
+     "vertex ids must be 0..n-1"),
+    ("check-admissible", "pattern.surf", "e 11 3 7", "e 15 3 7",
+     "edge ids must be 0..m-1"),
+    ("check-admissible", "pattern.surf", "f 5 ", "f 9 ",
+     "face ids must be 0..k-1"),
+    ("check-admissible", "pattern.surf", "theta 11 ", "theta 40 ",
+     "theta must cover all edges"),
+    ("rigidity", "octahedron.poly", "geom 3 ", "geom 6 ",
+     "geom records must cover all vertices"),
+], ids=["vertex", "negative-vertex", "edge", "face", "theta", "geom"])
+def test_id_gaps_name_the_record_outside_the_range(tmp_path, capsys, command,
+                                                   name, record, bad,
+                                                   message):
+    text = (INPUTS / name).read_text()
+    assert record in text
+    text = text.replace(record, bad, 1)
+    line = next(i for i, ln in enumerate(text.splitlines(), start=1)
+                if ln.startswith(bad.strip()))
+    path = tmp_path / name
+    path.write_text(text)
+    assert main([command, str(path)]) == 2
+    assert "error: line %d: %s\n" % (line, message) in capsys.readouterr().err
+
+
 def test_rigidity_rejects_mixed_vertex_kinds(tmp_path, capsys):
     from endlab import polysurf
     text = polysurf.serialize_poly(fixtures.ideal_octahedron())
@@ -101,6 +129,32 @@ def test_rigidity_rejects_mixed_vertex_kinds(tmp_path, capsys):
 def test_pak_search_rejects_low_genus(capsys):
     assert main(["pak-search", str(INPUTS / "pattern.surf")]) == 1
     assert "lemma hypothesis violated" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("block,row", [
+    ("structured", 0), ("structured", 40), ("structured", -1), ("random", 7),
+], ids=["single-edge", "triangle", "vertex-order", "random"])
+def test_pak_search_broken_identity_fails(tmp_path, monkeypatch, block, row):
+    from endlab import decor
+    surface = cellsurf.parse_surf(
+        (INPUTS / "genus2_uniform.surf").read_text())
+    structured_rows = surface.n_edges + surface.n_faces + 1
+    batch_report = decor.batch_report
+
+    def breaking(surface, states):
+        rep = batch_report(surface, states)
+        if (len(states) == structured_rows) == (block == "structured"):
+            rep.identities[row] = False
+        return rep
+
+    monkeypatch.setattr(decor, "batch_report", breaking)
+    code, data = run_to_bytes(tmp_path, [
+        "pak-search", "--seed", "7", "--samples", "50", "--structured",
+        str(INPUTS / "genus2_uniform.surf")])
+    assert code == 1
+    text = data.decode()
+    assert "result: counting identities BROKEN\n" in text
+    assert ("counting-identities: BROKEN" in text) == (block == "random")
 
 
 def test_fixture_labels_guard(tmp_path):

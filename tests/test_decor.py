@@ -1,5 +1,8 @@
 import itertools
 import math
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +14,10 @@ from endlab.decor import (BACKWARD, FORWARD, UNORIENTED, Decoration,
                           DecorationError, corner_changes, is_tight, orient_by_vertex_order,
                           pak_report, parse_decoration, random_decoration,
                           serialize_decoration, vertex_changes)
-from endlab.fixtures import genus2_complex, tetrahedron_surface
+from endlab.cellsurf import from_face_vertex_lists, parse_surf
+from endlab.fixtures import (genus2_complex, genus2_surface_file,
+                             octahedron_surface, tetrahedron_surface)
+from scripts_path import INPUTS  # see conftest
 
 
 @pytest.fixture(scope="module")
@@ -215,3 +221,104 @@ def test_states_outside_unit_range_rejected(g2surf):
         states[3] = bad
         with pytest.raises(DecorationError, match="states must be in"):
             Decoration(g2surf, states)
+
+
+# ---------------------------------------------------------------------------
+# the batch path against the scalar oracle
+
+
+def _scalar_rows(surface, states):
+    rows = []
+    for st in states:
+        dec = Decoration(surface, st)
+        rep = pak_report(dec)
+        rows.append((is_tight(dec).tight,
+                     sum(1 for c in rep.components if not c.chain_closes),
+                     rep.all_identities_hold(),
+                     sorted((c.n_vertices, c.n_edges, c.n_faces, c.e_boundary,
+                             c.boundary_cycles) for c in rep.components)))
+    return rows
+
+
+def _batch_rows(surface, states):
+    rep = decor.batch_report(surface, states)
+    nv, ne, nf, eb, nb = decor._component_counts(
+        surface, states, decor._tail_incidence(surface))
+    rows = []
+    for i in range(len(states)):
+        comps = sorted((int(nv[i, c]), int(ne[i, c]), int(nf[i, c]),
+                        int(eb[i, c]), int(nb[i, c]))
+                       for c in np.flatnonzero(nf[i]))
+        rows.append((bool(rep.tight[i]), int(rep.outside[i]),
+                     bool(rep.identities[i]), comps))
+    return rows
+
+
+def _structured_states(surface):
+    ne = surface.n_edges
+    rows = [np.eye(ne, dtype=int)[e] * FORWARD for e in range(ne)]
+    for cyc in surface.face_cycles:
+        rows.append(Decoration.from_pairs(
+            surface, [(d // 2, FORWARD if d % 2 == 0 else BACKWARD)
+                      for d in cyc]).states)
+    rows.append(orient_by_vertex_order(surface).states)
+    return np.array(rows)
+
+
+def _sparse_states(surface, rng, n, p):
+    oriented = rng.random((n, surface.n_edges)) < p
+    signs = np.where(rng.random((n, surface.n_edges)) < 0.5, FORWARD, BACKWARD)
+    return np.where(oriented, signs, UNORIENTED)
+
+
+@pytest.fixture(scope="module")
+def uniform_surf():
+    return parse_surf((INPUTS / "genus2_uniform.surf").read_text())
+
+
+def test_batch_matches_scalar_random(uniform_surf):
+    states = decor.random_states(uniform_surf, np.random.default_rng(3), 1200)
+    rows = _batch_rows(uniform_surf, states)
+    assert rows == _scalar_rows(uniform_surf, states)
+    # the draw is the stream of one random_decoration per row
+    rng = np.random.default_rng(3)
+    for st in states[:50]:
+        assert np.array_equal(random_decoration(uniform_surf, rng).states, st)
+
+
+def test_batch_matches_scalar_structured(uniform_surf):
+    states = _structured_states(uniform_surf)
+    rows = _batch_rows(uniform_surf, states)
+    assert rows == _scalar_rows(uniform_surf, states)
+    assert sum(r[0] for r in rows) == uniform_surf.n_edges
+
+
+@pytest.mark.parametrize("p", [0.05, 0.2])
+@pytest.mark.parametrize("which", ["octahedron", "genus2-data"])
+def test_batch_matches_scalar_sparse(which, p):
+    surface = (octahedron_surface() if which == "octahedron"
+               else parse_surf(genus2_surface_file().read_text()))
+    states = _sparse_states(surface, np.random.default_rng(11), 300, p)
+    rows = _batch_rows(surface, states)
+    assert rows == _scalar_rows(surface, states)
+    assert any(r[0] for r in rows) and not all(r[0] for r in rows)
+
+
+def test_batch_rejects_bad_input(uniform_surf):
+    with pytest.raises(DecorationError, match="one state per edge"):
+        decor.batch_report(uniform_surf, np.zeros((2, 5), dtype=int))
+    with pytest.raises(DecorationError, match="states must be in"):
+        decor.batch_report(uniform_surf,
+                           np.full((1, uniform_surf.n_edges), 2))
+    cube = from_face_vertex_lists([[0, 1, 2, 3], [4, 7, 6, 5], [0, 4, 5, 1],
+                                   [1, 5, 6, 2], [2, 6, 7, 3], [3, 7, 4, 0]])
+    with pytest.raises(DecorationError, match="triangulation"):
+        decor.batch_report(cube, np.zeros((1, cube.n_edges), dtype=int))
+
+
+def test_cli_import_leaves_scipy_sparse_out():
+    src = str(pathlib.Path(decor.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, %r); import endlab.cli; "
+            "sys.exit(any(m.startswith('scipy.sparse') for m in sys.modules))"
+            % src)
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
