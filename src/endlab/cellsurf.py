@@ -16,9 +16,13 @@ edge weight function theta must equal 2*pi, and short contractible cycles
 that do not bound a face must have theta-sum strictly above 2*pi (primal
 condition), with the analogous conditions on the dual graph for the
 hyperideal case.  Cycle searches are bounded by ``l_max`` and verdicts are
-always "pass up to l_max".  Contractibility is decided per genus: trivially
-on spheres, by homology on tori, and through the surface-group machinery
-of :mod:`endlab.surfgroup` when the surface carries edge labels.
+always "pass up to l_max".  The searches are exact yet skip every branch
+that cannot close: they leave a vertex unentered when its breadth-first
+distance back to the start leaves no room for a closed walk of at most
+``l_max`` edges (:func:`simple_cycles_upto` says why nothing is lost).
+Contractibility is decided per genus: trivially on spheres, by homology on
+tori, and through the surface-group machinery of :mod:`endlab.surfgroup`
+when the surface carries edge labels.
 """
 
 from __future__ import annotations
@@ -402,6 +406,23 @@ def _canon(vseq, eseq):
     return best
 
 
+def _starts(n_vertices, adjacency, l_max, need):
+    """Yield each start s with ``need[w]`` set: 1 at s, the distance to s
+    through vertices >= s within l_max // 2, else l_max + 1 (unreachable)."""
+    for start in range(n_vertices):
+        need[start] = 1
+        ball, frontier = [start], [start]
+        for r in range(1, l_max // 2 + 1):
+            frontier = {w for v in frontier for w, _ in adjacency[v]
+                        if w > start and need[w] > r}
+            for w in frontier:
+                need[w] = r
+            ball += frontier
+        yield start
+        for w in ball:
+            need[w] = l_max + 1
+
+
 def simple_cycles_upto(n_vertices, adjacency, l_max):
     """Undirected simple cycles with at most l_max edges.
 
@@ -409,29 +430,40 @@ def simple_cycles_upto(n_vertices, adjacency, l_max):
     closed walk with distinct vertices and distinct edges; parallel edges
     yield length-2 cycles.  Each cycle is reported once, as an edge-id
     tuple aligned with a vertex tuple, canonicalized over rotation and
-    reflection.
+    reflection, in the order the search first meets it.  The search from s
+    enters w at depth k only if k + dist(w, s) <= l_max, with distances
+    through vertices >= s.  This is exact: the rest of a closing walk is at
+    least dist(w, s) long, and dist(w, s) <= min(k, l_max - k), so a ball
+    of radius l_max // 2 holds every distance needed.  s is the cycle's
+    least vertex, so its canonical form is the cycle read from s forward
+    or backward.
     """
-    seen = set()
-    out = []
+    seen = {}  # canonical keys in the order first met
+    need = [l_max + 1] * n_vertices
+    on_path = [False] * n_vertices
+    epath = []
 
-    def dfs(start, v, vpath, epath):
+    def dfs(v, room):
         for w, e in adjacency[v]:
             if w == start:
                 # closing the cycle (covers loop edges when epath is empty)
-                if e in epath or len(epath) + 1 > l_max:
+                if room < 1 or e in epath:
                     continue
-                key = _canon(vpath, epath + [e])
-                if key not in seen:
-                    seen.add(key)
-                    out.append(key)
-                continue
-            if w in vpath or w < start or len(epath) + 1 >= l_max:
-                continue
-            dfs(start, w, vpath + [w], epath + [e])
+                vs, es = tuple(vpath), tuple(epath) + (e,)
+                seen.setdefault(min((vs, es), (vs[:1] + vs[:0:-1], es[::-1])))
+            elif need[w] < room and not on_path[w]:
+                on_path[w] = True
+                vpath.append(w)
+                epath.append(e)
+                dfs(w, room - 1)
+                on_path[w] = False
+                vpath.pop()
+                epath.pop()
 
-    for start in range(n_vertices):
-        dfs(start, start, [start], [])
-    return out
+    for start in _starts(n_vertices, adjacency, l_max, need):
+        vpath = [start]
+        dfs(start, l_max)
+    return list(seen)
 
 
 # ---------------------------------------------------------------------------
@@ -588,32 +620,37 @@ def closed_trails_upto(n_vertices, adjacency, l_max, theta, budget):
 
     Only trails whose theta-sum stays within ``budget`` are produced (the
     validators only ever report cycles at or below the bound, so pruning by
-    partial sum loses nothing).  Each trail is canonicalized over rotation
+    partial sum loses nothing), with the distance prune of
+    :func:`simple_cycles_upto`.  Each trail is canonicalized over rotation
     and reflection.
     """
-    seen = set()
-    out = []
+    seen = {}  # canonical keys in the order first met
+    need = [l_max + 1] * n_vertices
+    used = [False] * len(theta)
+    epath = []
 
-    def dfs(start, v, vpath, epath, used, total):
+    def dfs(v, room, total):
         for w, e in adjacency[v]:
-            if e in used:
+            if used[e]:
                 continue
             t = total + theta[e]
-            if t > budget or len(epath) + 1 > l_max:
+            if t > budget or room < 1:
                 continue
             if w == start:
-                key = _canon(vpath, epath + [e])
-                if key not in seen:
-                    seen.add(key)
-                    out.append(key)
-            if w >= start and len(epath) + 1 < l_max:
-                used.add(e)
-                dfs(start, w, vpath + [w], epath + [e], used, t)
-                used.remove(e)
+                seen.setdefault(_canon(vpath, epath + [e]))
+            if need[w] < room:
+                used[e] = True
+                vpath.append(w)
+                epath.append(e)
+                dfs(w, room - 1, t)
+                used[e] = False
+                vpath.pop()
+                epath.pop()
 
-    for start in range(n_vertices):
-        dfs(start, start, [start], [], set(), 0.0)
-    return out
+    for start in _starts(n_vertices, adjacency, l_max, need):
+        vpath = [start]
+        dfs(start, l_max, 0.0)
+    return list(seen)
 
 
 def validate_hyperideal(surface, l_max=DEFAULT_L_MAX, presentation=None):

@@ -2,11 +2,11 @@
 
 Subcommands: check-admissible, rigidity, render, pak-search, schlafli,
 crossratio.  Exit codes: 0 pass, 1 mathematical violation, 2 input or
-usage error.  Reports are line-oriented "key: value" text with section
-headers; every report embeds the tool version, format versions, seed, and
-tolerances, and identical inputs with identical flags produce
-byte-identical output.  Values at rounding level are printed as "<= bound"
-sentinels so reruns stay stable.
+usage error, 3 internal numerical fault.  Reports are line-oriented
+"key: value" text with section headers; every report embeds the tool
+version, format versions, seed, and tolerances, and identical inputs with
+identical flags produce byte-identical output.  Values at rounding level
+are printed as "<= bound" sentinels so reruns stay stable.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .cellsurf import MissingLabelError, SurfaceFormatError
 from .polysurf import PolyBuildError, UnsupportedGeometry
 from .svgout import render_circles
 
-EXIT_PASS, EXIT_VIOLATION, EXIT_USAGE = 0, 1, 2
+EXIT_PASS, EXIT_VIOLATION, EXIT_USAGE, EXIT_INTERNAL = 0, 1, 2, 3
 
 #: pak-search samples drawn and analyzed per array block
 PAK_BLOCK = 500
@@ -190,9 +190,8 @@ def cmd_render(args):
 def cmd_pak_search(args):
     surface = cellsurf.parse_surf(_read(args.files[0]))
     if surface.genus() < 2:
-        sys.stdout.write("error: lemma hypothesis violated (genus %d < 2)\n"
-                         % surface.genus())
-        return EXIT_VIOLATION
+        raise SurfaceFormatError("pak-search needs genus >= 2 (genus %d)"
+                                 % surface.genus())
     if not surface.is_quasi_simplicial():
         raise SurfaceFormatError("pak-search needs a triangulation")
     seed = args.seed if args.seed is not None else 0
@@ -367,6 +366,9 @@ def main(argv=None):
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
+    except np.linalg.LinAlgError as exc:  # a ValueError, but not bad input
+        sys.stderr.write("internal error: %s\n" % exc)
+        return EXIT_INTERNAL
     except (SurfaceFormatError, MissingLabelError, PolyBuildError,
             UnsupportedGeometry, crossratio.CrossRatioError,
             FileNotFoundError, ValueError) as exc:

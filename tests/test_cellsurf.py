@@ -11,9 +11,11 @@ from endlab.cellsurf import (CellSurface, SurfaceFormatError, MissingLabelError,
                              from_face_vertex_lists, parse_surf, serialize_surf,
                              simple_cycles_upto, thurston_pattern,
                              validate_admissible, validate_hyperideal)
-from endlab.fixtures import (genus2_complex, genus2_theta_bad_link,
-                             genus2_theta_uniform, octahedron_surface,
+from endlab.fixtures import (genus2_complex, genus2_surface_file,
+                             genus2_theta_bad_link, genus2_theta_uniform,
+                             octahedron_surface, random_convex_compact,
                              tetrahedron_surface)
+from scripts_path import INPUTS  # see conftest
 
 
 def test_tetrahedron_counts():
@@ -184,11 +186,12 @@ def brute_force_cycles(n_vertices, adjacency, l_max):
 
 
 def test_cycle_enumeration_matches_bruteforce():
-    s = octahedron_surface()
-    adj = s.adjacency()
-    ours = set(simple_cycles_upto(s.n_vertices, adj, 5))
-    brute = brute_force_cycles(s.n_vertices, adj, 5)
-    assert ours == brute
+    for surface, l_max in ((octahedron_surface(), 5),
+                           (thurston_pattern(octahedron_surface()), 6)):
+        adj = surface.adjacency()
+        ours = simple_cycles_upto(surface.n_vertices, adj, l_max)
+        assert len(set(ours)) == len(ours)
+        assert set(ours) == brute_force_cycles(surface.n_vertices, adj, l_max)
 
 
 def test_cycle_enumeration_multiedge():
@@ -198,6 +201,139 @@ def test_cycle_enumeration_multiedge():
     assert s.genus() == 0
     cycles = simple_cycles_upto(s.n_vertices, s.adjacency(), 4)
     assert len(cycles) == 3  # pairs of parallel edges
+
+
+# The unpruned depth-first searches the pruned ones replaced, kept as the
+# ordered-output oracle: the pruned searches must return the same list, in
+# the same order.
+
+
+def reference_canon(vseq, eseq):
+    best = None
+    for rev in (False, True):
+        vs = vseq[::-1] if rev else vseq
+        es = eseq[::-1] if rev else eseq
+        if rev:
+            vs = vs[-1:] + vs[:-1]
+        for r in range(len(eseq)):
+            cand = (tuple(vs[r:] + vs[:r]), tuple(es[r:] + es[:r]))
+            if best is None or cand < best:
+                best = cand
+    return best
+
+
+def reference_simple_cycles_upto(n_vertices, adjacency, l_max):
+    seen = set()
+    out = []
+
+    def dfs(start, v, vpath, epath):
+        for w, e in adjacency[v]:
+            if w == start:
+                # closing the cycle (covers loop edges when epath is empty)
+                if e in epath or len(epath) + 1 > l_max:
+                    continue
+                key = reference_canon(vpath, epath + [e])
+                if key not in seen:
+                    seen.add(key)
+                    out.append(key)
+                continue
+            if w in vpath or w < start or len(epath) + 1 >= l_max:
+                continue
+            dfs(start, w, vpath + [w], epath + [e])
+
+    for start in range(n_vertices):
+        dfs(start, start, [start], [])
+    return out
+
+
+def reference_closed_trails_upto(n_vertices, adjacency, l_max, theta, budget):
+    seen = set()
+    out = []
+
+    def dfs(start, v, vpath, epath, used, total):
+        for w, e in adjacency[v]:
+            if e in used:
+                continue
+            t = total + theta[e]
+            if t > budget or len(epath) + 1 > l_max:
+                continue
+            if w == start:
+                key = reference_canon(vpath, epath + [e])
+                if key not in seen:
+                    seen.add(key)
+                    out.append(key)
+            if w >= start and len(epath) + 1 < l_max:
+                used.add(e)
+                dfs(start, w, vpath + [w], epath + [e], used, t)
+                used.remove(e)
+
+    for start in range(n_vertices):
+        dfs(start, start, [start], [], set(), 0.0)
+    return out
+
+
+def hyperideal_dual_graph(surface, presentation=None):
+    """(n, adjacency, theta) of the dual graph validate_hyperideal searches."""
+    seen = []
+
+    def capture(n_vertices, adjacency, l_max):
+        seen.append((n_vertices, adjacency, surface.theta))
+        return []
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cellsurf, "simple_cycles_upto", capture)
+        theta = np.full(surface.n_edges, 0.5 * math.pi)
+        validate_hyperideal(surface.with_theta(theta), l_max=1,
+                            presentation=presentation)
+    (graph,) = seen
+    return graph
+
+
+def surface_graph(surface):
+    return surface.n_vertices, surface.adjacency(), surface.theta
+
+
+def input_graph(name):
+    return surface_graph(parse_surf((INPUTS / name).read_text()))
+
+
+ORACLE_GRAPHS = {
+    "octahedron": lambda: surface_graph(octahedron_surface()),
+    "theta-sphere": lambda: surface_graph(CellSurface(
+        2, [(0, 1), (0, 1), (0, 1)], [[0, 3], [2, 5], [4, 1]])),
+    "loop-torus": lambda: surface_graph(CellSurface(
+        1, [(0, 0), (0, 0)], [[0, 2, 1, 3]])),
+    "pattern": lambda: input_graph("pattern.surf"),
+    "pattern-bad": lambda: input_graph("pattern_bad.surf"),
+    "genus2-uniform": lambda: input_graph("genus2_uniform.surf"),
+    "data-genus2": lambda: surface_graph(
+        parse_surf(genus2_surface_file().read_text())),
+    "dual-tetrahedron": lambda: hyperideal_dual_graph(tetrahedron_surface()),
+    "dual-octahedron": lambda: hyperideal_dual_graph(octahedron_surface()),
+    "dual-genus2": lambda: hyperideal_dual_graph(
+        genus2_complex().surface, genus2_complex().presentation),
+}
+for _seed in (0, 1, 2):
+    ORACLE_GRAPHS["random-pattern-%d" % _seed] = (
+        lambda seed=_seed: surface_graph(
+            thurston_pattern(random_convex_compact(seed, 8).base)))
+
+
+@pytest.mark.parametrize("name", ORACLE_GRAPHS)
+def test_pruned_searches_match_unpruned_order(name):
+    """Same lists in the same order for every l_max up to 8, or 12 on graphs
+    of at most 8 vertices; trails weigh pi/2 per edge where the graph
+    carries no theta."""
+    n, adj, theta = ORACLE_GRAPHS[name]()
+    if theta is None:
+        theta = np.full(1 + max(e for row in adj for _, e in row), 0.5 * math.pi)
+    budget = 2 * math.pi + cellsurf.TAU_ANG
+    for l_max in range(1, (12 if n <= 8 else 8) + 1):
+        assert (simple_cycles_upto(n, adj, l_max)
+                == reference_simple_cycles_upto(n, adj, l_max)), l_max
+        assert (cellsurf.closed_trails_upto(n, adj, l_max, theta, budget)
+                == reference_closed_trails_upto(n, adj, l_max, theta,
+                                                budget)), l_max
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import pathlib
 
+import numpy as np
 import pytest
 
 from endlab import cellsurf, fixtures
@@ -126,9 +127,21 @@ def test_rigidity_rejects_mixed_vertex_kinds(tmp_path, capsys):
     assert "mixed" in capsys.readouterr().err
 
 
-def test_pak_search_rejects_low_genus(capsys):
-    assert main(["pak-search", str(INPUTS / "pattern.surf")]) == 1
-    assert "lemma hypothesis violated" in capsys.readouterr().out
+def test_pak_search_rejects_low_genus(tmp_path, capsys):
+    out = tmp_path / "o.txt"
+    code = main(["pak-search", "--out", str(out), str(INPUTS / "pattern.surf")])
+    captured = capsys.readouterr()
+    assert code == 2 and not out.exists() and captured.out == ""
+    assert captured.err == "error: pak-search needs genus >= 2 (genus 0)\n"
+
+
+def test_linalg_failure_is_internal_error(monkeypatch, capsys):
+    def failing_svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    assert main(["rigidity", str(INPUTS / "octahedron.poly")]) == 3
+    assert capsys.readouterr().err == "internal error: SVD did not converge\n"
 
 
 @pytest.mark.parametrize("block,row", [
