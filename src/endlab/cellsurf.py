@@ -697,12 +697,13 @@ def validate_hyperideal(surface, l_max=DEFAULT_L_MAX, presentation=None):
                 dual_adj, set(b_faces), l_max):
             if all(e in b_edges for e in path_eseq):
                 continue
-            if not _returns_through_face(surface, dual_surface, oracle, v,
-                                         boundary, b_faces,
-                                         path_vseq, path_eseq):
-                continue
+            # a path above pi is no witness, whatever its homotopy class,
+            # so the Dehn test runs only on paths that could be one
             s = float(sum(th[e] for e in path_eseq))
-            if s <= math.pi + TAU_ANG:
+            if s > math.pi + TAU_ANG:
+                continue
+            if _returns_through_face(surface, dual_surface, oracle, v,
+                                     boundary, b_faces, path_vseq, path_eseq):
                 report.passed = False
                 report.violations.append(
                     Witness("return-path", ("vertex", v, "edges") + tuple(path_eseq),

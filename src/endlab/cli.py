@@ -1,12 +1,13 @@
 """The endlab command line.
 
 Subcommands: check-admissible, rigidity, render, pak-search, schlafli,
-crossratio.  Exit codes: 0 pass, 1 mathematical violation, 2 input or
-usage error, 3 internal numerical fault.  Reports are line-oriented
-"key: value" text with section headers; every report embeds the tool
-version, format versions, seed, and tolerances, and identical inputs with
-identical flags produce byte-identical output.  Values at rounding level
-are printed as "<= bound" sentinels so reruns stay stable.
+crossratio.  Exit codes: 0 pass, 1 mathematical violation or undecided
+verdict (an indeterminate rank), 2 input or usage error, 3 internal
+numerical fault.  Reports are line-oriented "key: value" text with
+section headers; every report embeds the tool version, format versions,
+seed, and tolerances, and identical inputs with identical flags produce
+byte-identical output.  Values at rounding level are printed as "<= bound"
+sentinels so reruns stay stable.
 """
 
 from __future__ import annotations
@@ -127,23 +128,39 @@ def cmd_check_admissible(args):
 # rigidity
 
 
-def cmd_rigidity(args):
-    ps = polysurf.parse_poly(_read(args.files[0]))
-    verdict = rigidity.projective_rigidity_verdict(ps, tau_rank=args.tol_rank)
-    w = ReportWriter("rigidity", seed=args.seed,
-                     tolerances={"tol-rank": args.tol_rank,
-                                 "branch": mink.BRANCH_CONVENTION})
-    w.kv("kind", verdict.kind)
+def _spectrum_and_kernel(w, spectrum, dim, gap):
+    """The SPECTRUM section, relative to the largest singular value, then
+    the KERNEL section's dimension and spectral gap."""
     w.section("SPECTRUM")
-    smax = verdict.spectrum[0] if len(verdict.spectrum) else 0.0
-    w.kv("count", len(verdict.spectrum))
-    for i, s in enumerate(verdict.spectrum):
+    smax = spectrum[0] if len(spectrum) else 0.0
+    w.kv("count", len(spectrum))
+    for i, s in enumerate(spectrum):
         rel = s / smax if smax > 0 else 0.0
         w.kv("sigma-rel %d" % i, _sentinel(rel, 1e-13))
     w.section("KERNEL")
-    w.kv("dim", verdict.kernel_dim)
-    w.kv("gap", "inf" if math.isinf(verdict.gap) else ">= 1e3"
-         if verdict.gap >= 1e3 else "%.3g" % verdict.gap)
+    w.kv("dim", dim)
+    w.kv("gap", "inf" if math.isinf(gap) else ">= 1e3" if gap >= 1e3
+         else "%.3g" % gap)
+
+
+def cmd_rigidity(args):
+    ps = polysurf.parse_poly(_read(args.files[0]))
+    w = ReportWriter("rigidity", seed=args.seed,
+                     tolerances={"tol-rank": args.tol_rank,
+                                 "branch": mink.BRANCH_CONVENTION})
+    w.kv("kind", ps.kind)
+    try:
+        verdict = rigidity.projective_rigidity_verdict(
+            ps, tau_rank=args.tol_rank)
+    except rigidity.IndeterminateRankError as exc:
+        # an undecided verdict, not bad input: report what was measured
+        _spectrum_and_kernel(w, exc.spectrum, "indeterminate", exc.gap)
+        w.section("VERDICT")
+        w.kv("result", "indeterminate rank")
+        _emit(args, w.text())
+        return EXIT_VIOLATION
+    _spectrum_and_kernel(w, verdict.spectrum, verdict.kernel_dim,
+                         verdict.gap)
     w.kv("trivial-dim", verdict.trivial_dim)
     w.kv("residual-dim", verdict.residual_dim)
     w.kv("trivial-match-residual", _sentinel(verdict.trivial_match_residual, 1e-12))

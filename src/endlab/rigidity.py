@@ -41,7 +41,14 @@ and nothing is drawn from it.
 The trivial-motion oracle evaluates the six generators of so(3,1) at the
 vertex data; on convex fixtures these span the kernels of the length
 operators, which is the finite-polyhedron analogue of projective
-rigidity.  (Closed equivariant surfaces of genus g >= 2 in ends have no
+rigidity.  The verdict factors the length operator for its singular
+values only.  When the certified kernel is exactly as large as the
+trivial motions and the operator has full row rank (every rigid closed
+polyhedron), the reported kernel basis is the trivial-motion basis
+itself, which no LAPACK build can change, and its distance from the
+kernel is the row-space part of its columns, from one solve with the Gram
+matrix.  Any other kernel falls back to the right singular vectors of a
+full SVD.  (Closed equivariant surfaces of genus g >= 2 in ends have no
 global isometries and their ideal angle-variation kernels have dimension
 6g-6; finite polyhedra carry the 6 global motions instead, and only the
 algebraic identities and the polyhedral kernel counts are checked here.)
@@ -57,7 +64,9 @@ import numpy as np
 import sympy
 
 from . import mink
-from .decor import is_tight, pak_report
+# pak_report stays bound here although the verdict batches its decorations:
+# bench/test_bench.py checks that the span tracer wraps it at this binding
+from .decor import batch_report, pak_report  # noqa: F401
 from .mink import mdot
 from .polysurf import IDEAL
 
@@ -68,8 +77,9 @@ MIN_GAP = 10.0
 class IndeterminateRankError(ValueError):
     """Spectral gap too small to certify a kernel dimension."""
 
-    def __init__(self, spectrum):
+    def __init__(self, spectrum, gap):
         self.spectrum = np.asarray(spectrum)
+        self.gap = gap
         super().__init__("indeterminate rank; spectrum attached")
 
 
@@ -82,8 +92,9 @@ class OperatorBundle:
     present, is an exact integer basis of the zero-sum space realized
     inside R^E (columns of ``embedding`` give the orthonormal basis
     actually used for coordinates); ``meta`` holds the raw link rows of
-    the decorated length operator.  The full SVD behind the spectrum and
-    the kernel is computed on first use.
+    the decorated length operator.  The singular values are computed on
+    first use, without singular vectors; the full SVD behind
+    :meth:`kernel_basis` only when that is called.
     """
 
     matrix: np.ndarray
@@ -98,13 +109,12 @@ class OperatorBundle:
             self.codomain_metric = np.ones(m.shape[0])
 
     @cached_property
-    def _svd(self):
-        _, s, vt = np.linalg.svd(self.matrix)
-        return s, vt
-
-    @property
     def singular_values(self):
-        return self._svd[0]
+        return np.linalg.svd(self.matrix, compute_uv=False)
+
+    @cached_property
+    def _vt(self):
+        return np.linalg.svd(self.matrix)[2]
 
     def apply(self, x):
         return self.matrix @ np.asarray(x, dtype=float)
@@ -119,7 +129,16 @@ class OperatorBundle:
         return int(np.sum(s > tau_rank * smax)) if smax > 0 else 0
 
     def kernel_basis(self, tau_rank=TAU_RANK):
-        return self._svd[1][self._rank(tau_rank):].T
+        return self._vt[self._rank(tau_rank):].T
+
+    def row_space_residual(self, x):
+        """Frobenius norm of the row-space part L^T (L L^T)^-1 L x of the
+        columns of x, by one solve with the Gram matrix L L^T.  For a
+        matrix of full row rank this is the exact distance of x from the
+        kernel, ||x - K K^T x||_F for an orthonormal kernel basis K."""
+        m = self.matrix
+        y = np.linalg.solve(m @ m.T, m @ x)
+        return float(np.linalg.norm(m.T @ y))
 
     def rank_profile(self, tau_rank=TAU_RANK):
         """(rank, kernel dim, spectral gap) under the tolerance."""
@@ -142,7 +161,7 @@ def kernel_dimension(bundle, tau_rank=TAU_RANK):
     """
     rank, dim, gap = bundle.rank_profile(tau_rank)
     if gap < MIN_GAP:
-        raise IndeterminateRankError(bundle.singular_values)
+        raise IndeterminateRankError(bundle.singular_values, gap)
     return dim, gap
 
 
@@ -232,33 +251,35 @@ def _link_rows(ps):
     return a
 
 
-def decorated_length_variation_operator(ps):
+def decorated_length_variation_operator(ps, basis=None):
     """Per-vertex parallel 1-forms to decorated-length variations, in the
     zero-sum realization of the shift quotient.
 
     Columns: two 1-form coefficients per vertex (the chart differentials);
     rows: coordinates in the orthonormal zero-sum basis.  The exact integer
-    basis is kept on the bundle for constraint-exact tests.
+    basis is kept on the bundle for constraint-exact tests.  ``basis`` is
+    the (integer, orthonormal) pair of :func:`zero_sum_basis`, computed
+    here when not given.
     """
     if ps.kind != IDEAL:
         raise ValueError("ideal surfaces only")
-    b_int, q = zero_sum_basis(ps.tri)
+    b_int, q = zero_sum_basis(ps.tri) if basis is None else basis
     raw = _link_rows(ps).T
     mat = q.T @ raw
     return OperatorBundle(mat, embedding=q, int_basis=b_int,
                           meta={"raw_rows": raw})
 
 
-def ideal_angle_variation_operator(ps):
+def ideal_angle_variation_operator(ps, basis=None):
     """Zero-sum edge weight variations to per-vertex chart vectors.
 
     The domain constraint (weights at each vertex sum to zero) makes the
     chart sums translation-invariant, hence honest parallel vectors.
-    Adjoint to the decorated-length variation operator.
+    Adjoint to the decorated-length variation operator; ``basis`` as there.
     """
     if ps.kind != IDEAL:
         raise ValueError("ideal surfaces only")
-    b_int, q = zero_sum_basis(ps.tri)
+    b_int, q = zero_sum_basis(ps.tri) if basis is None else basis
     mat = _link_rows(ps) @ q
     return OperatorBundle(mat, embedding=q, int_basis=b_int)
 
@@ -320,7 +341,6 @@ def kernel_vector_as_deformation(ps, op, coords):
 
 @dataclass
 class RigidityVerdict:
-    kind: str
     kernel_dim: int
     gap: float
     trivial_dim: int
@@ -336,40 +356,51 @@ def projective_rigidity_verdict(ps, tau_rank=TAU_RANK):
     """Kernel of the length-variation operator vs the trivial motions.
 
     Residual dimension 0 on convex fixtures is the finite analogue of
-    rigidity within a fixed end; each near-kernel vector also reports the
-    induced edge decoration and its component counting.  Each operator of
-    the adjoint pair is assembled once, and only the length operator is
-    factored.
+    rigidity within a fixed end; each kernel basis vector also reports the
+    induced edge decoration and its component counting, all vectors in one
+    :func:`~endlab.decor.batch_report`.  Each operator of the adjoint pair
+    is assembled once, over one zero-sum basis on ideal surfaces, and only
+    the length operator is factored, for its singular values.  When the
+    kernel is as large as the trivial motions and the length operator has
+    full row rank, the kernel basis reported is the trivial-motion basis;
+    otherwise it comes from a full SVD.
     """
     if ps.kind == IDEAL:
-        op = decorated_length_variation_operator(ps)
-        mop = ideal_angle_variation_operator(ps)
+        basis = zero_sum_basis(ps.tri)
+        op = decorated_length_variation_operator(ps, basis)
+        mop = ideal_angle_variation_operator(ps, basis)
     else:
         op = length_variation_operator(ps)
         mop = angle_motion_operator(ps)
     dim, gap = kernel_dimension(op, tau_rank)
-    kb = op.kernel_basis(tau_rank)
     tb = trivial_motion_basis(ps)
-    # trivial motions must lie inside the kernel
-    resid = float(np.linalg.norm(tb - kb @ (kb.T @ tb)))
+    rank = op.matrix.shape[1] - dim
+    # trivial motions must lie inside the kernel; when the kernel is as
+    # large as they are and L is onto, they are its basis, off it by only
+    # their row-space part
+    if dim == tb.shape[1] and rank == op.matrix.shape[0]:
+        kb = tb
+        resid = op.row_space_residual(tb)
+    else:
+        kb = op.kernel_basis(tau_rank)
+        resid = float(np.linalg.norm(tb - kb @ (kb.T @ tb)))
     residual_dim = dim - tb.shape[1]
-    decos = []
-    for j in range(kb.shape[1]):
-        z = kernel_vector_as_deformation(ps, op, kb[:, j])
-        dec = ps.decoration_from_deformation(z)
-        rep = pak_report(dec)
-        decos.append({
-            "tight": is_tight(dec).tight,
-            "oriented_edges": dec.n_oriented(),
-            "components_outside_coverage": sum(
-                1 for c in rep.components if not c.chain_closes),
-            "identities_hold": rep.all_identities_hold(),
-        })
+    states = np.array([
+        ps.decoration_from_deformation(
+            kernel_vector_as_deformation(ps, op, kb[:, j])).states
+        for j in range(kb.shape[1])], dtype=int).reshape(-1, ps.tri.n_edges)
+    rep = batch_report(ps.tri, states)
+    decos = [{"tight": bool(tight), "oriented_edges": int(oriented),
+              "components_outside_coverage": int(outside),
+              "identities_hold": bool(holds)}
+             for tight, oriented, outside, holds in zip(
+                 rep.tight, np.count_nonzero(states, axis=1), rep.outside,
+                 rep.identities)]
     notes = ["finite polyhedron: trivial subspace is the 6 global motions",
              "closed genus-g surfaces in ends would instead carry a "
              "6g-6 dimensional ideal angle kernel"]
     return RigidityVerdict(
-        kind=ps.kind, kernel_dim=dim, gap=gap, trivial_dim=tb.shape[1],
+        kernel_dim=dim, gap=gap, trivial_dim=tb.shape[1],
         residual_dim=residual_dim, trivial_match_residual=resid,
         adjointness=adjointness_residual(op, mop),
         decorations=decos, spectrum=op.singular_values, notes=notes)

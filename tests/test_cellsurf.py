@@ -539,3 +539,78 @@ def test_hyperideal_genus2_return_paths_need_labels():
     assert len(rep.violations) == 32
     with pytest.raises(MissingLabelError):
         validate_hyperideal(s, l_max=3, presentation=None)
+
+
+def _hyperideal_checking_every_return_path(surface, l_max, presentation):
+    """validate_hyperideal as it was before return paths were compared with
+    pi first: the Dehn test runs on every return path.  Verbatim loops."""
+    report = cellsurf.ValidationReport(True)
+    th = surface.theta
+    duals = surface.dual_edges()
+
+    dual_adj = [[] for _ in range(surface.n_faces)]
+    for e, (f1, f2) in enumerate(duals):
+        dual_adj[f1].append((f2, e))
+        if f1 != f2:
+            dual_adj[f2].append((f1, e))
+
+    dual_surface = cellsurf.dual_cell_surface(surface)
+    oracle = cellsurf.ContractibilityOracle(
+        dual_surface,
+        None if presentation is None else presentation.dual_presentation())
+
+    # condition (1): contractible dual cycles
+    for vseq, eseq in simple_cycles_upto(surface.n_faces, dual_adj, l_max):
+        if not oracle.cycle_is_contractible(list(vseq), list(eseq)):
+            continue
+        report.checked_cycles += 1
+        s = float(sum(th[e] for e in eseq))
+        if s <= 2.0 * math.pi + cellsurf.TAU_ANG:
+            report.passed = False
+            report.violations.append(cellsurf.Witness(
+                "dual-cycle", ("edges",) + tuple(eseq), s, 2.0 * math.pi))
+
+    # condition (2): face-homotopic return paths
+    for v in range(surface.n_vertices):
+        boundary = surface.dual_face_boundary(v)
+        b_edges = [e for e, _ in boundary]
+        b_faces = [int(surface.dart_face[d]) for d in surface.vertex_star(v)]
+        for path_vseq, path_eseq in cellsurf._simple_paths_between(
+                dual_adj, set(b_faces), l_max):
+            if all(e in b_edges for e in path_eseq):
+                continue
+            if not cellsurf._returns_through_face(
+                    surface, dual_surface, oracle, v, boundary, b_faces,
+                    path_vseq, path_eseq):
+                continue
+            s = float(sum(th[e] for e in path_eseq))
+            if s <= math.pi + cellsurf.TAU_ANG:
+                report.passed = False
+                report.violations.append(cellsurf.Witness(
+                    "return-path", ("vertex", v, "edges") + tuple(path_eseq),
+                    s, math.pi))
+    return report
+
+
+@pytest.mark.parametrize("theta", ["0.3pi", "0.45pi", "0.52pi", "bad-link",
+                                   "random-0", "random-1"])
+def test_hyperideal_return_paths_same_violations_as_dehn_first(theta):
+    # comparing with pi before the Dehn test only skips paths that are no
+    # witness: the violations, in order, are those of testing every path;
+    # the random weights put return paths on both sides of pi
+    g = genus2_complex()
+    n = g.surface.n_edges
+    if theta == "bad-link":
+        values = genus2_theta_bad_link()[0]
+    elif theta.startswith("random"):
+        rng = np.random.default_rng(int(theta[-1]))
+        values = rng.uniform(0.2 * math.pi, 0.6 * math.pi, size=n)
+    else:
+        values = np.full(n, float(theta[:-2]) * math.pi)
+    s = g.surface.with_theta(values)
+    rep = validate_hyperideal(s, l_max=6, presentation=g.presentation)
+    old = _hyperideal_checking_every_return_path(s, 6, g.presentation)
+    assert rep.violations == old.violations
+    assert (rep.passed, rep.checked_cycles) == (old.passed, old.checked_cycles)
+    assert any(w.kind == "return-path" for w in old.violations) \
+        == (theta in ("0.3pi", "random-0", "random-1"))

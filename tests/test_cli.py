@@ -135,6 +135,19 @@ def test_pak_search_rejects_low_genus(tmp_path, capsys):
     assert captured.err == "error: pak-search needs genus >= 2 (genus 0)\n"
 
 
+def test_indeterminate_rank_is_an_undecided_verdict(tmp_path, capsys):
+    # at tol-rank 0.8 the octahedron's cut falls between 1 and 0.707: too
+    # small a gap to certify a rank, which is a verdict, not bad input
+    code, data = run_to_bytes(tmp_path, [
+        "rigidity", "--tol-rank", "0.8", str(INPUTS / "octahedron.poly")])
+    assert code == 1 and capsys.readouterr().err == ""
+    text = data.decode()
+    assert "kind: ideal\n[SPECTRUM]\ncount: 6\nsigma-rel 0: 1\n" in text
+    assert text.endswith("sigma-rel 5: 0.707107\n[KERNEL]\n"
+                         "dim: indeterminate\ngap: 1.41\n"
+                         "[VERDICT]\nresult: indeterminate rank\n")
+
+
 def test_linalg_failure_is_internal_error(monkeypatch, capsys):
     def failing_svd(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")

@@ -6,13 +6,15 @@ import pytest
 
 from endlab import fixtures, mink, rigidity
 from endlab.cellsurf import from_face_vertex_lists
+from endlab.decor import is_tight, pak_report
 from endlab.mink import mdot
 from endlab.polysurf import PolySurface, compact_point
 from endlab.rigidity import (IndeterminateRankError, OperatorBundle,
                              adjointness_residual, angle_motion_operator,
                              decorated_length_variation_operator,
                              ideal_angle_variation_operator,
-                             kernel_dimension, length_variation_operator,
+                             kernel_dimension, kernel_vector_as_deformation,
+                             length_variation_operator,
                              projective_rigidity_verdict, shift_map_matrix,
                              trivial_motion_basis, zero_sum_basis)
 
@@ -206,6 +208,7 @@ def test_indeterminate_rank_raises():
     with pytest.raises(IndeterminateRankError) as err:
         kernel_dimension(b)
     assert len(err.value.spectrum) == 3
+    assert err.value.gap == pytest.approx(1.2 / 0.9)
 
 
 def test_kernel_dim_rescaling_invariant():
@@ -359,7 +362,7 @@ def test_rigidity_verdict_flat_fixture_flagged():
     (lambda: fixtures.compact_tetrahedron(1.0), "length_variation_operator",
      "angle_motion_operator", 0),
     (fixtures.ideal_octahedron, "decorated_length_variation_operator",
-     "ideal_angle_variation_operator", 2),
+     "ideal_angle_variation_operator", 1),
 ])
 def test_verdict_assembles_and_factors_once(monkeypatch, make, length_op,
                                             angle_op, max_bases):
@@ -405,3 +408,74 @@ def test_adjointness_residual_bounds_every_pair():
             defect = (np.dot(lop.apply(z), t)
                       - mop.pair_codomain(z, mop.apply(t)))
             assert abs(defect) <= resid * np.linalg.norm(z) * np.linalg.norm(t)
+
+
+# ---------------------------------------------------------------------------
+# the verdict's kernel basis: trivial motions without the full SVD
+
+FAST_PATH = {
+    "compact-tetrahedron": lambda: fixtures.compact_tetrahedron(1.0),
+    "random-compact": lambda: fixtures.random_convex_compact(4, 12),
+    "hyperideal-tetrahedron": lambda: fixtures.hyperideal_tetrahedron(2.0),
+    "ideal-octahedron": fixtures.ideal_octahedron,
+    "random-ideal": lambda: fixtures.random_ideal(13, 10),
+}
+
+
+def _length_operator(ps):
+    if ps.kind == "ideal":
+        return decorated_length_variation_operator(ps)
+    return length_variation_operator(ps)
+
+
+@pytest.mark.parametrize("make", FAST_PATH.values(), ids=FAST_PATH)
+def test_trivial_basis_is_the_svd_kernel(make):
+    ps = make()
+    op = _length_operator(ps)
+    tb = trivial_motion_basis(ps)
+    dim, _ = kernel_dimension(op)
+    rows, cols = op.matrix.shape
+    assert dim == tb.shape[1] == cols - rows  # full row rank: the fast path
+    kb = op.kernel_basis()
+    outside = tb - kb @ (kb.T @ tb)
+    resid = op.row_space_residual(tb)
+    assert abs(resid - np.linalg.norm(outside)) <= 1e-13
+    # both bases orthonormal and of one dimension: the largest sine of the
+    # principal angles between the spans is the 2-norm of the part outside
+    assert np.linalg.norm(outside, 2) <= 1e-10
+    assert projective_rigidity_verdict(ps).trivial_match_residual == resid
+
+
+def test_row_space_residual_is_distance_from_kernel():
+    # away from rounding level too: columns well off the kernel of a
+    # random matrix of full row rank
+    rng = np.random.default_rng(9)
+    b = OperatorBundle(rng.normal(size=(5, 11)))
+    x, _ = np.linalg.qr(rng.normal(size=(11, 4)))
+    kb = b.kernel_basis()
+    dist = np.linalg.norm(x - kb @ (kb.T @ x))
+    assert dist > 0.5
+    assert b.row_space_residual(x) == pytest.approx(dist, rel=1e-12)
+
+
+@pytest.mark.parametrize("make", list(FAST_PATH.values())
+                         + [fixtures.flat_vertex_pyramid],
+                         ids=list(FAST_PATH) + ["flat-vertex"])
+def test_batched_decorations_match_scalar_path(make):
+    ps = make()
+    op = _length_operator(ps)
+    v = projective_rigidity_verdict(ps)
+    kb = (trivial_motion_basis(ps) if v.residual_dim == 0
+          else op.kernel_basis())
+    assert len(v.decorations) == kb.shape[1] == v.kernel_dim
+    for j, d in enumerate(v.decorations):
+        dec = ps.decoration_from_deformation(
+            kernel_vector_as_deformation(ps, op, kb[:, j]))
+        rep = pak_report(dec)
+        assert d == {
+            "tight": is_tight(dec).tight,
+            "oriented_edges": dec.n_oriented(),
+            "components_outside_coverage": sum(
+                1 for c in rep.components if not c.chain_closes),
+            "identities_hold": rep.all_identities_hold(),
+        }
