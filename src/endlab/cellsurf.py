@@ -693,15 +693,14 @@ def validate_hyperideal(surface, l_max=DEFAULT_L_MAX, presentation=None):
         boundary = surface.dual_face_boundary(v)
         b_edges = [e for e, _ in boundary]
         b_faces = [int(surface.dart_face[d]) for d in surface.vertex_star(v)]
+        # a path above pi is no witness, whatever its homotopy class, so
+        # the search stops there and the Dehn test runs only on paths that
+        # could be one
         for path_vseq, path_eseq in _simple_paths_between(
-                dual_adj, set(b_faces), l_max):
+                dual_adj, set(b_faces), l_max, th, math.pi + TAU_ANG):
             if all(e in b_edges for e in path_eseq):
                 continue
-            # a path above pi is no witness, whatever its homotopy class,
-            # so the Dehn test runs only on paths that could be one
             s = float(sum(th[e] for e in path_eseq))
-            if s > math.pi + TAU_ANG:
-                continue
             if _returns_through_face(surface, dual_surface, oracle, v,
                                      boundary, b_faces, path_vseq, path_eseq):
                 report.passed = False
@@ -711,33 +710,49 @@ def validate_hyperideal(surface, l_max=DEFAULT_L_MAX, presentation=None):
     return report
 
 
-def _simple_paths_between(adjacency, endpoints, l_max):
+def _simple_paths_between(adjacency, endpoints, l_max, theta=None,
+                          budget=math.inf):
     """Simple paths with >= 2 edges between endpoint vertices, as (vseq, eseq).
 
     Interior vertices are distinct; the final vertex may close onto the
-    start.  Each path is reported once up to reversal.
+    start.  Each path is reported once up to reversal, in the order the
+    search first meets it.  With positive per-edge weights ``theta``, only
+    paths whose weight sum is at most ``budget`` are reported, and the
+    search never extends a path past the budget (no extension can come
+    back under it).
     """
     out = []
     seen = set()
+    on_path = [False] * len(adjacency)
+    vpath, epath = [], []
 
-    def record(vseq, eseq):
-        key = (tuple(vseq), tuple(eseq))
-        rkey = (key[0][::-1], key[1][::-1])
-        if key not in seen and rkey not in seen:
-            seen.add(key)
-            out.append((list(vseq), list(eseq)))
-
-    def dfs(v, vpath, epath):
+    def dfs(v, total):
         for w, e in adjacency[v]:
             if len(epath) + 1 > l_max or e in epath:
                 continue
-            if w in endpoints and len(epath) + 1 >= 2 and w not in vpath[1:]:
-                record(vpath + [w], epath + [e])
-            if w not in vpath and len(epath) + 1 < l_max:
-                dfs(w, vpath + [w], epath + [e])
+            t = total if theta is None else total + theta[e]
+            if t > budget:
+                continue
+            if w in endpoints and epath and (w == vpath[0] or not on_path[w]):
+                key = (tuple(vpath) + (w,), tuple(epath) + (e,))
+                if key not in seen and (key[0][::-1], key[1][::-1]) not in seen:
+                    seen.add(key)
+                    out.append((list(key[0]), list(key[1])))
+            if not on_path[w] and len(epath) + 1 < l_max:
+                on_path[w] = True
+                vpath.append(w)
+                epath.append(e)
+                dfs(w, t)
+                on_path[w] = False
+                vpath.pop()
+                epath.pop()
 
     for s in sorted(endpoints):
-        dfs(s, [s], [])
+        on_path[s] = True
+        vpath.append(s)
+        dfs(s, 0.0)
+        on_path[s] = False
+        vpath.pop()
     return out
 
 

@@ -116,12 +116,6 @@ class OperatorBundle:
     def _vt(self):
         return np.linalg.svd(self.matrix)[2]
 
-    def apply(self, x):
-        return self.matrix @ np.asarray(x, dtype=float)
-
-    def pair_codomain(self, x, y):
-        return float(np.sum(self.codomain_metric * np.asarray(x) * np.asarray(y)))
-
     def _rank(self, tau_rank):
         """Number of singular values above tau_rank * sigma_max."""
         s = self.singular_values

@@ -614,3 +614,66 @@ def test_hyperideal_return_paths_same_violations_as_dehn_first(theta):
     assert (rep.passed, rep.checked_cycles) == (old.passed, old.checked_cycles)
     assert any(w.kind == "return-path" for w in old.violations) \
         == (theta in ("0.3pi", "random-0", "random-1"))
+
+
+def test_hyperideal_return_paths_same_violations_at_l_max_8():
+    # the budget prune at pi only drops paths that are no witness; random
+    # weights put return paths of up to 5 edges on both sides of pi
+    g = genus2_complex()
+    rng = np.random.default_rng(0)
+    s = g.surface.with_theta(
+        rng.uniform(0.2 * math.pi, 0.6 * math.pi, size=g.surface.n_edges))
+    rep = validate_hyperideal(s, l_max=8, presentation=g.presentation)
+    old = _hyperideal_checking_every_return_path(s, 8, g.presentation)
+    assert rep.violations == old.violations
+    assert (rep.passed, rep.checked_cycles) == (old.passed, old.checked_cycles)
+    assert any(w.kind == "return-path" for w in rep.violations)
+
+
+def _parent_simple_paths_between(adjacency, endpoints, l_max):
+    """_simple_paths_between before the budget prune and the in-place path
+    stacks.  Verbatim."""
+    out = []
+    seen = set()
+
+    def record(vseq, eseq):
+        key = (tuple(vseq), tuple(eseq))
+        rkey = (key[0][::-1], key[1][::-1])
+        if key not in seen and rkey not in seen:
+            seen.add(key)
+            out.append((list(vseq), list(eseq)))
+
+    def dfs(v, vpath, epath):
+        for w, e in adjacency[v]:
+            if len(epath) + 1 > l_max or e in epath:
+                continue
+            if w in endpoints and len(epath) + 1 >= 2 and w not in vpath[1:]:
+                record(vpath + [w], epath + [e])
+            if w not in vpath and len(epath) + 1 < l_max:
+                dfs(w, vpath + [w], epath + [e])
+
+    for s in sorted(endpoints):
+        dfs(s, [s], [])
+    return out
+
+
+@pytest.mark.parametrize("name", ["dual-tetrahedron", "dual-octahedron",
+                                  "dual-genus2", "theta-sphere", "loop-torus"])
+def test_simple_paths_between_match_parent_search(name):
+    # unweighted: the same list in the same order; weighted: the parent's
+    # list filtered by the budget, still in order
+    n, adj, _ = ORACLE_GRAPHS[name]()
+    n_edges = 1 + max(e for nbrs in adj for _, e in nbrs)
+    rng = np.random.default_rng(7)
+    for l_max in (2, 3, 5, 7):
+        for size in (1, 2, 3):
+            endpoints = set(rng.choice(n, size=min(size, n), replace=False)
+                            .tolist())
+            old = _parent_simple_paths_between(adj, endpoints, l_max)
+            assert cellsurf._simple_paths_between(adj, endpoints, l_max) == old
+            theta = rng.uniform(0.2 * math.pi, 0.6 * math.pi, size=n_edges)
+            for budget in (math.pi, 1.7 * math.pi):
+                kept = [p for p in old
+                        if sum(theta[e] for e in p[1]) <= budget]
+                assert cellsurf._simple_paths_between(
+                    adj, endpoints, l_max, theta, budget) == kept

@@ -1,11 +1,16 @@
 import cmath
 import math
+import struct
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from endlab import crossratio as cx
 from endlab import fixtures
+from endlab.cellsurf import CellSurface, parse_surf
 from endlab.crossratio import (CrossRatioAssignment, CrossRatioError,
                                edge_cross_ratio, from_ideal_surface,
                                holonomy_loop, holonomy_trace,
@@ -13,6 +18,7 @@ from endlab.crossratio import (CrossRatioAssignment, CrossRatioError,
                                shear_angle_split, solve_vertex_conditions,
                                to_homog, vertex_conditions,
                                vertex_loop_darts)
+from scripts_path import INPUTS  # see conftest
 
 
 def mobius(mat, z):
@@ -245,6 +251,73 @@ def test_synthetic_genus2_solution():
     assert abs(tr - tr2) <= 1e-8
 
 
+def genus2_uniform():
+    return parse_surf((INPUTS / "genus2_uniform.surf").read_text())
+
+
+def one_vertex_torus():
+    # every edge is a loop, so each edge appears twice in the one star
+    return CellSurface(1, [(0, 0)] * 3, [[0, 2, 5], [4, 1, 3]])
+
+
+JACOBIAN_SURFACES = {
+    "genus2-uniform": genus2_uniform,
+    "genus2-complex": lambda: fixtures.genus2_complex().surface,
+    "one-vertex-torus": one_vertex_torus,
+}
+
+
+def loop_residuals(surface, cr):
+    """Per-star loop form of the residuals: (P_v - 1, S_v) per vertex."""
+    res = []
+    for v in range(surface.n_vertices):
+        partial = np.cumprod([-cr[d // 2] for d in surface.vertex_star(v)])
+        res += [partial[-1] - 1.0, partial.sum()]
+    return np.array(res)
+
+
+@pytest.mark.parametrize("name", sorted(JACOBIAN_SURFACES))
+def test_exact_jacobian_matches_central_differences(name):
+    surface = JACOBIAN_SURFACES[name]()
+    edges, mask = cx._star_arrays(surface)
+    ne = surface.n_edges
+    rng = np.random.default_rng(5)
+    h = 1e-6
+    for spread in (0.08, 0.3, 1.0):
+        cr = 1j * np.exp(spread * rng.normal(size=ne)
+                         + 0.05j * rng.normal(size=ne))
+        res = cx._condition_residuals(cr, edges, mask)
+        want = loop_residuals(surface, cr)
+        assert np.max(np.abs(res - want)) <= 1e-12 * np.max(np.abs(want))
+        jac = cx._condition_jacobian(cr, edges, mask)
+        # columns for the real and the imaginary part of each cross-ratio
+        for direction, col in ((1.0, jac), (1j, 1j * jac)):
+            for e in range(ne):
+                dz = np.zeros(ne, dtype=complex)
+                dz[e] = h * direction
+                fd = (cx._condition_residuals(cr + dz, edges, mask)
+                      - cx._condition_residuals(cr - dz, edges, mask)) / (2 * h)
+                assert np.max(np.abs(col[:, e] - fd)) <= (
+                    1e-6 * np.max(np.abs(jac)))
+
+
+def test_seeded_starts_converge_fast():
+    surface = genus2_uniform()
+    for seed in range(200):
+        res = solve_vertex_conditions(surface, seed=seed, spread=0.3)
+        assert res.converged and res.iterations <= 10, seed
+        assert vertex_conditions(res.assignment).passed, seed
+
+
+def test_overflowing_trial_step_is_rejected_quietly():
+    # this start's line search meets residuals near 1e182, whose squared
+    # norm overflowed before the trial was rejected
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = solve_vertex_conditions(genus2_uniform(), seed=27, spread=1.0)
+    assert not res.converged
+
+
 def test_synthetic_reports_nonconvergence():
     g = fixtures.genus2_complex()
     res = solve_vertex_conditions(g.surface, seed=0, max_iter=1)
@@ -276,3 +349,23 @@ def test_parse_cr_rejects_bad_records():
                            ("cr 1 0.5 inf", "non-finite")):
         with pytest.raises(CrossRatioError, match="line 3: .*" + reason):
             parse_cr(oc.tri, "\n".join(header_and_edge0 + [record]))
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.none() | st.builds(complex, finite, finite)
+                .filter(lambda z: not (cx._within(z, 0.0, 1e-13)
+                                       or cx._within(z, 1.0, 1e-13))),
+                min_size=12, max_size=12))
+def test_cr_roundtrip_is_bit_exact(values):
+    surface = fixtures.ideal_octahedron().tri
+    text = serialize_cr(CrossRatioAssignment(surface, values))
+    back = parse_cr(surface, text)
+
+    def bits(z):
+        return None if z is None else struct.pack("<dd", z.real, z.imag)
+
+    assert [bits(z) for z in back.values] == [bits(z) for z in values]
+    assert serialize_cr(back) == text
