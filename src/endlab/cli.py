@@ -2,9 +2,11 @@
 
 Subcommands: check-admissible, rigidity, render, pak-search, schlafli,
 crossratio.  Exit codes: 0 pass, 1 mathematical violation or undecided
-verdict (an indeterminate rank), 2 input or usage error, 3 internal
-numerical fault.  Reports are line-oriented "key: value" text with
-section headers; every report embeds the tool version, format versions,
+verdict (an indeterminate rank), 2 input or usage error (a usage error of
+the parser, or one of the error classes in ``INPUT_ERRORS``), 3 internal
+fault (any other ``ValueError``: numpy's ``LinAlgError``, a shape error,
+a broken internal invariant).  Reports are line-oriented "key: value" text
+with section headers; every report embeds the tool version, format versions,
 seed, and tolerances, and identical inputs with identical flags produce
 byte-identical output.  Values at rounding level are printed as "<= bound"
 sentinels so reruns stay stable.
@@ -21,10 +23,17 @@ import numpy as np
 from . import FORMAT_VERSIONS, __version__
 from . import cellsurf, crossratio, decor, mink, polysurf, rigidity, volume
 from .cellsurf import MissingLabelError, SurfaceFormatError
+from .decor import DecorationError
+from .mink import GeometryError
 from .polysurf import PolyBuildError, UnsupportedGeometry
 from .svgout import render_circles
 
 EXIT_PASS, EXIT_VIOLATION, EXIT_USAGE, EXIT_INTERNAL = 0, 1, 2, 3
+
+#: the error classes that mean bad input or a command outside its scope
+INPUT_ERRORS = (SurfaceFormatError, MissingLabelError, PolyBuildError,
+                GeometryError, DecorationError, crossratio.CrossRatioError,
+                OSError)
 
 #: pak-search samples drawn and analyzed per array block
 PAK_BLOCK = 500
@@ -383,14 +392,12 @@ def main(argv=None):
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except np.linalg.LinAlgError as exc:  # a ValueError, but not bad input
-        sys.stderr.write("internal error: %s\n" % exc)
-        return EXIT_INTERNAL
-    except (SurfaceFormatError, MissingLabelError, PolyBuildError,
-            UnsupportedGeometry, crossratio.CrossRatioError,
-            FileNotFoundError, ValueError) as exc:
+    except INPUT_ERRORS as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_USAGE
+    except ValueError as exc:  # LinAlgError included: a fault, not bad input
+        sys.stderr.write("internal error: %s\n" % exc)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

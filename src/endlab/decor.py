@@ -174,7 +174,19 @@ class TightnessReport:
 
 
 def is_tight(dec):
-    """Tightness per the corner-change rules, with the offending vertices."""
+    """Tightness per the corner-change rules, with the offending vertices.
+
+    The limit at a vertex is 2, or 1 when its star holds three or more
+    unoriented darts or two rotation-consecutive ones.  The first of those
+    two conditions never decides a verdict, here or in :func:`batch_report`,
+    and is kept only because it is the paper's definition.  Each corner
+    pairs two rotation-consecutive darts.  If no two unoriented darts are
+    consecutive, every corner beside an unoriented dart pairs it with an
+    oriented one and is worth 1/2, and no two unoriented darts share a
+    corner; k such darts give a total of at least k.  So at k >= 3 the
+    total is at least 3, above either limit, and the vertex offends
+    whether the limit is 1 or 2.
+    """
     s = dec.surface
     totals = vertex_changes(dec)
     limits = np.full(s.n_vertices, 2.0)

@@ -257,37 +257,35 @@ class PolySurface:
         return mink.normalize_timelike(c)
 
     def _face_normals(self):
+        """Support-plane normals of the base faces, one stacked SVD per face
+        size: the right singular vector of the smallest singular value of
+        the face's vertex rows (times the metric), normalised and oriented
+        away from ``reference``.  The planarity margin is sigma_4 /
+        sigma_1 (0 on triangles)."""
         g = np.diag(mink.METRIC_DIAG)
-        out = np.empty((self.tri.n_faces, 4))
-        self._planarity_margin = np.empty(self.tri.n_faces)
-        for f, cyc in enumerate(self.base.face_cycles):
-            vids = [self.base.tail(d) for d in cyc]
-            q = self.vectors[vids]
-            mat = q @ g
-            _, sing, vt = np.linalg.svd(mat)
-            self._planarity_margin[f] = (sing[3] / sing[0]
-                                         if mat.shape[0] >= 4 else 0.0)
-            n = vt[3]
-            nn = mdot(n, n)
-            if nn > 0:
-                n = n / math.sqrt(nn)
-            elif nn < 0:
-                n = mink.normalize_timelike(n)
-            else:
-                raise PolyBuildError("face %d has a null support plane" % f)
-            pairing = mdot(n, self.reference)
-            if pairing > 0:
-                n = -n
-            out[f] = n
+        cycles = self.base.face_cycles
+        sizes = np.array([len(cyc) for cyc in cycles])
+        out = np.empty((len(cycles), 4))
+        self._planarity_margin = np.zeros(len(cycles))
+        for k in np.unique(sizes):
+            faces = np.flatnonzero(sizes == k)
+            vids = np.array([[self.base.tail(d) for d in cycles[f]]
+                             for f in faces])
+            _, sing, vt = np.linalg.svd(self.vectors[vids] @ g)
+            if k >= 4:
+                self._planarity_margin[faces] = sing[:, 3] / sing[:, 0]
+            out[faces] = vt[:, 3]
+        nn = mdot(out, out)
+        null = np.flatnonzero(~((nn > 0) | (nn < 0)))
+        if null.size:
+            raise PolyBuildError("face %d has a null support plane" % null[0])
+        out /= np.sqrt(np.abs(nn))[:, None]
+        # timelike normals on the upper sheet, as mink.normalize_timelike
+        out[(nn < 0) & (out[:, 3] < 0)] *= -1
+        out[mdot(out, self.reference) > 0] *= -1
         if self.tri.n_faces != self.base.n_faces:
             # triangulated faces inherit their polygon's plane
-            full = np.empty((self.tri.n_faces, 4))
-            fi = 0
-            for f, cyc in enumerate(self.base.face_cycles):
-                for _ in range(max(1, len(cyc) - 2)):
-                    full[fi] = out[f]
-                    fi += 1
-            return full
+            return np.repeat(out, np.maximum(1, sizes - 2), axis=0)
         return out
 
     def _check_planarity(self):

@@ -41,13 +41,22 @@ and nothing is drawn from it.
 The trivial-motion oracle evaluates the six generators of so(3,1) at the
 vertex data; on convex fixtures these span the kernels of the length
 operators, which is the finite-polyhedron analogue of projective
-rigidity.  The verdict factors the length operator for its singular
-values only.  When the certified kernel is exactly as large as the
-trivial motions and the operator has full row rank (every rigid closed
+rigidity.  The verdict reads the singular values of the length operator
+from one Gram matrix: on compact/hyperideal surfaces L L^T = A^T A
+(G^2 = 1), which is scattered from the link coordinates over the pairs of
+darts that share a tail vertex, and on ideal ones it is L L^T.  Its
+eigenvalues are the squared singular values, so the Gram squares the
+condition number (Golub & Van Loan, Matrix Computations, 5.3); the
+spectrum is taken from it only when the smallest singular value is at
+least GRAM_MIN_SIGMA = 1e-4 times the largest, four orders above
+TAU_RANK, and otherwise from one full SVD, which then also gives the
+kernel basis.  A rank near the threshold is never decided from squared
+data.  When the certified kernel is exactly as large as the trivial
+motions and the operator has full row rank (every rigid closed
 polyhedron), the reported kernel basis is the trivial-motion basis
 itself, which no LAPACK build can change, and its distance from the
-kernel is the row-space part of its columns, from one solve with the Gram
-matrix.  Any other kernel falls back to the right singular vectors of a
+kernel is the row-space part of its columns, from one solve with the same
+Gram matrix.  Any other kernel comes from the right singular vectors of a
 full SVD.  (Closed equivariant surfaces of genus g >= 2 in ends have no
 global isometries and their ideal angle-variation kernels have dimension
 6g-6; finite polyhedra carry the 6 global motions instead, and only the
@@ -72,6 +81,8 @@ from .polysurf import IDEAL
 
 TAU_RANK = 1e-8
 MIN_GAP = 10.0
+#: smallest sigma / sigma_max for which the spectrum is read off the Gram
+GRAM_MIN_SIGMA = 1e-4
 
 
 class IndeterminateRankError(ValueError):
@@ -92,9 +103,16 @@ class OperatorBundle:
     present, is an exact integer basis of the zero-sum space realized
     inside R^E (columns of ``embedding`` give the orthonormal basis
     actually used for coordinates); ``meta`` holds the raw link rows of
-    the decorated length operator.  The singular values are computed on
-    first use, without singular vectors; the full SVD behind
-    :meth:`kernel_basis` only when that is called.
+    the decorated length operator; ``gram`` is the Gram matrix of the
+    rows, L L^T, when the builder has it more cheaply than the product
+    (it is formed on first use otherwise).
+
+    The singular values are computed on first use, as the square roots of
+    the eigenvalues of the Gram matrix of the smaller side (``eigvalsh``,
+    no vectors), in descending order.  When the smallest of them is under
+    GRAM_MIN_SIGMA times the largest, they come instead from one full SVD,
+    whose right singular vectors then serve :meth:`kernel_basis`; on the
+    Gram route a full SVD runs only if :meth:`kernel_basis` is called.
     """
 
     matrix: np.ndarray
@@ -102,19 +120,37 @@ class OperatorBundle:
     embedding: np.ndarray = None
     int_basis: np.ndarray = None
     meta: dict = field(default_factory=dict)
+    gram: np.ndarray = None
 
     def __post_init__(self):
         self.matrix = m = np.asarray(self.matrix, dtype=float)
         if self.codomain_metric is None:
             self.codomain_metric = np.ones(m.shape[0])
 
+    def _row_gram(self):
+        if self.gram is None:
+            self.gram = self.matrix @ self.matrix.T
+        return self.gram
+
     @cached_property
+    def _factors(self):
+        """(singular values, V^T of a full SVD or None on the Gram route)."""
+        m = self.matrix
+        g = self._row_gram() if m.shape[0] <= m.shape[1] else m.T @ m
+        s = np.sqrt(np.maximum(np.linalg.eigvalsh(g)[::-1], 0.0))
+        if len(s) and s[0] > 0 and s[-1] >= GRAM_MIN_SIGMA * s[0]:
+            return s, None
+        _, s, vt = np.linalg.svd(m)
+        return s, vt
+
+    @property
     def singular_values(self):
-        return np.linalg.svd(self.matrix, compute_uv=False)
+        return self._factors[0]
 
     @cached_property
     def _vt(self):
-        return np.linalg.svd(self.matrix)[2]
+        vt = self._factors[1]
+        return np.linalg.svd(self.matrix)[2] if vt is None else vt
 
     def _rank(self, tau_rank):
         """Number of singular values above tau_rank * sigma_max."""
@@ -127,11 +163,12 @@ class OperatorBundle:
 
     def row_space_residual(self, x):
         """Frobenius norm of the row-space part L^T (L L^T)^-1 L x of the
-        columns of x, by one solve with the Gram matrix L L^T.  For a
+        columns of x, by one solve with the Gram matrix L L^T (the one
+        the spectrum was read from, when it was).  For a
         matrix of full row rank this is the exact distance of x from the
         kernel, ||x - K K^T x||_F for an orthonormal kernel basis K."""
         m = self.matrix
-        y = np.linalg.solve(m @ m.T, m @ x)
+        y = np.linalg.solve(self._row_gram(), m @ x)
         return float(np.linalg.norm(m.T @ y))
 
     def rank_profile(self, tau_rank=TAU_RANK):
@@ -179,7 +216,7 @@ def length_variation_operator(ps):
     # G A pairs each link tangent with the frame rows; adding 0.0 clears
     # the -0.0 that negative signs put on the zeros of A
     mat = (metric[:, None] * _link_rows(ps)).T + 0.0
-    return OperatorBundle(mat)
+    return OperatorBundle(mat, gram=_link_gram(ps))
 
 
 def angle_motion_operator(ps):
@@ -243,6 +280,26 @@ def _link_rows(ps):
     a = np.zeros((k * nv, ps.tri.n_edges))
     np.add.at(a, (rows, edges), links.coords)
     return a
+
+
+def _link_gram(ps):
+    """A^T A for the link-row matrix A of :func:`_link_rows`, scattered over
+    the pairs of darts with a common tail: entry (e, f) sums <coords[d],
+    coords[d']> over the darts d of e and d' of f with tail(d) = tail(d')
+    (sum of deg(v)^2 pairs instead of a dense product)."""
+    coords = ps.links().coords
+    tail = ps.tri.dart_tail
+    order = np.argsort(tail, kind="stable")  # darts grouped by tail
+    deg = np.bincount(tail, minlength=ps.tri.n_vertices)
+    reps = deg[tail[order]]  # each dart pairs with every dart of its star
+    left = np.repeat(order, reps)
+    slot = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+    first = np.cumsum(deg) - deg
+    right = order[np.repeat(first[tail[order]], reps) + slot]
+    gram = np.zeros((ps.tri.n_edges, ps.tri.n_edges))
+    np.add.at(gram, (left // 2, right // 2),
+              np.vecdot(coords[left], coords[right]))
+    return gram
 
 
 def decorated_length_variation_operator(ps, basis=None):
@@ -312,7 +369,8 @@ def adjointness_residual(lop, mop):
     It bounds |<L z, t> - <z, M t>_G| / (|z| |t|) over all pairs (z, t).
     """
     gm = mop.codomain_metric[:, None] * mop.matrix
-    return float(np.linalg.norm(lop.matrix.T - gm))
+    np.subtract(lop.matrix.T, gm, out=gm)
+    return float(np.linalg.norm(gm))
 
 
 # ---------------------------------------------------------------------------
@@ -353,11 +411,15 @@ def projective_rigidity_verdict(ps, tau_rank=TAU_RANK):
     rigidity within a fixed end; each kernel basis vector also reports the
     induced edge decoration and its component counting, all vectors in one
     :func:`~endlab.decor.batch_report`.  Each operator of the adjoint pair
-    is assembled once, over one zero-sum basis on ideal surfaces, and only
-    the length operator is factored, for its singular values.  When the
-    kernel is as large as the trivial motions and the length operator has
-    full row rank, the kernel basis reported is the trivial-motion basis;
-    otherwise it comes from a full SVD.
+    is assembled once, over one zero-sum basis on ideal surfaces; the angle
+    operator serves only the adjointness check, which runs first so that
+    its memory is released before the factorisation.  Only the length
+    operator is factored: one ``eigvalsh`` of its Gram matrix, and one full
+    SVD only when the Gram is too ill-conditioned to decide the rank or
+    the kernel basis is needed.  When the kernel is as large as the
+    trivial motions and the length operator has full row rank, the kernel
+    basis reported is the trivial-motion basis; otherwise it comes from a
+    full SVD.
     """
     if ps.kind == IDEAL:
         basis = zero_sum_basis(ps.tri)
@@ -366,6 +428,8 @@ def projective_rigidity_verdict(ps, tau_rank=TAU_RANK):
     else:
         op = length_variation_operator(ps)
         mop = angle_motion_operator(ps)
+    adjointness = adjointness_residual(op, mop)
+    del mop
     dim, gap = kernel_dimension(op, tau_rank)
     tb = trivial_motion_basis(ps)
     rank = op.matrix.shape[1] - dim
@@ -396,5 +460,5 @@ def projective_rigidity_verdict(ps, tau_rank=TAU_RANK):
     return RigidityVerdict(
         kernel_dim=dim, gap=gap, trivial_dim=tb.shape[1],
         residual_dim=residual_dim, trivial_match_residual=resid,
-        adjointness=adjointness_residual(op, mop),
+        adjointness=adjointness,
         decorations=decos, spectrum=op.singular_values, notes=notes)

@@ -45,6 +45,13 @@ def test_exit_codes_usage_errors(tmp_path, capsys):
     assert main(["schlafli", "--definitely-bad-flag"]) == 2
 
 
+def test_unreadable_input_is_a_usage_error(tmp_path, capsys):
+    # a missing file, or a directory where a file belongs (any OSError)
+    assert main(["rigidity", str(tmp_path / "missing.poly")]) == 2
+    assert main(["rigidity", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.count("error: [Errno") == 2
+
+
 def test_edge_endpoint_out_of_range_rejected(tmp_path, capsys):
     path = tmp_path / "endpoint.surf"
     path.write_text("v 0\nv 1\nv 2\ne 0 0 1\ne 1 1 7\ne 2 7 0\n"
@@ -127,6 +134,17 @@ def test_rigidity_rejects_mixed_vertex_kinds(tmp_path, capsys):
     assert "mixed" in capsys.readouterr().err
 
 
+def test_geometry_error_is_a_usage_error(tmp_path, capsys):
+    # two vertices at one ideal point (different decorations) share an edge
+    text = (INPUTS / "octahedron.poly").read_text()
+    record = "geom 2 ideal 0 1 0 1"
+    assert record in text
+    path = tmp_path / "same.poly"
+    path.write_text(text.replace(record, "geom 2 ideal 2 0 0 2", 1))
+    assert main(["rigidity", str(path)]) == 2
+    assert capsys.readouterr().err == "error: same ideal point\n"
+
+
 def test_pak_search_rejects_low_genus(tmp_path, capsys):
     out = tmp_path / "o.txt"
     code = main(["pak-search", "--out", str(out), str(INPUTS / "pattern.surf")])
@@ -155,6 +173,27 @@ def test_linalg_failure_is_internal_error(monkeypatch, capsys):
     monkeypatch.setattr(np.linalg, "svd", failing_svd)
     assert main(["rigidity", str(INPUTS / "octahedron.poly")]) == 3
     assert capsys.readouterr().err == "internal error: SVD did not converge\n"
+
+
+@pytest.mark.parametrize("owner,name,argv,message", [
+    ("rigidity", "zero_sum_basis", ["rigidity", "octahedron.poly"],
+     "per-vertex shift map is not injective"),
+    ("cli", "cmd_schlafli", ["schlafli"],
+     "operands could not be broadcast together with shapes (3,) (4,)"),
+], ids=["not-injective", "shape-error"])
+def test_bare_value_error_is_internal_error(monkeypatch, capsys, owner, name,
+                                            argv, message):
+    # an unclassified ValueError is a fault of endlab, not bad input
+    import importlib
+
+    def failing(*args, **kwargs):
+        raise ValueError(message)
+
+    monkeypatch.setattr(importlib.import_module("endlab." + owner), name,
+                        failing)
+    argv = argv[:1] + [str(INPUTS / a) for a in argv[1:]]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "internal error: %s\n" % message
 
 
 @pytest.mark.parametrize("block,row", [

@@ -317,8 +317,9 @@ def test_batch_rejects_bad_input(uniform_surf):
 
 
 def test_cli_import_leaves_scipy_sparse_out():
+    # scipy.linalg too: the rigidity spectrum and solves use numpy only
     src = str(pathlib.Path(decor.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, %r); import endlab.cli; "
-            "sys.exit(any(m.startswith('scipy.sparse') for m in sys.modules))"
-            % src)
+            "sys.exit(any(m.startswith(('scipy.sparse', 'scipy.linalg')) "
+            "for m in sys.modules))" % src)
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0

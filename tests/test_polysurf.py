@@ -251,6 +251,15 @@ def test_nonplanar_quad_rejected():
         PolySurface(surf, [compact_point(p) for p in pts])
 
 
+def test_planarity_margins_one_per_base_face():
+    ps = square_pyramid()
+    margins = ps.diagnostics["planarity_margins"]
+    sizes = [len(cyc) for cyc in ps.base.face_cycles]
+    assert len(margins) == ps.base.n_faces == 5 and sorted(sizes)[-1] == 4
+    for size, margin in zip(sizes, margins):
+        assert margin == 0.0 if size == 3 else 0.0 <= margin < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # gauss circles
 

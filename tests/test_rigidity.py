@@ -1,5 +1,7 @@
 import collections
+import importlib.util
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -358,15 +360,9 @@ def test_rigidity_verdict_flat_fixture_flagged():
     assert v.residual_dim == 1  # reported, not asserted away
 
 
-@pytest.mark.parametrize("make, length_op, angle_op, max_bases", [
-    (lambda: fixtures.compact_tetrahedron(1.0), "length_variation_operator",
-     "angle_motion_operator", 0),
-    (fixtures.ideal_octahedron, "decorated_length_variation_operator",
-     "ideal_angle_variation_operator", 1),
-])
-def test_verdict_assembles_and_factors_once(monkeypatch, make, length_op,
-                                            angle_op, max_bases):
-    ps = make()
+def _verdict_calls(monkeypatch, ps):
+    """The verdict of ps, and its calls of the factorisations and of the
+    operator builders."""
     calls = collections.Counter()
 
     def counted(owner, name):
@@ -378,14 +374,35 @@ def test_verdict_assembles_and_factors_once(monkeypatch, make, length_op,
         monkeypatch.setattr(owner, name, wrapper)
 
     counted(np.linalg, "svd")
+    counted(np.linalg, "eigvalsh")
     for name in ("length_variation_operator", "angle_motion_operator",
                  "decorated_length_variation_operator",
                  "ideal_angle_variation_operator", "zero_sum_basis"):
         counted(rigidity, name)
-    v = rigidity.projective_rigidity_verdict(ps)
+    return rigidity.projective_rigidity_verdict(ps), calls
+
+
+@pytest.mark.parametrize("make, length_op, angle_op, max_bases", [
+    (lambda: fixtures.compact_tetrahedron(1.0), "length_variation_operator",
+     "angle_motion_operator", 0),
+    (fixtures.ideal_octahedron, "decorated_length_variation_operator",
+     "ideal_angle_variation_operator", 1),
+])
+def test_verdict_assembles_and_factors_once(monkeypatch, make, length_op,
+                                            angle_op, max_bases):
+    v, calls = _verdict_calls(monkeypatch, make())
     assert v.kernel_dim == 6
     assert calls.pop("zero_sum_basis", 0) <= max_bases
-    assert calls == {"svd": 1, length_op: 1, angle_op: 1}
+    assert calls.pop("svd", 0) == 0
+    assert calls == {"eigvalsh": 1, length_op: 1, angle_op: 1}
+
+
+def test_rank_deficient_verdict_factors_once(monkeypatch):
+    # the spectrum and the kernel basis from one full SVD
+    v, calls = _verdict_calls(monkeypatch, fixtures.flat_vertex_pyramid())
+    assert v.kernel_dim == 7
+    assert calls == {"eigvalsh": 1, "svd": 1, "length_variation_operator": 1,
+                     "angle_motion_operator": 1}
 
 
 def test_adjointness_residual_bounds_every_pair():
@@ -456,6 +473,91 @@ def test_row_space_residual_is_distance_from_kernel():
     dist = np.linalg.norm(x - kb @ (kb.T @ x))
     assert dist > 0.5
     assert b.row_space_residual(x) == pytest.approx(dist, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the spectrum from one Gram matrix
+
+
+def _spiral(kind, n):
+    """Spiral hull of the benchmark inputs (bench/spiral.py), seeded."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spiral.py"
+    spec = importlib.util.spec_from_file_location("spiral", path)
+    spiral = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spiral)
+    return spiral.build(kind, n, np.random.default_rng([5, n]))
+
+
+GRAM_CASES = dict(FAST_PATH, **{
+    "hyperideal-dual": lambda: fixtures.compact_tetrahedron(1.0)
+    .dual_surface(),
+    "ideal-tetrahedron": fixtures.ideal_tetrahedron,
+    "compact-32": lambda: _spiral("compact", 32),
+    "compact-128": lambda: _spiral("compact", 128),
+    "hyper-32": lambda: _spiral("hyper", 32),
+    "hyper-128": lambda: _spiral("hyper", 128),
+})
+
+
+@pytest.mark.parametrize("make", GRAM_CASES.values(), ids=GRAM_CASES)
+def test_spectrum_from_the_gram(make):
+    op = _length_operator(make())
+    m = op.matrix
+    product = m @ m.T
+    gram = op._row_gram()
+    assert np.max(np.abs(gram - product)) <= 1e-13 * max(
+        1.0, np.max(np.abs(product)))
+    s = np.linalg.svd(m, compute_uv=False)
+    assert s[-1] >= rigidity.GRAM_MIN_SIGMA * s[0]
+    assert np.max(np.abs(op.singular_values - s)) <= 1e-10 * s[0]
+    assert op._factors[1] is None  # no SVD behind the spectrum
+    # a taller matrix goes through the Gram of its columns
+    tall = OperatorBundle(m.T)
+    assert np.max(np.abs(tall.singular_values - s)) <= 1e-10 * s[0]
+    assert tall._factors[1] is None
+
+
+def test_flat_vertex_falls_back_to_one_svd():
+    op = length_variation_operator(fixtures.flat_vertex_pyramid())
+    s, vt = op._factors
+    assert vt is not None and s[-1] < 1e-13 * s[0]
+    assert kernel_dimension(op)[0] == 7
+    kb = op.kernel_basis()
+    assert kb.shape[1] == 7 and np.max(np.abs(op.matrix @ kb)) < 1e-12
+    # the spectrum and the kernel basis come from that one SVD
+    np.testing.assert_array_equal(s, np.linalg.svd(op.matrix)[1])
+
+
+@pytest.mark.parametrize("smallest, gram_route", [
+    (0.0, False), (1e-9, False), (0.5e-4, False), (2e-4, True), (0.3, True),
+])
+def test_gram_guard_on_conditioning(smallest, gram_route):
+    # a 12 x 20 matrix with singular values from 1 down to ``smallest``
+    rng = np.random.default_rng(11)
+    u, _ = np.linalg.qr(rng.normal(size=(12, 12)))
+    v, _ = np.linalg.qr(rng.normal(size=(20, 12)))
+    sigma = np.geomspace(1.0, 0.5, 12)
+    sigma[-1] = smallest
+    b = OperatorBundle(u @ np.diag(sigma) @ v.T)
+    assert (b._factors[1] is None) == gram_route
+    # the Gram loses about eps / sigma_rel^2 relatively: 1e-8 at the guard
+    assert np.all(np.abs(b.singular_values - sigma) <= 1e-14 + 1e-7 * sigma)
+    dim, _ = kernel_dimension(b)
+    assert dim == 8 + (smallest < 1e-8)
+
+
+def test_adjointness_residual_unchanged_by_in_place_subtraction():
+    for fx in (fixtures.compact_tetrahedron(1.0),
+               fixtures.hyperideal_tetrahedron(2.0),
+               fixtures.flat_vertex_pyramid(), fixtures.random_ideal(13, 8)):
+        lop, mop = _length_operator(fx), (
+            ideal_angle_variation_operator(fx) if fx.kind == "ideal"
+            else angle_motion_operator(fx))
+        before = mop.matrix.copy()
+        gm = mop.codomain_metric[:, None] * mop.matrix
+        assert adjointness_residual(lop, mop) == float(
+            np.linalg.norm(lop.matrix.T - gm))
+        np.testing.assert_array_equal(mop.matrix, before)
 
 
 @pytest.mark.parametrize("make", list(FAST_PATH.values())
