@@ -470,9 +470,11 @@ def simple_cycles_upto(n_vertices, adjacency, l_max):
 # contractibility dispatch
 
 
-def _homology_contractible(cycle_edges_signed, boundary_matrix):
-    """Null-homology test over Q (decides contractibility when pi_1 is abelian)."""
-    z = cycle_edges_signed.astype(float)
+def _homology_contractible(darts, boundary_matrix):
+    """Null-homology test over Q of a closed dart path (decides
+    contractibility when pi_1 is abelian)."""
+    z = np.zeros(boundary_matrix.shape[0])
+    np.add.at(z, [d // 2 for d in darts], [1.0 - 2.0 * (d & 1) for d in darts])
     sol, *_ = np.linalg.lstsq(boundary_matrix, z, rcond=None)
     return bool(np.linalg.norm(boundary_matrix @ sol - z) < 1e-8)
 
@@ -484,19 +486,6 @@ def face_boundary_matrix(surface):
         for d in cyc:
             mat[d // 2, f] += 1.0 if d % 2 == 0 else -1.0
     return mat
-
-
-def cycle_signed_vector(surface, vseq, eseq):
-    z = np.zeros(surface.n_edges)
-    for v, e in zip(vseq, eseq):
-        u, w = surface.edges[e]
-        if u == v:
-            z[e] += 1.0
-        elif w == v:
-            z[e] -= 1.0
-        else:
-            raise ValueError("cycle edge %d does not start at vertex %d" % (e, v))
-    return z
 
 
 def cycle_to_darts(surface, vseq, eseq):
@@ -531,12 +520,11 @@ class ContractibilityOracle:
     def cycle_is_contractible(self, vseq, eseq):
         if self.genus == 0:
             return True
+        darts = cycle_to_darts(self.surface, vseq, eseq)
         if self.genus == 1:
-            return _homology_contractible(
-                cycle_signed_vector(self.surface, vseq, eseq), self._boundary)
+            return _homology_contractible(darts, self._boundary)
         if self.presentation is None:
             raise MissingLabelError("missing edge label")
-        darts = cycle_to_darts(self.surface, vseq, eseq)
         return self.presentation.cycle_is_contractible(darts)
 
 
@@ -664,15 +652,8 @@ def validate_hyperideal(surface, l_max=DEFAULT_L_MAX, presentation=None):
     _check_theta(surface)
     report = ValidationReport(True)
     th = surface.theta
-    duals = surface.dual_edges()
-
-    dual_adj = [[] for _ in range(surface.n_faces)]
-    for e, (f1, f2) in enumerate(duals):
-        dual_adj[f1].append((f2, e))
-        if f1 != f2:
-            dual_adj[f2].append((f1, e))
-
     dual_surface = dual_cell_surface(surface)
+    dual_adj = dual_surface.adjacency()
     oracle = ContractibilityOracle(
         dual_surface,
         None if presentation is None else presentation.dual_presentation())

@@ -240,7 +240,11 @@ class PolySurface:
         self.diagnostics = {
             "properness": "global properness unverified (finite model)",
         }
-        self.face_normals = self._face_normals()
+        self.base_face_normals = self._face_normals()
+        # triangulated faces inherit their polygon's plane
+        self.face_normals = np.repeat(
+            self.base_face_normals,
+            [max(1, len(cyc) - 2) for cyc in base.face_cycles], axis=0)
         self._check_planarity()
         self._check_convexity()
         self._links = None
@@ -248,8 +252,19 @@ class PolySurface:
     # -- construction helpers ---------------------------------------------
 
     def _default_reference(self):
+        """A timelike point inside the surface that moves with it: the
+        normalised vertex sum, or for hyperideal surfaces the normalised sum
+        of the midpoints of the edges that cross H^3."""
         if self.kind == HYPER:
-            return np.array([0.0, 0.0, 0.0, 1.0])
+            a, b = np.array(self.base.edges).T
+            crossing = mdot(self.vectors[a], self.vectors[b]) < -1.0
+            if not crossing.any():
+                raise PolyBuildError("no edge crosses H^3; "
+                                     "pass an explicit reference")
+            mid = self.vectors[a[crossing]] + self.vectors[b[crossing]]
+            mid /= np.sqrt(-mdot(mid, mid))[:, None]
+            mid[mid[:, 3] < 0] *= -1
+            return mink.normalize_timelike(mid.sum(axis=0))
         c = self.vectors.sum(axis=0)
         if mdot(c, c) >= 0:
             raise PolyBuildError("vertex data has no timelike centroid; "
@@ -276,16 +291,15 @@ class PolySurface:
                 self._planarity_margin[faces] = sing[:, 3] / sing[:, 0]
             out[faces] = vt[:, 3]
         nn = mdot(out, out)
-        null = np.flatnonzero(~((nn > 0) | (nn < 0)))
+        # mink.classify's rule: null within TAU_NULL of the Euclidean norm
+        null = np.flatnonzero(np.abs(nn) <= mink.TAU_NULL
+                              * np.sum(out * out, axis=1))
         if null.size:
             raise PolyBuildError("face %d has a null support plane" % null[0])
         out /= np.sqrt(np.abs(nn))[:, None]
         # timelike normals on the upper sheet, as mink.normalize_timelike
         out[(nn < 0) & (out[:, 3] < 0)] *= -1
         out[mdot(out, self.reference) > 0] *= -1
-        if self.tri.n_faces != self.base.n_faces:
-            # triangulated faces inherit their polygon's plane
-            return np.repeat(out, np.maximum(1, sizes - 2), axis=0)
         return out
 
     def _check_planarity(self):
@@ -407,11 +421,7 @@ class PolySurface:
         if self.kind != IDEAL:
             raise UnsupportedGeometry("gauss_circles needs an ideal surface")
         out = []
-        seen = 0
-        for f, cyc in enumerate(self.base.face_cycles):
-            tri_index = seen
-            seen += max(1, len(cyc) - 2)
-            n = self.face_normals[tri_index]
+        for n in self.base_face_normals:
             denom = n[2] + n[3]
             if abs(denom) > 1e-9:
                 center = complex(n[0] / denom, n[1] / denom)
@@ -443,15 +453,6 @@ class PolySurface:
                  for f in range(self.base.n_faces)]
         return PolySurface(dual_base, geoms, is_dual=True,
                            reference=self.reference, strict=False)
-
-    def base_face_normal(self, f):
-        """Support-plane normal of base face f (first triangle of its fan)."""
-        first = 0
-        for i, cyc in enumerate(self.base.face_cycles):
-            if i == f:
-                return self.face_normals[first]
-            first += max(1, len(cyc) - 2)
-        raise IndexError(f)
 
     def with_vertex_vectors(self, vecs, reference=None):
         """Same combinatorics and kinds over replaced vertex vectors."""

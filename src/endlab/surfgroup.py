@@ -8,7 +8,9 @@ Dehn's algorithm for the standard relator: cyclically reduce, then replace
 any subword that is more than half of a cyclic form of the relator (or its
 inverse) by the inverse of the complementary part; a word is trivial iff
 this terminates at the empty word.  The standard surface relator has
-pieces of length 1, so the algorithm is a decision procedure.
+pieces of length 1, so the algorithm is a decision procedure, and no two
+cyclic forms share a prefix longer than half the relator: every such
+prefix is one key of a table built once, and each replacement is a lookup.
 
 The octagon machinery realizes the closed genus-2 surface as a regular
 hyperbolic octagon (all corner angles pi/4) with boundary word
@@ -19,7 +21,11 @@ the letters are chosen so that the walk around the single vertex class
 spells the standard relator exactly (asserted at construction, together
 with the matrix identity rho(relator) = +-1).  Developing a dart path of
 the trisected-and-coned fixture through the polygon yields the homotopy
-class of the path as a word, which Dehn's algorithm then decides.
+class of the path as a word.  The fixture develops each dart once, as the
+based loop through a spanning tree, and each dual dart once, as the side
+it crosses; the word of a closed primal or dual path is then the product
+of its darts' words, a conjugate of its class, which Dehn's algorithm
+decides.
 """
 
 from __future__ import annotations
@@ -99,53 +105,52 @@ def standard_relator(genus):
     return tuple(rel)
 
 
-def _relator_forms(relator):
-    forms = set()
+def _long_pieces(relator):
+    """Dehn's replacement table: every prefix longer than half of a cyclic
+    form of the relator or its inverse, mapped to the inverse of the rest of
+    the form."""
+    half = len(relator) // 2
+    table = {}
     for base in (relator, invert_word(relator)):
         for r in range(len(base)):
-            forms.add(base[r:] + base[:r])
-    return sorted(forms)
+            form = base[r:] + base[:r]
+            for length in range(half + 1, len(form) + 1):
+                # pieces of length 1: no two forms share a prefix this long
+                assert form[:length] not in table, form
+                table[form[:length]] = invert_word(form[length:])
+    return table
 
 
 class SurfaceGroupPresentation:
-    """Standard presentation of the genus-g surface group, with the cyclic
-    forms of its relator and their inverses built once for Dehn's
-    algorithm."""
+    """Standard presentation of the genus-g surface group, with the long
+    relator pieces of Dehn's algorithm tabled once."""
 
     def __init__(self, genus):
         if genus < 2:
             raise ValueError("Dehn's algorithm needs genus >= 2")
         self.genus = genus
         self.relator = standard_relator(genus)
-        self._forms = _relator_forms(self.relator)
+        self._pieces = _long_pieces(self.relator)
+
+    def _replace_piece(self, w):
+        """Cyclic word w with its longest, then leftmost, long relator piece
+        replaced by the inverse of the complement; None when it has none."""
+        n = len(w)
+        doubled = w + w
+        for length in range(min(n, len(self.relator)), len(self.relator) // 2,
+                            -1):
+            for start in range(n):
+                rest = self._pieces.get(doubled[start:start + length])
+                if rest is not None:
+                    return cyclic_reduce(doubled[start + length:start + n]
+                                         + rest)
+        return None
 
     def dehn_reduce(self, word):
         """Shorten by Dehn replacements until no long relator piece remains."""
-        forms = self._forms
-        half = len(self.relator) // 2
         w = cyclic_reduce(word)
-        changed = True
-        while changed and w:
-            changed = False
-            doubled = w + w
-            n = len(w)
-            for length in range(len(self.relator), half, -1):
-                if length > n:
-                    continue
-                for start in range(n):
-                    piece = doubled[start:start + length]
-                    for f in forms:
-                        if f[:length] == piece:
-                            # w = (cyclic) piece * tail; replace piece by
-                            # inverse of the complement f[length:]
-                            rest = doubled[start + length:start + n]
-                            w = cyclic_reduce(rest + invert_word(f[length:]))
-                            changed = True
-                            break
-                    if changed:
-                        break
-                if changed:
-                    break
+        while w and (shorter := self._replace_piece(w)) is not None:
+            w = shorter
         return w
 
     def is_trivial(self, word):
@@ -360,7 +365,14 @@ class Genus2Complex:
         assert self.surface.is_quasi_simplicial()
 
         self._tree_parent = self._build_tree()
-        self.presentation = Genus2Presentation(self)
+        s = self.surface
+        based = [self.develop(self.tree_path(0, s.tail(d)) + [d]
+                              + self.tree_path(s.head(d), 0))[0]
+                 for d in range(s.n_darts)]
+        self.presentation = Genus2Presentation(
+            s.dart_tail, based, "dart path",
+            dual=Genus2Presentation(s.dart_face, self._crossing_words(),
+                                    "dual path"))
         # Build-time consistency: every face boundary develops to a
         # contractible loop, matrices matching the words.
         for cyc in self.surface.face_cycles[:3]:
@@ -468,64 +480,58 @@ class Genus2Complex:
         return path_u + path_v
 
     def dart_label(self, d):
-        """Word of the based loop tree(base -> tail d) * d * tree(head d -> base)."""
-        path = (self.tree_path(0, self.surface.tail(d)) + [d]
-                + self.tree_path(self.surface.head(d), 0))
-        word, _ = self.develop(path)
-        return self.presentation.dehn_reduce(word)
+        """Word of the based loop tree(0 -> tail d) * d * tree(head d -> 0),
+        freely reduced: the labels multiply along paths."""
+        return self.presentation.words[d]
+
+    def _crossing_words(self):
+        """Word of each dual dart: the letter of the octagon side it crosses
+        (boundary edges), or none (cone edges, inside the polygon).  Checks
+        the side gluing of every dart's two faces."""
+        s = self.surface
+        words = []
+        for d in range(s.n_darts):
+            f1, f2 = int(s.dart_face[d]), int(s.dart_face[d ^ 1])
+            if d // 2 >= 24:
+                k, t = divmod(f1, 3)
+                assert f2 == 3 * _SIGMA[k] + 2 - t
+                words.append((_CROSS_LETTER[k],))
+            else:
+                assert f2 in ((f1 + 1) % 24, (f1 - 1) % 24)
+                words.append(())
+        return words
 
 
 class Genus2Presentation(SurfaceGroupPresentation):
-    """Presentation attached to the octagon complex, with exact dart labels."""
+    """Contractibility of closed dart paths from one word per dart.
 
-    def __init__(self, complex_):
+    ``tail[d]`` is the tail of dart d, and ``tail[d ^ 1]`` its head.  The
+    product of ``words`` along a closed path is conjugate to the path's
+    homotopy class.  The octagon complex builds two instances: the primal
+    one over its vertices, with the based dart labels, and the dual one over
+    its faces, whose dual dart d crosses primal dart d.
+    """
+
+    def __init__(self, tail, words, path_name, dual=None):
         super().__init__(2)
-        self.complex = complex_
+        self.tail = [int(t) for t in tail]
+        self.words = tuple(words)
+        self.path_name = path_name
+        self._dual = dual
 
     def cycle_word(self, darts):
-        word, _ = self.complex.develop(list(darts))
-        return word
+        """Freely reduced product of the words of a closed head-to-tail path."""
+        tail = self.tail
+        for prev, d in zip(darts, darts[1:]):
+            if tail[prev ^ 1] != tail[d]:
+                raise ValueError("%s discontinuity at dart %d"
+                                 % (self.path_name, d))
+        if tail[darts[-1] ^ 1] != tail[darts[0]]:
+            raise ValueError("%s is not closed" % self.path_name)
+        return free_reduce(x for d in darts for x in self.words[d])
 
     def cycle_is_contractible(self, darts):
         return self.is_trivial(self.cycle_word(darts))
 
     def dual_presentation(self):
-        return _DualGenus2Presentation(self.complex)
-
-
-class _DualGenus2Presentation(SurfaceGroupPresentation):
-    """Contractibility for dual (face-path) cycles of the octagon complex.
-
-    A dual dart of the fixture has the same id as the primal dart it
-    crosses; faces are unambiguous polygon triangles, so development only
-    multiplies deck letters when a boundary edge is crossed.
-    """
-
-    def __init__(self, complex_):
-        super().__init__(2)
-        self.complex = complex_
-
-    def cycle_word(self, dual_darts):
-        surf = self.complex.surface
-        word = []
-        current = int(surf.dart_face[dual_darts[0]])
-        for d in dual_darts:
-            f1 = int(surf.dart_face[d])
-            f2 = int(surf.dart_face[d ^ 1])
-            if f1 != current:
-                raise ValueError("dual path discontinuity")
-            e = d // 2
-            if e >= 24:
-                k = f1 // 3
-                word.append(_CROSS_LETTER[k])
-                t = f1 % 3
-                assert f2 == 3 * _SIGMA[k] + 2 - t
-            else:
-                assert f2 in ((f1 + 1) % 24, (f1 - 1) % 24)
-            current = f2
-        if current != int(surf.dart_face[dual_darts[0]]):
-            raise ValueError("dual path is not closed")
-        return free_reduce(tuple(word))
-
-    def cycle_is_contractible(self, dual_darts):
-        return self.is_trivial(self.cycle_word(dual_darts))
+        return self._dual

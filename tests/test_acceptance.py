@@ -101,7 +101,7 @@ def test_acceptance_4_duality(compact_family):
         assert np.allclose(dual.edge_lengths()[:ne], ps.dihedral_angles(),
                            atol=1e-10)
         for v in range(ps.base.n_vertices):
-            p = mink.normalize_timelike(dual.base_face_normal(v))
+            p = mink.normalize_timelike(dual.base_face_normals[v])
             assert np.allclose(p, ps.vectors[v], atol=1e-9)
     print("\nACCEPTANCE 4 (duality identities): PASS (21 compact fixtures)")
 

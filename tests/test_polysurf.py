@@ -1,4 +1,6 @@
+import importlib.util
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -181,7 +183,7 @@ def test_dual_random_fixture():
     assert np.allclose(dual.edge_lengths()[:ne], rc.dihedral_angles(),
                        atol=1e-10)
     for v in range(rc.base.n_vertices):
-        p = mink.normalize_timelike(dual.base_face_normal(v))
+        p = mink.normalize_timelike(dual.base_face_normals[v])
         assert np.allclose(p, rc.vectors[v], atol=1e-9)
 
 
@@ -201,6 +203,49 @@ def test_lengths_angles_isometry_invariant():
                            atol=1e-10)
         assert np.allclose(moved.dihedral_angles(), fixture.dihedral_angles(),
                            atol=1e-10)
+
+
+def _spiral_hyper_hull(n):
+    """Base and vertex vectors of the benchmark's hyper spiral hull
+    (bench/spiral.py), unmoved."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spiral.py"
+    spec = importlib.util.spec_from_file_location("spiral", path)
+    spiral = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spiral)
+    dirs = spiral.spiral_directions(n)
+    faces = spiral.hull_faces(dirs)
+    vecs = spiral.vertex_vectors("hyper", dirs, faces, None)
+    return from_face_vertex_lists(faces, n_vertices=n), vecs
+
+
+def test_moved_hyper_hull_builds_strictly():
+    # with the fixed reference (0,0,0,1) this isometry flipped the normals'
+    # orientation and the strict build failed on a concave edge 27
+    base, vecs = _spiral_hyper_hull(16)
+    a = mink.random_isometry(np.random.default_rng(2))
+    fixed = PolySurface(base, [hyper_point(v) for v in vecs])
+    moved = PolySurface(base, [hyper_point(a @ v) for v in vecs])
+    assert np.allclose(moved.reference, a @ fixed.reference, atol=1e-9)
+    assert np.allclose(moved.dihedral_angles(), fixed.dihedral_angles(),
+                       atol=1e-9)
+
+
+def test_hyper_reference_needs_an_edge_through_h3():
+    # every edge of this tetrahedron pairs to 0 or -1: none crosses H^3
+    vecs = [(1, 0, 0, 0), (0, 1, 0, 0), (-1, 0, 1, 1), (0, 0, -1, 0)]
+    with pytest.raises(PolyBuildError, match="no edge crosses"):
+        PolySurface(fixtures.tetrahedron_surface(),
+                    [hyper_point(v) for v in vecs], strict=False)
+
+
+def test_null_support_plane_rejected():
+    # the plane through the first three vertices, <x, (0,0,1,1)> = 0, has a
+    # null normal; rounding leaves |<n,n>| / |n|^2 at 2e-16, not at 0
+    vecs = [(1, 0, 0, 0), (0, 1, 0, 0), (-1, 0, 1, 1), (0, 0, -1, 0)]
+    with pytest.raises(PolyBuildError, match="null support plane"):
+        PolySurface(fixtures.tetrahedron_surface(),
+                    [hyper_point(v) for v in vecs],
+                    reference=[0.0, 0.0, 0.0, 1.0], strict=False)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from endlab import surfgroup
+from endlab import cellsurf, surfgroup
 from endlab.surfgroup import (Genus2Complex, SurfaceGroupPresentation,
-                              format_word, free_reduce, invert_word,
-                              matrix_is_identity_class, parse_word)
+                              cyclic_reduce, format_word, free_reduce,
+                              invert_word, matrix_is_identity_class,
+                              parse_word)
 from endlab.fixtures import genus2_complex
 
 
@@ -146,3 +149,215 @@ def test_is_contractible_dispatch(g2):
     assert pres.is_trivial(parse_word(""))
     cyc = g2.surface.face_cycles[0]
     assert g2.presentation.cycle_is_contractible(cyc)
+
+
+# ---------------------------------------------------------------------------
+# per-dart words against development and the parent's walkers
+
+
+def _relator_forms(relator):
+    """The parent's cyclic forms of the relator and its inverse.  Verbatim."""
+    forms = set()
+    for base in (relator, invert_word(relator)):
+        for r in range(len(base)):
+            forms.add(base[r:] + base[:r])
+    return sorted(forms)
+
+
+class _ParentDehn:
+    """SurfaceGroupPresentation.dehn_reduce as it was before the piece table:
+    a scan of every cyclic form per (length, start).  Verbatim method."""
+
+    def __init__(self, genus):
+        self.relator = surfgroup.standard_relator(genus)
+        self._forms = _relator_forms(self.relator)
+
+    def dehn_reduce(self, word):
+        """Shorten by Dehn replacements until no long relator piece remains."""
+        forms = self._forms
+        half = len(self.relator) // 2
+        w = cyclic_reduce(word)
+        changed = True
+        while changed and w:
+            changed = False
+            doubled = w + w
+            n = len(w)
+            for length in range(len(self.relator), half, -1):
+                if length > n:
+                    continue
+                for start in range(n):
+                    piece = doubled[start:start + length]
+                    for f in forms:
+                        if f[:length] == piece:
+                            # w = (cyclic) piece * tail; replace piece by
+                            # inverse of the complement f[length:]
+                            rest = doubled[start + length:start + n]
+                            w = cyclic_reduce(rest + invert_word(f[length:]))
+                            changed = True
+                            break
+                    if changed:
+                        break
+                if changed:
+                    break
+        return w
+
+
+class _ParentDualWalker:
+    """The parent's dual-cycle walker over the octagon's faces.  Verbatim
+    method."""
+
+    def __init__(self, complex_):
+        self.complex = complex_
+
+    def cycle_word(self, dual_darts):
+        _CROSS_LETTER, _SIGMA = surfgroup._CROSS_LETTER, surfgroup._SIGMA
+        surf = self.complex.surface
+        word = []
+        current = int(surf.dart_face[dual_darts[0]])
+        for d in dual_darts:
+            f1 = int(surf.dart_face[d])
+            f2 = int(surf.dart_face[d ^ 1])
+            if f1 != current:
+                raise ValueError("dual path discontinuity")
+            e = d // 2
+            if e >= 24:
+                k = f1 // 3
+                word.append(_CROSS_LETTER[k])
+                t = f1 % 3
+                assert f2 == 3 * _SIGMA[k] + 2 - t
+            else:
+                assert f2 in ((f1 + 1) % 24, (f1 - 1) % 24)
+            current = f2
+        if current != int(surf.dart_face[dual_darts[0]]):
+            raise ValueError("dual path is not closed")
+        return free_reduce(tuple(word))
+
+
+def _dart_cycles(surface, walks):
+    return [cellsurf.cycle_to_darts(surface, list(v), list(e)) for v, e in walks]
+
+
+@pytest.fixture(scope="module")
+def primal_cycles(g2):
+    s = g2.surface
+    cycles = _dart_cycles(
+        s, cellsurf.simple_cycles_upto(s.n_vertices, s.adjacency(), 12))
+    assert len(cycles) == 712
+    return cycles
+
+
+def test_labels_multiply_along_paths(g2, primal_cycles):
+    # the product of the dart labels along a cycle is conjugate to the
+    # cycle's developed class; a cyclically Dehn-reduced label is not a
+    # based class and broke this on 26 of the 712 cycles
+    pres = g2.presentation
+    for darts in primal_cycles:
+        product = free_reduce(x for d in darts for x in g2.dart_label(d))
+        assert pres.is_trivial(product) == pres.is_trivial(g2.develop(darts)[0])
+    assert format_word(g2.develop([22, 55, 1])[0]) == "cdCD"
+    assert not pres.cycle_is_contractible([22, 55, 1])
+
+
+def test_fixture_labels_are_based_words(g2):
+    s = g2.surface
+    for d in range(s.n_darts):
+        loop = g2.tree_path(0, s.tail(d)) + [d] + g2.tree_path(s.head(d), 0)
+        assert g2.dart_label(d) == g2.develop(loop)[0]
+
+
+def test_table_matches_development_on_cycles_and_trails(g2, primal_cycles):
+    s = g2.surface
+    pres = g2.presentation
+    trails = _dart_cycles(s, cellsurf.closed_trails_upto(
+        s.n_vertices, s.adjacency(), 8, np.full(s.n_edges, 0.9), 6.3))
+    assert len(trails) == 65536
+    for darts in primal_cycles + trails:
+        assert pres.cycle_is_contractible(darts) \
+            == pres.is_trivial(g2.develop(darts)[0])
+
+
+def _dual_loops(g2, l_max):
+    """Every dual simple cycle up to l_max, and every loop that
+    validate_hyperideal closes from a return path, as dual dart lists."""
+    s = g2.surface
+    dual = cellsurf.dual_cell_surface(s)
+    adj = dual.adjacency()
+    loops = _dart_cycles(dual, cellsurf.simple_cycles_upto(
+        dual.n_vertices, adj, l_max))
+
+    class Recorder:
+        def cycle_is_contractible(self, vseq, eseq):
+            loops.append(cellsurf.cycle_to_darts(dual, vseq, eseq))
+            return True
+
+    for v in range(s.n_vertices):
+        boundary = s.dual_face_boundary(v)
+        b_faces = [int(s.dart_face[d]) for d in s.vertex_star(v)]
+        for pv, pe in cellsurf._simple_paths_between(adj, set(b_faces), l_max):
+            cellsurf._returns_through_face(s, dual, Recorder(), v, boundary,
+                                           b_faces, pv, pe)
+    return loops
+
+
+def test_dual_table_matches_parent_walker(g2):
+    dual = g2.presentation.dual_presentation()
+    walker = _ParentDualWalker(g2)
+    loops = _dual_loops(g2, 8)
+    assert len(loops) > 1000
+    contractible = 0
+    for darts in loops:
+        word = dual.cycle_word(darts)
+        assert word == walker.cycle_word(darts)
+        contractible += dual.is_trivial(word)
+    assert 0 < contractible < len(loops)
+
+
+@pytest.mark.parametrize("which", ["primal", "dual"])
+def test_open_or_broken_paths_raise(g2, which):
+    pres = g2.presentation
+    if which == "dual":
+        pres = pres.dual_presentation()
+    tail = pres.tail
+    d = next(x for x in range(72) if tail[x] != tail[x ^ 1])
+    with pytest.raises(ValueError, match="is not closed"):
+        pres.cycle_word([d])
+    broken = next(x for x in range(72) if tail[x] != tail[d ^ 1])
+    with pytest.raises(ValueError, match="discontinuity at dart %d" % broken):
+        pres.cycle_word([d, broken, d ^ 1])
+
+
+def test_admissibility_never_develops(g2, monkeypatch):
+    calls = []
+    develop = Genus2Complex.develop
+
+    def counting(self, darts):
+        calls.append(len(darts))
+        return develop(self, darts)
+
+    monkeypatch.setattr(Genus2Complex, "develop", counting)
+    s = g2.surface.with_theta(np.full(g2.surface.n_edges, 2 * math.pi / 3))
+    for simple in (True, False):
+        rep = cellsurf.validate_admissible(s, l_max=8,
+                                           simple_cycles_only=simple,
+                                           presentation=g2.presentation)
+        assert rep.passed
+    assert calls == []
+
+
+_RELATOR_FORMS = _relator_forms(surfgroup.standard_relator(2))
+_CHUNKS = st.one_of(
+    st.sampled_from([(x,) for x in (1, 2, 3, 4, -1, -2, -3, -4)]),
+    st.builds(lambda f, a, b: f[min(a, b):max(a, b)],
+              st.sampled_from(_RELATOR_FORMS), st.integers(0, 8),
+              st.integers(0, 8)))
+
+
+@given(st.lists(_CHUNKS, max_size=12))
+@settings(max_examples=400, deadline=None)
+def test_table_dehn_matches_parent_scan(chunks):
+    # words built partly from relator pieces, so that replacements of every
+    # length happen
+    word = tuple(x for c in chunks for x in c)[:24]
+    assert SurfaceGroupPresentation(2).dehn_reduce(word) \
+        == _ParentDehn(2).dehn_reduce(word)
+
