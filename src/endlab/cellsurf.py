@@ -20,6 +20,13 @@ always "pass up to l_max".  The searches are exact yet skip every branch
 that cannot close: they leave a vertex unentered when its breadth-first
 distance back to the start leaves no room for a closed walk of at most
 ``l_max`` edges (:func:`simple_cycles_upto` says why nothing is lost).
+They keep no table: each meets a cycle (trail, return path) from its
+least vertex s once per traversal, and a rule on the edges at s keeps one.
+Over adjacency lists in edge-id order (:meth:`CellSurface.adjacency`) a
+depth-first search meets traversals in lexicographic order of their edge
+sequences, so it keeps the first met and reports in first-met order; any
+order still yields each cycle once.  A theta budget is tested on the
+partial sums of the traversal followed.
 Contractibility is decided per genus: trivially on spheres, by homology on
 tori, and through the surface-group machinery of :mod:`endlab.surfgroup`
 when the surface carries edge labels.
@@ -392,18 +399,16 @@ def thurston_pattern(surface):
 
 def _canon(vseq, eseq):
     """Least (vertex tuple, edge tuple) over rotations and reflections of a
-    closed walk given as aligned vertex and edge lists."""
-    best = None
-    for rev in (False, True):
-        vs = vseq[::-1] if rev else vseq
-        es = eseq[::-1] if rev else eseq
-        if rev:
-            vs = vs[-1:] + vs[:-1]
-        for r in range(len(eseq)):
-            cand = (tuple(vs[r:] + vs[:r]), tuple(es[r:] + es[:r]))
-            if best is None or cand < best:
-                best = cand
-    return best
+    closed walk given as aligned vertex and edge lists that begin at its
+    least vertex: over the rotations that begin there, just two when the
+    walk passes that vertex once (as every simple cycle does)."""
+    vs, es = tuple(vseq), tuple(eseq)
+    back = vs[:1] + vs[:0:-1], es[::-1]
+    if vs.count(vs[0]) == 1:
+        return min((vs, es), back)
+    return min((v[r:] + v[:r], e[r:] + e[:r])
+               for v, e in ((vs, es), back)
+               for r, u in enumerate(v) if u == vs[0])
 
 
 def _starts(n_vertices, adjacency, l_max, need):
@@ -429,16 +434,16 @@ def simple_cycles_upto(n_vertices, adjacency, l_max):
     ``adjacency`` maps a vertex to (neighbor, edge id) pairs.  A cycle is a
     closed walk with distinct vertices and distinct edges; parallel edges
     yield length-2 cycles.  Each cycle is reported once, as an edge-id
-    tuple aligned with a vertex tuple, canonicalized over rotation and
-    reflection, in the order the search first meets it.  The search from s
-    enters w at depth k only if k + dist(w, s) <= l_max, with distances
-    through vertices >= s.  This is exact: the rest of a closing walk is at
-    least dist(w, s) long, and dist(w, s) <= min(k, l_max - k), so a ball
-    of radius l_max // 2 holds every distance needed.  s is the cycle's
-    least vertex, so its canonical form is the cycle read from s forward
-    or backward.
+    tuple aligned with a vertex tuple, canonicalized by :func:`_canon`.  Of
+    the two directions from the least vertex s, the search keeps the one
+    leaving s through the smaller edge: it closes a path only through an
+    edge larger than the path's first edge, the only path edge at s.  The
+    search from s enters w at depth k only if k + dist(w, s) <= l_max,
+    with distances through vertices >= s.  This is exact: the rest of a
+    closing walk is at least dist(w, s) long, and dist(w, s) <= min(k,
+    l_max - k), so a ball of radius l_max // 2 holds every distance needed.
     """
-    seen = {}  # canonical keys in the order first met
+    out = []
     need = [l_max + 1] * n_vertices
     on_path = [False] * n_vertices
     epath = []
@@ -446,11 +451,9 @@ def simple_cycles_upto(n_vertices, adjacency, l_max):
     def dfs(v, room):
         for w, e in adjacency[v]:
             if w == start:
-                # closing the cycle (covers loop edges when epath is empty)
-                if room < 1 or e in epath:
-                    continue
-                vs, es = tuple(vpath), tuple(epath) + (e,)
-                seen.setdefault(min((vs, es), (vs[:1] + vs[:0:-1], es[::-1])))
+                # closing the cycle (a loop edge when epath is empty)
+                if room > 0 and (not epath or e > epath[0]):
+                    out.append(_canon(vpath, epath + [e]))
             elif need[w] < room and not on_path[w]:
                 on_path[w] = True
                 vpath.append(w)
@@ -463,7 +466,7 @@ def simple_cycles_upto(n_vertices, adjacency, l_max):
     for start in _starts(n_vertices, adjacency, l_max, need):
         vpath = [start]
         dfs(start, l_max)
-    return list(seen)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -588,44 +591,57 @@ def validate_admissible(surface, l_max=DEFAULT_L_MAX, simple_cycles_only=True,
                        "cycles above the bound cannot be witnesses")
         cycles = closed_trails_upto(surface.n_vertices, surface.adjacency(),
                                     l_max, th, 2.0 * math.pi + TAU_ANG)
+    _check_cycles(report, cycles, oracle, th, "contractible-cycle", face_keys)
+    return report
+
+
+def _check_cycles(report, cycles, oracle, theta, kind, skip=frozenset()):
+    """Count the contractible cycles whose edge multiset is not in ``skip``,
+    and record each with theta-sum at most 2*pi as a ``kind`` witness."""
     for vseq, eseq in cycles:
-        if tuple(sorted(eseq)) in face_keys:
+        if tuple(sorted(eseq)) in skip:
             continue
         if not oracle.cycle_is_contractible(list(vseq), list(eseq)):
             continue
         report.checked_cycles += 1
-        s = float(sum(th[e] for e in eseq))
+        s = float(sum(theta[e] for e in eseq))
         if s <= 2.0 * math.pi + TAU_ANG:
             report.passed = False
             report.violations.append(
-                Witness("contractible-cycle", ("edges",) + tuple(eseq), s,
-                        2.0 * math.pi))
-    return report
+                Witness(kind, ("edges",) + tuple(eseq), s, 2.0 * math.pi))
 
 
 def closed_trails_upto(n_vertices, adjacency, l_max, theta, budget):
     """Closed walks with distinct edges, repeated vertices allowed.
 
-    Only trails whose theta-sum stays within ``budget`` are produced (the
-    validators only ever report cycles at or below the bound, so pruning by
-    partial sum loses nothing), with the distance prune of
-    :func:`simple_cycles_upto`.  Each trail is canonicalized over rotation
-    and reflection.
+    Each trail is reported once, canonicalized by :func:`_canon`.  From its
+    least vertex s the search meets it once per passage through s and
+    direction, and keeps the traversal that begins with the least edge m
+    the trail has at s: it never leaves or re-enters s through an edge
+    smaller than the first.  A non-loop m begins one traversal; a loop m is
+    followed by the rest R of the trail either way, and the search keeps
+    R <= reversed R (edge tuples).  Only trails whose theta-sum stays
+    within ``budget`` are produced (the validators only ever report cycles
+    at or below the bound, so with positive weights pruning by partial sum
+    loses nothing), with the distance prune of :func:`simple_cycles_upto`.
     """
-    seen = {}  # canonical keys in the order first met
+    out = []
     need = [l_max + 1] * n_vertices
     used = [False] * len(theta)
     epath = []
 
     def dfs(v, room, total):
+        first = epath[0] if epath else -1
         for w, e in adjacency[v]:
-            if used[e]:
+            if used[e] or (e < first and (v == start or w == start)):
                 continue
             t = total + theta[e]
             if t > budget or room < 1:
                 continue
-            if w == start:
-                seen.setdefault(_canon(vpath, epath + [e]))
+            # after a loop first, keep the rest R only where R <= reversed R
+            if w == start and (vpath[1:2] != [start]
+                               or epath[1:] + [e] <= [e] + epath[:0:-1]):
+                out.append(_canon(vpath, epath + [e]))
             if need[w] < room:
                 used[e] = True
                 vpath.append(w)
@@ -638,7 +654,7 @@ def closed_trails_upto(n_vertices, adjacency, l_max, theta, budget):
     for start in _starts(n_vertices, adjacency, l_max, need):
         vpath = [start]
         dfs(start, l_max, 0.0)
-    return list(seen)
+    return out
 
 
 def validate_hyperideal(surface, l_max=DEFAULT_L_MAX, presentation=None):
@@ -659,15 +675,8 @@ def validate_hyperideal(surface, l_max=DEFAULT_L_MAX, presentation=None):
         None if presentation is None else presentation.dual_presentation())
 
     # condition (1): contractible dual cycles
-    for vseq, eseq in simple_cycles_upto(surface.n_faces, dual_adj, l_max):
-        if not oracle.cycle_is_contractible(list(vseq), list(eseq)):
-            continue
-        report.checked_cycles += 1
-        s = float(sum(th[e] for e in eseq))
-        if s <= 2.0 * math.pi + TAU_ANG:
-            report.passed = False
-            report.violations.append(
-                Witness("dual-cycle", ("edges",) + tuple(eseq), s, 2.0 * math.pi))
+    _check_cycles(report, simple_cycles_upto(surface.n_faces, dual_adj, l_max),
+                  oracle, th, "dual-cycle")
 
     # condition (2): face-homotopic return paths
     for v in range(surface.n_vertices):
@@ -696,29 +705,25 @@ def _simple_paths_between(adjacency, endpoints, l_max, theta=None,
     """Simple paths with >= 2 edges between endpoint vertices, as (vseq, eseq).
 
     Interior vertices are distinct; the final vertex may close onto the
-    start.  Each path is reported once up to reversal, in the order the
-    search first meets it.  With positive per-edge weights ``theta``, only
-    paths whose weight sum is at most ``budget`` are reported, and the
-    search never extends a path past the budget (no extension can come
-    back under it).
+    start.  Each path is reported once up to reversal: the search from each
+    endpoint s, in increasing order, keeps a path that ends at an endpoint
+    above s, or back at s through an edge larger than its first edge.  With
+    positive per-edge weights ``theta``, only paths whose weight sum is at
+    most ``budget`` are reported, and the search never extends a path past
+    the budget (no extension can come back under it).
     """
     out = []
-    seen = set()
     on_path = [False] * len(adjacency)
     vpath, epath = [], []
 
     def dfs(v, total):
         for w, e in adjacency[v]:
-            if len(epath) + 1 > l_max or e in epath:
-                continue
             t = total if theta is None else total + theta[e]
             if t > budget:
                 continue
-            if w in endpoints and epath and (w == vpath[0] or not on_path[w]):
-                key = (tuple(vpath) + (w,), tuple(epath) + (e,))
-                if key not in seen and (key[0][::-1], key[1][::-1]) not in seen:
-                    seen.add(key)
-                    out.append((list(key[0]), list(key[1])))
+            if epath and (e > epath[0] if w == start else
+                          w > start and w in endpoints and not on_path[w]):
+                out.append((vpath + [w], epath + [e]))
             if not on_path[w] and len(epath) + 1 < l_max:
                 on_path[w] = True
                 vpath.append(w)
@@ -728,11 +733,11 @@ def _simple_paths_between(adjacency, endpoints, l_max, theta=None,
                 vpath.pop()
                 epath.pop()
 
-    for s in sorted(endpoints):
-        on_path[s] = True
-        vpath.append(s)
-        dfs(s, 0.0)
-        on_path[s] = False
+    for start in sorted(endpoints):
+        on_path[start] = True
+        vpath.append(start)
+        dfs(start, 0.0)
+        on_path[start] = False
         vpath.pop()
     return out
 

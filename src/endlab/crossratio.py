@@ -218,39 +218,31 @@ def vertex_conditions(assignment):
     """Residuals of the two polynomial conditions at every closed vertex.
 
     Both conditions are evaluated on the negated values (see the module
-    docstring); the telescoping-sum residual is the max over all cyclic
-    rotations.  Vertices missing an edge value are reported with status
-    "boundary vertex" and fail the report.
+    docstring) by :func:`_condition_residuals` over the padded vertex stars:
+    the product residual from the star as stored, the telescoping-sum
+    residual as the max over its cyclic rotations.  Padding is neutral in
+    products and masked in sums, so the rolls of a padded star by every
+    offset below its width give each rotation (a roll past the degree
+    repeats the stored one).  Vertices missing an edge value (NaN in
+    ``cr_array``) are reported with status "boundary vertex" and fail the
+    report.
     """
-    s = assignment.surface
-    rows = []
-    for v in range(s.n_vertices):
-        star = s.vertex_star(v)
-        crs = []
-        missing = False
-        for d in star:
-            val = assignment.values[d // 2]
-            if val is None:
-                missing = True
-                break
-            crs.append(val)
-        if missing:
-            rows.append({"vertex": v, "status": "boundary vertex",
-                         "product_residual": math.nan,
-                         "sum_residual": math.nan})
-            continue
-        crs = [-c for c in crs]
-        prod = complex(np.prod(crs))
-        sum_res = 0.0
-        n = len(crs)
-        for r in range(n):
-            rot = crs[r:] + crs[:r]
-            partial = np.cumprod(rot)
-            sum_res = max(sum_res, abs(partial.sum()))
-        rows.append({"vertex": v, "status": "checked",
-                     "product_residual": abs(prod - 1.0),
-                     "sum_residual": float(sum_res)})
-    return VertexConditionReport(rows)
+    cr = assignment.cr_array()
+    edges, mask = _star_arrays(assignment.surface)
+    nv, width = edges.shape
+    # row r of turns rolls a padded star left by r
+    turns = (np.arange(width)[:, None] + np.arange(width)) % width
+    res = _condition_residuals(cr, edges[:, turns].reshape(-1, width),
+                               mask[:, turns].reshape(-1, width))
+    res = np.abs(res).reshape(nv, width, 2)
+    product, telescoping = res[:, 0, 0], res[:, :, 1].max(axis=1)
+    boundary = (np.isnan(cr[edges]) & mask).any(axis=1)
+    return VertexConditionReport([
+        {"vertex": v, "status": "boundary vertex" if flagged else "checked",
+         "product_residual": math.nan if flagged else float(p),
+         "sum_residual": math.nan if flagged else float(t)}
+        for v, (flagged, p, t) in enumerate(zip(boundary, product,
+                                                telescoping))])
 
 
 def shear_angle_split(assignment):

@@ -297,6 +297,23 @@ def input_graph(name):
     return surface_graph(parse_surf((INPUTS / name).read_text()))
 
 
+def multigraph(n_vertices, edges):
+    """(n, adjacency, None) of a graph given by its edges alone, with the
+    adjacency lists in edge-id order, as CellSurface.adjacency builds them."""
+    adj = [[] for _ in range(n_vertices)]
+    for e, (u, v) in enumerate(edges):
+        adj[u].append((v, e))
+        if u != v:
+            adj[v].append((u, e))
+    return n_vertices, adj, None
+
+
+def random_multigraph(seed, n_vertices=5, n_edges=10):
+    rng = np.random.default_rng(seed)
+    return multigraph(n_vertices, rng.integers(0, n_vertices,
+                                               size=(n_edges, 2)).tolist())
+
+
 ORACLE_GRAPHS = {
     "octahedron": lambda: surface_graph(octahedron_surface()),
     "theta-sphere": lambda: surface_graph(CellSurface(
@@ -312,6 +329,12 @@ ORACLE_GRAPHS = {
     "dual-octahedron": lambda: hyperideal_dual_graph(octahedron_surface()),
     "dual-genus2": lambda: hyperideal_dual_graph(
         genus2_complex().surface, genus2_complex().presentation),
+    # loops at the start vertex, whose trails are met in both directions
+    "two-loops-two-parallel": lambda: multigraph(
+        2, [(0, 0), (0, 1), (0, 0), (1, 0)]),
+    "loops-both-ends": lambda: multigraph(
+        3, [(1, 2), (0, 0), (0, 1), (1, 1), (0, 1), (0, 0), (2, 0)]),
+    "random-multigraph": lambda: random_multigraph(3),
 }
 for _seed in (0, 1, 2):
     ORACLE_GRAPHS["random-pattern-%d" % _seed] = (
@@ -334,6 +357,39 @@ def test_pruned_searches_match_unpruned_order(name):
         assert (cellsurf.closed_trails_upto(n, adj, l_max, theta, budget)
                 == reference_closed_trails_upto(n, adj, l_max, theta,
                                                 budget)), l_max
+
+
+@pytest.mark.parametrize("name", ["theta-sphere", "loop-torus", "pattern",
+                                  "dual-octahedron", "two-loops-two-parallel",
+                                  "loops-both-ends", "random-multigraph"])
+def test_searches_meet_each_cycle_once_in_any_adjacency_order(name):
+    # the start-edge rules keep one traversal whatever the order of the
+    # adjacency lists; only the order of the output depends on it
+    n, adj, theta = ORACLE_GRAPHS[name]()
+    if theta is None:
+        theta = np.full(1 + max(e for row in adj for _, e in row), 0.5 * math.pi)
+    budget = 2 * math.pi + cellsurf.TAU_ANG
+    rng = np.random.default_rng(11)
+    undirected = lambda p: min((tuple(p[0]), tuple(p[1])),
+                               (tuple(p[0][::-1]), tuple(p[1][::-1])))
+    for trial in range(3):
+        shuffled = [[row[i] for i in rng.permutation(len(row))] for row in adj]
+        for l_max in range(1, 7):
+            for ours, want in (
+                    (simple_cycles_upto(n, shuffled, l_max),
+                     reference_simple_cycles_upto(n, adj, l_max)),
+                    (cellsurf.closed_trails_upto(n, shuffled, l_max, theta,
+                                                 budget),
+                     reference_closed_trails_upto(n, adj, l_max, theta,
+                                                  budget))):
+                assert len(set(ours)) == len(ours)
+                assert set(ours) == set(want), (trial, l_max)
+            endpoints = set(range(0, n, 2))
+            ours = [undirected(p) for p in cellsurf._simple_paths_between(
+                shuffled, endpoints, l_max)]
+            want = _parent_simple_paths_between(adj, endpoints, l_max)
+            assert len(set(ours)) == len(ours)
+            assert set(ours) == {undirected(p) for p in want}, (trial, l_max)
 
 
 # ---------------------------------------------------------------------------

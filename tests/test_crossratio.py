@@ -325,6 +325,72 @@ def test_synthetic_reports_nonconvergence():
     assert res.residual > 0
 
 
+def _parent_vertex_conditions(assignment):
+    """vertex_conditions before it evaluated through the padded star arrays.
+    Verbatim."""
+    s = assignment.surface
+    rows = []
+    for v in range(s.n_vertices):
+        star = s.vertex_star(v)
+        crs = []
+        missing = False
+        for d in star:
+            val = assignment.values[d // 2]
+            if val is None:
+                missing = True
+                break
+            crs.append(val)
+        if missing:
+            rows.append({"vertex": v, "status": "boundary vertex",
+                         "product_residual": math.nan,
+                         "sum_residual": math.nan})
+            continue
+        crs = [-c for c in crs]
+        prod = complex(np.prod(crs))
+        sum_res = 0.0
+        n = len(crs)
+        for r in range(n):
+            rot = crs[r:] + crs[:r]
+            partial = np.cumprod(rot)
+            sum_res = max(sum_res, abs(partial.sum()))
+        rows.append({"vertex": v, "status": "checked",
+                     "product_residual": abs(prod - 1.0),
+                     "sum_residual": float(sum_res)})
+    return cx.VertexConditionReport(rows)
+
+
+def _condition_assignments():
+    """4 ideal fixtures, 12 Newton solves (converged or cut short) and one
+    perturbed assignment with a missing value."""
+    out = [from_ideal_surface(ps) for ps in (
+        fixtures.ideal_octahedron(), fixtures.ideal_tetrahedron(),
+        fixtures.random_ideal(23, 8), fixtures.random_ideal(4, 12))]
+    for surface in (genus2_uniform(), fixtures.ideal_octahedron().tri,
+                    one_vertex_torus()):
+        for seed, spread, max_iter in ((0, 0.3, 200), (1, 1.0, 200),
+                                       (2, 0.08, 2), (3, 1.0, 1)):
+            out.append(solve_vertex_conditions(surface, seed, spread,
+                                               max_iter).assignment)
+    values = list(out[0].values)
+    values[0] = None
+    values[3] += 1e-3
+    out.append(CrossRatioAssignment(out[0].surface, values))
+    return out
+
+
+def test_vertex_conditions_match_parent_loop():
+    for i, assignment in enumerate(_condition_assignments()):
+        rep = vertex_conditions(assignment)
+        old = _parent_vertex_conditions(assignment)
+        assert rep.passed == old.passed, i
+        for row, want in zip(rep.per_vertex, old.per_vertex, strict=True):
+            assert (row["vertex"], row["status"]) == (want["vertex"],
+                                                      want["status"]), i
+            for key in ("product_residual", "sum_residual"):
+                assert row[key] == pytest.approx(want[key], rel=1e-13,
+                                                 abs=1e-15, nan_ok=True), i
+
+
 # ---------------------------------------------------------------------------
 # cr v1 format
 
