@@ -5,6 +5,9 @@ combinatorics (cellsurf, surfgroup), partial edge orientations (decor),
 geometric polyhedral surfaces (polysurf), infinitesimal rigidity operators
 (rigidity), cross-ratio coordinates (crossratio), volume and variational
 checks (volume), and the ``endlab`` command line (cli).
+
+Imports sit at module level, except scipy's submodules and ``fixtures``
+(with surfgroup): imported where used, they stay off ``endlab.cli``'s path.
 """
 
 __version__ = "0.1.0"

@@ -7,9 +7,9 @@ arbitrary cycles, with the quasi-simplicial flag meaning all faces are
 triangles.  The vertex rotation is derived: the dart after d in the
 (clockwise) rotation at its tail is fnext(twin(d)).  The constructor stores
 the face predecessor ``fprev`` and walks every vertex star once, so
-``vertex_star`` is a lookup; input that is not a closed surface (an edge
-endpoint out of range, a vertex with no darts, a vertex whose darts form
-more than one rotation cycle) is rejected there.
+``vertex_star`` is a lookup; input that is not a closed connected surface
+(an edge endpoint out of range, a vertex with no darts or with more than
+one rotation cycle, more than one component) is rejected there.
 
 The module also carries the weighted-graph validators: face sums of an
 edge weight function theta must equal 2*pi, and short contractible cycles
@@ -44,10 +44,9 @@ DEFAULT_L_MAX = 12
 
 
 class SurfaceFormatError(ValueError):
-    """Malformed combinatorial data or text input; carries a line number."""
+    """Malformed combinatorial data or text input, with its line if known."""
 
     def __init__(self, message, line=None):
-        self.line = line
         if line is not None:
             message = "line %d: %s" % (line, message)
         super().__init__(message)
@@ -62,7 +61,7 @@ def twin(d):
 
 
 class CellSurface:
-    """Closed oriented surface with an explicit rotation system.
+    """Closed, connected, oriented surface with an explicit rotation system.
 
     Parameters
     ----------
@@ -113,12 +112,15 @@ class CellSurface:
         self.fprev = np.empty(self.n_darts, dtype=int)
         self.fprev[self.fnext] = np.arange(self.n_darts)
         self._stars = self._walk_stars()
+        self._check_connected()
         if self.theta is not None and len(self.theta) != self.n_edges:
             raise SurfaceFormatError("theta length != edge count")
 
     def _walk_stars(self):
         """Each vertex's darts in rotation order, starting at its lowest dart;
-        rejects a vertex whose darts are not one rotation cycle."""
+        rejects a vertex whose darts are not one rotation cycle.  The walk
+        closes: vnext = fnext o twin keeps the tail (faces are head-to-tail)
+        and is a permutation (each dart lies in one face cycle)."""
         degree = np.bincount(self.dart_tail, minlength=self.n_vertices).tolist()
         first = {}
         for d, v in enumerate(self.dart_tail.tolist()):
@@ -128,17 +130,31 @@ class CellSurface:
             if v not in first:
                 raise SurfaceFormatError("vertex %d has no darts" % v)
             star = [first[v]]
-            while True:
-                nxt = self.vnext(star[-1])
-                if nxt == star[0]:
-                    break
+            nxt = self.vnext(star[0])
+            while nxt != star[0]:
                 star.append(nxt)
-                if len(star) > degree[v]:
-                    raise SurfaceFormatError("vertex %d star does not close" % v)
+                nxt = self.vnext(nxt)
             if len(star) != degree[v]:
                 raise SurfaceFormatError("vertex %d has a disconnected star" % v)
             stars.append(star)
         return stars
+
+    def _check_connected(self):
+        """Rejects a complex that is empty or has more than one component."""
+        if not self.n_vertices:
+            raise SurfaceFormatError("no vertices")
+        head = self.dart_tail[np.arange(self.n_darts) ^ 1].tolist()
+        seen = [True] + [False] * (self.n_vertices - 1)
+        todo = [0]
+        for v in todo:
+            for d in self._stars[v]:
+                if not seen[head[d]]:
+                    seen[head[d]] = True
+                    todo.append(head[d])
+        if not all(seen):
+            raise SurfaceFormatError(
+                "surface is not connected (vertex %d unreached from vertex 0)"
+                % seen.index(False))
 
     # -- basic queries ----------------------------------------------------
 
@@ -159,10 +175,9 @@ class CellSurface:
         return self.n_vertices - self.n_edges + self.n_faces
 
     def genus(self):
-        chi = self.euler_characteristic()
-        if chi % 2:
-            raise SurfaceFormatError("odd Euler characteristic")
-        return (2 - chi) // 2
+        """From chi = 2 - 2g: every CellSurface is a closed, connected,
+        oriented surface (one rotation cycle per vertex), so chi is even."""
+        return (2 - self.euler_characteristic()) // 2
 
     def is_quasi_simplicial(self):
         return all(len(c) == 3 for c in self.face_cycles)
@@ -356,13 +371,8 @@ def parse_surf(text):
     if thetas:
         _check_ids(theta_lines, len(edges), "theta must cover all edges")
         theta = [thetas[e] for e in range(len(edges))]
-    try:
-        return CellSurface(n_vertices, [edges[e] for e in range(len(edges))],
-                           [faces[f] for f in range(len(faces))], theta)
-    except SurfaceFormatError:
-        raise
-    except ValueError as exc:
-        raise SurfaceFormatError(str(exc)) from exc
+    return CellSurface(n_vertices, [edges[e] for e in range(len(edges))],
+                       [faces[f] for f in range(len(faces))], theta)
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +581,7 @@ def validate_admissible(surface, l_max=DEFAULT_L_MAX, simple_cycles_only=True,
     """
     _check_theta(surface)
     report = ValidationReport(True)
-    th = surface.theta
+    th = surface.theta.tolist()  # Python floats: the searches add one per step
 
     for f in range(surface.n_faces):
         s = float(sum(th[d // 2] for d in surface.face_cycles[f]))
@@ -667,7 +677,7 @@ def validate_hyperideal(surface, l_max=DEFAULT_L_MAX, presentation=None):
     """
     _check_theta(surface)
     report = ValidationReport(True)
-    th = surface.theta
+    th = surface.theta.tolist()  # Python floats: the searches add one per step
     dual_surface = dual_cell_surface(surface)
     dual_adj = dual_surface.adjacency()
     oracle = ContractibilityOracle(
@@ -746,9 +756,9 @@ def _returns_through_face(surface, dual_surface, oracle, v, boundary, b_faces,
                           path_vseq, path_eseq):
     """Is the dual path homotopic (rel endpoints) into the dual face of v?
 
-    Closes the path with a walk along the dual face boundary and tests the
-    loop for contractibility; the two boundary return routes differ by the
-    face boundary itself, so either works and we take the shorter.
+    Closes the path along the dual face boundary from its end back to its
+    start in star order and tests the loop for contractibility; the route
+    against star order differs by the (contractible) face boundary.
     """
     start, end = path_vseq[0], path_vseq[-1]
     i0 = b_faces.index(start)

@@ -299,7 +299,6 @@ def holonomy_loop(assignment, darts):
         return v
 
     # current dart d with positions of (tail, head, left apex)
-    d0 = darts[0]
     p_tail = to_homog(0.0)
     p_head = to_homog(1.0)
     p_apex = to_homog(None)
@@ -307,18 +306,15 @@ def holonomy_loop(assignment, darts):
     for idx in range(len(darts)):
         d = darts[idx]
         d_next = darts[(idx + 1) % len(darts)]
-        # pivot around w = head(d): dart t runs from w inside face(d)
+        # pivot around w = head(d): dart t runs from w inside face(d); the
+        # star of w is one vnext cycle holding d_next, so the pivot reaches it
         t = int(s.fnext[d])
         q_tail, q_head, q_apex = p_head, p_apex, p_tail
-        guard = 0
-        while t // 2 != d_next // 2 or t != d_next:
+        while t != d_next:
             # flip across edge(t): triangle becomes (w, far apex, head(t))
             far = _solve_apex(cr_of(t // 2), q_tail, q_head, q_apex)
             t = s.vnext(t)
             q_tail, q_head, q_apex = q_tail, far, q_head
-            guard += 1
-            if guard > s.n_darts:
-                raise CrossRatioError("pivot failed to reach the next dart")
         p_tail, p_head, p_apex = q_tail, q_head, q_apex
     m = np.linalg.solve(_map_to_standard(p_tail, p_head, p_apex),
                         _map_to_standard(*init))

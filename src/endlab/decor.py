@@ -4,10 +4,13 @@ A decoration orients some edges of a triangulated surface.  At each corner
 (a face together with one of its vertices) the two incident edge states
 contribute a change count: 0 when both are unoriented or both point the
 same way relative to the vertex, 1/2 when exactly one is oriented, 1 when
-one points toward and the other away.  A decoration is tight when every
-vertex sees at most 2 changes, and at most 1 at vertices with at least
-three unoriented incident edges or two rotation-consecutive unoriented
-incident edges.
+one points toward and the other away.  The paper calls a decoration tight
+when every vertex sees at most 2 changes, and at most 1 at a vertex with
+three or more unoriented darts or two rotation-consecutive ones.  The code
+checks only the second clause, since the first never decides: a corner
+pairs two rotation-consecutive darts, so k unoriented darts no two of
+which are consecutive lie in 2k distinct corners worth 1/2 each, and at
+k >= 3 the vertex sees more than 2 changes, over either limit.
 
 Corner values are computed once per decoration, on first use, and shared
 by the tightness check, the per-vertex totals and the component report;
@@ -176,16 +179,10 @@ class TightnessReport:
 def is_tight(dec):
     """Tightness per the corner-change rules, with the offending vertices.
 
-    The limit at a vertex is 2, or 1 when its star holds three or more
-    unoriented darts or two rotation-consecutive ones.  The first of those
-    two conditions never decides a verdict, here or in :func:`batch_report`,
-    and is kept only because it is the paper's definition.  Each corner
-    pairs two rotation-consecutive darts.  If no two unoriented darts are
-    consecutive, every corner beside an unoriented dart pairs it with an
-    oriented one and is worth 1/2, and no two unoriented darts share a
-    corner; k such darts give a total of at least k.  So at k >= 3 the
-    total is at least 3, above either limit, and the vertex offends
-    whether the limit is 1 or 2.
+    The limit at a vertex is 2, or 1 when its star holds two
+    rotation-consecutive unoriented darts.  The paper's limit 1 at three or
+    more unoriented darts never decides a verdict (the module docstring
+    says why), so neither this nor :func:`batch_report` checks it.
     """
     s = dec.surface
     totals = vertex_changes(dec)
@@ -193,9 +190,8 @@ def is_tight(dec):
     for v in range(s.n_vertices):
         star = s.vertex_star(v)
         unor = [dec.away_from_tail(d) == 0 for d in star]
-        consec = any(unor[i] and unor[(i + 1) % len(unor)]
-                     for i in range(len(unor))) if len(unor) > 1 else False
-        if sum(unor) >= 3 or consec:
+        if len(unor) > 1 and any(unor[i] and unor[i - 1]
+                                 for i in range(len(unor))):
             limits[v] = 1.0
     offenders = [v for v in range(s.n_vertices)
                  if totals[v] > limits[v] + 1e-9]
@@ -361,8 +357,8 @@ def _batch_tight(surface, st, inc):
     """Tight flag per state row, by the rules of :func:`is_tight`.
 
     With a the away-from-tail state at d and b the one at twin(fprev d),
-    the doubled corner value is |a - b|; vertex totals and unoriented
-    counts are products with the dart-to-tail incidence.
+    the doubled corner value is |a - b|; vertex totals and consecutive
+    unoriented pairs are products with the dart-to-tail incidence.
     """
     darts = np.arange(surface.n_darts)
     away = st[:, darts // 2] * np.where(darts % 2 == 0, 1, -1)
@@ -372,7 +368,7 @@ def _batch_tight(surface, st, inc):
     vnext = surface.fnext[darts ^ 1]
     consec = (unor & unor[:, vnext]).astype(float) @ inc > 0
     consec &= inc.sum(axis=0) > 1
-    limits2 = np.where((unor.astype(float) @ inc >= 3) | consec, 2.0, 4.0)
+    limits2 = np.where(consec, 2.0, 4.0)
     return ~np.any(totals2 > limits2, axis=1)
 
 

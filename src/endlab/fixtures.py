@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from . import cellsurf, mink
+from . import cellsurf, mink, polysurf
 from .cellsurf import CellSurface, from_face_vertex_lists
 from .surfgroup import Genus2Complex
 
@@ -117,7 +117,6 @@ def genus2_theta_bad_link():
 def ideal_octahedron(scales=None):
     """Regular ideal octahedron with unit-scale decorations (optionally
     rescaled per vertex); all exterior dihedral angles are pi/2."""
-    from . import polysurf
     geoms = [polysurf.ideal_point(u) for u in octahedron_null_vectors(scales)]
     return polysurf.PolySurface(octahedron_surface(), geoms)
 
@@ -125,7 +124,6 @@ def ideal_octahedron(scales=None):
 def rotated_ideal_octahedron():
     """Ideal octahedron rotated so that no vertex hits the chart's
     projection direction (0,0,-1); all Gauss-map images are then circles."""
-    from . import polysurf
     from scipy.linalg import expm
     gens = mink.so31_basis()
     rot = expm(0.35 * gens[1] + 0.25 * gens[2])
@@ -142,7 +140,6 @@ def tetra_chart_points(z=None):
 
 def ideal_tetrahedron(z=None, scales=None):
     """Ideal tetrahedron over chart points 0, 1, inf, z (default regular)."""
-    from . import polysurf
     pts = tetra_chart_points(z)
     geoms = []
     for i, p in enumerate(pts):
@@ -160,7 +157,6 @@ _TETRA_DIRS = np.array([
 
 def compact_tetrahedron(radius=1.0):
     """Regular compact tetrahedron at the given circumradius about the origin."""
-    from . import polysurf
     geoms = []
     for d in _TETRA_DIRS:
         v = np.array([*(math.sinh(radius) * d), math.cosh(radius)])
@@ -170,7 +166,6 @@ def compact_tetrahedron(radius=1.0):
 
 def hyperideal_tetrahedron(k=2.0):
     """Regular hyperideal tetrahedron: vertices (k d, sqrt(k^2-1)) in dS^3."""
-    from . import polysurf
     geoms = []
     for d in _TETRA_DIRS:
         v = np.array([*(k * d), math.sqrt(k * k - 1.0)])
@@ -212,7 +207,6 @@ def _hull_faces(points3):
 
 def random_convex_compact(seed, n=8):
     """Seeded random convex compact surface: n points on a sphere in H^3."""
-    from . import polysurf
     rng = np.random.default_rng(seed)
     n = max(n, 5)
     dirs = _separated_directions(rng, n)
@@ -228,7 +222,6 @@ def random_convex_compact(seed, n=8):
 
 def random_ideal(seed, n=8):
     """Seeded random ideal surface: n ideal points with random decorations."""
-    from . import polysurf
     rng = np.random.default_rng(seed)
     n = max(n, 5)
     dirs = _separated_directions(rng, n)
@@ -247,7 +240,6 @@ def flat_vertex_pyramid():
     """Double pyramid over a square with the lower apex flattened into the
     equatorial plane; the flat vertex admits a first-order isometric motion,
     so the rigidity kernel exceeds the trivial dimension."""
-    from . import polysurf
     rho, height = 0.9, 0.8
     base = []
     for i in range(4):

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import mink
 from .cellsurf import (CellSurface, SurfaceFormatError, _check_ids, _record,
-                       parse_surf, serialize_surf, twin)
+                       dual_cell_surface, parse_surf, serialize_surf, twin)
 from .decor import BACKWARD, FORWARD, Decoration
 from .mink import GeometryError, mdot
 
@@ -157,10 +157,11 @@ def _gram_schmidt_frame(v):
 def horosphere_chart(u):
     """Flat chart data of the horosphere with vector u.
 
-    Returns (ea, eb, m): unit spacelike chart axes and the opposite null
-    vector with <u, m> = -2.  Chart points are
-    p(xi) = ((1+|xi|^2)/2) u/... -- concretely coordinates of a point p on
-    the horosphere are xi = (<p, ea>, <p, eb>).
+    Returns (ea, eb, m): unit spacelike chart axes orthogonal to u and m,
+    and the opposite null vector m with <u, m> = -2.  The horosphere
+    {<p, u> = -1} is the image of the plane under
+    p(xi) = ((1 + |xi|^2)/2) u + m/2 + xi_1 ea + xi_2 eb, and a point p on
+    it has chart coordinates xi = (<p, ea>, <p, eb>).
     """
     u = np.asarray(u, dtype=float)
     m_raw = np.array([-u[0], -u[1], -u[2], u[3]])
@@ -443,7 +444,6 @@ class PolySurface:
         the exterior dihedral angles of this surface, edge by edge (the
         dual complex reuses primal edge ids).
         """
-        from .cellsurf import dual_cell_surface
         if self.kind != COMPACT:
             raise UnsupportedGeometry("dual_surface needs a compact surface")
         if self.base.n_faces != self.tri.n_faces:

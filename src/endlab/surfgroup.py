@@ -281,10 +281,6 @@ class DevelopState:
         self.matrix = np.eye(2, dtype=complex)
         self.pos = pos
 
-    def cross(self, side):
-        self.word.append(_CROSS_LETTER[side])
-        self.matrix = self.matrix @ self.schema.pairing[side]
-
     def teleport(self, target):
         """Move to another polygon position of the same surface point."""
         if self.pos == target:

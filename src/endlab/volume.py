@@ -41,7 +41,8 @@ import numpy as np
 from scipy.special import zeta
 
 from . import crossratio as _cx
-from . import mink
+from . import mink, polysurf
+from .rigidity import shift_map_matrix, zero_sum_basis
 
 
 def lobachevsky(theta):
@@ -213,7 +214,6 @@ def _decoration_shift_change(ps, lengths, dtheta):
     Rescaling vertex v by s adds s to each incident edge length; under the
     per-vertex zero-sum constraint on dtheta the sum is invariant.
     """
-    from .rigidity import shift_map_matrix
     m = shift_map_matrix(ps.tri).astype(float)
     shifts = np.linspace(0.3, 1.1, ps.tri.n_vertices)
     shifted = lengths + m @ shifts
@@ -243,7 +243,6 @@ class SplitOctahedronFamily:
         return total
 
     def surface(self, t):
-        from . import polysurf
         from .fixtures import octahedron_surface
         eq, top, bot = self.chart_points(t)
         # vertex order of the octahedron fixture: +x,-x,+y,-y,+z,-z
@@ -257,7 +256,6 @@ class SplitOctahedronFamily:
 
     def dtheta(self):
         """Constraint-projected interior-angle velocity of the family."""
-        from .rigidity import zero_sum_basis
         h = 1e-5
         fd = (self.interior_angles(h) - self.interior_angles(-h)) / (2 * h)
         b_int, q = zero_sum_basis(self.surface(0.0).tri)

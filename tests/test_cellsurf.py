@@ -109,6 +109,42 @@ def test_surf_duplicate_record_rejected(record, what):
         parse_surf("\n".join(lines) + "\n")
 
 
+SPHERE = ("v 0\nv 1\nv 2\ne 0 0 1\ne 1 1 2\ne 2 2 0\n"
+          "f 0 0+ 1+ 2+\nf 1 2- 1- 0-\n")
+
+
+def two_spheres(second):
+    """Two triangle spheres, on vertices 0, 1, 2 and on the triple
+    ``second``, with theta 2*pi/3 on every edge (each face sums to 2*pi)."""
+    ends = [(0, 1), (1, 2), (2, 0)] + list(zip(second, second[1:] + second[:1]))
+    lines = ["v %d" % v for v in range(1 + max(second))]
+    lines += ["e %d %d %d" % (e, u, v) for e, (u, v) in enumerate(ends)]
+    lines += ["f 0 0+ 1+ 2+", "f 1 2- 1- 0-", "f 2 3+ 4+ 5+", "f 3 5- 4- 3-"]
+    lines += ["theta %d %.17g" % (e, 2 * math.pi / 3) for e in range(6)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("text,message", [
+    (SPHERE + "x 1\n", "line 9: unrecognized record 'x'"),
+    (SPHERE.replace("f 0 0+ 1+ 2+", "f 0 0+ 1 2+"), "line 7: dart token '1'"),
+    (SPHERE.replace("f 0 0+ 1+ 2+", "f 0"), "line 7: empty face"),
+    (SPHERE.replace("f 1 2- 1- 0-", "f 1 0+ 1+ 2+"), "dart 0 used twice"),
+    (two_spheres((0, 3, 4)), "vertex 0 has a disconnected star"),
+    (two_spheres((3, 4, 5)),
+     "surface is not connected (vertex 3 unreached from vertex 0)"),
+], ids=["unrecognized-record", "dart-token", "empty-face", "dart-used-twice",
+        "disconnected-star", "two-components"])
+def test_malformed_surf_rejected(text, message):
+    with pytest.raises(SurfaceFormatError) as err:
+        parse_surf(text)
+    assert str(err.value) == message
+
+
+def test_empty_complex_rejected():
+    with pytest.raises(SurfaceFormatError, match="no vertices"):
+        CellSurface(0, [], [])
+
+
 # ---------------------------------------------------------------------------
 # Thurston pattern
 
@@ -390,6 +426,51 @@ def test_searches_meet_each_cycle_once_in_any_adjacency_order(name):
             want = _parent_simple_paths_between(adj, endpoints, l_max)
             assert len(set(ours)) == len(ours)
             assert set(ours) == {undirected(p) for p in want}, (trial, l_max)
+
+
+# ---------------------------------------------------------------------------
+# genus-1 contractibility against winding numbers
+
+
+def grid_torus():
+    """3x3 grid on the torus, each square split by its diagonal; vertex
+    (i, j) of the grid has id 3i + j."""
+    vid = lambda i, j: 3 * (i % 3) + j % 3
+    faces = []
+    for i in range(3):
+        for j in range(3):
+            a, b, c, d = vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)
+            faces += [[a, b, c], [a, c, d]]
+    return from_face_vertex_lists(faces)
+
+
+def winding(surface, darts):
+    """Sum of the lifted grid displacements of a closed dart path."""
+    total = [0, 0]
+    for d in darts:
+        u, w = surface.tail(d), surface.head(d)
+        total[0] += (w // 3 - u // 3 + 1) % 3 - 1
+        total[1] += (w % 3 - u % 3 + 1) % 3 - 1
+    return tuple(total)
+
+
+def test_torus_contractibility_matches_winding_numbers():
+    s = grid_torus()
+    assert (s.n_vertices, s.n_edges, s.n_faces, s.genus()) == (9, 27, 18, 1)
+    oracle = cellsurf.ContractibilityOracle(s)
+    adj = s.adjacency()
+    for cycles, count, contractible in (
+            (simple_cycles_upto(9, adj, 6), 1233, 234),
+            (cellsurf.closed_trails_upto(9, adj, 6, [1.0] * s.n_edges,
+                                         math.inf), 1557, 396)):
+        flags = [oracle.cycle_is_contractible(list(vs), list(es))
+                 for vs, es in cycles]
+        assert flags == [winding(s, cellsurf.cycle_to_darts(s, vs, es))
+                         == (0, 0) for vs, es in cycles]
+        assert (len(cycles), sum(flags)) == (count, contractible)
+    rep = validate_admissible(s.with_theta([2 * math.pi / 3] * s.n_edges),
+                              l_max=6)
+    assert rep.passed and rep.checked_cycles == 216
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,38 @@ def test_face_dart_out_of_range_rejected(tmp_path, capsys, edges, message):
         assert message in capsys.readouterr().err
 
 
+def two_copies(surface):
+    """surf v1 text of two disjoint copies of a surface with weights."""
+    n, m = surface.n_vertices, surface.n_edges
+    lines = ["v %d" % v for v in range(2 * n)]
+    lines += ["e %d %d %d" % (e, u + c * n, v + c * n)
+              for c in (0, 1) for e, (u, v) in enumerate(surface.edges, c * m)]
+    lines += ["f %d %s" % (f, " ".join("%d%s" % (d // 2 + c * m, "+-"[d % 2])
+                                       for d in cyc))
+              for c in (0, 1)
+              for f, cyc in enumerate(surface.face_cycles,
+                                      c * surface.n_faces)]
+    lines += ["theta %d %.17g" % (e, t)
+              for e, t in enumerate(list(surface.theta) * 2)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("command,name", [
+    ("check-admissible", "pattern.surf"),
+    ("pak-search", "genus2_uniform.surf"),
+])
+def test_disconnected_surface_is_bad_input(tmp_path, capsys, command, name):
+    # two spheres would read as genus -1 and pass check-admissible; two
+    # genus-2 copies would reach pak-search as genus 3
+    surface = cellsurf.parse_surf((INPUTS / name).read_text())
+    path = tmp_path / "two.surf"
+    path.write_text(two_copies(surface))
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: surface is not connected (vertex %d unreached from vertex 0)\n"
+        % surface.n_vertices)
+
+
 @pytest.mark.parametrize("command,name,record,bad", [
     ("rigidity", "tetrahedron_compact.poly",
      "geom 0 compact 0.67850272550221846", "geom 0 compact nan"),

@@ -410,6 +410,9 @@ def test_parse_cr_rejects_bad_records():
     for record, reason in (("cr -1 0.5 0.5", "out of range"),
                            ("cr 99 0.5 0.5", "out of range"),
                            ("cr x 0.5 0.5", "bad edge id"),
+                           ("cr 1 0.5", "bad cr record"),
+                           ("z 1 0.5 0.5", "bad cr record"),
+                           ("cr 1 x 0.5", "bad cross-ratio x 0.5"),
                            ("cr 0 0.5 0.5", "duplicate edge 0"),
                            ("cr 1 nan 0.5", "non-finite"),
                            ("cr 1 0.5 inf", "non-finite")):

@@ -16,7 +16,8 @@ from endlab.decor import (BACKWARD, FORWARD, UNORIENTED, Decoration,
                           serialize_decoration, vertex_changes)
 from endlab.cellsurf import from_face_vertex_lists, parse_surf
 from endlab.fixtures import (genus2_complex, genus2_surface_file,
-                             octahedron_surface, tetrahedron_surface)
+                             octahedron_surface, random_convex_compact,
+                             tetrahedron_surface)
 from scripts_path import INPUTS  # see conftest
 
 
@@ -323,3 +324,59 @@ def test_cli_import_leaves_scipy_sparse_out():
             "sys.exit(any(m.startswith(('scipy.sparse', 'scipy.linalg')) "
             "for m in sys.modules))" % src)
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+# ---------------------------------------------------------------------------
+# the paper's tightness rule, verbatim, against the kept rule
+
+
+def _paper_tight(surface, states):
+    """Offending vertices under the paper's rule: at most 2 changes per
+    vertex, and at most 1 at a vertex with three or more unoriented darts
+    or two rotation-consecutive unoriented darts.  Corner values are read
+    off the face cycles: the corner of face f at tail(d) pairs edge(d)
+    with the face edge before it."""
+    def away(d):
+        return int(states[d // 2]) * (1 if d % 2 == 0 else -1)
+
+    totals = [0.0] * surface.n_vertices
+    for cyc in surface.face_cycles:
+        for prev, d in zip(cyc[-1:] + cyc[:-1], cyc):
+            a, b = away(d), away(prev ^ 1)
+            if a == 0 and b == 0:
+                change = 0.0
+            elif a == 0 or b == 0:
+                change = 0.5
+            else:
+                change = 0.0 if a == b else 1.0
+            totals[surface.tail(d)] += change
+    offenders = []
+    for v in range(surface.n_vertices):
+        unor = [away(d) == 0 for d in surface.vertex_star(v)]
+        consecutive = len(unor) > 1 and any(
+            unor[i - 1] and unor[i] for i in range(len(unor)))
+        limit = 1.0 if sum(unor) >= 3 or consecutive else 2.0
+        if totals[v] > limit + 1e-9:
+            offenders.append(v)
+    return offenders
+
+
+@pytest.mark.parametrize("which", ["genus2", "octahedron", "compact-hull"])
+def test_kept_tightness_rule_matches_paper_rule(which):
+    surface = {"genus2": lambda: genus2_complex().surface,
+               "octahedron": octahedron_surface,
+               "compact-hull": lambda: random_convex_compact(4, 12).tri}[which]()
+    rng = np.random.default_rng(17)
+    states = np.vstack(
+        [decor.random_states(surface, rng, 400), _structured_states(surface)]
+        + [_sparse_states(surface, rng, 200, p) for p in (0.05, 0.2, 0.5, 0.8)])
+    assert len(states) >= 1000
+    batch = decor.batch_report(surface, states).tight
+    flags = []
+    for st, batch_tight in zip(states, batch):
+        offenders = _paper_tight(surface, st)
+        rep = is_tight(Decoration(surface, st))
+        assert rep.offenders == offenders
+        assert rep.tight == batch_tight == (not offenders)
+        flags.append(rep.tight)
+    assert any(flags) and not all(flags)
