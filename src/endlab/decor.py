@@ -314,7 +314,7 @@ def pak_report(dec):
         chi = n_vertices - n_edges + len(faces)
         g2 = 2 - b_cycles - chi
         if g2 % 2:
-            raise DecorationError("component has inconsistent Euler data")
+            raise ValueError("component has inconsistent Euler data")
         genus = g2 // 2
         c_total = float(sum(corners[d] for d in cdarts))
         comp = ComponentReport(
@@ -460,7 +460,7 @@ def batch_report(surface, states):
     chi = nv - ne + nf
     g2 = 2 - nb - chi
     if np.any(exists & (g2 % 2 != 0)):
-        raise DecorationError("component has inconsistent Euler data")
+        raise ValueError("component has inconsistent Euler data")
     genus = g2 // 2
     holds = ((3 * nf == 2 * ne - eb) & (chi == 2 - 2 * genus - nb)
              & (2 * nv - eb == nf + (4 - 4 * genus - 2 * nb)))

@@ -126,32 +126,40 @@ def _triangulate(base):
 # frames and links
 
 
-def _gram_schmidt_frame(v):
-    """Minkowski-orthonormal frame of the complement of a non-null v.
+def _complement_frames(vecs):
+    """Minkowski-orthonormal frames of the complements of non-null vectors.
 
-    Returns (rows, signs): rows[i] with <rows[i], rows[j]> = signs[i] d_ij,
-    deterministic over the canonical seed order.
+    For vecs (V, 4) returns (rows (V, 3, 4), signs (V, 3)) with
+    <rows[v, i], rows[v, j]> = signs[v, i] d_ij: Gram-Schmidt over the
+    seeds e_0..e_3 in turn, each seed projected off vecs[v] and the rows
+    already kept, skipped where |<w, w>| < 1e-10, until three rows are
+    kept.  Every vertex runs through the same float operations in the same
+    order as it would alone; only the vertices still short of three rows
+    take each seed.
     """
-    basis = [np.asarray(v, dtype=float)]
-    norms = [mdot(v, v)]
-    rows, signs = [], []
-    for seed in np.eye(4):
-        w = seed.copy()
-        for b, q in zip(basis, norms):
-            w = w - (mdot(w, b) / q) * b
+    n = len(vecs)
+    basis = np.zeros((n, 4, 4))  # vecs[v], then the rows kept so far
+    norms = np.ones((n, 4))
+    basis[:, 0] = vecs
+    norms[:, 0] = mdot(vecs, vecs)
+    count = np.zeros(n, dtype=int)
+    for s in range(4):
+        act = np.flatnonzero(count < 3)
+        w = np.zeros((len(act), 4))
+        w[:, s] = 1.0
+        for j in range(1 + s):
+            b = basis[act, j]
+            w = np.where((count[act] >= j)[:, None],
+                         w - (mdot(w, b) / norms[act, j])[:, None] * b, w)
         q = mdot(w, w)
-        if abs(q) < 1e-10:
-            continue
-        w = w / math.sqrt(abs(q))
-        basis.append(w)
-        norms.append(math.copysign(1.0, q))
-        rows.append(w)
-        signs.append(int(math.copysign(1.0, q)))
-        if len(rows) == 3:
-            break
-    if len(rows) != 3:
+        ok = np.abs(q) >= 1e-10
+        act, w, q = act[ok], w[ok], q[ok]
+        basis[act, 1 + count[act]] = w / np.sqrt(np.abs(q))[:, None]
+        norms[act, 1 + count[act]] = np.copysign(1.0, q)
+        count[act] += 1
+    if np.any(count < 3):
         raise PolyBuildError("degenerate tangent frame")
-    return np.array(rows), np.array(signs)
+    return basis[:, 1:], norms[:, 1:].astype(int)
 
 
 def horosphere_chart(u):
@@ -312,30 +320,23 @@ class PolySurface:
 
     def _check_convexity(self):
         """Opposite apex of each edge must not rise above the face plane."""
-        margins = np.zeros(self.tri.n_edges)
-        flat = []
-        for e in range(self.tri.n_edges):
-            d1, d2 = 2 * e, 2 * e + 1
-            f1 = int(self.tri.dart_face[d1])
-            f2 = int(self.tri.dart_face[d2])
-            apex = self.tri.tail(int(self.tri.fprev[d2]))
-            val = mdot(self.vectors[apex], self.face_normals[f1])
-            scale = max(1.0, float(np.max(np.abs(self.vectors[apex]))))
-            margins[e] = val / scale
-            if e in self.diagonal_edges:
-                continue
-            if val > 1e-7 * scale:
-                if self.strict:
-                    raise PolyBuildError("locally concave structural edge %d" % e)
-                flat.append(e)
-            elif val > -1e-9 * scale:
-                flat.append(e)
-        self.diagnostics["convexity_margins"] = margins
-        self.diagnostics["flat_edges"] = flat
+        tri = self.tri
+        apex = self.vectors[tri.dart_tail[tri.fprev[1::2]]]
+        val = mdot(apex, self.face_normals[tri.dart_face[0::2]])
+        scale = np.maximum(1.0, np.max(np.abs(apex), axis=1))
+        structural = np.ones(tri.n_edges, dtype=bool)
+        structural[list(self.diagonal_edges)] = False
+        concave = np.flatnonzero(structural & (val > 1e-7 * scale))
+        if concave.size and self.strict:
+            raise PolyBuildError("locally concave structural edge %d"
+                                 % concave[0])
+        self.diagnostics["convexity_margins"] = val / scale
+        self.diagnostics["flat_edges"] = np.flatnonzero(
+            structural & (val > -1e-9 * scale)).tolist()
         if self.kind == HYPER and not self.is_dual:
-            missing = [e for e in range(self.tri.n_edges)
-                       if mdot(self.vectors[self.tri.edges[e][0]],
-                               self.vectors[self.tri.edges[e][1]]) > -1.0]
+            ends = self.vectors[tri.dart_tail]
+            missing = np.flatnonzero(
+                mdot(ends[0::2], ends[1::2]) > -1.0).tolist()
             if missing and self.strict:
                 raise PolyBuildError("hyperideal edge missing H^3: %s" % missing)
             self.diagnostics["edges_missing_h3"] = missing
@@ -390,8 +391,7 @@ class PolySurface:
             frames = np.array([horosphere_chart(u) for u in self.vectors])
             signs = np.ones((self.tri.n_vertices, 2), dtype=int)
         else:
-            rows, signs = zip(*(_gram_schmidt_frame(v) for v in self.vectors))
-            frames, signs = np.array(rows), np.array(signs)
+            frames, signs = _complement_frames(self.vectors)
         tail = self.tri.dart_tail
         head = tail[twin(np.arange(self.tri.n_darts))]
         qv, qw = self.vectors[tail], self.vectors[head]

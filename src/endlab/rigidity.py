@@ -24,6 +24,21 @@ other way, from that constraint space to the per-vertex chart vectors
 an exact integer basis (kept alongside the orthonormal one) so the
 per-vertex zero-sum condition holds with no rounding at all.
 
+That integer basis is the rational null space of M^T (M the shift map)
+in reduced row echelon form, each column scaled by the lcm of its
+denominators, built combinatorially instead of by exact elimination.  The
+columns of M^T are the unsigned incidence vectors of the edges, and a set
+of them is independent exactly when every component of its edge graph
+holds at most one cycle and that cycle is odd (a loop counts as odd).
+RREF pivots are chosen greedily in column order, so the pivot edges are
+the edges a greedy pass in id order keeps under that rule, and the null
+vector of a free edge f is the unique solution with x_f = 1, the other
+free edges 0: the kept edges form trees on one odd cycle each, and are
+solved leaves first, then round each cycle from the alternating sum of
+its vertex residuals.  Its entries lie in (1/2)Z, so solving with
+x_f = 2 in integers and dividing by the column's gcd gives the
+lcm-scaled column exactly.
+
 Both operators of a pair are read off one link-row matrix A, the link
 coordinates of every dart accumulated into the rows of its tail vertex:
 M = A and L = (G A)^T on compact/hyperideal surfaces (G the diagonal
@@ -70,7 +85,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import sympy
+# unused here: imported only because the benchmark's traced run reads
+# sympy's import time (bench/layers.py)
+import sympy  # noqa: F401
 
 from . import mink
 # pak_report stays bound here although the verdict batches its decorations:
@@ -247,24 +264,114 @@ def shift_map_matrix(surface):
     return m
 
 
+def _independent_edges(surface):
+    """The pivot edges of the RREF of M^T: in id order, each edge that
+    keeps every component at most one cycle, an odd one.  A union-find
+    holds each vertex's path parity to its root and, per root, whether the
+    component already has its odd cycle."""
+    parent = list(range(surface.n_vertices))
+    parity = [0] * surface.n_vertices  # parity of the path to parent[v]
+    odd = [False] * surface.n_vertices
+
+    def find(v):
+        path = []
+        while parent[v] != v:
+            path.append(v)
+            v = parent[v]
+        p = 0
+        for u in reversed(path):
+            p ^= parity[u]
+            parent[u], parity[u] = v, p
+        return v, p
+
+    kept = []
+    for e, (u, v) in enumerate(surface.edges):
+        (ru, pu), (rv, pv) = find(u), find(v)
+        if ru != rv:
+            if odd[ru] and odd[rv]:
+                continue
+            parent[rv], parity[rv] = ru, pu ^ pv ^ 1
+            odd[ru] = odd[ru] or odd[rv]
+        elif pu != pv or odd[ru]:  # an even cycle, or a second odd one
+            continue
+        else:
+            odd[ru] = True
+        kept.append(e)
+    return kept
+
+
+def _peel_order(edges, kept, n_vertices):
+    """Solve order of the kept edges, whose components each hold one odd
+    cycle: leaf steps (v, e, w), edge e leaving leaf v for w, then each
+    cycle as (vertices v_0..v_{L-1}, edges e_0..e_{L-1}), e_i joining v_i
+    to v_{i+1 mod L}."""
+    incident = [[] for _ in range(n_vertices)]
+    for e in kept:
+        for v in edges[e]:
+            incident[v].append(e)  # twice for a loop
+    deg = [len(es) for es in incident]
+    alive = dict.fromkeys(kept, True)
+    leaves = [v for v in range(n_vertices) if deg[v] == 1]
+    steps = []
+    while leaves:
+        v = leaves.pop()
+        e = next(f for f in incident[v] if alive[f])
+        alive[e] = False
+        a, b = edges[e]
+        w = b if a == v else a
+        steps.append((v, e, w))
+        deg[v] -= 1
+        deg[w] -= 1
+        if deg[w] == 1:
+            leaves.append(w)
+    cycles = []
+    for e0 in kept:
+        if not alive[e0]:
+            continue
+        verts, cyc = [], []
+        v, e = edges[e0][0], e0
+        while alive[e]:
+            alive[e] = False
+            verts.append(v)
+            cyc.append(e)
+            a, b = edges[e]
+            v = b if a == v else a
+            e = next((f for f in incident[v] if alive[f]), e)
+        cycles.append((verts, cyc))
+    return steps, cycles
+
+
 def zero_sum_basis(surface):
     """(integer basis, orthonormal basis) of the per-vertex zero-sum space.
 
-    The integer columns satisfy the constraints exactly in floating point;
-    the shift map is checked injective (fails only for bipartite graphs,
+    The integer columns are the lcm-scaled RREF null basis of M^T (see the
+    module docstring), one per edge outside :func:`_independent_edges`, in
+    edge order; they satisfy the constraints exactly in floating point.
+    The shift map is checked injective (fails only for bipartite graphs,
     which triangulation skeletons never are).
     """
-    m = shift_map_matrix(surface)
-    sm = sympy.Matrix(m.T.tolist())
-    null = sm.nullspace()
-    if surface.n_edges - len(null) != surface.n_vertices:
+    edges, ne = surface.edges, surface.n_edges
+    kept = _independent_edges(surface)
+    if len(kept) != surface.n_vertices:
         raise ValueError("per-vertex shift map is not injective")
-    cols = []
-    for vec in null:
-        vals = [row[0] for row in vec.tolist()]
-        lcm = math.lcm(*(x.q for x in vals))
-        cols.append([x.p * (lcm // x.q) for x in vals])
-    b_int = np.array(cols, dtype=float).T
+    steps, cycles = _peel_order(edges, kept, surface.n_vertices)
+    free = np.setdiff1d(np.arange(ne), kept)
+    x = np.zeros((len(free), ne), dtype=np.int64)
+    x[np.arange(len(free)), free] = 2
+    # r[:, v]: what the unsolved kept edges at v must still sum to
+    r = -2 * shift_map_matrix(surface)[free]
+    for v, e, w in steps:
+        x[:, e] = r[:, v]
+        r[:, w] -= r[:, v]
+    for verts, cyc in cycles:
+        # round an odd cycle the alternating sum of the residuals at its
+        # vertices counts the last edge twice and every other edge not at all
+        alternating = 1 - 2 * (np.arange(len(verts)) % 2)
+        prev = x[:, cyc[-1]] = (r[:, verts] @ alternating) // 2
+        for v, e in zip(verts[:-1], cyc[:-1]):
+            prev = x[:, e] = r[:, v] - prev
+    x //= np.gcd.reduce(x, axis=1)[:, None]
+    b_int = np.array(x, dtype=float).T
     q, _ = np.linalg.qr(b_int)
     return b_int, q
 

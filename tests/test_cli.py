@@ -254,6 +254,22 @@ def test_pak_search_broken_identity_fails(tmp_path, monkeypatch, block, row):
     assert ("counting-identities: BROKEN" in text) == (block == "random")
 
 
+
+def test_broken_euler_count_is_internal_error(monkeypatch, capsys):
+    # an odd 2 - b - chi can only come from a counting fault in endlab
+    from endlab import decor
+    counts = decor._component_counts
+
+    def one_more_boundary_cycle(surface, st, inc):
+        nv, ne, nf, eb, nb = counts(surface, st, inc)
+        return nv, ne, nf, eb, nb + (nf > 0)
+
+    monkeypatch.setattr(decor, "_component_counts", one_more_boundary_cycle)
+    assert main(["pak-search", "--samples", "10",
+                 str(INPUTS / "genus2_uniform.surf")]) == 3
+    assert capsys.readouterr().err == (
+        "internal error: component has inconsistent Euler data\n")
+
 def test_fixture_labels_guard(tmp_path):
     # --fixture-labels must reject inputs that are not the packaged fixture
     assert main(["check-admissible", "--fixture-labels",

@@ -58,7 +58,7 @@ def test_hyperideal_truncated_length():
     assert np.allclose(ht.edge_lengths(), math.acosh(13.0 / 3.0), atol=1e-12)
 
 
-def double_pyramid(h_top, h_bot=-0.8, rho=0.9):
+def double_pyramid(h_top, h_bot=-0.8, rho=0.9, strict=True):
     pts = []
     for i in range(4):
         phi = 2 * math.pi * i / 4
@@ -70,7 +70,7 @@ def double_pyramid(h_top, h_bot=-0.8, rho=0.9):
     faces = [[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4],
              [1, 0, 5], [2, 1, 5], [3, 2, 5], [0, 3, 5]]
     surf = from_face_vertex_lists(faces, n_vertices=6)
-    return PolySurface(surf, [compact_point(p) for p in pts])
+    return PolySurface(surf, [compact_point(p) for p in pts], strict=strict)
 
 
 def test_concave_vertex_rejected():
@@ -205,13 +205,18 @@ def test_lengths_angles_isometry_invariant():
                            atol=1e-10)
 
 
-def _spiral_hyper_hull(n):
-    """Base and vertex vectors of the benchmark's hyper spiral hull
-    (bench/spiral.py), unmoved."""
+def _spiral_module():
+    """bench/spiral.py, the benchmark's spiral-hull inputs."""
     path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spiral.py"
     spec = importlib.util.spec_from_file_location("spiral", path)
     spiral = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spiral)
+    return spiral
+
+
+def _spiral_hyper_hull(n):
+    """Base and vertex vectors of the benchmark hyper spiral hull, unmoved."""
+    spiral = _spiral_module()
     dirs = spiral.spiral_directions(n)
     faces = spiral.hull_faces(dirs)
     vecs = spiral.vertex_vectors("hyper", dirs, faces, None)
@@ -435,3 +440,140 @@ def test_poly_parse_geom_error():
     text = serialize_poly(oc).replace("geom 0 ideal", "geom 0 weird", 1)
     with pytest.raises(Exception):
         parse_poly(text)
+
+
+# ---------------------------------------------------------------------------
+# array-built frames and convexity checks against their scalar loops
+
+
+def _gram_schmidt_frame(v):
+    """Minkowski-orthonormal frame of the complement of a non-null v.
+
+    Returns (rows, signs): rows[i] with <rows[i], rows[j]> = signs[i] d_ij,
+    deterministic over the canonical seed order.
+    """
+    basis = [np.asarray(v, dtype=float)]
+    norms = [mdot(v, v)]
+    rows, signs = [], []
+    for seed in np.eye(4):
+        w = seed.copy()
+        for b, q in zip(basis, norms):
+            w = w - (mdot(w, b) / q) * b
+        q = mdot(w, w)
+        if abs(q) < 1e-10:
+            continue
+        w = w / math.sqrt(abs(q))
+        basis.append(w)
+        norms.append(math.copysign(1.0, q))
+        rows.append(w)
+        signs.append(int(math.copysign(1.0, q)))
+        if len(rows) == 3:
+            break
+    if len(rows) != 3:
+        raise PolyBuildError("degenerate tangent frame")
+    return np.array(rows), np.array(signs)
+
+
+def _check_convexity_loop(self):
+    """PolySurface._check_convexity as one loop over the edges (``self`` a
+    built PolySurface); returns the diagnostics it would set."""
+    diagnostics = {}
+    margins = np.zeros(self.tri.n_edges)
+    flat = []
+    for e in range(self.tri.n_edges):
+        d1, d2 = 2 * e, 2 * e + 1
+        f1 = int(self.tri.dart_face[d1])
+        f2 = int(self.tri.dart_face[d2])
+        apex = self.tri.tail(int(self.tri.fprev[d2]))
+        val = mdot(self.vectors[apex], self.face_normals[f1])
+        scale = max(1.0, float(np.max(np.abs(self.vectors[apex]))))
+        margins[e] = val / scale
+        if e in self.diagonal_edges:
+            continue
+        if val > 1e-7 * scale:
+            if self.strict:
+                raise PolyBuildError("locally concave structural edge %d" % e)
+            flat.append(e)
+        elif val > -1e-9 * scale:
+            flat.append(e)
+    diagnostics["convexity_margins"] = margins
+    diagnostics["flat_edges"] = flat
+    if self.kind == "hyper" and not self.is_dual:
+        missing = [e for e in range(self.tri.n_edges)
+                   if mdot(self.vectors[self.tri.edges[e][0]],
+                           self.vectors[self.tri.edges[e][1]]) > -1.0]
+        if missing and self.strict:
+            raise PolyBuildError("hyperideal edge missing H^3: %s" % missing)
+        diagnostics["edges_missing_h3"] = missing
+    return diagnostics
+
+
+def _hyper_tetrahedron_off_h3():
+    # adjacent vertices pair to 1 - 4k^2/3 > -1: no edge crosses H^3
+    k = 1.1
+    vecs = [np.array([*(k * d), math.sqrt(k * k - 1.0)])
+            for d in fixtures._TETRA_DIRS]
+    return PolySurface(fixtures.tetrahedron_surface(),
+                       [hyper_point(v) for v in vecs],
+                       reference=[0.0, 0.0, 0.0, 1.0], strict=False)
+
+
+def _golden_poly(name):
+    from scripts_path import INPUTS
+    return parse_poly((INPUTS / name).read_text())
+
+
+ORACLE_SURFACES = {
+    "compact-tetrahedron": lambda: fixtures.compact_tetrahedron(1.0),
+    "hyper-tetrahedron": lambda: fixtures.hyperideal_tetrahedron(2.0),
+    "hyper-dual": lambda: fixtures.compact_tetrahedron(1.0).dual_surface(),
+    "hyper-off-h3": _hyper_tetrahedron_off_h3,
+    "random-compact": lambda: fixtures.random_convex_compact(3, 9),
+    "flat-vertex": fixtures.flat_vertex_pyramid,
+    "square-pyramid": square_pyramid,
+    "concave-nonstrict": lambda: double_pyramid(-0.3, strict=False),
+    "ideal-octahedron": fixtures.ideal_octahedron,
+    "ideal-rotated": fixtures.rotated_ideal_octahedron,
+    "ideal-tetrahedron": fixtures.ideal_tetrahedron,
+    "random-ideal": lambda: fixtures.random_ideal(13, 8),
+    "golden-octahedron": lambda: _golden_poly("octahedron.poly"),
+    "golden-compact": lambda: _golden_poly("tetrahedron_compact.poly"),
+    "golden-ideal": lambda: _golden_poly("tetrahedron_ideal.poly"),
+}
+for _kind in ("compact", "hyper"):
+    for _n in (8, 32, 128, 512):
+        for _seed in (1, 2, 3):
+            ORACLE_SURFACES["%s-%d-seed%d" % (_kind, _n, _seed)] = (
+                lambda k=_kind, n=_n, s=_seed:
+                _spiral_module().build(k, n, np.random.default_rng(s)))
+
+
+@pytest.mark.parametrize("make", ORACLE_SURFACES.values(),
+                         ids=ORACLE_SURFACES.keys())
+def test_frames_and_convexity_match_scalar_loops(make):
+    ps = make()
+    if ps.kind != "ideal":
+        links = ps.links()
+        rows, signs = zip(*(_gram_schmidt_frame(v) for v in ps.vectors))
+        assert np.array_equal(links.frames, np.array(rows))
+        assert np.array_equal(links.signs, np.array(signs))
+        assert links.signs.dtype == np.array(signs).dtype
+    expect = _check_convexity_loop(ps)
+    assert ps.diagnostics.keys() >= expect.keys()
+    assert np.array_equal(ps.diagnostics["convexity_margins"],
+                          expect["convexity_margins"])
+    assert ps.diagnostics["flat_edges"] == expect["flat_edges"]
+    assert ps.diagnostics.get("edges_missing_h3") == expect.get(
+        "edges_missing_h3")
+    # the strict checks raise the same first offender, or pass alike
+    ps.strict = True
+    try:
+        expect = _check_convexity_loop(ps)
+    except PolyBuildError as exc:
+        with pytest.raises(PolyBuildError) as got:
+            ps._check_convexity()
+        assert str(got.value) == str(exc)
+    else:
+        ps._check_convexity()
+        assert ps.diagnostics["flat_edges"] == expect["flat_edges"]
+

@@ -2,12 +2,14 @@ import collections
 import importlib.util
 import math
 import pathlib
+import types
 
 import numpy as np
 import pytest
 
 from endlab import fixtures, mink, rigidity
 from endlab.cellsurf import from_face_vertex_lists
+from endlab.cli import main
 from endlab.decor import is_tight, pak_report
 from endlab.mink import mdot
 from endlab.polysurf import PolySurface, compact_point
@@ -19,6 +21,7 @@ from endlab.rigidity import (IndeterminateRankError, OperatorBundle,
                              length_variation_operator,
                              projective_rigidity_verdict, shift_map_matrix,
                              trivial_motion_basis, zero_sum_basis)
+from scripts_path import GOLDEN, RUNS  # see conftest
 
 
 def null_project(p):
@@ -237,6 +240,80 @@ def test_zero_sum_integer_basis_exact():
     assert np.all(resid == 0.0)  # exact in floating point: integer data
     assert np.allclose(q.T @ q, np.eye(q.shape[1]), atol=1e-12)
 
+
+
+def _sympy_zero_sum_basis(surface):
+    """The rational null space of M^T by sympy, each column scaled by the
+    lcm of its denominators: the basis zero_sum_basis must reproduce."""
+    import sympy
+    m = shift_map_matrix(surface)
+    null = sympy.Matrix(m.T.tolist()).nullspace()
+    if surface.n_edges - len(null) != surface.n_vertices:
+        raise ValueError("per-vertex shift map is not injective")
+    cols = []
+    for vec in null:
+        vals = [row[0] for row in vec.tolist()]
+        lcm = math.lcm(*(x.q for x in vals))
+        cols.append([x.p * (lcm // x.q) for x in vals])
+    b_int = np.array(cols, dtype=float).T
+    q, _ = np.linalg.qr(b_int)
+    return b_int, q
+
+
+def _multigraph():
+    # two components on one odd cycle each (a loop at 2, the triangle
+    # 3-4-5) once the greedy pass is done; parallel edges 1 and 5 close
+    # even cycles, edge 8 joins two components that both have their odd
+    # cycle, and loop 9 and triangle edge 10 would be second odd cycles
+    edges = [(0, 1), (1, 0), (1, 2), (2, 2), (3, 4), (4, 3), (4, 5), (5, 3),
+             (2, 3), (5, 5), (0, 2)]
+    return types.SimpleNamespace(n_vertices=6, n_edges=len(edges),
+                                 edges=edges)
+
+
+ZERO_SUM_SURFACES = {
+    "octahedron": lambda: fixtures.ideal_octahedron().tri,
+    "rotated-octahedron": lambda: fixtures.rotated_ideal_octahedron().tri,
+    "tetrahedron": lambda: fixtures.ideal_tetrahedron().tri,
+    "random-13-8": lambda: fixtures.random_ideal(13, 8).tri,
+    # the greedy basis of this one closes two odd cycles
+    "random-2-20": lambda: fixtures.random_ideal(2, 20).tri,
+    "ideal-80": lambda: _spiral("ideal", 80).tri,
+    "multigraph": _multigraph,
+}
+
+
+@pytest.mark.parametrize("make", ZERO_SUM_SURFACES.values(),
+                         ids=ZERO_SUM_SURFACES.keys())
+def test_zero_sum_basis_is_the_sympy_basis(make):
+    surface = make()
+    b_int, q = zero_sum_basis(surface)
+    expect_int, expect_q = _sympy_zero_sum_basis(surface)
+    assert np.array_equal(b_int, expect_int)
+    assert np.array_equal(q, expect_q)
+
+
+def test_zero_sum_basis_rejects_bipartite_skeleton():
+    cube = from_face_vertex_lists([[0, 1, 2, 3], [4, 7, 6, 5], [0, 4, 5, 1],
+                                   [1, 5, 6, 2], [2, 6, 7, 3], [3, 7, 4, 0]])
+    with pytest.raises(ValueError, match="not injective"):
+        _sympy_zero_sum_basis(cube)
+    with pytest.raises(ValueError, match="not injective"):
+        zero_sum_basis(cube)
+
+
+@pytest.mark.parametrize("name", ["rigidity_octahedron.txt", "schlafli.txt"])
+def test_goldens_never_call_sympy(monkeypatch, tmp_path, name):
+    import sympy
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("sympy.Matrix called")
+
+    monkeypatch.setattr(sympy, "Matrix", forbidden)
+    _, code, argv = next(run for run in RUNS if run[0] == name)
+    out = tmp_path / name
+    assert main(list(argv) + ["--out", str(out)]) == code
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 def test_ideal_adjointness_with_exact_constraints():
     rng = np.random.default_rng(3)
