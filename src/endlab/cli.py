@@ -137,15 +137,21 @@ def cmd_check_admissible(args):
 # rigidity
 
 
-def _spectrum_and_kernel(w, spectrum, dim, gap):
+def _spectrum_and_kernel(w, count, spectrum, dim, gap):
     """The SPECTRUM section, relative to the largest singular value, then
-    the KERNEL section's dimension and spectral gap."""
+    the KERNEL section's dimension and spectral gap.  A spectrum of None
+    (the inertia certificate decided the rank) prints the certified lower
+    bound on the smallest value instead of the values."""
     w.section("SPECTRUM")
-    smax = spectrum[0] if len(spectrum) else 0.0
-    w.kv("count", len(spectrum))
-    for i, s in enumerate(spectrum):
-        rel = s / smax if smax > 0 else 0.0
-        w.kv("sigma-rel %d" % i, _sentinel(rel, 1e-13))
+    w.kv("count", count)
+    if spectrum is None:
+        w.kv("sigma-rel-min", "> %g (a certified lower bound, not a "
+             "computed value)" % rigidity.CERTIFIED_FLOOR)
+    else:
+        smax = spectrum[0] if len(spectrum) else 0.0
+        for i, s in enumerate(spectrum):
+            rel = s / smax if smax > 0 else 0.0
+            w.kv("sigma-rel %d" % i, _sentinel(rel, 1e-13))
     w.section("KERNEL")
     w.kv("dim", dim)
     w.kv("gap", "inf" if math.isinf(gap) else ">= 1e3" if gap >= 1e3
@@ -163,13 +169,14 @@ def cmd_rigidity(args):
             ps, tau_rank=args.tol_rank)
     except rigidity.IndeterminateRankError as exc:
         # an undecided verdict, not bad input: report what was measured
-        _spectrum_and_kernel(w, exc.spectrum, "indeterminate", exc.gap)
+        _spectrum_and_kernel(w, len(exc.spectrum), exc.spectrum,
+                             "indeterminate", exc.gap)
         w.section("VERDICT")
         w.kv("result", "indeterminate rank")
         _emit(args, w.text())
         return EXIT_VIOLATION
-    _spectrum_and_kernel(w, verdict.spectrum, verdict.kernel_dim,
-                         verdict.gap)
+    _spectrum_and_kernel(w, verdict.spectrum_count, verdict.spectrum,
+                         verdict.kernel_dim, verdict.gap)
     w.kv("trivial-dim", verdict.trivial_dim)
     w.kv("residual-dim", verdict.residual_dim)
     w.kv("trivial-match-residual", _sentinel(verdict.trivial_match_residual, 1e-12))

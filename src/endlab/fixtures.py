@@ -174,7 +174,11 @@ def hyperideal_tetrahedron(k=2.0):
 
 
 def _separated_directions(rng, n):
-    """Unit directions at pairwise angles above 0.55, by rejection."""
+    """Unit directions at pairwise angles above min(0.55, 2.46/sqrt(n)), by
+    rejection.  The bound is 0.55 up to n = 20; beyond, it shrinks so that
+    the caps keep the share of the sphere they cover at n = 20 (about 3/8,
+    below the 0.55 at which random sequential packing jams)."""
+    cos_sep = math.cos(min(0.55, 2.46 / math.sqrt(n)))
     dirs = []
     attempts = 0
     while len(dirs) < n:
@@ -183,7 +187,7 @@ def _separated_directions(rng, n):
             raise RuntimeError("direction sampling failed")
         d = rng.normal(size=3)
         d = d / np.linalg.norm(d)
-        if all(np.dot(d, e) < math.cos(0.55) for e in dirs):
+        if all(np.dot(d, e) < cos_sep for e in dirs):
             dirs.append(d)
     return np.array(dirs)
 

@@ -56,26 +56,50 @@ and nothing is drawn from it.
 The trivial-motion oracle evaluates the six generators of so(3,1) at the
 vertex data; on convex fixtures these span the kernels of the length
 operators, which is the finite-polyhedron analogue of projective
-rigidity.  The verdict reads the singular values of the length operator
-from one Gram matrix: on compact/hyperideal surfaces L L^T = A^T A
-(G^2 = 1), which is scattered from the link coordinates over the pairs of
-darts that share a tail vertex, and on ideal ones it is L L^T.  Its
-eigenvalues are the squared singular values, so the Gram squares the
-condition number (Golub & Van Loan, Matrix Computations, 5.3); the
-spectrum is taken from it only when the smallest singular value is at
-least GRAM_MIN_SIGMA = 1e-4 times the largest, four orders above
-TAU_RANK, and otherwise from one full SVD, which then also gives the
-kernel basis.  A rank near the threshold is never decided from squared
-data.  When the certified kernel is exactly as large as the trivial
-motions and the operator has full row rank (every rigid closed
-polyhedron), the reported kernel basis is the trivial-motion basis
-itself, which no LAPACK build can change, and its distance from the
-kernel is the row-space part of its columns, from one solve with the same
-Gram matrix.  Any other kernel comes from the right singular vectors of a
-full SVD.  (Closed equivariant surfaces of genus g >= 2 in ends have no
-global isometries and their ideal angle-variation kernels have dimension
-6g-6; finite polyhedra carry the 6 global motions instead, and only the
-algebraic identities and the polyhedral kernel counts are checked here.)
+rigidity.  The verdict decides the rank of the length operator from one
+Gram matrix: on compact/hyperideal surfaces L L^T = A^T A (G^2 = 1), which
+is scattered from the link coordinates over the pairs of darts that share
+a tail vertex, and on ideal ones it is L L^T.  Two routes read it.
+
+With at most SPECTRUM_MAX = 256 singular values, the spectrum is printed
+in full: its values are the square roots of the eigenvalues of the Gram
+(one ``eigvalsh``).  The Gram squares the condition number (Golub & Van
+Loan, Matrix Computations, 5.3), so the spectrum is taken from it only
+when the smallest singular value is at least GRAM_MIN_SIGMA = 1e-4 times
+the largest, four orders above TAU_RANK, and otherwise from one full SVD,
+which then also gives the kernel basis.  A rank near the threshold is
+never decided from squared data.
+
+With more, deciding the rank does not need the spectrum: it needs a
+count of the eigenvalues of L L^T below a shift, which a triangular
+factorisation gives (Sylvester's law of inertia; Golub & Van Loan 8.1,
+Parlett, The Symmetric Eigenvalue Problem, ch. 3).  The rows are split
+into the breadth-first levels of the Gram's non-zero graph, from a
+pseudo-peripheral row, so every non-zero entry joins rows of equal or
+adjacent levels and the Gram is block tridiagonal over them (a spiral hull
+of 512 vertices: 1530 rows in about 20 levels of at most about 140).  A
+block Cholesky factorisation over the levels of L L^T - s I, with s =
+CERTIFIED_FLOOR^2 = (10 GRAM_MIN_SIGMA)^2 times the Gershgorin bound on
+sigma_max^2, succeeds only if every eigenvalue exceeds s, so success
+certifies sigma_min / sigma_max > CERTIFIED_FLOOR = 1e-3: full row rank,
+an infinite gap, and no rank near any threshold.  Rounding perturbs the
+factored matrix by about n eps ||L L^T||, seven orders below the shift.
+The spectrum is then not computed, and the report prints its count and
+the certified floor.  If the factorisation fails, or the rank tolerance
+is not below the floor, the spectrum route runs as above.
+
+When the certified kernel is exactly as large as the trivial motions and
+the operator has full row rank (every rigid closed polyhedron), the
+reported kernel basis is the trivial-motion basis itself, which no LAPACK
+build can change, and its distance from the kernel is the row-space part
+of its columns, from one solve with the same Gram matrix: a block forward
+and back substitution with the unshifted block Cholesky factor on the
+certificate route, ``np.linalg.solve`` on the spectrum route.  Any other
+kernel comes from the right singular vectors of a full SVD.  (Closed
+equivariant surfaces of genus g >= 2 in ends have no global isometries
+and their ideal angle-variation kernels have dimension 6g-6; finite
+polyhedra carry the 6 global motions instead, and only the algebraic
+identities and the polyhedral kernel counts are checked here.)
 """
 
 from __future__ import annotations
@@ -100,6 +124,12 @@ TAU_RANK = 1e-8
 MIN_GAP = 10.0
 #: smallest sigma / sigma_max for which the spectrum is read off the Gram
 GRAM_MIN_SIGMA = 1e-4
+#: the most singular values a verdict computes; above, it certifies instead
+SPECTRUM_MAX = 256
+#: sigma_min / sigma_max floor that the inertia certificate proves
+CERTIFIED_FLOOR = 10 * GRAM_MIN_SIGMA
+#: rows per block of the row-blocked passes over operator-sized matrices
+ROW_BLOCK = 256
 
 
 class IndeterminateRankError(ValueError):
@@ -124,12 +154,21 @@ class OperatorBundle:
     rows, L L^T, when the builder has it more cheaply than the product
     (it is formed on first use otherwise).
 
-    The singular values are computed on first use, as the square roots of
-    the eigenvalues of the Gram matrix of the smaller side (``eigvalsh``,
-    no vectors), in descending order.  When the smallest of them is under
-    GRAM_MIN_SIGMA times the largest, they come instead from one full SVD,
-    whose right singular vectors then serve :meth:`kernel_basis`; on the
-    Gram route a full SVD runs only if :meth:`kernel_basis` is called.
+    The rank is decided on first use by one of two routes (see the module
+    docstring).  A matrix with more than SPECTRUM_MAX rows and at least as
+    many columns first tries the inertia certificate: a block Cholesky
+    factorisation of L L^T - s I over the levels of :func:`level_partition`
+    (:func:`certify_full_rank`).  If it succeeds, the rank is the row count
+    under any tolerance below CERTIFIED_FLOOR, no singular value is
+    computed, and :meth:`row_space_residual` solves with the unshifted
+    block factor.  Otherwise the singular values are computed, as the
+    square roots of the eigenvalues of the Gram matrix of the smaller side
+    (``eigvalsh``, no vectors), in descending order.  When the smallest of
+    them is under GRAM_MIN_SIGMA times the largest, they come instead from
+    one full SVD, whose right singular vectors then serve
+    :meth:`kernel_basis`; on the Gram route a full SVD runs only if
+    :meth:`kernel_basis` is called.  :attr:`singular_values` computes the
+    spectrum on either route when it is asked for.
     """
 
     matrix: np.ndarray
@@ -148,6 +187,27 @@ class OperatorBundle:
         if self.gram is None:
             self.gram = self.matrix @ self.matrix.T
         return self.gram
+
+    @cached_property
+    def _levels(self):
+        """The level partition of L L^T when the inertia certificate holds,
+        None when it fails or is not tried (at most SPECTRUM_MAX rows, or
+        more rows than columns)."""
+        rows, cols = self.matrix.shape
+        if not SPECTRUM_MAX < rows <= cols:
+            return None
+        return certify_full_rank(self._row_gram())
+
+    def certifies_full_rank(self, tau_rank=TAU_RANK):
+        """Whether the inertia certificate decides the rank under tau_rank:
+        every singular value exceeds CERTIFIED_FLOOR > tau_rank times the
+        largest, so the rank is the row count and the gap infinite."""
+        return tau_rank < CERTIFIED_FLOOR and self._levels is not None
+
+    @cached_property
+    def _gram_factor(self):
+        """Block Cholesky factor of L L^T over the certificate's levels."""
+        return block_cholesky(self._row_gram(), self._levels)
 
     @cached_property
     def _factors(self):
@@ -180,18 +240,25 @@ class OperatorBundle:
 
     def row_space_residual(self, x):
         """Frobenius norm of the row-space part L^T (L L^T)^-1 L x of the
-        columns of x, by one solve with the Gram matrix L L^T (the one
-        the spectrum was read from, when it was).  For a
-        matrix of full row rank this is the exact distance of x from the
-        kernel, ||x - K K^T x||_F for an orthonormal kernel basis K."""
+        columns of x, by one solve with the Gram matrix L L^T: a block
+        substitution with its block Cholesky factor when the inertia
+        certificate holds, ``np.linalg.solve`` otherwise.  For a matrix of
+        full row rank this is the exact distance of x from the kernel,
+        ||x - K K^T x||_F for an orthonormal kernel basis K."""
         m = self.matrix
-        y = np.linalg.solve(self._row_gram(), m @ x)
+        b = m @ x
+        if self._levels is None:
+            y = np.linalg.solve(self._row_gram(), b)
+        else:
+            y = block_solve(self._gram_factor, b)
         return float(np.linalg.norm(m.T @ y))
 
     def rank_profile(self, tau_rank=TAU_RANK):
         """(rank, kernel dim, spectral gap) under the tolerance."""
+        rows, n = self.matrix.shape
+        if self.certifies_full_rank(tau_rank):
+            return rows, n - rows, math.inf
         s = self.singular_values
-        n = self.matrix.shape[1]
         rank = self._rank(tau_rank)
         if rank >= len(s) or rank == 0:
             gap = math.inf
@@ -202,7 +269,9 @@ class OperatorBundle:
 
 
 def kernel_dimension(bundle, tau_rank=TAU_RANK):
-    """Certified kernel dimension: singular values below tau * sigma_max.
+    """Certified kernel dimension: singular values below tau * sigma_max,
+    none when the inertia certificate holds (see
+    :meth:`OperatorBundle.rank_profile`).
 
     Raises IndeterminateRankError (spectrum attached) when the gap between
     kept and dropped singular values is under MIN_GAP.
@@ -211,6 +280,124 @@ def kernel_dimension(bundle, tau_rank=TAU_RANK):
     if gap < MIN_GAP:
         raise IndeterminateRankError(bundle.singular_values, gap)
     return dim, gap
+
+
+# ---------------------------------------------------------------------------
+# the inertia certificate
+
+
+def _bfs_levels(pattern, start):
+    """Breadth-first levels of the boolean adjacency ``pattern`` from row
+    ``start``, as index arrays."""
+    seen = np.zeros(len(pattern), dtype=bool)
+    seen[start] = True
+    frontier = np.array([start])
+    levels = []
+    while frontier.size:
+        levels.append(frontier)
+        frontier = np.flatnonzero(pattern[frontier].any(axis=0) & ~seen)
+        seen[frontier] = True
+    return levels
+
+
+def level_partition(gram):
+    """The rows of a symmetric matrix, split into the breadth-first levels
+    of its non-zero graph, as a list of index arrays.
+
+    Each connected component is searched from a pseudo-peripheral row
+    (George & Liu: from a least-degree row, restart at a least-degree row
+    of the last level while that makes more levels), and its levels follow
+    those of the components before it.  Every non-zero entry then joins
+    rows whose levels differ by at most 1, so the matrix is block
+    tridiagonal over the levels.
+    """
+    pattern = gram != 0
+    pattern |= pattern.T
+    degree = np.count_nonzero(pattern, axis=1)
+    left = np.ones(len(gram), dtype=bool)
+    levels = []
+    while left.any():
+        rows = np.flatnonzero(left)
+        comp = _bfs_levels(pattern, rows[np.argmin(degree[rows])])
+        while True:
+            last = comp[-1]
+            deeper = _bfs_levels(pattern, last[np.argmin(degree[last])])
+            if len(deeper) <= len(comp):
+                break
+            comp = deeper
+        levels += comp
+        left[np.concatenate(comp)] = False
+    return levels
+
+
+def block_cholesky(gram, levels, shift=0.0):
+    """Block Cholesky factor of gram - shift I, block tridiagonal over
+    ``levels`` (:func:`level_partition`).
+
+    Per level k it holds (rows, C_k, W_k): C_k lower triangular and W_k the
+    coupling to level k-1 (None for the first level), with W_k C_{k-1}^T =
+    B_k and C_k C_k^T = D_k - shift I - W_k W_k^T for the diagonal block D_k
+    and the block B_k left of it.  Each level costs one small solve and one
+    small Cholesky; no matrix as large as gram is formed.  Raises
+    LinAlgError when a pivot block is not positive definite, which happens
+    exactly when gram - shift I is not (Sylvester's law of inertia), up to
+    rounding of order n eps ||gram||.
+    """
+    factor = []
+    for k, rows in enumerate(levels):
+        d = gram[np.ix_(rows, rows)]
+        d[np.diag_indices_from(d)] -= shift
+        w = None
+        if k:
+            prev, c_prev, _ = factor[-1]
+            w = np.linalg.solve(c_prev, gram[np.ix_(prev, rows)]).T
+            d -= w @ w.T
+        factor.append((rows, np.linalg.cholesky(d), w))
+    return factor
+
+
+def block_solve(factor, b):
+    """The solution x of gram x = b, from the :func:`block_cholesky`
+    factor of gram: a block forward substitution, then a block back
+    substitution."""
+    z = []
+    for rows, c, w in factor:
+        z.append(np.linalg.solve(c, b[rows] if w is None
+                                 else b[rows] - w @ z[-1]))
+    x = np.empty_like(b, dtype=float)
+    carry = None
+    for (rows, c, w), zk in zip(reversed(factor), reversed(z)):
+        x[rows] = y = np.linalg.solve(c.T, zk if carry is None
+                                      else zk - carry)
+        carry = None if w is None else w.T @ y
+    return x
+
+
+def _gershgorin_bound(gram):
+    """max_i sum_j |gram_ij|, a bound on every eigenvalue, in row blocks."""
+    return max((float(np.abs(gram[r:r + ROW_BLOCK]).sum(axis=1).max())
+                for r in range(0, len(gram), ROW_BLOCK)), default=0.0)
+
+
+def certify_full_rank(gram):
+    """The level partition of a Gram matrix L L^T when the block Cholesky
+    factorisation of L L^T - s I succeeds, s = CERTIFIED_FLOOR^2 times the
+    Gershgorin bound on sigma_max^2; None when it fails.
+
+    Success means every eigenvalue of L L^T exceeds s, so sigma_min /
+    sigma_max > CERTIFIED_FLOOR and L has full row rank.  Failure decides
+    nothing: the bound is conservative by the ratio of the Gershgorin bound
+    to sigma_max^2.
+    """
+    levels = level_partition(gram)
+    shift = CERTIFIED_FLOOR ** 2 * _gershgorin_bound(gram)
+    if not shift > 0:
+        return None
+    try:
+        block_cholesky(gram, levels, shift)
+    except np.linalg.LinAlgError:  # a pivot block that is not positive
+        return None
+    return levels
 
 
 # ---------------------------------------------------------------------------
@@ -474,10 +661,17 @@ def adjointness_residual(lop, mop):
     operator M, G the frame metric on the domain of L.
 
     It bounds |<L z, t> - <z, M t>_G| / (|z| |t|) over all pairs (z, t).
+    The difference is formed ROW_BLOCK rows at a time, so no temporary as
+    large as M is.
     """
-    gm = mop.codomain_metric[:, None] * mop.matrix
-    np.subtract(lop.matrix.T, gm, out=gm)
-    return float(np.linalg.norm(gm))
+    lt, m, metric = lop.matrix.T, mop.matrix, mop.codomain_metric
+    squares = 0.0
+    for r in range(0, len(m), ROW_BLOCK):
+        block = metric[r:r + ROW_BLOCK, None] * m[r:r + ROW_BLOCK]
+        np.subtract(lt[r:r + ROW_BLOCK], block, out=block)
+        block = block.ravel()
+        squares += block @ block
+    return math.sqrt(squares)
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +701,10 @@ class RigidityVerdict:
     trivial_match_residual: float
     adjointness: float
     decorations: list
+    #: the singular values, descending; None when the inertia certificate
+    #: decided the rank, which proves every sigma_rel > CERTIFIED_FLOOR
     spectrum: np.ndarray
+    spectrum_count: int
     notes: list
 
 
@@ -521,12 +718,18 @@ def projective_rigidity_verdict(ps, tau_rank=TAU_RANK):
     is assembled once, over one zero-sum basis on ideal surfaces; the angle
     operator serves only the adjointness check, which runs first so that
     its memory is released before the factorisation.  Only the length
-    operator is factored: one ``eigvalsh`` of its Gram matrix, and one full
-    SVD only when the Gram is too ill-conditioned to decide the rank or
-    the kernel basis is needed.  When the kernel is as large as the
-    trivial motions and the length operator has full row rank, the kernel
-    basis reported is the trivial-motion basis; otherwise it comes from a
-    full SVD.
+    operator is factored, by one of two routes.  With more than
+    SPECTRUM_MAX singular values, two block Cholesky factorisations of its
+    Gram matrix over the Gram's levels: one shifted, whose success
+    certifies full row rank with every sigma_rel > CERTIFIED_FLOOR (the
+    spectrum is then None), one unshifted for the trivial-match residual;
+    no ``eigvalsh``, SVD or solve of the full size runs.  Otherwise, or if
+    the certificate fails, one ``eigvalsh`` of the Gram, one full SVD only
+    when the Gram is too ill-conditioned to decide the rank or the kernel
+    basis is needed, and one solve for the residual.  When the kernel is
+    as large as the trivial motions and the length operator has full row
+    rank, the kernel basis reported is the trivial-motion basis; otherwise
+    it comes from a full SVD.
     """
     if ps.kind == IDEAL:
         basis = zero_sum_basis(ps.tri)
@@ -568,4 +771,7 @@ def projective_rigidity_verdict(ps, tau_rank=TAU_RANK):
         kernel_dim=dim, gap=gap, trivial_dim=tb.shape[1],
         residual_dim=residual_dim, trivial_match_residual=resid,
         adjointness=adjointness,
-        decorations=decos, spectrum=op.singular_values, notes=notes)
+        decorations=decos,
+        spectrum=(None if op.certifies_full_rank(tau_rank)
+                  else op.singular_values),
+        spectrum_count=min(op.matrix.shape), notes=notes)

@@ -12,7 +12,7 @@ from endlab.cellsurf import from_face_vertex_lists
 from endlab.cli import main
 from endlab.decor import is_tight, pak_report
 from endlab.mink import mdot
-from endlab.polysurf import PolySurface, compact_point
+from endlab.polysurf import PolySurface, compact_point, serialize_poly
 from endlab.rigidity import (IndeterminateRankError, OperatorBundle,
                              adjointness_residual, angle_motion_operator,
                              decorated_length_variation_operator,
@@ -556,13 +556,19 @@ def test_row_space_residual_is_distance_from_kernel():
 # the spectrum from one Gram matrix
 
 
+def _bench_module(name):
+    """A module of the benchmark (bench/<name>.py), loaded from its file."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / (
+        name + ".py")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _spiral(kind, n):
     """Spiral hull of the benchmark inputs (bench/spiral.py), seeded."""
-    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spiral.py"
-    spec = importlib.util.spec_from_file_location("spiral", path)
-    spiral = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spiral)
-    return spiral.build(kind, n, np.random.default_rng([5, n]))
+    return _bench_module("spiral").build(kind, n, np.random.default_rng([5, n]))
 
 
 GRAM_CASES = dict(FAST_PATH, **{
@@ -658,3 +664,235 @@ def test_batched_decorations_match_scalar_path(make):
                 1 for c in rep.components if not c.chain_closes),
             "identities_hold": rep.all_identities_hold(),
         }
+
+
+# ---------------------------------------------------------------------------
+# the inertia certificate above SPECTRUM_MAX
+
+
+def _disconnected_gram(zero_row=True):
+    """Two hull Grams and a zero row on the diagonal, rows shuffled so the
+    components interleave."""
+    parts = [length_variation_operator(fixtures.random_convex_compact(s, n))
+             ._row_gram() for s, n in ((3, 9), (4, 12))]
+    sizes = [len(p) for p in parts] + [int(zero_row)]
+    g = np.zeros((sum(sizes), sum(sizes)))
+    at = 0
+    for p in parts:
+        g[at:at + len(p), at:at + len(p)] = p
+        at += len(p)
+    perm = np.random.default_rng(6).permutation(len(g))
+    return g[np.ix_(perm, perm)]
+
+
+LEVEL_CASES = {
+    "compact-128": lambda: _length_operator(_spiral("compact", 128))
+    ._row_gram(),
+    "hull-60": lambda: _length_operator(
+        fixtures.random_convex_compact(3, 60))._row_gram(),
+    "disconnected": _disconnected_gram,
+    "dense-ideal": lambda: _length_operator(fixtures.random_ideal(13, 10))
+    ._row_gram(),
+}
+
+
+@pytest.mark.parametrize("make", LEVEL_CASES.values(), ids=LEVEL_CASES)
+def test_level_partition_is_block_tridiagonal(make):
+    g = make()
+    levels = rigidity.level_partition(g)
+    np.testing.assert_array_equal(np.sort(np.concatenate(levels)),
+                                  np.arange(len(g)))
+    level = np.empty(len(g), dtype=int)
+    for k, rows in enumerate(levels):
+        level[rows] = k
+    i, j = np.nonzero(g)
+    assert np.all(np.abs(level[i] - level[j]) <= 1)
+
+
+def test_level_partition_of_a_spiral_hull_is_narrow():
+    g = _length_operator(_spiral("compact", 128))._row_gram()
+    levels = rigidity.level_partition(g)
+    assert len(levels) >= 8 and max(map(len, levels)) <= 80
+
+
+@pytest.mark.parametrize("make", [LEVEL_CASES[k] for k in (
+    "compact-128", "hull-60", "dense-ideal")] + [
+        lambda: _disconnected_gram(zero_row=False)],
+    ids=["compact-128", "hull-60", "dense-ideal", "disconnected"])
+def test_block_solve_matches_dense_solve(make):
+    g = make()
+    factor = rigidity.block_cholesky(g, rigidity.level_partition(g))
+    rng = np.random.default_rng(8)
+    for b in (rng.normal(size=(len(g), 3)), rng.normal(size=len(g))):
+        x = rigidity.block_solve(factor, b)
+        ref = np.linalg.solve(g, b)
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_gershgorin_bound_in_row_blocks():
+    g = _length_operator(_spiral("compact", 128))._row_gram()
+    assert len(g) > rigidity.ROW_BLOCK
+    bound = rigidity._gershgorin_bound(g)
+    assert bound == np.abs(g).sum(axis=1).max()
+    assert bound >= np.linalg.eigvalsh(g)[-1]
+
+
+def _conditioned(smallest, rows=rigidity.SPECTRUM_MAX + 20, cols=None):
+    """A rows x cols operator (cols = rows + 6) with singular values from 1
+    down to ``smallest``."""
+    cols = rows + 6 if cols is None else cols
+    rng = np.random.default_rng(12)
+    u, _ = np.linalg.qr(rng.normal(size=(rows, rows)))
+    v, _ = np.linalg.qr(rng.normal(size=(cols, rows)))
+    sigma = np.geomspace(1.0, 0.5, rows)
+    sigma[-1] = smallest
+    return OperatorBundle(u @ np.diag(sigma) @ v.T)
+
+
+@pytest.mark.parametrize("smallest", [1e-4, 5e-4])
+def test_certificate_fails_near_the_floor(smallest):
+    b = _conditioned(smallest)
+    assert rigidity.certify_full_rank(b._row_gram()) is None
+    assert not b.certifies_full_rank()
+    # the spectrum route decides instead, from the spectrum
+    assert kernel_dimension(b) == (6, math.inf)
+    assert b.singular_values[-1] == pytest.approx(smallest, rel=1e-6)
+
+
+CERTIFIED = {
+    "hull-30": lambda: fixtures.random_convex_compact(3, 30),
+    "hull-60": lambda: fixtures.random_convex_compact(3, 60),
+    "hull-120": lambda: fixtures.random_convex_compact(3, 120),
+    "hyperideal-tetrahedron": lambda: fixtures.hyperideal_tetrahedron(2.0),
+    "hyperideal-dual": lambda: fixtures.compact_tetrahedron(1.0)
+    .dual_surface(),
+    "hyper-32": lambda: _spiral("hyper", 32),
+}
+
+
+@pytest.mark.parametrize("make", CERTIFIED.values(), ids=CERTIFIED)
+def test_certificate_agrees_with_the_spectrum(make):
+    op = _length_operator(make())
+    assert rigidity.certify_full_rank(op._row_gram()) is not None
+    s = np.linalg.svd(op.matrix, compute_uv=False)
+    assert s[-1] > rigidity.CERTIFIED_FLOOR * s[0]
+    assert len(s) == op.matrix.shape[0]
+
+
+def test_certified_bundle_decides_without_the_spectrum(monkeypatch):
+    b = _conditioned(0.3)
+    assert b.certifies_full_rank()
+    monkeypatch.setattr(np.linalg, "eigvalsh", None)
+    monkeypatch.setattr(np.linalg, "svd", None)
+    rows, cols = b.matrix.shape
+    assert b.rank_profile() == (rows, cols - rows, math.inf)
+    # a tolerance at the floor or above is not decided by the certificate
+    assert not b.certifies_full_rank(rigidity.CERTIFIED_FLOOR)
+    # nor is a taller matrix, or one at most SPECTRUM_MAX rows high
+    assert not OperatorBundle(b.matrix.T).certifies_full_rank()
+    assert not _conditioned(0.3, rows=rigidity.SPECTRUM_MAX,
+                            cols=rigidity.SPECTRUM_MAX + 6)\
+        .certifies_full_rank()
+
+
+def _hull_100():
+    return fixtures.random_convex_compact(5, 100)
+
+
+def test_certified_verdict_factors_no_full_size_matrix(monkeypatch):
+    ps = _hull_100()
+    n = ps.tri.n_edges
+    assert n > rigidity.SPECTRUM_MAX
+    full = collections.Counter()
+
+    def watched(name):
+        fn = getattr(np.linalg, name)
+
+        def wrapper(a, *args, **kwargs):
+            full[name] += np.shape(a)[0] >= n
+            return fn(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, wrapper)
+
+    for name in ("solve", "cholesky", "inv", "lstsq"):
+        watched(name)
+    v, calls = _verdict_calls(monkeypatch, ps)
+    assert calls == {"length_variation_operator": 1,
+                     "angle_motion_operator": 1}
+    assert sum(full.values()) == 0
+    assert v.spectrum is None and v.spectrum_count == n
+    assert (v.kernel_dim, v.gap, v.residual_dim) == (6, math.inf, 0)
+    assert v.trivial_match_residual <= 1e-12
+
+
+def test_certified_report(tmp_path):
+    path = tmp_path / "hull-100.poly"
+    path.write_text(serialize_poly(_hull_100()))
+    out = tmp_path / "report.txt"
+    assert main(["rigidity", str(path), "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    count = lines.index("[SPECTRUM]") + 1
+    assert lines[count:count + 3] == [
+        "count: %d" % _hull_100().tri.n_edges,
+        "sigma-rel-min: > 0.001 (a certified lower bound, not a computed "
+        "value)", "[KERNEL]"]
+    for line in _bench_module("cases").RIGID_LINES:
+        assert line in lines
+
+
+def _report_at(monkeypatch, tmp_path, path, spectrum_max):
+    monkeypatch.setattr(rigidity, "SPECTRUM_MAX", spectrum_max)
+    out = tmp_path / ("report-%d.txt" % spectrum_max)
+    code = main(["rigidity", "--seed", "7", str(path), "--out", str(out)])
+    lines = out.read_text().splitlines()
+    at = lines.index("[SPECTRUM]")
+    end = lines.index("[KERNEL]")
+    return code, lines[:at], lines[at:end], lines[end:]
+
+
+ROUTE_CASES = dict(FAST_PATH, **{
+    "flat-vertex": fixtures.flat_vertex_pyramid,
+    "ideal-tetrahedron": fixtures.ideal_tetrahedron,
+    "rotated-ideal-octahedron": fixtures.rotated_ideal_octahedron,
+    "hull-30": CERTIFIED["hull-30"],
+    "hull-60": CERTIFIED["hull-60"],
+    "hull-120": CERTIFIED["hull-120"],
+    "golden-octahedron": "octahedron.poly",
+    "golden-compact-tetrahedron": "tetrahedron_compact.poly",
+    "golden-ideal-tetrahedron": "tetrahedron_ideal.poly",
+})
+
+
+@pytest.mark.parametrize("make", ROUTE_CASES.values(), ids=ROUTE_CASES)
+def test_certificate_route_reports_the_spectrum_route_verdict(
+        monkeypatch, tmp_path, make):
+    if isinstance(make, str):
+        path = GOLDEN / "inputs" / make
+    else:
+        path = tmp_path / "surface.poly"
+        path.write_text(serialize_poly(make()))
+    code, head, spectrum, rest = _report_at(monkeypatch, tmp_path, path,
+                                            10 ** 9)
+    # SPECTRUM_MAX 0: every wide length operator tries the certificate
+    code0, head0, spectrum0, rest0 = _report_at(monkeypatch, tmp_path, path, 0)
+    assert (code0, head0, rest0) == (code, head, rest)
+    if len(spectrum0) == 3:  # certified: count and the bound
+        assert spectrum0[:2] == spectrum[:2]
+        assert spectrum0[2].startswith("sigma-rel-min: > ")
+        assert all(float(line.split()[-1]) > rigidity.CERTIFIED_FLOOR
+                   for line in spectrum[2:])
+    else:  # not certified: the spectrum route, printed in full
+        assert spectrum0 == spectrum
+
+
+def test_adjointness_residual_over_several_row_blocks():
+    ps = _spiral("compact", 128)
+    lop, mop = length_variation_operator(ps), angle_motion_operator(ps)
+    assert len(mop.matrix) > rigidity.ROW_BLOCK
+    assert adjointness_residual(lop, mop) == 0.0
+    # defects in the first and the last block both count
+    mop.matrix[3, 5] += 3e-3
+    mop.matrix[-2, 7] -= 4e-3
+    dense = np.linalg.norm(lop.matrix.T - mop.codomain_metric[:, None]
+                           * mop.matrix)
+    assert adjointness_residual(lop, mop) == pytest.approx(dense, rel=1e-12)
+    assert dense == pytest.approx(5e-3, rel=1e-9)
