@@ -83,7 +83,8 @@ CERTIFIED_FLOOR^2 = (10 GRAM_MIN_SIGMA)^2 times the Gershgorin bound on
 sigma_max^2, succeeds only if every eigenvalue exceeds s, so success
 certifies sigma_min / sigma_max > CERTIFIED_FLOOR = 1e-3: full row rank,
 an infinite gap, and no rank near any threshold.  Rounding perturbs the
-factored matrix by about n eps ||L L^T||, seven orders below the shift.
+factored matrix by about n eps ||L L^T||, over six orders below the shift
+for n up to thousands.
 The spectrum is then not computed, and the report prints its count and
 the certified floor.  If the factorisation fails, or the rank tolerance
 is not below the floor, the spectrum route runs as above.
@@ -205,11 +206,6 @@ class OperatorBundle:
         return tau_rank < CERTIFIED_FLOOR and self._levels is not None
 
     @cached_property
-    def _gram_factor(self):
-        """Block Cholesky factor of L L^T over the certificate's levels."""
-        return block_cholesky(self._row_gram(), self._levels)
-
-    @cached_property
     def _factors(self):
         """(singular values, V^T of a full SVD or None on the Gram route)."""
         m = self.matrix
@@ -246,11 +242,11 @@ class OperatorBundle:
         full row rank this is the exact distance of x from the kernel,
         ||x - K K^T x||_F for an orthonormal kernel basis K."""
         m = self.matrix
-        b = m @ x
         if self._levels is None:
-            y = np.linalg.solve(self._row_gram(), b)
+            y = np.linalg.solve(self._row_gram(), m @ x)
         else:
-            y = block_solve(self._gram_factor, b)
+            y = block_solve(block_cholesky(self._row_gram(), self._levels),
+                            m @ x)
         return float(np.linalg.norm(m.T @ y))
 
     def rank_profile(self, tau_rank=TAU_RANK):

@@ -568,7 +568,8 @@ def _bench_module(name):
 
 def _spiral(kind, n):
     """Spiral hull of the benchmark inputs (bench/spiral.py), seeded."""
-    return _bench_module("spiral").build(kind, n, np.random.default_rng([5, n]))
+    return _bench_module("spiral").build(kind, n,
+                                         np.random.default_rng([5, n]))
 
 
 GRAM_CASES = dict(FAST_PATH, **{
