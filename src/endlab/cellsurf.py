@@ -20,13 +20,21 @@ always "pass up to l_max".  The searches are exact yet skip every branch
 that cannot close: they leave a vertex unentered when its breadth-first
 distance back to the start leaves no room for a closed walk of at most
 ``l_max`` edges (:func:`simple_cycles_upto` says why nothing is lost).
-They keep no table: each meets a cycle (trail, return path) from its
-least vertex s once per traversal, and a rule on the edges at s keeps one.
-Over adjacency lists in edge-id order (:meth:`CellSurface.adjacency`) a
-depth-first search meets traversals in lexicographic order of their edge
-sequences, so it keeps the first met and reports in first-met order; any
-order still yields each cycle once.  A theta budget is tested on the
-partial sums of the traversal followed.
+They keep no table of what they have found: each meets a cycle (trail,
+return path) from its least vertex s once per traversal, and a rule on the
+edges at s keeps one.  The closed-trail and return-path searches are
+depth-first; a theta budget is tested on the partial sums of the traversal
+followed.  The simple-cycle search is a level-synchronous array search
+over blocks of starts: it extends every path of k edges at once through
+the slots of its last vertex's adjacency list, and then restores the order
+in which the depth-first search would meet the cycles, which is the
+lexicographic order of their sequences of adjacency slots.  Its result is
+a :class:`CycleTable` of padded arrays, each row turned into the direction
+:func:`_canon` picks by reversing it where its last vertex is below its
+second.  The validators skip facial cycles by comparing sorted edge rows,
+and add each theta-sum column by column, left to right in the reported
+edge order, so every sum has the bits of the builtin ``sum`` of Python
+3.11 over the same floats.
 Contractibility is decided per genus: trivially on spheres, by homology on
 tori, and through the surface-group machinery of :mod:`endlab.surfgroup`
 when the surface carries edge labels.
@@ -41,6 +49,8 @@ import numpy as np
 
 TAU_ANG = 1e-9
 DEFAULT_L_MAX = 12
+#: start vertices per block of the cycle search's frontier
+START_BLOCK = 64
 
 
 class SurfaceFormatError(ValueError):
@@ -438,45 +448,202 @@ def _starts(n_vertices, adjacency, l_max, need):
             need[w] = l_max + 1
 
 
-def simple_cycles_upto(n_vertices, adjacency, l_max):
-    """Undirected simple cycles with at most l_max edges.
+@dataclass(eq=False)
+class CycleTable:
+    """Closed walks as padded rows: row i runs through the vertices
+    ``verts[i, :length[i]]`` along the edges ``edges[i, :length[i]]``
+    (edge j leaves vertex j; the last edge returns to vertex 0), and holds
+    -1 past its length.  ``len`` counts the rows; iteration yields each row
+    as a (vertex tuple, edge tuple) pair of Python ints."""
+
+    verts: np.ndarray
+    edges: np.ndarray
+    length: np.ndarray
+
+    @classmethod
+    def from_pairs(cls, pairs):
+        """The table of (vertex sequence, edge sequence) pairs, in order."""
+        verts, length = _padded([v for v, _ in pairs])
+        return cls(verts, _padded([e for _, e in pairs])[0], length)
+
+    def __len__(self):
+        return len(self.length)
+
+    def __iter__(self):
+        return self.rows(slice(None))
+
+    def rows(self, index):
+        """The (vertex tuple, edge tuple) of the rows ``index`` selects."""
+        for v, e, n in zip(self.verts[index].tolist(),
+                           self.edges[index].tolist(),
+                           self.length[index].tolist()):
+            yield tuple(v[:n]), tuple(e[:n])
+
+
+def _padded(rows):
+    """The integer rows as one array padded with -1, and their lengths."""
+    length = np.array([len(r) for r in rows], dtype=np.intp)
+    out = np.full((len(rows), length.max(initial=0)), -1, dtype=np.intp)
+    out[np.arange(out.shape[1]) < length[:, None]] = [x for r in rows for x in r]
+    return out, length
+
+
+def _stacked(blocks, dtype=np.intp):
+    """The 2-D integer blocks stacked, each padded with -1 to the widest."""
+    out = np.full((sum(len(b) for b in blocks),
+                   max((b.shape[1] for b in blocks), default=0)), -1,
+                  dtype=dtype)
+    at = 0
+    for b in blocks:
+        out[at:at + len(b), :b.shape[1]] = b
+        at += len(b)
+    return out
+
+
+def _csr(adjacency):
+    """(off, nbr, eid): the pairs of ``adjacency[v]`` in their given order
+    are (nbr[i], eid[i]) for i in range(off[v], off[v + 1])."""
+    off = np.zeros(len(adjacency) + 1, dtype=np.intp)
+    np.cumsum([len(row) for row in adjacency], out=off[1:])
+    pairs = np.array([x for row in adjacency for pair in row for x in pair],
+                     dtype=np.intp).reshape(-1, 2)
+    return off, pairs[:, 0], pairs[:, 1]
+
+
+def _expand(off, vertices):
+    """(rep, idx): the adjacency slots of each of ``vertices`` in turn, slot
+    i belonging to vertices[rep[i]] and having CSR index idx[i]."""
+    deg = off[vertices + 1] - off[vertices]
+    rep = np.repeat(np.arange(len(vertices)), deg)
+    shift = np.repeat(off[vertices] - np.cumsum(deg) + deg, deg)
+    return rep, np.arange(len(rep)) + shift
+
+
+def _need(off, nbr, starts, n_vertices, l_max):
+    """(len(starts) x n_vertices) table, row b as :func:`_starts` sets
+    ``need`` for the start ``starts[b]``, but l_max + 1 at the start
+    itself (which the search closes at and never enters): the distance to
+    it through vertices above it within l_max // 2, else l_max + 1."""
+    dtype = np.int16 if l_max < np.iinfo(np.int16).max else np.int64
+    need = np.full((len(starts), n_vertices), l_max + 1, dtype=dtype)
+    rows, verts = np.arange(len(starts)), starts
+    for r in range(1, l_max // 2 + 1):
+        rep, idx = _expand(off, verts)
+        rows, verts = rows[rep], nbr[idx]
+        new = (verts > starts[rows]) & (need[rows, verts] > r)
+        key = np.unique(rows[new] * n_vertices + verts[new])
+        rows, verts = key // n_vertices, key % n_vertices
+        need[rows, verts] = r
+    return need
+
+
+def _block_cycles(off, nbr, eid, starts, n_vertices, l_max):
+    """The cycles of :func:`simple_cycles_upto` whose least vertex is in
+    ``starts`` (ascending) as rows of the CSR indices of their steps, -1
+    past each row's length, in the depth-first search's order."""
+    need = _need(off, nbr, starts, n_vertices, l_max)
+    # a slot into w is of use at room r only if need[b, w] < r for some
+    # start, or if w is a start (closing the cycle)
+    reach = need.min(axis=0)
+    reach[starts] = 0
+    reach = reach[nbr]
+    need = need.ravel()
+    # the frontier: paths from the starts[b] that take the CSR indices
+    # steps[j] to the vertices path[j], one array per depth, ending at last
+    b, last = np.arange(len(starts)), starts
+    path, steps = [], []
+    found = []
+    for k in range(l_max):
+        # the slots of use at this depth, as a CSR of their own
+        kept = np.flatnonzero(reach < l_max - k)
+        rep, slot = _expand(np.searchsorted(kept, off), last)
+        rb, w = b[rep], nbr[kept][slot]
+        home = np.flatnonzero(w == starts[rb])
+        if k:
+            home = home[eid[kept[slot[home]]] > first[rep[home]]]
+        if len(home):
+            found.append(np.column_stack([st[rep[home]] for st in steps]
+                                         + [kept[slot[home]]]))
+        go = np.flatnonzero(need[rb * n_vertices + w] < l_max - k)
+        if k:
+            up, wg = rep[go], w[go]
+            on_path = path[0][up] == wg
+            for p in path[1:]:
+                on_path |= p[up] == wg
+            go = go[~on_path]
+        if not len(go):
+            break
+        up = rep[go]
+        b, last = rb[go], w[go]
+        path = [p[up] for p in path] + [last]
+        steps = [st[up] for st in steps] + [kept[slot[go]]]
+        first = eid[steps[0]]
+    rows = _stacked(found)
+    # the search's order is the lexicographic order of the CSR index rows:
+    # paths with a shared prefix next leave one vertex, whose slots are
+    # consecutive, and a start's slots precede those of larger starts
+    return rows[np.lexsort(rows.T[::-1])] if rows.size else rows
+
+
+def simple_cycles_upto(n_vertices, adjacency, l_max, block=START_BLOCK):
+    """Undirected simple cycles with at most l_max edges, as a
+    :class:`CycleTable`.
 
     ``adjacency`` maps a vertex to (neighbor, edge id) pairs.  A cycle is a
     closed walk with distinct vertices and distinct edges; parallel edges
     yield length-2 cycles.  Each cycle is reported once, as an edge-id
-    tuple aligned with a vertex tuple, canonicalized by :func:`_canon`.  Of
-    the two directions from the least vertex s, the search keeps the one
+    tuple aligned with a vertex tuple, canonicalized as by :func:`_canon`.
+    Of the two directions from the least vertex s, the search keeps the one
     leaving s through the smaller edge: it closes a path only through an
     edge larger than the path's first edge, the only path edge at s.  The
     search from s enters w at depth k only if k + dist(w, s) <= l_max,
     with distances through vertices >= s.  This is exact: the rest of a
     closing walk is at least dist(w, s) long, and dist(w, s) <= min(k,
     l_max - k), so a ball of radius l_max // 2 holds every distance needed.
+
+    The search is level-synchronous over blocks of ``block`` starts (the
+    vertices with a loop or with two slots to larger vertices; no cycle
+    has another least vertex): all paths of k edges are extended at once
+    through the slots of their last vertex's adjacency list.  The rows come out in the order in which a
+    depth-first search over the lists as given meets them, the order of
+    their sequences of adjacency slots.  Of the two directions from s,
+    :func:`_canon` keeps the lesser vertex tuple; with three or more
+    vertices it reverses a cycle exactly when the last vertex is below the
+    second (a loop or a pair of parallel edges is least as found, its
+    closing edge being the larger).
     """
-    out = []
-    need = [l_max + 1] * n_vertices
-    on_path = [False] * n_vertices
-    epath = []
+    off, nbr, eid = _csr(adjacency)
+    owner = np.repeat(np.arange(n_vertices, dtype=np.int32), np.diff(off))
+    up = np.bincount(owner[nbr > owner], minlength=n_vertices)
+    starts = np.flatnonzero((up >= 2) | (np.bincount(
+        owner[nbr == owner], minlength=n_vertices) > 0))
+    steps = _stacked([
+        _block_cycles(off, nbr, eid, starts[i:i + block], n_vertices, l_max)
+        for i in range(0, len(starts), block)], np.int32)
+    length = np.count_nonzero(steps >= 0, axis=1)
+    # step j leaves vertex j along edge j; the index -1 past a row's end
+    # picks the -1 appended to owner and eid
+    verts = np.append(owner, -1)[steps]
+    edges = np.append(eid, -1).astype(np.int32)[steps]
+    _canonical(verts, edges, length)
+    return CycleTable(verts, edges, length)
 
-    def dfs(v, room):
-        for w, e in adjacency[v]:
-            if w == start:
-                # closing the cycle (a loop edge when epath is empty)
-                if room > 0 and (not epath or e > epath[0]):
-                    out.append(_canon(vpath, epath + [e]))
-            elif need[w] < room and not on_path[w]:
-                on_path[w] = True
-                vpath.append(w)
-                epath.append(e)
-                dfs(w, room - 1)
-                on_path[w] = False
-                vpath.pop()
-                epath.pop()
 
-    for start in _starts(n_vertices, adjacency, l_max, need):
-        vpath = [start]
-        dfs(start, l_max)
-    return out
+def _canonical(verts, edges, length):
+    """Turns the vertex and edge rows of cycles that begin at their least
+    vertex, in place, into :func:`_canon`'s direction: a row of three or
+    more vertices is reversed where its last vertex is below its second."""
+    if verts.shape[1] < 3:
+        return
+    flip = np.flatnonzero(
+        (length >= 3) & (verts[np.arange(len(verts)), length - 1] < verts[:, 1]))
+    n, cols = length[flip, None], np.arange(verts.shape[1])
+    inside = cols < n
+    # vertex j comes from n - j (vertex 0 stays), edge j from n - 1 - j
+    verts[flip] = np.take_along_axis(
+        verts[flip], np.where(inside, (n - cols) * (cols > 0), cols), axis=1)
+    edges[flip] = np.take_along_axis(
+        edges[flip], np.where(inside, n - 1 - cols, cols), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -574,51 +741,86 @@ def _check_theta(surface):
         raise SurfaceFormatError("weight out of (0,pi)")
 
 
+def _check_l_max(l_max):
+    if l_max < 1:
+        raise ValueError("l_max must be at least 1 (got %d)" % l_max)
+
+
 def validate_admissible(surface, l_max=DEFAULT_L_MAX, simple_cycles_only=True,
                         presentation=None):
     """Admissibility of (surface, theta): face sums 2*pi, short contractible
     non-facial cycles strictly above 2*pi.
     """
     _check_theta(surface)
+    _check_l_max(l_max)
     report = ValidationReport(True)
-    th = surface.theta.tolist()  # Python floats: the searches add one per step
-
-    for f in range(surface.n_faces):
-        s = float(sum(th[d // 2] for d in surface.face_cycles[f]))
-        report.face_sums.append(s)
-        if abs(s - 2.0 * math.pi) > TAU_ANG:
-            report.passed = False
-            report.violations.append(
-                Witness("face-sum", ("face", f), s, 2.0 * math.pi))
+    faces = _padded([[d // 2 for d in cyc] for cyc in surface.face_cycles])
+    sums = _row_sums(surface.theta, *faces)
+    report.face_sums = sums.tolist()
+    for f in np.flatnonzero(np.abs(sums - 2.0 * math.pi) > TAU_ANG).tolist():
+        report.passed = False
+        report.violations.append(
+            Witness("face-sum", ("face", f), report.face_sums[f], 2.0 * math.pi))
 
     oracle = ContractibilityOracle(surface, presentation)
-    face_keys = {surface.face_edge_multiset(f) for f in range(surface.n_faces)}
     if simple_cycles_only:
         cycles = simple_cycles_upto(surface.n_vertices, surface.adjacency(),
                                     l_max)
     else:
         report.note = ("trail search pruned to theta-sum <= 2*pi; "
                        "cycles above the bound cannot be witnesses")
+        # Python floats: the search adds one per step
         cycles = closed_trails_upto(surface.n_vertices, surface.adjacency(),
-                                    l_max, th, 2.0 * math.pi + TAU_ANG)
-    _check_cycles(report, cycles, oracle, th, "contractible-cycle", face_keys)
+                                    l_max, surface.theta.tolist(),
+                                    2.0 * math.pi + TAU_ANG)
+    _check_cycles(report, cycles, oracle, surface.theta, "contractible-cycle",
+                  faces)
     return report
 
 
-def _check_cycles(report, cycles, oracle, theta, kind, skip=frozenset()):
-    """Count the contractible cycles whose edge multiset is not in ``skip``,
-    and record each with theta-sum at most 2*pi as a ``kind`` witness."""
-    for vseq, eseq in cycles:
-        if tuple(sorted(eseq)) in skip:
-            continue
-        if not oracle.cycle_is_contractible(list(vseq), list(eseq)):
-            continue
-        report.checked_cycles += 1
-        s = float(sum(theta[e] for e in eseq))
-        if s <= 2.0 * math.pi + TAU_ANG:
-            report.passed = False
-            report.violations.append(
-                Witness(kind, ("edges",) + tuple(eseq), s, 2.0 * math.pi))
+def _row_sums(theta, rows, length):
+    """theta summed over each row's first ``length`` entries of ``rows``,
+    column by column: each sum adds its terms left to right, as the
+    builtin ``sum`` of Python 3.11 does (adding 0.0 past a row's end
+    changes no bit of a positive sum)."""
+    total = np.zeros(len(rows))
+    for j in range(rows.shape[1]):
+        total += np.where(j < length, theta[rows[:, j]], 0.0)
+    return total
+
+
+def _row_keys(rows):
+    """One void scalar per row of sorted entries: equal keys, equal
+    multisets (among rows of one width)."""
+    rows = np.ascontiguousarray(np.sort(rows, axis=1), dtype=np.intp)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+
+
+def _check_cycles(report, cycles, oracle, theta, kind, faces=None):
+    """Count the contractible cycles whose edge multiset is not that of a
+    face, and record each with theta-sum at most 2*pi as a ``kind``
+    witness, in the order of ``cycles`` (a :class:`CycleTable` or a list
+    of (vseq, eseq) pairs).  ``faces`` is the padded table of face edges
+    and its lengths, as :func:`_padded` gives it, or None to skip none."""
+    if not isinstance(cycles, CycleTable):
+        cycles = CycleTable.from_pairs(cycles)
+    keep = np.ones(len(cycles), dtype=bool)
+    if faces is not None:
+        for n in np.intersect1d(cycles.length, faces[1]).tolist():
+            rows = np.flatnonzero(cycles.length == n)
+            keep[rows] = ~np.isin(_row_keys(cycles.edges[rows, :n]),
+                                  _row_keys(faces[0][faces[1] == n, :n]))
+    if oracle.genus:
+        rows = np.flatnonzero(keep)
+        keep[rows] = [oracle.cycle_is_contractible(list(v), list(e))
+                      for v, e in cycles.rows(rows)]
+    sums = _row_sums(theta, cycles.edges, cycles.length)
+    report.checked_cycles += int(np.count_nonzero(keep))
+    bad = np.flatnonzero(keep & (sums <= 2.0 * math.pi + TAU_ANG))
+    for i, (_, eseq) in zip(bad.tolist(), cycles.rows(bad)):
+        report.passed = False
+        report.violations.append(
+            Witness(kind, ("edges",) + eseq, float(sums[i]), 2.0 * math.pi))
 
 
 def closed_trails_upto(n_vertices, adjacency, l_max, theta, budget):
@@ -676,6 +878,7 @@ def validate_hyperideal(surface, l_max=DEFAULT_L_MAX, presentation=None):
         homotopic into the face, has theta-sum > pi.
     """
     _check_theta(surface)
+    _check_l_max(l_max)
     report = ValidationReport(True)
     th = surface.theta.tolist()  # Python floats: the searches add one per step
     dual_surface = dual_cell_surface(surface)
@@ -686,7 +889,7 @@ def validate_hyperideal(surface, l_max=DEFAULT_L_MAX, presentation=None):
 
     # condition (1): contractible dual cycles
     _check_cycles(report, simple_cycles_upto(surface.n_faces, dual_adj, l_max),
-                  oracle, th, "dual-cycle")
+                  oracle, surface.theta, "dual-cycle")
 
     # condition (2): face-homotopic return paths
     for v in range(surface.n_vertices):

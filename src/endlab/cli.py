@@ -343,6 +343,19 @@ def cmd_crossratio(args):
 # entry point
 
 
+def _int_at_least(low):
+    """argparse type: an int of at least ``low``; below it is a usage error,
+    as a non-number is."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                "must be at least %d (got %d)" % (low, value))
+        return value
+    parse.__name__ = "int"  # argparse names the type in its messages
+    return parse
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="endlab",
@@ -359,7 +372,8 @@ def build_parser():
     sp = sub.add_parser("check-admissible",
                         help="face sums and short contractible cycles")
     common(sp)
-    sp.add_argument("--max-cycle", type=int, default=cellsurf.DEFAULT_L_MAX)
+    sp.add_argument("--max-cycle", type=_int_at_least(1),
+                    default=cellsurf.DEFAULT_L_MAX)
     sp.add_argument("--all-cycles", action="store_true",
                     help="also search cycles with repeated vertices")
     sp.add_argument("--fixture-labels", action="store_true",
@@ -377,7 +391,7 @@ def build_parser():
 
     sp = sub.add_parser("pak-search", help="sample decorations for tightness")
     common(sp)
-    sp.add_argument("--samples", type=int, default=1000)
+    sp.add_argument("--samples", type=_int_at_least(0), default=1000)
     sp.add_argument("--structured", action="store_true")
     sp.set_defaults(func=cmd_pak_search)
 

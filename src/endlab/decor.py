@@ -372,11 +372,17 @@ def _batch_tight(surface, st, inc):
     return ~np.any(totals2 > limits2, axis=1)
 
 
+def _row_gather(a, idx):
+    """``a[r, idx[r, j]]`` at (r, j): ``np.take_along_axis(a, idx, axis=1)``
+    as one gather from the flattened array."""
+    return a.ravel()[idx + a.shape[1] * np.arange(len(a))[:, None]]
+
+
 def _min_labels(labels, succ):
     """Least label on each orbit of the per-row maps ``succ``, by doubling."""
     while True:
-        nxt = np.minimum(labels, np.take_along_axis(labels, succ, axis=1))
-        succ = np.take_along_axis(succ, succ, axis=1)
+        nxt = np.minimum(labels, _row_gather(labels, succ))
+        succ = _row_gather(succ, succ)
         if np.array_equal(nxt, labels):
             return labels
         labels = nxt
@@ -403,7 +409,7 @@ def _component_counts(surface, st, inc):
     while True:
         nxt = np.minimum(labels, labels[:, nbr].min(axis=2))
         nxt = np.where(kept, nxt, nf)
-        nxt = np.take_along_axis(np.hstack([nxt, sentinel]), nxt, axis=1)
+        nxt = _row_gather(np.hstack([nxt, sentinel]), nxt)
         if np.array_equal(nxt, labels):
             break
         labels = nxt
@@ -426,7 +432,7 @@ def _component_counts(surface, st, inc):
     vnext = s.fnext[darts ^ 1]
     skip = np.where(kt & kd, vnext, darts)
     for _ in range(int(degree.max()).bit_length()):
-        skip = np.take_along_axis(skip, skip, axis=1)
+        skip = _row_gather(skip, skip)
     succ = np.where(boundary, skip[:, s.fnext], darts)
     labels_b = _min_labels(np.broadcast_to(darts, (n, nd)), succ)
     cycle_starts = boundary & (labels_b == darts)

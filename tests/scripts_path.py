@@ -1,6 +1,8 @@
 """Golden locations and the golden run list, the one copy shared by the CLI
-tests, ``scripts/regenerate_goldens.py`` and the benchmark."""
+tests, ``scripts/regenerate_goldens.py`` and the benchmark; and the loader
+of the benchmark's spiral-hull inputs for the tests."""
 
+import importlib.util
 import pathlib
 
 HERE = pathlib.Path(__file__).resolve().parent
@@ -30,3 +32,12 @@ RUNS = [
     ("crossratio_octahedron.txt", 0,
      ["crossratio", str(INPUTS / "octahedron.poly")]),
 ]
+
+
+def spiral_module():
+    """bench/spiral.py, the benchmark's spiral-hull inputs."""
+    path = HERE.parent / "bench" / "spiral.py"
+    spec = importlib.util.spec_from_file_location("spiral", path)
+    spiral = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spiral)
+    return spiral

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from endlab.fixtures import (genus2_complex, genus2_surface_file,
                              genus2_theta_bad_link, genus2_theta_uniform,
                              octahedron_surface, random_convex_compact,
                              tetrahedron_surface)
-from scripts_path import INPUTS  # see conftest
+from scripts_path import INPUTS, spiral_module  # see conftest
 
 
 def test_tetrahedron_counts():
@@ -308,6 +309,36 @@ def reference_closed_trails_upto(n_vertices, adjacency, l_max, theta, budget):
     return out
 
 
+def pruned_simple_cycles_upto(n_vertices, adjacency, l_max):
+    """The recursive depth-first search the level-synchronous array search
+    replaced, kept as the ordered-output oracle: its list, in its order, is
+    what simple_cycles_upto must iterate.  Verbatim."""
+    out = []
+    need = [l_max + 1] * n_vertices
+    on_path = [False] * n_vertices
+    epath = []
+
+    def dfs(v, room):
+        for w, e in adjacency[v]:
+            if w == start:
+                # closing the cycle (a loop edge when epath is empty)
+                if room > 0 and (not epath or e > epath[0]):
+                    out.append(cellsurf._canon(vpath, epath + [e]))
+            elif need[w] < room and not on_path[w]:
+                on_path[w] = True
+                vpath.append(w)
+                epath.append(e)
+                dfs(w, room - 1)
+                on_path[w] = False
+                vpath.pop()
+                epath.pop()
+
+    for start in cellsurf._starts(n_vertices, adjacency, l_max, need):
+        vpath = [start]
+        dfs(start, l_max)
+    return out
+
+
 def hyperideal_dual_graph(surface, presentation=None):
     """(n, adjacency, theta) of the dual graph validate_hyperideal searches."""
     seen = []
@@ -388,7 +419,7 @@ def test_pruned_searches_match_unpruned_order(name):
         theta = np.full(1 + max(e for row in adj for _, e in row), 0.5 * math.pi)
     budget = 2 * math.pi + cellsurf.TAU_ANG
     for l_max in range(1, (12 if n <= 8 else 8) + 1):
-        assert (simple_cycles_upto(n, adj, l_max)
+        assert (list(simple_cycles_upto(n, adj, l_max))
                 == reference_simple_cycles_upto(n, adj, l_max)), l_max
         assert (cellsurf.closed_trails_upto(n, adj, l_max, theta, budget)
                 == reference_closed_trails_upto(n, adj, l_max, theta,
@@ -426,6 +457,77 @@ def test_searches_meet_each_cycle_once_in_any_adjacency_order(name):
             want = _parent_simple_paths_between(adj, endpoints, l_max)
             assert len(set(ours)) == len(ours)
             assert set(ours) == {undirected(p) for p in want}, (trial, l_max)
+
+
+@pytest.mark.parametrize("name", ORACLE_GRAPHS)
+def test_array_search_keeps_depth_first_order_in_any_adjacency_order(name):
+    # the order follows the adjacency lists as given; blocks of one and of
+    # three starts put block boundaries everywhere
+    n, adj, _ = ORACLE_GRAPHS[name]()
+    rng = np.random.default_rng(5)
+    lists = [adj] + [[[row[i] for i in rng.permutation(len(row))]
+                      for row in adj] for _ in range(2)]
+    for trial, rows in enumerate(lists):
+        for l_max in range(1, 9):
+            want = pruned_simple_cycles_upto(n, rows, l_max)
+            for block in (1, 3, cellsurf.START_BLOCK):
+                got = cellsurf.simple_cycles_upto(n, rows, l_max, block=block)
+                assert list(got) == want, (trial, l_max, block)
+
+
+@given(st.integers(0, 100_000), st.integers(1, 6), st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_array_search_keeps_depth_first_order_on_random_multigraphs(
+        seed, l_max, block):
+    # loops, parallel edges and isolated vertices, lists in random order
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 8))
+    _, adj, _ = multigraph(n, rng.integers(
+        0, n, size=(int(rng.integers(0, 14)), 2)).tolist())
+    adj = [[row[i] for i in rng.permutation(len(row))] for row in adj]
+    got = cellsurf.simple_cycles_upto(n, adj, l_max, block=block)
+    assert list(got) == pruned_simple_cycles_upto(n, adj, l_max)
+
+
+def benchmark_pattern(n, seed):
+    """The benchmark's pattern-n surface, as bench/cases.py builds it."""
+    index = 9 if n == 128 else 10  # its place among the benchmark inputs
+    return spiral_module().build("pattern", n,
+                                 np.random.default_rng([seed, index]))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_array_search_matches_depth_first_search_at_benchmark_scale(seed):
+    for n, checked in ((128, 4410), (512, 18138)):
+        s = benchmark_pattern(n, seed)
+        adj = s.adjacency()
+        assert (list(simple_cycles_upto(s.n_vertices, adj, 8))
+                == pruned_simple_cycles_upto(s.n_vertices, adj, 8)), n
+        rep = validate_admissible(s, l_max=8)
+        assert (rep.passed, rep.checked_cycles) == (True, checked), n
+
+
+def test_cycle_search_memory_bound():
+    # the blocks of starts bound the frontier: one block of all 1532
+    # starts would peak above 18 MB
+    s = benchmark_pattern(512, 1)
+    tracemalloc.start()
+    try:
+        validate_admissible(s, l_max=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20, peak / 2**20
+
+
+def test_validators_reject_l_max_below_one():
+    s = thurston_pattern(octahedron_surface())
+    for l_max in (0, -3):
+        with pytest.raises(ValueError, match="l_max"):
+            validate_admissible(s, l_max=l_max)
+        with pytest.raises(ValueError, match="l_max"):
+            validate_hyperideal(octahedron_surface().with_theta(
+                np.full(12, 0.5 * math.pi)), l_max=l_max)
 
 
 # ---------------------------------------------------------------------------

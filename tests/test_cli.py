@@ -270,6 +270,19 @@ def test_broken_euler_count_is_internal_error(monkeypatch, capsys):
     assert capsys.readouterr().err == (
         "internal error: component has inconsistent Euler data\n")
 
+@pytest.mark.parametrize("argv,flag", [
+    (["check-admissible", "--max-cycle", "0", "pattern.surf"], "--max-cycle"),
+    (["check-admissible", "--max-cycle", "-3", "pattern.surf"], "--max-cycle"),
+    (["pak-search", "--samples", "-5", "genus2_uniform.surf"], "--samples")])
+def test_nothing_to_check_is_bad_input(tmp_path, capsys, argv, flag):
+    # a search bound below one cycle edge, or a negative sample count,
+    # would check nothing and still print a verdict
+    out = tmp_path / "out.txt"
+    code = main(argv[:-1] + [str(INPUTS / argv[-1]), "--out", str(out)])
+    assert (code, out.exists()) == (2, False)
+    assert "argument %s: must be at least" % flag in capsys.readouterr().err
+
+
 def test_fixture_labels_guard(tmp_path):
     # --fixture-labels must reject inputs that are not the packaged fixture
     assert main(["check-admissible", "--fixture-labels",

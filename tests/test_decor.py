@@ -317,6 +317,18 @@ def test_batch_rejects_bad_input(uniform_surf):
         decor.batch_report(cube, np.zeros((1, cube.n_edges), dtype=int))
 
 
+def test_row_gather_is_take_along_axis():
+    # the pointer-jumping gathers: a broadcast view and a wider source
+    # (the face labels with their sentinel column) as well as a plain one
+    rng = np.random.default_rng(4)
+    idx = rng.integers(0, 72, size=(50, 72))
+    for a in (rng.integers(0, 9, size=(50, 72)),
+              rng.integers(0, 9, size=(50, 73)),
+              np.broadcast_to(np.arange(72), (50, 72))):
+        assert np.array_equal(decor._row_gather(a, idx),
+                              np.take_along_axis(a, idx, axis=1))
+
+
 def test_cli_import_leaves_scipy_sparse_out():
     # scipy.linalg too: the rigidity spectrum and solves use numpy only
     src = str(pathlib.Path(decor.__file__).resolve().parents[1])

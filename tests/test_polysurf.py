@@ -1,6 +1,4 @@
-import importlib.util
 import math
-import pathlib
 
 import numpy as np
 import pytest
@@ -12,6 +10,7 @@ from endlab.mink import mdot
 from endlab.polysurf import (PolyBuildError, PolySurface, UnsupportedGeometry,
                              VertexGeom, compact_point, hyper_point,
                              ideal_point, parse_poly, serialize_poly)
+from scripts_path import spiral_module  # see conftest
 
 
 def test_octahedron_builds_right_angles():
@@ -205,18 +204,9 @@ def test_lengths_angles_isometry_invariant():
                            atol=1e-10)
 
 
-def _spiral_module():
-    """bench/spiral.py, the benchmark's spiral-hull inputs."""
-    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spiral.py"
-    spec = importlib.util.spec_from_file_location("spiral", path)
-    spiral = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spiral)
-    return spiral
-
-
 def _spiral_hyper_hull(n):
     """Base and vertex vectors of the benchmark hyper spiral hull, unmoved."""
-    spiral = _spiral_module()
+    spiral = spiral_module()
     dirs = spiral.spiral_directions(n)
     faces = spiral.hull_faces(dirs)
     vecs = spiral.vertex_vectors("hyper", dirs, faces, None)
@@ -545,7 +535,7 @@ for _kind in ("compact", "hyper"):
         for _seed in (1, 2, 3):
             ORACLE_SURFACES["%s-%d-seed%d" % (_kind, _n, _seed)] = (
                 lambda k=_kind, n=_n, s=_seed:
-                _spiral_module().build(k, n, np.random.default_rng(s)))
+                spiral_module().build(k, n, np.random.default_rng(s)))
 
 
 @pytest.mark.parametrize("make", ORACLE_SURFACES.values(),
