@@ -203,9 +203,6 @@ class CellSurface:
     def vertex_degree(self, v):
         return len(self._stars[v])
 
-    def face_edge_multiset(self, f):
-        return tuple(sorted(self.edge_of(d) for d in self.face_cycles[f]))
-
     def adjacency(self):
         """Per-vertex list of (neighbor, edge id), in edge-id order."""
         adj = [[] for _ in range(self.n_vertices)]
@@ -484,7 +481,8 @@ def _padded(rows):
     """The integer rows as one array padded with -1, and their lengths."""
     length = np.array([len(r) for r in rows], dtype=np.intp)
     out = np.full((len(rows), length.max(initial=0)), -1, dtype=np.intp)
-    out[np.arange(out.shape[1]) < length[:, None]] = [x for r in rows for x in r]
+    inside = np.arange(out.shape[1]) < length[:, None]
+    out[inside] = [x for r in rows for x in r]
     return out, length
 
 
@@ -585,7 +583,7 @@ def _block_cycles(off, nbr, eid, starts, n_vertices, l_max):
     return rows[np.lexsort(rows.T[::-1])] if rows.size else rows
 
 
-def simple_cycles_upto(n_vertices, adjacency, l_max, block=START_BLOCK):
+def simple_cycles_upto(n_vertices, adjacency, l_max):
     """Undirected simple cycles with at most l_max edges, as a
     :class:`CycleTable`.
 
@@ -601,16 +599,16 @@ def simple_cycles_upto(n_vertices, adjacency, l_max, block=START_BLOCK):
     closing walk is at least dist(w, s) long, and dist(w, s) <= min(k,
     l_max - k), so a ball of radius l_max // 2 holds every distance needed.
 
-    The search is level-synchronous over blocks of ``block`` starts (the
-    vertices with a loop or with two slots to larger vertices; no cycle
-    has another least vertex): all paths of k edges are extended at once
-    through the slots of their last vertex's adjacency list.  The rows come out in the order in which a
-    depth-first search over the lists as given meets them, the order of
-    their sequences of adjacency slots.  Of the two directions from s,
-    :func:`_canon` keeps the lesser vertex tuple; with three or more
-    vertices it reverses a cycle exactly when the last vertex is below the
-    second (a loop or a pair of parallel edges is least as found, its
-    closing edge being the larger).
+    The search is level-synchronous over blocks of ``START_BLOCK``
+    starts, the vertices with a loop or with two slots to larger vertices
+    (no cycle has another least vertex): all paths of k edges are extended
+    at once through the slots of their last vertex's adjacency list.  The
+    rows come out in the order in which a depth-first search over the
+    lists as given meets them, the order of their sequences of adjacency
+    slots.  Of the two directions from s, :func:`_canon` keeps the lesser
+    vertex tuple; with three or more vertices it reverses a cycle exactly
+    when the last vertex is below the second (a loop or a pair of parallel
+    edges is least as found, its closing edge being the larger).
     """
     off, nbr, eid = _csr(adjacency)
     owner = np.repeat(np.arange(n_vertices, dtype=np.int32), np.diff(off))
@@ -618,8 +616,9 @@ def simple_cycles_upto(n_vertices, adjacency, l_max, block=START_BLOCK):
     starts = np.flatnonzero((up >= 2) | (np.bincount(
         owner[nbr == owner], minlength=n_vertices) > 0))
     steps = _stacked([
-        _block_cycles(off, nbr, eid, starts[i:i + block], n_vertices, l_max)
-        for i in range(0, len(starts), block)], np.int32)
+        _block_cycles(off, nbr, eid, starts[i:i + START_BLOCK], n_vertices,
+                      l_max)
+        for i in range(0, len(starts), START_BLOCK)], np.int32)
     length = np.count_nonzero(steps >= 0, axis=1)
     # step j leaves vertex j along edge j; the index -1 past a row's end
     # picks the -1 appended to owner and eid
@@ -635,8 +634,8 @@ def _canonical(verts, edges, length):
     more vertices is reversed where its last vertex is below its second."""
     if verts.shape[1] < 3:
         return
-    flip = np.flatnonzero(
-        (length >= 3) & (verts[np.arange(len(verts)), length - 1] < verts[:, 1]))
+    last = verts[np.arange(len(verts)), length - 1]
+    flip = np.flatnonzero((length >= 3) & (last < verts[:, 1]))
     n, cols = length[flip, None], np.arange(verts.shape[1])
     inside = cols < n
     # vertex j comes from n - j (vertex 0 stays), edge j from n - 1 - j
@@ -759,8 +758,8 @@ def validate_admissible(surface, l_max=DEFAULT_L_MAX, simple_cycles_only=True,
     report.face_sums = sums.tolist()
     for f in np.flatnonzero(np.abs(sums - 2.0 * math.pi) > TAU_ANG).tolist():
         report.passed = False
-        report.violations.append(
-            Witness("face-sum", ("face", f), report.face_sums[f], 2.0 * math.pi))
+        report.violations.append(Witness(
+            "face-sum", ("face", f), report.face_sums[f], 2.0 * math.pi))
 
     oracle = ContractibilityOracle(surface, presentation)
     if simple_cycles_only:
@@ -793,7 +792,8 @@ def _row_keys(rows):
     """One void scalar per row of sorted entries: equal keys, equal
     multisets (among rows of one width)."""
     rows = np.ascontiguousarray(np.sort(rows, axis=1), dtype=np.intp)
-    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    key = np.dtype((np.void, rows.itemsize * rows.shape[1]))
+    return rows.view(key).ravel()
 
 
 def _check_cycles(report, cycles, oracle, theta, kind, faces=None):

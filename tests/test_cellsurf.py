@@ -459,6 +459,13 @@ def test_searches_meet_each_cycle_once_in_any_adjacency_order(name):
             assert set(ours) == {undirected(p) for p in want}, (trial, l_max)
 
 
+def blocked_simple_cycles_upto(n_vertices, adjacency, l_max, block):
+    """simple_cycles_upto with ``block`` starts per block of its search."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cellsurf, "START_BLOCK", block)
+        return simple_cycles_upto(n_vertices, adjacency, l_max)
+
+
 @pytest.mark.parametrize("name", ORACLE_GRAPHS)
 def test_array_search_keeps_depth_first_order_in_any_adjacency_order(name):
     # the order follows the adjacency lists as given; blocks of one and of
@@ -471,7 +478,7 @@ def test_array_search_keeps_depth_first_order_in_any_adjacency_order(name):
         for l_max in range(1, 9):
             want = pruned_simple_cycles_upto(n, rows, l_max)
             for block in (1, 3, cellsurf.START_BLOCK):
-                got = cellsurf.simple_cycles_upto(n, rows, l_max, block=block)
+                got = blocked_simple_cycles_upto(n, rows, l_max, block)
                 assert list(got) == want, (trial, l_max, block)
 
 
@@ -485,7 +492,7 @@ def test_array_search_keeps_depth_first_order_on_random_multigraphs(
     _, adj, _ = multigraph(n, rng.integers(
         0, n, size=(int(rng.integers(0, 14)), 2)).tolist())
     adj = [[row[i] for i in rng.permutation(len(row))] for row in adj]
-    got = cellsurf.simple_cycles_upto(n, adj, l_max, block=block)
+    got = blocked_simple_cycles_upto(n, adj, l_max, block)
     assert list(got) == pruned_simple_cycles_upto(n, adj, l_max)
 
 
@@ -508,8 +515,8 @@ def test_array_search_matches_depth_first_search_at_benchmark_scale(seed):
 
 
 def test_cycle_search_memory_bound():
-    # the blocks of starts bound the frontier: one block of all 1532
-    # starts would peak above 18 MB
+    # the blocks of starts bound the frontier: one block of all 512 starts
+    # peaks at 17 MB, blocks of 64 at 5.6 MB (the recursive search, 5.9 MB)
     s = benchmark_pattern(512, 1)
     tracemalloc.start()
     try:
@@ -651,7 +658,7 @@ def _violation_edges(surface, report, eperm=None):
     out = []
     for w in report.violations:
         if w.kind == "face-sum":
-            edges = surface.face_edge_multiset(w.location[1])
+            edges = [d // 2 for d in surface.face_cycles[w.location[1]]]
         else:
             edges = w.location[1:]
         if eperm is not None:
