@@ -486,11 +486,12 @@ def _padded(rows):
     return out, length
 
 
-def _stacked(blocks, dtype=np.intp):
-    """The 2-D integer blocks stacked, each padded with -1 to the widest."""
+def _stacked(blocks):
+    """The 2-D integer blocks stacked as int32, each padded with -1 to the
+    widest."""
     out = np.full((sum(len(b) for b in blocks),
                    max((b.shape[1] for b in blocks), default=0)), -1,
-                  dtype=dtype)
+                  dtype=np.int32)
     at = 0
     for b in blocks:
         out[at:at + len(b), :b.shape[1]] = b
@@ -547,7 +548,8 @@ def _block_cycles(off, nbr, eid, starts, n_vertices, l_max):
     reach = reach[nbr]
     need = need.ravel()
     # the frontier: paths from the starts[b] that take the CSR indices
-    # steps[j] to the vertices path[j], one array per depth, ending at last
+    # steps[j] to the vertices path[j], one int32 array per depth, ending
+    # at last
     b, last = np.arange(len(starts)), starts
     path, steps = [], []
     found = []
@@ -573,8 +575,8 @@ def _block_cycles(off, nbr, eid, starts, n_vertices, l_max):
             break
         up = rep[go]
         b, last = rb[go], w[go]
-        path = [p[up] for p in path] + [last]
-        steps = [st[up] for st in steps] + [kept[slot[go]]]
+        path = [p[up] for p in path] + [last.astype(np.int32)]
+        steps = [st[up] for st in steps] + [kept[slot[go]].astype(np.int32)]
         first = eid[steps[0]]
     rows = _stacked(found)
     # the search's order is the lexicographic order of the CSR index rows:
@@ -615,17 +617,18 @@ def simple_cycles_upto(n_vertices, adjacency, l_max):
     up = np.bincount(owner[nbr > owner], minlength=n_vertices)
     starts = np.flatnonzero((up >= 2) | (np.bincount(
         owner[nbr == owner], minlength=n_vertices) > 0))
-    steps = _stacked([
-        _block_cycles(off, nbr, eid, starts[i:i + START_BLOCK], n_vertices,
-                      l_max)
-        for i in range(0, len(starts), START_BLOCK)], np.int32)
-    length = np.count_nonzero(steps >= 0, axis=1)
     # step j leaves vertex j along edge j; the index -1 past a row's end
     # picks the -1 appended to owner and eid
-    verts = np.append(owner, -1)[steps]
-    edges = np.append(eid, -1).astype(np.int32)[steps]
-    _canonical(verts, edges, length)
-    return CycleTable(verts, edges, length)
+    owner, eid = np.append(owner, -1), np.append(eid, -1).astype(np.int32)
+    verts, edges = [], []
+    for i in range(0, len(starts), START_BLOCK):
+        steps = _block_cycles(off, nbr, eid, starts[i:i + START_BLOCK],
+                              n_vertices, l_max)
+        verts.append(owner[steps])
+        edges.append(eid[steps])
+        _canonical(verts[-1], edges[-1], np.count_nonzero(steps >= 0, axis=1))
+    verts, edges = _stacked(verts), _stacked(edges)
+    return CycleTable(verts, edges, np.count_nonzero(verts >= 0, axis=1))
 
 
 def _canonical(verts, edges, length):

@@ -516,7 +516,7 @@ def test_array_search_matches_depth_first_search_at_benchmark_scale(seed):
 
 def test_cycle_search_memory_bound():
     # the blocks of starts bound the frontier: one block of all 512 starts
-    # peaks at 17 MB, blocks of 64 at 5.6 MB (the recursive search, 5.9 MB)
+    # peaks at 15 MB, blocks of 64 at 4.0 MB (the recursive search, 5.9 MB)
     s = benchmark_pattern(512, 1)
     tracemalloc.start()
     try:
