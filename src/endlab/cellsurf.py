@@ -33,8 +33,9 @@ a :class:`CycleTable` of padded arrays, each row turned into the direction
 :func:`_canon` picks by reversing it where its last vertex is below its
 second.  The validators skip facial cycles by comparing sorted edge rows,
 and add each theta-sum column by column, left to right in the reported
-edge order, so every sum has the bits of the builtin ``sum`` of Python
-3.11 over the same floats.
+edge order; return-path sums are added left to right as well.  The
+builtin ``sum`` is not used for them: from Python 3.12 on it compensates
+float rounding, so a witness would carry other bits on other versions.
 Contractibility is decided per genus: trivially on spheres, by homology on
 tori, and through the surface-group machinery of :mod:`endlab.surfgroup`
 when the surface carries edge labels.
@@ -326,8 +327,13 @@ def _check_ids(lines, count, message):
         raise SurfaceFormatError(message, line=min(outside, default=None))
 
 
-def parse_surf(text):
-    """Parse "surf v1"; raises SurfaceFormatError with a line number."""
+def parse_surf(text, geom_records=None):
+    """Parse "surf v1"; raises SurfaceFormatError with a line number.
+
+    The ``geom`` records of the poly v1 extension are skipped, or, when a
+    list ``geom_records`` is given, appended to it as (line number, fields)
+    for :func:`endlab.polysurf.parse_poly` to check.
+    """
     vertex_lines = {}
     edges, edge_lines = {}, {}
     faces, face_lines = {}, {}
@@ -358,7 +364,8 @@ def parse_surf(text):
                     raise ValueError("non-finite theta %r" % parts[2])
                 thetas[_record(theta_lines, parts[1], "theta", ln)] = value
             elif parts[0] == "geom":
-                continue  # poly v1 extension, handled by polysurf
+                if geom_records is not None:
+                    geom_records.append((ln, parts))
             else:
                 raise ValueError("unrecognized record %r" % parts[0])
         except ValueError as exc:
@@ -782,9 +789,9 @@ def validate_admissible(surface, l_max=DEFAULT_L_MAX, simple_cycles_only=True,
 
 def _row_sums(theta, rows, length):
     """theta summed over each row's first ``length`` entries of ``rows``,
-    column by column: each sum adds its terms left to right, as the
-    builtin ``sum`` of Python 3.11 does (adding 0.0 past a row's end
-    changes no bit of a positive sum)."""
+    column by column: each sum adds its terms left to right, on every
+    Python version (adding 0.0 past a row's end changes no bit of a
+    positive sum)."""
     total = np.zeros(len(rows))
     for j in range(rows.shape[1]):
         total += np.where(j < length, theta[rows[:, j]], 0.0)
@@ -906,7 +913,9 @@ def validate_hyperideal(surface, l_max=DEFAULT_L_MAX, presentation=None):
                 dual_adj, set(b_faces), l_max, th, math.pi + TAU_ANG):
             if all(e in b_edges for e in path_eseq):
                 continue
-            s = float(sum(th[e] for e in path_eseq))
+            s = 0.0
+            for e in path_eseq:  # left to right on every Python version
+                s += th[e]
             if _returns_through_face(surface, dual_surface, oracle, v,
                                      boundary, b_faces, path_vseq, path_eseq):
                 report.passed = False

@@ -514,15 +514,10 @@ def serialize_poly(ps):
 
 
 def parse_poly(text):
-    surface = parse_surf(text)
+    records = []
+    surface = parse_surf(text, records)
     geoms, geom_lines = {}, {}
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] != "geom":
-            continue
+    for ln, parts in records:
         if len(parts) != 7 or parts[2] not in (COMPACT, IDEAL, HYPER):
             raise SurfaceFormatError("bad geom record", line=ln)
         try:

@@ -74,13 +74,13 @@ With more, deciding the rank does not need the spectrum: it needs a
 count of the eigenvalues of L L^T below a shift, which a triangular
 factorisation gives (Sylvester's law of inertia; Golub & Van Loan 8.1,
 Parlett, The Symmetric Eigenvalue Problem, ch. 3).  The rows are split
-into the breadth-first levels of the Gram's non-zero graph, from a
-pseudo-peripheral row, so every non-zero entry joins rows of equal or
-adjacent levels and the Gram is block tridiagonal over them (a spiral hull
-of 512 vertices: 1530 rows in about 20 levels of at most about 140).  A
-block Cholesky factorisation over the levels of L L^T - s I, with s =
-CERTIFIED_FLOOR^2 = (10 GRAM_MIN_SIGMA)^2 times the Gershgorin bound on
-sigma_max^2, succeeds only if every eigenvalue exceeds s, so success
+into the breadth-first levels of the Gram's non-zero graph, one search
+per component from a least-degree row, so every non-zero entry joins rows
+of equal or adjacent levels and the Gram is block tridiagonal over them
+(a spiral hull of 512 vertices: 1530 rows in about 20 levels of at most
+about 140).  A block Cholesky factorisation over the levels of L L^T - s I,
+with s = CERTIFIED_FLOOR^2 = (10 GRAM_MIN_SIGMA)^2 times the Gershgorin
+bound on sigma_max^2, succeeds only if every eigenvalue exceeds s, so success
 certifies sigma_min / sigma_max > CERTIFIED_FLOOR = 1e-3: full row rank,
 an infinite gap, and no rank near any threshold.  Rounding perturbs the
 factored matrix by about n eps ||L L^T||, over six orders below the shift
@@ -92,11 +92,15 @@ is not below the floor, the spectrum route runs as above.
 When the certified kernel is exactly as large as the trivial motions and
 the operator has full row rank (every rigid closed polyhedron), the
 reported kernel basis is the trivial-motion basis itself, which no LAPACK
-build can change, and its distance from the kernel is the row-space part
-of its columns, from one solve with the same Gram matrix: a block forward
-and back substitution with the unshifted block Cholesky factor on the
-certificate route, ``np.linalg.solve`` on the spectrum route.  Any other
-kernel comes from the right singular vectors of a full SVD.  (Closed
+build can change, and its distance from the kernel is the norm of the
+row-space part L^T (L L^T)^-1 L X of its columns X.  On the spectrum route
+it comes from one ``np.linalg.solve`` with the Gram matrix.  On the
+certificate route L L^T = C C^T for the unshifted block Cholesky factor C,
+so the norm is ||C^-1 L X||_F (Golub & Van Loan 4.2), from one block
+forward substitution and no back substitution.  Any other kernel comes
+from the right singular vectors of a full SVD.  The decorations of all
+kernel vectors share one deformation pass; on ideal surfaces that is one
+least-squares solve with the shift map for all of them.  (Closed
 equivariant surfaces of genus g >= 2 in ends have no global isometries
 and their ideal angle-variation kernels have dimension 6g-6; finite
 polyhedra carry the 6 global motions instead, and only the algebraic
@@ -236,18 +240,18 @@ class OperatorBundle:
 
     def row_space_residual(self, x):
         """Frobenius norm of the row-space part L^T (L L^T)^-1 L x of the
-        columns of x, by one solve with the Gram matrix L L^T: a block
-        substitution with its block Cholesky factor when the inertia
-        certificate holds, ``np.linalg.solve`` otherwise.  For a matrix of
-        full row rank this is the exact distance of x from the kernel,
-        ||x - K K^T x||_F for an orthonormal kernel basis K."""
+        columns of x.  When the inertia certificate holds, L L^T = C C^T for
+        its unshifted block Cholesky factor C, and the norm is ||C^-1 L x||_F,
+        from one block forward substitution; otherwise it is taken from one
+        ``np.linalg.solve`` with L L^T.  For a matrix of full row rank this
+        is the exact distance of x from the kernel, ||x - K K^T x||_F for an
+        orthonormal kernel basis K."""
         m = self.matrix
         if self._levels is None:
             y = np.linalg.solve(self._row_gram(), m @ x)
-        else:
-            y = block_solve(block_cholesky(self._row_gram(), self._levels),
-                            m @ x)
-        return float(np.linalg.norm(m.T @ y))
+            return float(np.linalg.norm(m.T @ y))
+        factor = block_cholesky(self._row_gram(), self._levels)
+        return float(np.linalg.norm(block_forward(factor, m @ x)))
 
     def rank_profile(self, tau_rank=TAU_RANK):
         """(rank, kernel dim, spectral gap) under the tolerance."""
@@ -282,47 +286,30 @@ def kernel_dimension(bundle, tau_rank=TAU_RANK):
 # the inertia certificate
 
 
-def _bfs_levels(pattern, start):
-    """Breadth-first levels of the boolean adjacency ``pattern`` from row
-    ``start``, as index arrays."""
-    seen = np.zeros(len(pattern), dtype=bool)
-    seen[start] = True
-    frontier = np.array([start])
-    levels = []
-    while frontier.size:
-        levels.append(frontier)
-        frontier = np.flatnonzero(pattern[frontier].any(axis=0) & ~seen)
-        seen[frontier] = True
-    return levels
-
-
 def level_partition(gram):
     """The rows of a symmetric matrix, split into the breadth-first levels
     of its non-zero graph, as a list of index arrays.
 
-    Each connected component is searched from a pseudo-peripheral row
-    (George & Liu: from a least-degree row, restart at a least-degree row
-    of the last level while that makes more levels), and its levels follow
-    those of the components before it.  Every non-zero entry then joins
-    rows whose levels differ by at most 1, so the matrix is block
-    tridiagonal over the levels.
+    Each connected component is searched once, from its first row of
+    least degree, and its levels follow those of the components before
+    it.  George & Liu's restart from the last level is not made: on 90
+    random hulls of 90-120 vertices it deepened 3 partitions by one level
+    and changed no verdict.  Every non-zero entry joins rows whose levels
+    differ by at most 1, so the matrix is block tridiagonal over the
+    levels.
     """
     pattern = gram != 0
     pattern |= pattern.T
     degree = np.count_nonzero(pattern, axis=1)
-    left = np.ones(len(gram), dtype=bool)
+    seen = np.zeros(len(gram), dtype=bool)
     levels = []
-    while left.any():
-        rows = np.flatnonzero(left)
-        comp = _bfs_levels(pattern, rows[np.argmin(degree[rows])])
-        while True:
-            last = comp[-1]
-            deeper = _bfs_levels(pattern, last[np.argmin(degree[last])])
-            if len(deeper) <= len(comp):
-                break
-            comp = deeper
-        levels += comp
-        left[np.concatenate(comp)] = False
+    while not seen.all():
+        rows = np.flatnonzero(~seen)
+        frontier = rows[[np.argmin(degree[rows])]]
+        while frontier.size:
+            seen[frontier] = True
+            levels.append(frontier)
+            frontier = np.flatnonzero(pattern[frontier].any(axis=0) & ~seen)
     return levels
 
 
@@ -352,21 +339,16 @@ def block_cholesky(gram, levels, shift=0.0):
     return factor
 
 
-def block_solve(factor, b):
-    """The solution x of gram x = b, from the :func:`block_cholesky`
-    factor of gram: a block forward substitution, then a block back
-    substitution."""
+def block_forward(factor, b):
+    """C^-1 b, C the block lower bidiagonal :func:`block_cholesky` factor
+    of gram (gram = C C^T over the rows in level order), by one block
+    forward substitution; its rows are in level order.  Its squared
+    Frobenius norm is trace(b^T gram^-1 b)."""
     z = []
     for rows, c, w in factor:
         z.append(np.linalg.solve(c, b[rows] if w is None
                                  else b[rows] - w @ z[-1]))
-    x = np.empty_like(b, dtype=float)
-    carry = None
-    for (rows, c, w), zk in zip(reversed(factor), reversed(z)):
-        x[rows] = y = np.linalg.solve(c.T, zk if carry is None
-                                      else zk - carry)
-        carry = None if w is None else w.T @ y
-    return x
+    return np.concatenate(z)
 
 
 def _gershgorin_bound(gram):
@@ -675,17 +657,22 @@ def adjointness_residual(lop, mop):
 
 
 def kernel_vector_as_deformation(ps, op, coords):
-    """Convert kernel coordinates of the length operator ``op`` of ``ps``
-    into deformation data consumable by decoration_from_deformation."""
+    """Convert kernel coordinates of the length operator ``op`` of ``ps``,
+    one kernel vector per column of ``coords``, into one deformation per
+    column, each consumable by decoration_from_deformation.  On ideal
+    surfaces one least-squares solve with the shift map serves every
+    column."""
     if ps.kind == IDEAL:
         # choose decoration-shift constants so the raw length variation
         # vanishes, not only its quotient class
         delta = op.meta["raw_rows"] @ coords
         m = shift_map_matrix(ps.tri).astype(float)
         a, *_ = np.linalg.lstsq(m, delta, rcond=None)
-        return list(zip(np.reshape(coords, (-1, 2)), -a))
-    c = np.asarray(coords, dtype=float).reshape(-1, 3, 1)
-    return (c * ps.links().frames).sum(axis=1)
+        return [list(zip(np.reshape(c, (-1, 2)), -shift))
+                for c, shift in zip(coords.T, a.T)]
+    frames = ps.links().frames
+    c = coords.T.reshape(coords.shape[1], len(frames), 3, 1)
+    return list((c * frames).sum(axis=2))
 
 
 @dataclass
@@ -718,14 +705,16 @@ def projective_rigidity_verdict(ps, tau_rank=TAU_RANK):
     SPECTRUM_MAX singular values, two block Cholesky factorisations of its
     Gram matrix over the Gram's levels: one shifted, whose success
     certifies full row rank with every sigma_rel > CERTIFIED_FLOOR (the
-    spectrum is then None), one unshifted for the trivial-match residual;
-    no ``eigvalsh``, SVD or solve of the full size runs.  Otherwise, or if
-    the certificate fails, one ``eigvalsh`` of the Gram, one full SVD only
-    when the Gram is too ill-conditioned to decide the rank or the kernel
-    basis is needed, and one solve for the residual.  When the kernel is
+    spectrum is then None), one unshifted whose forward substitution gives
+    the trivial-match residual; no ``eigvalsh``, SVD or solve of the full
+    size runs.  Otherwise, or if the certificate fails, one ``eigvalsh`` of
+    the Gram, one full SVD only when the Gram is too ill-conditioned to
+    decide the rank or the kernel basis is needed, and one solve for the
+    residual.  When the kernel is
     as large as the trivial motions and the length operator has full row
     rank, the kernel basis reported is the trivial-motion basis; otherwise
-    it comes from a full SVD.
+    it comes from a full SVD.  All kernel vectors become deformations in
+    one :func:`kernel_vector_as_deformation` call.
     """
     if ps.kind == IDEAL:
         basis = zero_sum_basis(ps.tri)
@@ -750,9 +739,9 @@ def projective_rigidity_verdict(ps, tau_rank=TAU_RANK):
         resid = float(np.linalg.norm(tb - kb @ (kb.T @ tb)))
     residual_dim = dim - tb.shape[1]
     states = np.array([
-        ps.decoration_from_deformation(
-            kernel_vector_as_deformation(ps, op, kb[:, j])).states
-        for j in range(kb.shape[1])], dtype=int).reshape(-1, ps.tri.n_edges)
+        ps.decoration_from_deformation(z).states
+        for z in kernel_vector_as_deformation(ps, op, kb)],
+        dtype=int).reshape(-1, ps.tri.n_edges)
     rep = batch_report(ps.tri, states)
     decos = [{"tight": bool(tight), "oriented_edges": int(oriented),
               "components_outside_coverage": int(outside),

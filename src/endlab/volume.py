@@ -97,7 +97,8 @@ def ideal_tet_volume(triple):
     """Volume L(a) + L(b) + L(c) of the ideal tetrahedron."""
     if not isinstance(triple, AngleTriple):
         triple = AngleTriple(*triple)
-    return sum(lobachevsky(a) for a in triple.as_tuple())
+    a, b, c = triple.as_tuple()
+    return lobachevsky(a) + lobachevsky(b) + lobachevsky(c)
 
 
 def tet_volume_from_chart(points):
@@ -110,10 +111,10 @@ def tet_volume_from_chart(points):
     p0, p1, p2, p3 = points
     z = _cx.edge_cross_ratio(p0, p1, p2, p3)
     vals = (z, 1.0 / (1.0 - z), (z - 1.0) / z)
-    angles = [abs(cmath.phase(v)) for v in vals]
-    if abs(sum(angles) - math.pi) > 1e-9:
+    a, b, c = (abs(cmath.phase(v)) for v in vals)
+    if abs(a + b + c - math.pi) > 1e-9:
         raise ValueError("degenerate tetrahedron")
-    return sum(lobachevsky(a) for a in angles)
+    return lobachevsky(a) + lobachevsky(b) + lobachevsky(c)
 
 
 # ---------------------------------------------------------------------------

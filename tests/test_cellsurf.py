@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import operator
 import tracemalloc
 
 import numpy as np
@@ -714,6 +716,12 @@ def test_hyperideal_random_matches_bruteforce_verdict():
         assert rep.passed == oracle
 
 
+def _left_sum(values):
+    """The values added left to right, as the validators add theta on
+    every Python version (the builtin sum compensates from 3.12 on)."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
 def hyperideal_bruteforce(surface, l_max):
     """Oracle: exhaustive dual walks on a genus-0 surface.
 
@@ -727,7 +735,7 @@ def hyperideal_bruteforce(surface, l_max):
         adj[f1].append((f2, e))
         adj[f2].append((f1, e))
     for vs, es in brute_force_cycles(surface.n_faces, adj, l_max):
-        if sum(th[e] for e in es) <= 2 * math.pi + 1e-9:
+        if _left_sum(th[e] for e in es) <= 2 * math.pi + 1e-9:
             return False
     for v in range(surface.n_vertices):
         star = surface.vertex_star(v)
@@ -750,7 +758,7 @@ def hyperideal_bruteforce(surface, l_max):
         for es in paths:
             if all(e in star_edges for e in es):
                 continue
-            if sum(th[e] for e in es) <= math.pi + 1e-9:
+            if _left_sum(th[e] for e in es) <= math.pi + 1e-9:
                 return False
     return True
 
@@ -810,7 +818,7 @@ def _hyperideal_checking_every_return_path(surface, l_max, presentation):
         if not oracle.cycle_is_contractible(list(vseq), list(eseq)):
             continue
         report.checked_cycles += 1
-        s = float(sum(th[e] for e in eseq))
+        s = float(_left_sum(th[e] for e in eseq))
         if s <= 2.0 * math.pi + cellsurf.TAU_ANG:
             report.passed = False
             report.violations.append(cellsurf.Witness(
@@ -829,7 +837,7 @@ def _hyperideal_checking_every_return_path(surface, l_max, presentation):
                     surface, dual_surface, oracle, v, boundary, b_faces,
                     path_vseq, path_eseq):
                 continue
-            s = float(sum(th[e] for e in path_eseq))
+            s = float(_left_sum(th[e] for e in path_eseq))
             if s <= math.pi + cellsurf.TAU_ANG:
                 report.passed = False
                 report.violations.append(cellsurf.Witness(
@@ -876,6 +884,26 @@ def test_hyperideal_return_paths_same_violations_at_l_max_8():
     assert any(w.kind == "return-path" for w in rep.violations)
 
 
+@pytest.mark.parametrize("l_max", [6, 8])
+def test_witnesses_do_not_depend_on_the_builtin_sum(request, l_max):
+    # Python 3.12 and later add floats in the builtin sum with Neumaier
+    # compensation; every witness must keep its bits under that sum
+    g = genus2_complex()
+    rng = np.random.default_rng(0)
+    s = g.surface.with_theta(
+        rng.uniform(0.2 * math.pi, 0.6 * math.pi, size=g.surface.n_edges))
+    hyper = validate_hyperideal(s, l_max=l_max, presentation=g.presentation)
+    primal = validate_admissible(s, l_max=l_max, presentation=g.presentation)
+    assert any(w.kind == "return-path" for w in hyper.violations)
+    request.getfixturevalue("compensated_builtin_sum")  # from here on
+    assert validate_hyperideal(s, l_max=l_max, presentation=g.presentation
+                               ).violations == hyper.violations
+    assert validate_admissible(s, l_max=l_max, presentation=g.presentation
+                               ).violations == primal.violations
+    old = _hyperideal_checking_every_return_path(s, l_max, g.presentation)
+    assert old.violations == hyper.violations
+
+
 def _parent_simple_paths_between(adjacency, endpoints, l_max):
     """_simple_paths_between before the budget prune and the in-place path
     stacks.  Verbatim."""
@@ -920,6 +948,6 @@ def test_simple_paths_between_match_parent_search(name):
             theta = rng.uniform(0.2 * math.pi, 0.6 * math.pi, size=n_edges)
             for budget in (math.pi, 1.7 * math.pi):
                 kept = [p for p in old
-                        if sum(theta[e] for e in p[1]) <= budget]
+                        if _left_sum(theta[e] for e in p[1]) <= budget]
                 assert cellsurf._simple_paths_between(
                     adj, endpoints, l_max, theta, budget) == kept

@@ -432,6 +432,88 @@ def test_poly_parse_geom_error():
         parse_poly(text)
 
 
+def _two_pass_parse_poly(text):
+    """parse_poly as it was when it split the text a second time after
+    parse_surf.  Verbatim."""
+    from endlab.cellsurf import _check_ids, _record, parse_surf
+    from endlab.polysurf import COMPACT, HYPER, IDEAL
+    surface = parse_surf(text)
+    geoms, geom_lines = {}, {}
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if parts[0] != "geom":
+            continue
+        if len(parts) != 7 or parts[2] not in (COMPACT, IDEAL, HYPER):
+            raise SurfaceFormatError("bad geom record", line=ln)
+        try:
+            vec = np.array([float(x) for x in parts[3:7]])
+            if not np.all(np.isfinite(vec)):
+                raise ValueError("non-finite geom coordinate")
+            v = _record(geom_lines, parts[1], "geom", ln)
+            geoms[v] = VertexGeom(parts[2], vec)
+        except (ValueError, PolyBuildError) as exc:
+            raise SurfaceFormatError(str(exc), line=ln) from exc
+    _check_ids(geom_lines, surface.n_vertices,
+               "geom records must cover all vertices")
+    return PolySurface(surface, [geoms[v] for v in range(surface.n_vertices)])
+
+
+def _poly_variants(text):
+    """The text with single records changed, added, moved or removed."""
+    lines = text.splitlines()
+    geoms = [i for i, ln in enumerate(lines) if ln.startswith("geom ")]
+    first, last = geoms[0], geoms[-1]
+    fields = lines[first].split()
+
+    def swap(i, new):
+        return lines[:i] + [new] + lines[i + 1:]
+
+    yield lines
+    yield swap(first, " ".join(fields[:2] + ["weird"] + fields[3:]))
+    yield swap(first, " ".join(fields[:6]))
+    yield swap(first, " ".join(fields[:3] + ["nan"] + fields[4:]))
+    yield swap(first, " ".join(fields[:3] + ["x"] + fields[4:]))
+    yield swap(first, " ".join(["geom", "99"] + fields[2:]))
+    yield swap(first, " ".join(["geom", "a"] + fields[2:]))
+    yield swap(first, " ".join(fields[:3] + ["5"] + fields[4:]))
+    yield swap(first, lines[first] + "  # a comment")
+    yield swap(first, "geom")
+    yield lines[:last] + lines[last + 1:]
+    yield lines + [lines[last]]
+    yield [lines[first]] + lines[:first] + lines[first + 1:]
+    # a bad geom record before a bad surf record: the surf error wins
+    yield swap(first, "geom") + ["bogus 1"]
+    yield swap(0, "e 0 0") + swap(first, "geom")[1:]
+
+
+@pytest.mark.parametrize("fixture", [fixtures.ideal_octahedron,
+                                     fixtures.compact_tetrahedron,
+                                     fixtures.hyperideal_tetrahedron])
+def test_parse_poly_reads_like_two_passes(fixture):
+    # one pass over the text: the same surfaces, and the same first error
+    # with the same message and line
+    def outcome(parse, text):
+        try:
+            return serialize_poly(parse(text))
+        except (SurfaceFormatError, PolyBuildError) as exc:
+            return "%s: %s" % (type(exc).__name__, exc)
+
+    for lines in _poly_variants(serialize_poly(fixture())):
+        text = "\n".join(lines) + "\n"
+        assert outcome(parse_poly, text) == outcome(_two_pass_parse_poly,
+                                                    text)
+
+
+def test_surf_with_geom_records_parses():
+    from endlab.cellsurf import parse_surf, serialize_surf
+    ps = fixtures.ideal_octahedron()
+    assert serialize_surf(parse_surf(serialize_poly(ps))) == serialize_surf(
+        ps.base)
+
+
 # ---------------------------------------------------------------------------
 # array-built frames and convexity checks against their scalar loops
 

@@ -438,8 +438,8 @@ def test_rigidity_verdict_flat_fixture_flagged():
 
 
 def _verdict_calls(monkeypatch, ps):
-    """The verdict of ps, and its calls of the factorisations and of the
-    operator builders."""
+    """The verdict of ps, and its calls of the factorisations, of the
+    least-squares solve and of the operator builders."""
     calls = collections.Counter()
 
     def counted(owner, name):
@@ -452,6 +452,7 @@ def _verdict_calls(monkeypatch, ps):
 
     counted(np.linalg, "svd")
     counted(np.linalg, "eigvalsh")
+    counted(np.linalg, "lstsq")
     for name in ("length_variation_operator", "angle_motion_operator",
                  "decorated_length_variation_operator",
                  "ideal_angle_variation_operator", "zero_sum_basis"):
@@ -467,10 +468,13 @@ def _verdict_calls(monkeypatch, ps):
 ])
 def test_verdict_assembles_and_factors_once(monkeypatch, make, length_op,
                                             angle_op, max_bases):
-    v, calls = _verdict_calls(monkeypatch, make())
+    ps = make()
+    v, calls = _verdict_calls(monkeypatch, ps)
     assert v.kernel_dim == 6
     assert calls.pop("zero_sum_basis", 0) <= max_bases
     assert calls.pop("svd", 0) == 0
+    # one shift-map solve for all six kernel vectors of an ideal surface
+    assert calls.pop("lstsq", 0) == (ps.kind == "ideal")
     assert calls == {"eigvalsh": 1, length_op: 1, angle_op: 1}
 
 
@@ -654,9 +658,14 @@ def test_batched_decorations_match_scalar_path(make):
     kb = (trivial_motion_basis(ps) if v.residual_dim == 0
           else op.kernel_basis())
     assert len(v.decorations) == kb.shape[1] == v.kernel_dim
+    batched = kernel_vector_as_deformation(ps, op, kb)
+    assert len(batched) == kb.shape[1]
     for j, d in enumerate(v.decorations):
-        dec = ps.decoration_from_deformation(
-            kernel_vector_as_deformation(ps, op, kb[:, j]))
+        dec = ps.decoration_from_deformation(batched[j])
+        # one column at a time gives the same decoration
+        single, = kernel_vector_as_deformation(ps, op, kb[:, [j]])
+        np.testing.assert_array_equal(
+            ps.decoration_from_deformation(single).states, dec.states)
         rep = pak_report(dec)
         assert d == {
             "tight": is_tight(dec).tight,
@@ -721,13 +730,16 @@ def test_level_partition_of_a_spiral_hull_is_narrow():
         lambda: _disconnected_gram(zero_row=False)],
     ids=["compact-128", "hull-60", "dense-ideal", "disconnected"])
 def test_block_solve_matches_dense_solve(make):
+    # the forward substitution alone gives the quadratic form of the
+    # inverse: ||C^-1 b||^2 = b^T gram^-1 b for gram = C C^T
     g = make()
     factor = rigidity.block_cholesky(g, rigidity.level_partition(g))
     rng = np.random.default_rng(8)
     for b in (rng.normal(size=(len(g), 3)), rng.normal(size=len(g))):
-        x = rigidity.block_solve(factor, b)
-        ref = np.linalg.solve(g, b)
-        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+        z = rigidity.block_forward(factor, b)
+        assert z.shape == b.shape
+        ref = np.sum(b * np.linalg.solve(g, b))
+        assert np.sum(z * z) == pytest.approx(ref, rel=1e-10)
 
 
 def test_gershgorin_bound_in_row_blocks():

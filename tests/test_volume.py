@@ -96,6 +96,25 @@ def test_volume_from_chart_matches_angles():
     assert abs(v - sum(lobachevsky(a) for a in angles)) < 1e-14
 
 
+def test_volumes_do_not_depend_on_the_builtin_sum(request):
+    # Python 3.12 and later add floats in the builtin sum with Neumaier
+    # compensation; a volume must keep its bits under that sum
+    rng = np.random.default_rng(3)
+    a = rng.uniform(0.1, 1.5, size=100)
+    b = rng.uniform(0.1, math.pi - 0.1 - a)
+    triples = list(zip(a.tolist(), b.tolist(), (math.pi - a - b).tolist()))
+    charts = [[0, 1, complex(math.inf, 0), complex(x, y)]
+              for x, y in rng.uniform(-2.0, 2.0, size=(100, 2)).tolist()]
+
+    def volumes():
+        return ([ideal_tet_volume(t) for t in triples],
+                [tet_volume_from_chart(p) for p in charts])
+
+    before = volumes()
+    request.getfixturevalue("compensated_builtin_sum")  # from here on
+    assert volumes() == before
+
+
 # ---------------------------------------------------------------------------
 # Schlafli sweeps
 
