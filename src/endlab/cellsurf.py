@@ -6,10 +6,14 @@ around each face.  Loops and parallel edges are permitted; faces are
 arbitrary cycles, with the quasi-simplicial flag meaning all faces are
 triangles.  The vertex rotation is derived: the dart after d in the
 (clockwise) rotation at its tail is fnext(twin(d)).  The constructor stores
-the face predecessor ``fprev`` and walks every vertex star once, so
-``vertex_star`` is a lookup; input that is not a closed connected surface
-(an edge endpoint out of range, a vertex with no darts or with more than
-one rotation cycle, more than one component) is rejected there.
+the face predecessor ``fprev`` and the vertex stars as one pair of arrays:
+``star`` holds each vertex's darts in rotation order from its lowest dart,
+vertex after vertex, and ``star_start`` the offsets.  ``vertex_star`` slices
+them, and the batched code of decor, crossratio and rigidity reads them
+instead of grouping darts by tail again.  Input that is not a closed
+connected surface (an edge endpoint out of range, a vertex with no darts or
+with more than one rotation cycle, more than one component) is rejected
+there, the first fault in face and vertex order.
 
 The module also carries the weighted-graph validators: face sums of an
 edge weight function theta must equal 2*pi, and short contractible cycles
@@ -63,6 +67,15 @@ class SurfaceFormatError(ValueError):
         super().__init__(message)
 
 
+class _DartOutOfRange(SurfaceFormatError):
+    """A face cycle names a dart past the last edge; :func:`parse_surf`
+    reports it with the line of face ``face``."""
+
+    def __init__(self, dart, face):
+        super().__init__("dart id %d out of range" % dart)
+        self.face = face
+
+
 class MissingLabelError(ValueError):
     """Raised when a contractibility decision needs absent edge labels."""
 
@@ -92,76 +105,78 @@ class CellSurface:
         self.face_cycles = [list(map(int, c)) for c in face_cycles]
         self.theta = None if theta is None else np.asarray(theta, dtype=float)
 
-        self.dart_tail = np.empty(self.n_darts, dtype=int)
-        for e, (u, v) in enumerate(self.edges):
-            if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
-                raise SurfaceFormatError(
-                    "edge %d endpoint out of range 0..%d"
-                    % (e, self.n_vertices - 1))
-            self.dart_tail[2 * e] = u
-            self.dart_tail[2 * e + 1] = v
-
-        self.fnext = np.full(self.n_darts, -1, dtype=int)
-        self.dart_face = np.full(self.n_darts, -1, dtype=int)
+        self.dart_tail = np.array(self.edges, dtype=int).reshape(self.n_darts)
+        outside = (self.dart_tail < 0) | (self.dart_tail >= self.n_vertices)
+        if outside.any():
+            raise SurfaceFormatError(
+                "edge %d endpoint out of range 0..%d"
+                % (np.argmax(outside) // 2, self.n_vertices - 1))
+        tail = self.dart_tail.tolist()
+        fnext, face = [-1] * self.n_darts, [-1] * self.n_darts
         for f, cyc in enumerate(self.face_cycles):
             if not cyc:
                 raise SurfaceFormatError("empty face cycle")
             for d in cyc:
                 if not 0 <= d < self.n_darts:
-                    raise SurfaceFormatError("dart id %d out of range" % d)
+                    raise _DartOutOfRange(d, f)
             for d, dn in zip(cyc, cyc[1:] + cyc[:1]):
-                if self.fnext[d] != -1:
+                if fnext[d] != -1:
                     raise SurfaceFormatError("dart %d used twice" % d)
-                if self.head(d) != self.dart_tail[dn]:
+                if tail[d ^ 1] != tail[dn]:
                     raise SurfaceFormatError(
                         "face cycle not head-to-tail at dart %d" % d)
-                self.fnext[d] = dn
-                self.dart_face[d] = f
-        if np.any(self.fnext < 0):
-            missing = int(np.flatnonzero(self.fnext < 0)[0])
-            raise SurfaceFormatError("dart %d missing from faces" % missing)
+                fnext[d] = dn
+                face[d] = f
+        if -1 in fnext:
+            raise SurfaceFormatError(
+                "dart %d missing from faces" % fnext.index(-1))
+        self.fnext = np.array(fnext, dtype=int)
+        self.dart_face = np.array(face, dtype=int)
         self.fprev = np.empty(self.n_darts, dtype=int)
         self.fprev[self.fnext] = np.arange(self.n_darts)
-        self._stars = self._walk_stars()
+        #: the vertex stars: vertex v's darts, in rotation order from its
+        #: lowest dart, are star[star_start[v]:star_start[v + 1]]
+        self.star, self.star_start = self._walk_stars()
         self._check_connected()
         if self.theta is not None and len(self.theta) != self.n_edges:
             raise SurfaceFormatError("theta length != edge count")
 
     def _walk_stars(self):
-        """Each vertex's darts in rotation order, starting at its lowest dart;
-        rejects a vertex whose darts are not one rotation cycle.  The walk
-        closes: vnext = fnext o twin keeps the tail (faces are head-to-tail)
-        and is a permutation (each dart lies in one face cycle)."""
-        degree = np.bincount(self.dart_tail, minlength=self.n_vertices).tolist()
-        first = {}
-        for d, v in enumerate(self.dart_tail.tolist()):
-            first.setdefault(v, d)
-        stars = []
-        for v in range(self.n_vertices):
-            if v not in first:
+        """(star, star_start), walking each vertex's rotation from its lowest
+        dart; rejects a vertex whose darts are not one rotation cycle.  The
+        walk closes: vnext = fnext o twin keeps the tail (faces are
+        head-to-tail) and is a permutation (each dart lies in one face
+        cycle)."""
+        degree = np.bincount(self.dart_tail, minlength=self.n_vertices)
+        first = np.full(self.n_vertices, self.n_darts)
+        np.minimum.at(first, self.dart_tail, np.arange(self.n_darts))
+        vnext = self.fnext[np.arange(self.n_darts) ^ 1].tolist()
+        star, start = [], [0]
+        for v, (d0, deg) in enumerate(zip(first.tolist(), degree.tolist())):
+            if not deg:
                 raise SurfaceFormatError("vertex %d has no darts" % v)
-            star = [first[v]]
-            nxt = self.vnext(star[0])
-            while nxt != star[0]:
-                star.append(nxt)
-                nxt = self.vnext(nxt)
-            if len(star) != degree[v]:
+            star.append(d0)
+            while vnext[star[-1]] != d0:
+                star.append(vnext[star[-1]])
+            if len(star) - start[-1] != deg:
                 raise SurfaceFormatError("vertex %d has a disconnected star" % v)
-            stars.append(star)
-        return stars
+            start.append(len(star))
+        return np.array(star, dtype=int), np.array(start, dtype=int)
 
     def _check_connected(self):
         """Rejects a complex that is empty or has more than one component."""
         if not self.n_vertices:
             raise SurfaceFormatError("no vertices")
-        head = self.dart_tail[np.arange(self.n_darts) ^ 1].tolist()
+        # the far end of each star dart, star by star
+        head = self.dart_tail[self.star ^ 1].tolist()
+        start = self.star_start.tolist()
         seen = [True] + [False] * (self.n_vertices - 1)
         todo = [0]
         for v in todo:
-            for d in self._stars[v]:
-                if not seen[head[d]]:
-                    seen[head[d]] = True
-                    todo.append(head[d])
+            for w in head[start[v]:start[v + 1]]:
+                if not seen[w]:
+                    seen[w] = True
+                    todo.append(w)
         if not all(seen):
             raise SurfaceFormatError(
                 "surface is not connected (vertex %d unreached from vertex 0)"
@@ -199,10 +214,10 @@ class CellSurface:
 
     def vertex_star(self, v):
         """Darts with tail v, in rotation order (one full cycle per star)."""
-        return list(self._stars[v])
+        return self.star[self.star_start[v]:self.star_start[v + 1]].tolist()
 
     def vertex_degree(self, v):
-        return len(self._stars[v])
+        return int(self.star_start[v + 1] - self.star_start[v])
 
     def adjacency(self):
         """Per-vertex list of (neighbor, edge id), in edge-id order."""
@@ -228,11 +243,7 @@ class CellSurface:
             edges[eperm[e]] = (vperm[u], vperm[v])
         darts = lambda d: 2 * eperm[d // 2] + (d & 1)
         faces = [[darts(d) for d in cyc] for cyc in self.face_cycles]
-        theta = None
-        if self.theta is not None:
-            theta = np.empty_like(self.theta)
-            for e in range(self.n_edges):
-                theta[eperm[e]] = self.theta[e]
+        theta = None if self.theta is None else self.theta[inv]
         return CellSurface(self.n_vertices, edges, faces, theta)
 
     # -- dual graph --------------------------------------------------------
@@ -385,8 +396,11 @@ def parse_surf(text, geom_records=None):
     if thetas:
         _check_ids(theta_lines, len(edges), "theta must cover all edges")
         theta = [thetas[e] for e in range(len(edges))]
-    return CellSurface(n_vertices, [edges[e] for e in range(len(edges))],
-                       [faces[f] for f in range(len(faces))], theta)
+    try:
+        return CellSurface(n_vertices, [edges[e] for e in range(len(edges))],
+                           [faces[f] for f in range(len(faces))], theta)
+    except _DartOutOfRange as exc:
+        raise SurfaceFormatError(str(exc), line=face_lines[exc.face]) from None
 
 
 # ---------------------------------------------------------------------------
@@ -433,23 +447,6 @@ def _canon(vseq, eseq):
     return min((v[r:] + v[:r], e[r:] + e[:r])
                for v, e in ((vs, es), back)
                for r, u in enumerate(v) if u == vs[0])
-
-
-def _starts(n_vertices, adjacency, l_max, need):
-    """Yield each start s with ``need[w]`` set: 1 at s, the distance to s
-    through vertices >= s within l_max // 2, else l_max + 1 (unreachable)."""
-    for start in range(n_vertices):
-        need[start] = 1
-        ball, frontier = [start], [start]
-        for r in range(1, l_max // 2 + 1):
-            frontier = {w for v in frontier for w, _ in adjacency[v]
-                        if w > start and need[w] > r}
-            for w in frontier:
-                need[w] = r
-            ball += frontier
-        yield start
-        for w in ball:
-            need[w] = l_max + 1
 
 
 @dataclass(eq=False)
@@ -526,10 +523,9 @@ def _expand(off, vertices):
 
 
 def _need(off, nbr, starts, n_vertices, l_max):
-    """(len(starts) x n_vertices) table, row b as :func:`_starts` sets
-    ``need`` for the start ``starts[b]``, but l_max + 1 at the start
-    itself (which the search closes at and never enters): the distance to
-    it through vertices above it within l_max // 2, else l_max + 1."""
+    """(len(starts) x n_vertices) table whose row b holds, at each vertex,
+    its distance to the start ``starts[b]`` through vertices above the
+    start within l_max // 2, else l_max + 1 (also at the start itself)."""
     dtype = np.int16 if l_max < np.iinfo(np.int16).max else np.int64
     need = np.full((len(starts), n_vertices), l_max + 1, dtype=dtype)
     rows, verts = np.arange(len(starts)), starts
@@ -847,8 +843,8 @@ def closed_trails_upto(n_vertices, adjacency, l_max, theta, budget):
     at or below the bound, so with positive weights pruning by partial sum
     loses nothing), with the distance prune of :func:`simple_cycles_upto`.
     """
+    off, nbr, _ = _csr(adjacency)
     out = []
-    need = [l_max + 1] * n_vertices
     used = [False] * len(theta)
     epath = []
 
@@ -873,9 +869,13 @@ def closed_trails_upto(n_vertices, adjacency, l_max, theta, budget):
                 vpath.pop()
                 epath.pop()
 
-    for start in _starts(n_vertices, adjacency, l_max, need):
-        vpath = [start]
-        dfs(start, l_max, 0.0)
+    for i in range(0, n_vertices, START_BLOCK):
+        starts = np.arange(i, min(i + START_BLOCK, n_vertices))
+        for start, need in zip(starts.tolist(), _need(
+                off, nbr, starts, n_vertices, l_max).tolist()):
+            need[start] = 1  # a trail may pass through its start again
+            vpath = [start]
+            dfs(start, l_max, 0.0)
     return out
 
 
@@ -1008,5 +1008,6 @@ def dual_cell_surface(surface):
     # The dual dart with the same id as a primal dart d runs from face(d)
     # to face(twin d); the star order around a primal vertex is already
     # head-to-tail for these darts.
-    cycles = [list(surface.vertex_star(v)) for v in range(surface.n_vertices)]
+    star, start = surface.star.tolist(), surface.star_start.tolist()
+    cycles = [star[a:b] for a, b in zip(start, start[1:])]
     return CellSurface(surface.n_faces, duals, cycles, surface.theta)

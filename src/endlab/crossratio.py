@@ -355,12 +355,10 @@ class NewtonResult:
 def _star_arrays(surface):
     """The vertex stars as a padded (V x max degree) array of edge ids in
     rotation order, with the mask of the entries that are real."""
-    stars = [surface.vertex_star(v) for v in range(surface.n_vertices)]
-    edges = np.zeros((len(stars), max(map(len, stars))), dtype=int)
-    mask = np.zeros(edges.shape, dtype=bool)
-    for v, star in enumerate(stars):
-        edges[v, :len(star)] = [d // 2 for d in star]
-        mask[v, :len(star)] = True
+    degree = np.diff(surface.star_start)
+    mask = np.arange(degree.max()) < degree[:, None]
+    edges = np.zeros(mask.shape, dtype=int)
+    edges[mask] = surface.star // 2
     return edges, mask
 
 

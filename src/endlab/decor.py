@@ -28,7 +28,8 @@ itself is never asserted as an invariant here.
 
 :func:`batch_report` answers the same questions (tight, components
 outside coverage, identities held) for many decorations at once, as array
-operations over an (n x E) state array; :func:`is_tight` and
+operations over an (n x E) state array whose per-vertex totals are
+reductions over the surface's stored vertex stars; :func:`is_tight` and
 :func:`pak_report` stay the per-decoration path and its test oracle.
 """
 
@@ -52,13 +53,15 @@ class DecorationError(ValueError):
 
 
 def _states_array(surface, states, ndim):
-    """Integer copy of per-edge states (last axis) with ``ndim`` axes."""
-    st = np.array(states, dtype=int)
+    """Integer copy of per-edge states (last axis) with ``ndim`` axes; any
+    value other than exactly -1, 0 or +1 (0.5, NaN) is rejected, not
+    rounded."""
+    st = np.asarray(states)
     if st.ndim != ndim or st.shape[-1] != surface.n_edges:
         raise DecorationError("one state per edge required")
-    if not np.all(np.abs(st) <= 1):
+    if st.dtype.kind not in "biuf" or not np.all((st == 0) | (abs(st) == 1)):
         raise DecorationError("states must be in {-1, 0, +1}")
-    return st
+    return st.astype(int)
 
 
 @dataclass(frozen=True)
@@ -346,29 +349,29 @@ class BatchReport:
     identities: np.ndarray      # bool, as ``pak_report(dec).all_identities_hold()``
 
 
-def _tail_incidence(surface):
-    """(D x V) 0/1 matrix with a one at (d, tail(d))."""
-    inc = np.zeros((surface.n_darts, surface.n_vertices))
-    inc[np.arange(surface.n_darts), surface.dart_tail] = 1.0
-    return inc
+def _star_reduce(ufunc, per_dart, surface):
+    """``ufunc`` reduced over each vertex star, for each row of the
+    (n x D) per-dart array: an (n x V) array."""
+    return ufunc.reduceat(per_dart[:, surface.star], surface.star_start[:-1],
+                          axis=1)
 
 
-def _batch_tight(surface, st, inc):
+def _batch_tight(surface, st):
     """Tight flag per state row, by the rules of :func:`is_tight`.
 
     With a the away-from-tail state at d and b the one at twin(fprev d),
     the doubled corner value is |a - b|; vertex totals and consecutive
-    unoriented pairs are products with the dart-to-tail incidence.
+    unoriented pairs are reductions over the vertex stars.
     """
     darts = np.arange(surface.n_darts)
     away = st[:, darts // 2] * np.where(darts % 2 == 0, 1, -1)
     twice = np.abs(away - away[:, surface.fprev ^ 1])
-    totals2 = twice.astype(float) @ inc
+    totals2 = _star_reduce(np.add, twice, surface)
     unor = away == 0
     vnext = surface.fnext[darts ^ 1]
-    consec = (unor & unor[:, vnext]).astype(float) @ inc > 0
-    consec &= inc.sum(axis=0) > 1
-    limits2 = np.where(consec, 2.0, 4.0)
+    consec = _star_reduce(np.logical_or, unor & unor[:, vnext], surface)
+    consec &= np.diff(surface.star_start) > 1
+    limits2 = np.where(consec, 2, 4)
     return ~np.any(totals2 > limits2, axis=1)
 
 
@@ -388,7 +391,7 @@ def _min_labels(labels, succ):
         labels = nxt
 
 
-def _component_counts(surface, st, inc):
+def _component_counts(surface, st):
     """Per-component counts of :func:`pak_report`, for every state row.
 
     Returns the five (n, F) arrays V, E, F, e_b and b, indexed by the row
@@ -424,14 +427,13 @@ def _component_counts(surface, st, inc):
     # rotation predecessor twin(fprev d) is deleted; a star with every
     # dart kept is one closed orbit
     starts = kd & ~kd[:, s.fprev ^ 1]
-    degree = inc.sum(axis=0)
-    closed = kd.astype(float) @ inc == degree
-    first = np.unique(s.dart_tail, return_index=True)[1]
+    closed = _star_reduce(np.logical_and, kd, s)
+    first = s.star[s.star_start[:-1]]
 
     # boundary successor: fnext, then rotate through interior edges
     vnext = s.fnext[darts ^ 1]
     skip = np.where(kt & kd, vnext, darts)
-    for _ in range(int(degree.max()).bit_length()):
+    for _ in range(int(np.diff(s.star_start).max()).bit_length()):
         skip = _row_gather(skip, skip)
     succ = np.where(boundary, skip[:, s.fnext], darts)
     labels_b = _min_labels(np.broadcast_to(darts, (n, nd)), succ)
@@ -460,8 +462,7 @@ def batch_report(surface, states):
     if not s.is_quasi_simplicial():
         raise DecorationError("component counting needs a triangulation")
     st = _states_array(s, states, 2)
-    inc = _tail_incidence(s)
-    nv, ne, nf, eb, nb = _component_counts(s, st, inc)
+    nv, ne, nf, eb, nb = _component_counts(s, st)
     exists = nf > 0
     chi = nv - ne + nf
     g2 = 2 - nb - chi
@@ -470,7 +471,7 @@ def batch_report(surface, states):
     genus = g2 // 2
     holds = ((3 * nf == 2 * ne - eb) & (chi == 2 - 2 * genus - nb)
              & (2 * nv - eb == nf + (4 - 4 * genus - 2 * nb)))
-    return BatchReport(tight=_batch_tight(s, st, inc),
+    return BatchReport(tight=_batch_tight(s, st),
                        outside=np.sum(exists & (chi >= 0), axis=1),
                        identities=np.all(holds | ~exists, axis=1))
 

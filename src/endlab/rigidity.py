@@ -560,14 +560,13 @@ def _link_gram(ps):
     coords[d']> over the darts d of e and d' of f with tail(d) = tail(d')
     (sum of deg(v)^2 pairs instead of a dense product)."""
     coords = ps.links().coords
-    tail = ps.tri.dart_tail
-    order = np.argsort(tail, kind="stable")  # darts grouped by tail
-    deg = np.bincount(tail, minlength=ps.tri.n_vertices)
-    reps = deg[tail[order]]  # each dart pairs with every dart of its star
-    left = np.repeat(order, reps)
-    slot = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
-    first = np.cumsum(deg) - deg
-    right = order[np.repeat(first[tail[order]], reps) + slot]
+    star, start = ps.tri.star, ps.tri.star_start
+    deg = np.diff(start)
+    pairs = deg ** 2  # pair k at v joins its star darts k // deg, k % deg
+    v = np.repeat(np.arange(ps.tri.n_vertices), pairs)
+    k = np.arange(len(v)) - np.repeat(np.cumsum(pairs) - pairs, pairs)
+    left = star[start[v] + k // deg[v]]
+    right = star[start[v] + k % deg[v]]
     gram = np.zeros((ps.tri.n_edges, ps.tri.n_edges))
     np.add.at(gram, (left // 2, right // 2),
               np.vecdot(coords[left], coords[right]))

@@ -60,6 +60,66 @@ def test_vertex_star_is_a_lookup(monkeypatch):
     assert s.vertex_star(0) == walked[0]
 
 
+def parent_walk_stars(self):
+    """The star walk the constructor made before it stored the ``star`` and
+    ``star_start`` arrays, kept as their oracle.  Verbatim (a method of
+    CellSurface there)."""
+    degree = np.bincount(self.dart_tail, minlength=self.n_vertices).tolist()
+    first = {}
+    for d, v in enumerate(self.dart_tail.tolist()):
+        first.setdefault(v, d)
+    stars = []
+    for v in range(self.n_vertices):
+        if v not in first:
+            raise SurfaceFormatError("vertex %d has no darts" % v)
+        star = [first[v]]
+        nxt = self.vnext(star[0])
+        while nxt != star[0]:
+            star.append(nxt)
+            nxt = self.vnext(nxt)
+        if len(star) != degree[v]:
+            raise SurfaceFormatError("vertex %d has a disconnected star" % v)
+        stars.append(star)
+    return stars
+
+
+STAR_SURFACES = {
+    "tetrahedron": tetrahedron_surface,
+    "octahedron": octahedron_surface,
+    "theta-sphere": lambda: CellSurface(
+        2, [(0, 1), (0, 1), (0, 1)], [[0, 3], [2, 5], [4, 1]]),
+    "loop-torus": lambda: CellSurface(1, [(0, 0), (0, 0)], [[0, 2, 1, 3]]),
+    "genus2-complex": lambda: genus2_complex().surface,
+    "genus2-data": lambda: parse_surf(genus2_surface_file().read_text()),
+    "pattern-tetrahedron": lambda: thurston_pattern(tetrahedron_surface()),
+    "pattern-genus2": lambda: thurston_pattern(genus2_complex().surface),
+    "dual-genus2": lambda: cellsurf.dual_cell_surface(
+        genus2_complex().surface),
+    "hull-8": lambda: random_convex_compact(0, 8).base,
+    "hull-60": lambda: random_convex_compact(3, 60).base,
+    "pattern-hull-40": lambda: thurston_pattern(
+        random_convex_compact(5, 40).base),
+}
+
+
+@pytest.mark.parametrize("relabel", [False, True],
+                         ids=["as-built", "relabeled"])
+@pytest.mark.parametrize("name", STAR_SURFACES)
+def test_star_arrays_match_parent_walk(name, relabel):
+    s = STAR_SURFACES[name]()
+    if relabel:
+        rng = np.random.default_rng(7)
+        s = s.relabeled(rng.permutation(s.n_vertices).tolist(),
+                        rng.permutation(s.n_edges).tolist())
+    walked = parent_walk_stars(s)
+    sizes = [len(star) for star in walked]
+    assert s.star.tolist() == [d for star in walked for d in star]
+    assert s.star_start.tolist() == np.cumsum([0] + sizes).tolist()
+    assert [s.vertex_star(v) for v in range(s.n_vertices)] == walked
+    assert [s.vertex_degree(v) for v in range(s.n_vertices)] == sizes
+    assert cellsurf.dual_cell_surface(s).face_cycles == walked
+
+
 def test_vertex_without_darts_rejected():
     sphere = ("v 0\nv 1\nv 2\ne 0 0 1\ne 1 1 2\ne 2 2 0\n"
               "f 0 0+ 1+ 2+\nf 1 2- 1- 0-\n")
@@ -116,11 +176,12 @@ SPHERE = ("v 0\nv 1\nv 2\ne 0 0 1\ne 1 1 2\ne 2 2 0\n"
           "f 0 0+ 1+ 2+\nf 1 2- 1- 0-\n")
 
 
-def two_spheres(second):
-    """Two triangle spheres, on vertices 0, 1, 2 and on the triple
-    ``second``, with theta 2*pi/3 on every edge (each face sums to 2*pi)."""
-    ends = [(0, 1), (1, 2), (2, 0)] + list(zip(second, second[1:] + second[:1]))
-    lines = ["v %d" % v for v in range(1 + max(second))]
+def two_spheres(second, first=(0, 1, 2)):
+    """Two triangle spheres, on the triples ``first`` and ``second``, with
+    theta 2*pi/3 on every edge (each face sums to 2*pi)."""
+    ends = [pair for tri in (first, second)
+            for pair in zip(tri, tri[1:] + tri[:1])]
+    lines = ["v %d" % v for v in range(1 + max(first + second))]
     lines += ["e %d %d %d" % (e, u, v) for e, (u, v) in enumerate(ends)]
     lines += ["f 0 0+ 1+ 2+", "f 1 2- 1- 0-", "f 2 3+ 4+ 5+", "f 3 5- 4- 3-"]
     lines += ["theta %d %.17g" % (e, 2 * math.pi / 3) for e in range(6)]
@@ -135,8 +196,15 @@ def two_spheres(second):
     (two_spheres((0, 3, 4)), "vertex 0 has a disconnected star"),
     (two_spheres((3, 4, 5)),
      "surface is not connected (vertex 3 unreached from vertex 0)"),
+    # two faults each: the first in face order, then in vertex order, wins
+    (SPHERE.replace("f 0 0+ 1+ 2+", "f 0 0+ 1+ 2+ 0+")
+     .replace("f 1 2- 1- 0-", "f 1 2- 1- 5-"), "dart 0 used twice"),
+    (two_spheres((3, 4, 5), first=(1, 2, 3)), "vertex 0 has no darts"),
+    (two_spheres((1, 4, 5)) + "v 6\n", "vertex 1 has a disconnected star"),
 ], ids=["unrecognized-record", "dart-token", "empty-face", "dart-used-twice",
-        "disconnected-star", "two-components"])
+        "disconnected-star", "two-components", "used-twice-then-out-of-range",
+        "no-darts-then-disconnected-star",
+        "disconnected-star-then-no-darts"])
 def test_malformed_surf_rejected(text, message):
     with pytest.raises(SurfaceFormatError) as err:
         parse_surf(text)
@@ -311,6 +379,25 @@ def reference_closed_trails_upto(n_vertices, adjacency, l_max, theta, budget):
     return out
 
 
+def parent_starts(n_vertices, adjacency, l_max, need):
+    """The distance-ball table the recursive searches used before they read
+    :func:`cellsurf._need`, kept for the oracle below.  Verbatim: yield each
+    start s with ``need[w]`` set: 1 at s, the distance to s through
+    vertices >= s within l_max // 2, else l_max + 1 (unreachable)."""
+    for start in range(n_vertices):
+        need[start] = 1
+        ball, frontier = [start], [start]
+        for r in range(1, l_max // 2 + 1):
+            frontier = {w for v in frontier for w, _ in adjacency[v]
+                        if w > start and need[w] > r}
+            for w in frontier:
+                need[w] = r
+            ball += frontier
+        yield start
+        for w in ball:
+            need[w] = l_max + 1
+
+
 def pruned_simple_cycles_upto(n_vertices, adjacency, l_max):
     """The recursive depth-first search the level-synchronous array search
     replaced, kept as the ordered-output oracle: its list, in its order, is
@@ -335,7 +422,7 @@ def pruned_simple_cycles_upto(n_vertices, adjacency, l_max):
                 vpath.pop()
                 epath.pop()
 
-    for start in cellsurf._starts(n_vertices, adjacency, l_max, need):
+    for start in parent_starts(n_vertices, adjacency, l_max, need):
         vpath = [start]
         dfs(start, l_max)
     return out
@@ -409,6 +496,19 @@ for _seed in (0, 1, 2):
     ORACLE_GRAPHS["random-pattern-%d" % _seed] = (
         lambda seed=_seed: surface_graph(
             thurston_pattern(random_convex_compact(seed, 8).base)))
+
+
+@pytest.mark.parametrize("name", ORACLE_GRAPHS)
+def test_need_rows_are_the_parent_distance_balls(name):
+    # closed_trails_upto reads these rows, with its start set to 1
+    n, adj, _ = ORACLE_GRAPHS[name]()
+    off, nbr, _ = cellsurf._csr(adj)
+    for l_max in (1, 4, 8, 9):
+        rows = cellsurf._need(off, nbr, np.arange(n), n, l_max).tolist()
+        need = [l_max + 1] * n
+        for start in parent_starts(n, adj, l_max, need):
+            rows[start][start] = 1
+            assert rows[start] == need
 
 
 @pytest.mark.parametrize("name", ORACLE_GRAPHS)

@@ -62,14 +62,27 @@ def test_edge_endpoint_out_of_range_rejected(tmp_path, capsys):
         assert "line 5: edge 1 endpoint out of range" in err
 
 
-@pytest.mark.parametrize("edges,message", [
-    ("e 0 0 1\ne 1 1 2\ne 2 2 0\n", "dart id 10 out of range"),
-    ("e 0 0 1\ne 0 1 2\ne 1 2 0\n", "line 5: duplicate edge 0"),
-], ids=["dart-past-last-edge", "duplicate-edge"])
-def test_face_dart_out_of_range_rejected(tmp_path, capsys, edges, message):
+EDGES = "e 0 0 1\ne 1 1 2\ne 2 2 0\n"
+
+
+@pytest.mark.parametrize("edges,faces,message", [
+    (EDGES, "f 0 0+ 5+ 2+\nf 1 2- 1- 0-\n",
+     "line 7: dart id 10 out of range"),
+    ("e 0 0 1\ne 0 1 2\ne 1 2 0\n", "f 0 0+ 5+ 2+\nf 1 2- 1- 0-\n",
+     "line 5: duplicate edge 0"),
+    (EDGES, "f 0 0+ 1+ 2+\nf 1 2- 1- 5-\n",
+     "line 8: dart id 11 out of range"),
+    (EDGES, "f 0 0+ 1+ 2+\nf 1 2- 1- -1-\n",
+     "line 8: dart id -1 out of range"),
+    # face 0's fault is met before face 1's dart used twice
+    (EDGES, "f 0 0+ 5+ 2+\nf 1 2- 2- 0-\n",
+     "line 7: dart id 10 out of range"),
+], ids=["dart-past-last-edge", "duplicate-edge", "second-face-past-last-edge",
+        "negative-dart", "before-a-later-fault"])
+def test_face_dart_out_of_range_rejected(tmp_path, capsys, edges, faces,
+                                         message):
     path = tmp_path / "darts.surf"
-    path.write_text("v 0\nv 1\nv 2\n" + edges
-                    + "f 0 0+ 5+ 2+\nf 1 2- 1- 0-\n")
+    path.write_text("v 0\nv 1\nv 2\n" + edges + faces)
     for command in ("check-admissible", "pak-search"):
         assert main([command, str(path)]) == 2
         assert message in capsys.readouterr().err
@@ -260,8 +273,8 @@ def test_broken_euler_count_is_internal_error(monkeypatch, capsys):
     from endlab import decor
     counts = decor._component_counts
 
-    def one_more_boundary_cycle(surface, st, inc):
-        nv, ne, nf, eb, nb = counts(surface, st, inc)
+    def one_more_boundary_cycle(surface, st):
+        nv, ne, nf, eb, nb = counts(surface, st)
         return nv, ne, nf, eb, nb + (nf > 0)
 
     monkeypatch.setattr(decor, "_component_counts", one_more_boundary_cycle)

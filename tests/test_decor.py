@@ -224,6 +224,21 @@ def test_states_outside_unit_range_rejected(g2surf):
             Decoration(g2surf, states)
 
 
+@pytest.mark.parametrize("bad", [
+    [0.5, 1.7, -1.2, 0, 0, 0], [0, 0, 0, 0, 0, float("nan")],
+    [0, 0, 1e-300, 0, 0, 0], ["1", 0, 0, 0, 0, 0], [1j, 0, 0, 0, 0, 0]],
+    ids=["fractions", "nan", "tiny", "text", "complex"])
+def test_states_that_are_not_exactly_unit_rejected(bad):
+    # each is refused as a state, neither truncated nor a bare ValueError
+    tet = tetrahedron_surface()
+    with pytest.raises(DecorationError, match="states must be in"):
+        Decoration(tet, bad)
+    with pytest.raises(DecorationError, match="states must be in"):
+        decor.batch_report(tet, [bad, [0] * 6])
+    exact = Decoration(tet, [1.0, -1.0, 0.0, -0.0, True, False]).states
+    assert exact.dtype == int and exact.tolist() == [1, -1, 0, 0, 1, 0]
+
+
 # ---------------------------------------------------------------------------
 # the batch path against the scalar oracle
 
@@ -243,8 +258,7 @@ def _scalar_rows(surface, states):
 
 def _batch_rows(surface, states):
     rep = decor.batch_report(surface, states)
-    nv, ne, nf, eb, nb = decor._component_counts(
-        surface, states, decor._tail_incidence(surface))
+    nv, ne, nf, eb, nb = decor._component_counts(surface, states)
     rows = []
     for i in range(len(states)):
         comps = sorted((int(nv[i, c]), int(ne[i, c]), int(nf[i, c]),

@@ -587,6 +587,54 @@ GRAM_CASES = dict(FAST_PATH, **{
 })
 
 
+def parent_link_gram(ps):
+    """The Gram scatter before it read the surface's stored vertex stars,
+    kept as the oracle of :func:`rigidity._link_gram`.  Verbatim: darts
+    grouped by an argsort of their tails."""
+    coords = ps.links().coords
+    tail = ps.tri.dart_tail
+    order = np.argsort(tail, kind="stable")  # darts grouped by tail
+    deg = np.bincount(tail, minlength=ps.tri.n_vertices)
+    reps = deg[tail[order]]  # each dart pairs with every dart of its star
+    left = np.repeat(order, reps)
+    slot = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+    first = np.cumsum(deg) - deg
+    right = order[np.repeat(first[tail[order]], reps) + slot]
+    gram = np.zeros((ps.tri.n_edges, ps.tri.n_edges))
+    np.add.at(gram, (left // 2, right // 2),
+              np.vecdot(coords[left], coords[right]))
+    return gram
+
+
+def _relabeled_hull(ps, seed):
+    """The same hull with its vertices and edges renamed at random."""
+    rng = np.random.default_rng(seed)
+    vperm = rng.permutation(ps.base.n_vertices)
+    geoms = [None] * len(vperm)
+    for v, img in enumerate(vperm.tolist()):
+        geoms[img] = ps.geoms[v]
+    return PolySurface(ps.base.relabeled(
+        vperm.tolist(), rng.permutation(ps.base.n_edges).tolist()), geoms)
+
+
+LINK_GRAM_CASES = dict(GRAM_CASES, **{
+    "compact-512": lambda: _spiral("compact", 512),
+    "random-compact-60": lambda: fixtures.random_convex_compact(3, 60),
+    "relabeled-compact-60": lambda: _relabeled_hull(
+        fixtures.random_convex_compact(3, 60), 1),
+    "relabeled-ideal": lambda: _relabeled_hull(fixtures.random_ideal(13, 10),
+                                               2),
+})
+
+
+@pytest.mark.parametrize("make", LINK_GRAM_CASES.values(),
+                         ids=LINK_GRAM_CASES)
+def test_link_gram_matches_parent_grouping(make):
+    ps = make()
+    # no loops, so each entry sums at most two terms: bit for bit
+    assert np.array_equal(rigidity._link_gram(ps), parent_link_gram(ps))
+
+
 @pytest.mark.parametrize("make", GRAM_CASES.values(), ids=GRAM_CASES)
 def test_spectrum_from_the_gram(make):
     op = _length_operator(make())
