@@ -356,6 +356,20 @@ def _int_at_least(low):
     return parse
 
 
+def _rank_cut(text):
+    """argparse type of ``--tol-rank``: a finite number strictly between 0
+    and 1, the cut sigma / sigma_max below which a singular value counts
+    as zero; anything else (nan, inf, 0, 1 or beyond) is a usage error."""
+    value = float(text)
+    if not 0.0 < value < 1.0:  # false for nan as well
+        raise argparse.ArgumentTypeError(
+            "must be a finite number in (0, 1) (got %s)" % text)
+    return value
+
+
+_rank_cut.__name__ = "float"  # argparse names the type in its messages
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="endlab",
@@ -382,7 +396,7 @@ def build_parser():
 
     sp = sub.add_parser("rigidity", help="operator spectra and kernels")
     common(sp)
-    sp.add_argument("--tol-rank", type=float, default=rigidity.TAU_RANK)
+    sp.add_argument("--tol-rank", type=_rank_cut, default=rigidity.TAU_RANK)
     sp.set_defaults(func=cmd_rigidity)
 
     sp = sub.add_parser("render", help="SVG of the Gauss-map circle pattern")

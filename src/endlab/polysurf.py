@@ -293,8 +293,7 @@ class PolySurface:
         self._planarity_margin = np.zeros(len(cycles))
         for k in np.unique(sizes):
             faces = np.flatnonzero(sizes == k)
-            vids = np.array([[self.base.tail(d) for d in cycles[f]]
-                             for f in faces])
+            vids = self.base.dart_tail[[cycles[f] for f in faces]]
             _, sing, vt = np.linalg.svd(self.vectors[vids] @ g)
             if k >= 4:
                 self._planarity_margin[faces] = sing[:, 3] / sing[:, 0]
@@ -312,8 +311,7 @@ class PolySurface:
         return out
 
     def _check_planarity(self):
-        bad = [f for f in range(self.base.n_faces)
-               if self._planarity_margin[f] > self.tau_plane]
+        bad = np.flatnonzero(self._planarity_margin > self.tau_plane).tolist()
         self.diagnostics["planarity_margins"] = self._planarity_margin
         if bad:
             raise PolyBuildError("non-planar declared face: %s" % bad)

@@ -40,26 +40,34 @@ x_f = 2 in integers and dividing by the column's gcd gives the
 lcm-scaled column exactly.
 
 Both operators of a pair are read off one link-row matrix A, the link
-coordinates of every dart accumulated into the rows of its tail vertex:
-M = A and L = (G A)^T on compact/hyperideal surfaces (G the diagonal
-frame metric), L = q^T A^T and M = A q on ideal ones (q the orthonormal
-zero-sum basis).  Adjointness is still reported as one matrix identity:
-<L z, t> - <z, M t>_G = z^T (L^T - G M) t, so the Frobenius norm of
-L^T - G M bounds the pairing defect over every pair (z, t) at once.  It
-holds exactly by construction on compact/hyperideal surfaces and up to
-the rounding of the q products on ideal ones, so it guards the
-assembly; the finite-difference tests of the length operators against
-edge_lengths() are the independent check of the geometry.  Nothing here
-is random: the ``--seed`` of ``endlab rigidity`` is echoed in the report,
-and nothing is drawn from it.
+coordinates of every dart d in the rows of its tail vertex and the column
+of its edge.  On compact/hyperideal surfaces the operators are kept as
+these per-dart entries (:class:`Entries`), never as dense arrays unless a
+dense factorisation reads them: M = A, with coords[d, i] in row
+3 tail(d) + i and column edge(d), and L = (G A)^T, the same entries
+transposed and signed by the diagonal frame metric G.  L x is one gather
+of x by column and one ``bincount`` by edge.  On ideal surfaces
+L = q^T A^T and M = A q (q the orthonormal zero-sum basis) are dense by
+construction, and are kept and multiplied as dense matrices.  Adjointness
+is still reported as one matrix identity: <L z, t> - <z, M t>_G =
+z^T (L^T - G M) t, so the Frobenius norm of L^T - G M, summed over the
+entries of the two operators (or densely for the ideal pair), bounds the
+pairing defect over every pair (z, t) at once.  It holds exactly by
+construction on compact/hyperideal surfaces and up to the rounding of the
+q products on ideal ones, so it guards the assembly; the
+finite-difference tests of the length operators against edge_lengths()
+are the independent check of the geometry.  Nothing here is random: the
+``--seed`` of ``endlab rigidity`` is echoed in the report, and nothing is
+drawn from it.
 
 The trivial-motion oracle evaluates the six generators of so(3,1) at the
 vertex data; on convex fixtures these span the kernels of the length
 operators, which is the finite-polyhedron analogue of projective
 rigidity.  The verdict decides the rank of the length operator from one
-Gram matrix: on compact/hyperideal surfaces L L^T = A^T A (G^2 = 1), which
-is scattered from the link coordinates over the pairs of darts that share
-a tail vertex, and on ideal ones it is L L^T.  Two routes read it.
+Gram matrix: on compact/hyperideal surfaces L L^T = A^T A (G^2 = 1), kept
+as its summed non-zeros over the pairs of darts that share a tail vertex,
+and on ideal ones it is the dense product L L^T.  Two routes read it; only
+the first scatters a dense Gram.
 
 With at most SPECTRUM_MAX = 256 singular values, the spectrum is printed
 in full: its values are the square roots of the eigenvalues of the Gram
@@ -84,7 +92,10 @@ bound on sigma_max^2, succeeds only if every eigenvalue exceeds s, so success
 certifies sigma_min / sigma_max > CERTIFIED_FLOOR = 1e-3: full row rank,
 an infinite gap, and no rank near any threshold.  Rounding perturbs the
 factored matrix by about n eps ||L L^T||, over six orders below the shift
-for n up to thousands.
+for n up to thousands.  The search, the bound and the factorisation all
+read the Gram's non-zeros: each level scatters only its diagonal block and
+the block that couples it to the level before, so no array of the
+operator's or the Gram's size is formed on this route.
 The spectrum is then not computed, and the report prints its count and
 the certified floor.  If the factorisation fails, or the rank tolerance
 is not below the floor, the spectrum route runs as above.
@@ -110,7 +121,7 @@ identities and the polyhedral kernel counts are checked here.)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -133,8 +144,6 @@ GRAM_MIN_SIGMA = 1e-4
 SPECTRUM_MAX = 256
 #: sigma_min / sigma_max floor that the inertia certificate proves
 CERTIFIED_FLOOR = 10 * GRAM_MIN_SIGMA
-#: rows per block of the row-blocked passes over operator-sized matrices
-ROW_BLOCK = 256
 
 
 class IndeterminateRankError(ValueError):
@@ -146,51 +155,135 @@ class IndeterminateRankError(ValueError):
         super().__init__("indeterminate rank; spectrum attached")
 
 
-@dataclass
-class OperatorBundle:
-    """A matrix with spectral bookkeeping.
+@dataclass(frozen=True, eq=False)
+class Entries:
+    """A matrix of the given shape as its entries: ``vals[k]`` at
+    (``rows[k]``, ``cols[k]``), repeated positions adding up."""
 
-    ``codomain_metric`` holds the diagonal signs of the codomain pairing
-    (the hyperideal tangent frames are Lorentzian); ``int_basis``, when
-    present, is an exact integer basis of the zero-sum space realized
-    inside R^E (columns of ``embedding`` give the orthonormal basis
-    actually used for coordinates); ``meta`` holds the raw link rows of
-    the decorated length operator; ``gram`` is the Gram matrix of the
-    rows, L L^T, when the builder has it more cheaply than the product
-    (it is formed on first use otherwise).
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    shape: tuple
+
+    @classmethod
+    def from_dense(cls, a):
+        """The non-zero entries of a dense matrix, row by row."""
+        rows, cols = np.nonzero(a)
+        return cls(rows, cols, a[rows, cols], a.shape)
+
+    @property
+    def T(self):
+        return Entries(self.cols, self.rows, self.vals, self.shape[::-1])
+
+    def _keys(self):
+        return self.rows * self.shape[1] + self.cols
+
+    def dense(self):
+        """The dense matrix, for the factorisations that read one."""
+        return np.bincount(self._keys(), self.vals,
+                           minlength=math.prod(self.shape)).reshape(self.shape)
+
+    def summed(self):
+        """One entry per position, row by row, repeated ones added in the
+        order given (as ``np.add.at`` adds them)."""
+        keys, at = np.unique(self._keys(), return_inverse=True)
+        rows, cols = np.divmod(keys, self.shape[1])
+        return Entries(rows, cols, np.bincount(at, self.vals), self.shape)
+
+    def dot(self, x):
+        """self @ x for a vector or a matrix x: one gather of the rows of x
+        by column and one ``bincount`` by row."""
+        x = np.asarray(x, dtype=float)
+        k = math.prod(x.shape[1:])
+        terms = self.vals[:, None] * x[self.cols].reshape(-1, k)
+        at = (k * self.rows[:, None] + np.arange(k)).reshape(-1)
+        out = np.bincount(at, terms.reshape(-1), minlength=self.shape[0] * k)
+        return out.reshape((self.shape[0],) + x.shape[1:])
+
+
+class OperatorBundle:
+    """An operator, given as its entries (:class:`Entries`) or as a dense
+    matrix, with spectral bookkeeping.
+
+    The compact/hyperideal builders hand over per-dart link entries and the
+    Gram matrix L L^T as its summed non-zeros (``gram``); ``matrix``, the
+    dense operator, is then scattered from the entries on first use, and
+    only the spectrum route's SVD and :meth:`kernel_basis` read it.  A
+    dense matrix (the ideal operators, tests) is kept as ``matrix`` for its
+    products, and ``entries`` are then its non-zeros, taken on first use;
+    its Gram is the dense product L L^T, taken apart the same way where
+    the certificate reads it.  ``codomain_metric`` holds the diagonal
+    signs of the codomain pairing (the hyperideal tangent frames are
+    Lorentzian); ``int_basis``, when present, is an exact integer basis of
+    the zero-sum space realized inside R^E (columns of ``embedding`` give
+    the orthonormal basis actually used for coordinates); ``meta`` holds
+    the raw link rows of the decorated length operator.
 
     The rank is decided on first use by one of two routes (see the module
-    docstring).  A matrix with more than SPECTRUM_MAX rows and at least as
-    many columns first tries the inertia certificate: a block Cholesky
+    docstring).  An operator with more than SPECTRUM_MAX rows and at least
+    as many columns first tries the inertia certificate: a block Cholesky
     factorisation of L L^T - s I over the levels of :func:`level_partition`
-    (:func:`certify_full_rank`).  If it succeeds, the rank is the row count
-    under any tolerance below CERTIFIED_FLOOR, no singular value is
-    computed, and :meth:`row_space_residual` solves with the unshifted
-    block factor.  Otherwise the singular values are computed, as the
-    square roots of the eigenvalues of the Gram matrix of the smaller side
-    (``eigvalsh``, no vectors), in descending order.  When the smallest of
-    them is under GRAM_MIN_SIGMA times the largest, they come instead from
-    one full SVD, whose right singular vectors then serve
-    :meth:`kernel_basis`; on the Gram route a full SVD runs only if
-    :meth:`kernel_basis` is called.  :attr:`singular_values` computes the
-    spectrum on either route when it is asked for.
+    (:func:`certify_full_rank`), read from the Gram's non-zeros.  If it
+    succeeds, the rank is the row count under any tolerance below
+    CERTIFIED_FLOOR, no singular value is computed, no dense array of the
+    operator's or the Gram's size is formed, and :meth:`row_space_residual`
+    solves with the unshifted block factor.  Otherwise the singular values
+    are computed, as the square roots of the eigenvalues of the dense Gram
+    matrix of the smaller side (``eigvalsh``, no vectors), in descending
+    order.  When the smallest of them is under GRAM_MIN_SIGMA times the
+    largest, they come instead from one full SVD, whose right singular
+    vectors then serve :meth:`kernel_basis`; on the Gram route a full SVD
+    runs only if :meth:`kernel_basis` is called.  :attr:`singular_values`
+    computes the spectrum on either route when it is asked for.
     """
 
-    matrix: np.ndarray
-    codomain_metric: np.ndarray = None
-    embedding: np.ndarray = None
-    int_basis: np.ndarray = None
-    meta: dict = field(default_factory=dict)
-    gram: np.ndarray = None
+    def __init__(self, operator, codomain_metric=None, embedding=None,
+                 int_basis=None, meta=None, gram=None):
+        self._given_dense = not isinstance(operator, Entries)
+        if self._given_dense:
+            operator = self.matrix = np.asarray(operator, dtype=float)
+        else:
+            self.entries = operator
+        self.shape = operator.shape
+        if codomain_metric is None:
+            codomain_metric = np.ones(self.shape[0])
+        self.codomain_metric = codomain_metric
+        self.embedding = embedding
+        self.int_basis = int_basis
+        self.meta = {} if meta is None else meta
+        self.gram = gram
+        self._dense_gram = None
 
-    def __post_init__(self):
-        self.matrix = m = np.asarray(self.matrix, dtype=float)
-        if self.codomain_metric is None:
-            self.codomain_metric = np.ones(m.shape[0])
+    @cached_property
+    def matrix(self):
+        """The dense operator: as given, or scattered from the entries."""
+        return self.entries.dense()
+
+    @cached_property
+    def entries(self):
+        """The entries: as given, or the non-zeros of the dense operator."""
+        return Entries.from_dense(self.matrix)
+
+    def _apply(self, x, transpose=False):
+        """L x, or L^T x: a dense product for an operator given as a dense
+        matrix, one pass over the entries otherwise."""
+        if self._given_dense:
+            return (self.matrix.T if transpose else self.matrix) @ x
+        return (self.entries.T if transpose else self.entries).dot(x)
 
     def _row_gram(self):
+        """L L^T as a dense matrix, for ``eigvalsh`` and ``solve``; formed
+        on first use."""
+        if self._dense_gram is None:
+            self._dense_gram = (self.matrix @ self.matrix.T
+                                if self.gram is None else self.gram.dense())
+        return self._dense_gram
+
+    @cached_property
+    def _gram_entries(self):
+        """The non-zeros of L L^T, which the certificate reads."""
         if self.gram is None:
-            self.gram = self.matrix @ self.matrix.T
+            return Entries.from_dense(self._row_gram())
         return self.gram
 
     @cached_property
@@ -198,10 +291,10 @@ class OperatorBundle:
         """The level partition of L L^T when the inertia certificate holds,
         None when it fails or is not tried (at most SPECTRUM_MAX rows, or
         more rows than columns)."""
-        rows, cols = self.matrix.shape
+        rows, cols = self.shape
         if not SPECTRUM_MAX < rows <= cols:
             return None
-        return certify_full_rank(self._row_gram())
+        return certify_full_rank(self._gram_entries)
 
     def certifies_full_rank(self, tau_rank=TAU_RANK):
         """Whether the inertia certificate decides the rank under tau_rank:
@@ -212,12 +305,12 @@ class OperatorBundle:
     @cached_property
     def _factors(self):
         """(singular values, V^T of a full SVD or None on the Gram route)."""
-        m = self.matrix
-        g = self._row_gram() if m.shape[0] <= m.shape[1] else m.T @ m
+        rows, cols = self.shape
+        g = self._row_gram() if rows <= cols else self.matrix.T @ self.matrix
         s = np.sqrt(np.maximum(np.linalg.eigvalsh(g)[::-1], 0.0))
         if len(s) and s[0] > 0 and s[-1] >= GRAM_MIN_SIGMA * s[0]:
             return s, None
-        _, s, vt = np.linalg.svd(m)
+        _, s, vt = np.linalg.svd(self.matrix)
         return s, vt
 
     @property
@@ -240,22 +333,23 @@ class OperatorBundle:
 
     def row_space_residual(self, x):
         """Frobenius norm of the row-space part L^T (L L^T)^-1 L x of the
-        columns of x.  When the inertia certificate holds, L L^T = C C^T for
-        its unshifted block Cholesky factor C, and the norm is ||C^-1 L x||_F,
-        from one block forward substitution; otherwise it is taken from one
-        ``np.linalg.solve`` with L L^T.  For a matrix of full row rank this
-        is the exact distance of x from the kernel, ||x - K K^T x||_F for an
+        columns of x (products by :meth:`_apply`).  When the inertia
+        certificate holds, L L^T = C C^T for its unshifted block Cholesky
+        factor C, and the norm is ||C^-1 L x||_F, from one block forward
+        substitution; otherwise it is taken from one ``np.linalg.solve``
+        with the dense L L^T.  For an operator of full row rank this is the
+        exact distance of x from the kernel, ||x - K K^T x||_F for an
         orthonormal kernel basis K."""
-        m = self.matrix
+        lx = self._apply(x)
         if self._levels is None:
-            y = np.linalg.solve(self._row_gram(), m @ x)
-            return float(np.linalg.norm(m.T @ y))
-        factor = block_cholesky(self._row_gram(), self._levels)
-        return float(np.linalg.norm(block_forward(factor, m @ x)))
+            y = np.linalg.solve(self._row_gram(), lx)
+            return float(np.linalg.norm(self._apply(y, transpose=True)))
+        factor = block_cholesky(self._gram_entries, self._levels)
+        return float(np.linalg.norm(block_forward(factor, lx)))
 
     def rank_profile(self, tau_rank=TAU_RANK):
         """(rank, kernel dim, spectral gap) under the tolerance."""
-        rows, n = self.matrix.shape
+        rows, n = self.shape
         if self.certifies_full_rank(tau_rank):
             return rows, n - rows, math.inf
         s = self.singular_values
@@ -283,12 +377,13 @@ def kernel_dimension(bundle, tau_rank=TAU_RANK):
 
 
 # ---------------------------------------------------------------------------
-# the inertia certificate
+# the inertia certificate, over the non-zeros of a symmetric matrix
 
 
 def level_partition(gram):
-    """The rows of a symmetric matrix, split into the breadth-first levels
-    of its non-zero graph, as a list of index arrays.
+    """The rows of a symmetric matrix, given as its non-zero
+    :class:`Entries`, split into the breadth-first levels of its non-zero
+    graph, as a list of index arrays.
 
     Each connected component is searched once, from its first row of
     least degree, and its levels follow those of the components before
@@ -298,42 +393,69 @@ def level_partition(gram):
     differ by at most 1, so the matrix is block tridiagonal over the
     levels.
     """
-    pattern = gram != 0
-    pattern |= pattern.T
-    degree = np.count_nonzero(pattern, axis=1)
-    seen = np.zeros(len(gram), dtype=bool)
+    n = gram.shape[0]
+    keys = np.sort(np.concatenate([gram.rows * n + gram.cols,
+                                   gram.cols * n + gram.rows]))
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    rows, cols = np.divmod(keys, n)  # the pattern, made symmetric
+    degree = np.bincount(rows, minlength=n)
+    seen = np.zeros(n, dtype=bool)
     levels = []
     while not seen.all():
-        rows = np.flatnonzero(~seen)
-        frontier = rows[[np.argmin(degree[rows])]]
+        left = np.flatnonzero(~seen)
+        frontier = left[[np.argmin(degree[left])]]
         while frontier.size:
             seen[frontier] = True
             levels.append(frontier)
-            frontier = np.flatnonzero(pattern[frontier].any(axis=0) & ~seen)
+            reached = np.zeros(n, dtype=bool)
+            reached[frontier] = True
+            reached[cols[reached[rows]]] = True
+            frontier = np.flatnonzero(reached & ~seen)
     return levels
 
 
 def block_cholesky(gram, levels, shift=0.0):
     """Block Cholesky factor of gram - shift I, block tridiagonal over
-    ``levels`` (:func:`level_partition`).
+    ``levels`` (:func:`level_partition` of the same non-zero
+    :class:`Entries`, one entry per position).
 
     Per level k it holds (rows, C_k, W_k): C_k lower triangular and W_k the
     coupling to level k-1 (None for the first level), with W_k C_{k-1}^T =
     B_k and C_k C_k^T = D_k - shift I - W_k W_k^T for the diagonal block D_k
-    and the block B_k left of it.  Each level costs one small solve and one
-    small Cholesky; no matrix as large as gram is formed.  Raises
+    and the block B_k left of it.  Only these two blocks of each level are
+    scattered from the entries; each level costs one small solve and one
+    small Cholesky, and no matrix as large as gram is formed.  Raises
     LinAlgError when a pivot block is not positive definite, which happens
     exactly when gram - shift I is not (Sylvester's law of inertia), up to
     rounding of order n eps ||gram||.
     """
+    level = np.empty(gram.shape[0], dtype=np.intp)
+    pos = np.empty(gram.shape[0], dtype=np.intp)
+    for k, rows in enumerate(levels):
+        level[rows] = k
+        pos[rows] = np.arange(len(rows))
+    # the entries on and right of the diagonal, grouped by the sum of their
+    # row and column levels: 2k for D_k, 2k - 1 for the block of rows k - 1
+    # and columns k, which is B_k^T; the blocks left of it mirror these
+    at_row, at_col = level[gram.rows], level[gram.cols]
+    upper = np.flatnonzero(at_row <= at_col)
+    order = upper[np.argsort((at_row + at_col)[upper], kind="stable")]
+    cut = np.searchsorted((at_row + at_col)[order], np.arange(2 * len(levels)))
+
+    def scatter(block, rows, cols):
+        out = np.zeros((len(rows), len(cols)))
+        e = order[cut[block]:cut[block + 1]]
+        out[pos[gram.rows[e]], pos[gram.cols[e]]] = gram.vals[e]
+        return out
+
     factor = []
     for k, rows in enumerate(levels):
-        d = gram[np.ix_(rows, rows)]
+        d = scatter(2 * k, rows, rows)
         d[np.diag_indices_from(d)] -= shift
         w = None
         if k:
             prev, c_prev, _ = factor[-1]
-            w = np.linalg.solve(c_prev, gram[np.ix_(prev, rows)]).T
+            w = np.linalg.solve(c_prev, scatter(2 * k - 1, prev, rows)).T
             d -= w @ w.T
         factor.append((rows, np.linalg.cholesky(d), w))
     return factor
@@ -352,15 +474,32 @@ def block_forward(factor, b):
 
 
 def _gershgorin_bound(gram):
-    """max_i sum_j |gram_ij|, a bound on every eigenvalue, in row blocks."""
-    return max((float(np.abs(gram[r:r + ROW_BLOCK]).sum(axis=1).max())
-                for r in range(0, len(gram), ROW_BLOCK)), default=0.0)
+    """max_i sum_j |gram_ij| for non-zero :class:`Entries`, one entry per
+    position: a bound on every eigenvalue.
+
+    Every row is summed over its entries.  A sum of k terms is off by at
+    most (k - 1) eps times itself in any order, so the rows within 4 k eps
+    of the largest are summed once more as dense rows: the bound is bit for
+    bit the largest dense row sum, and with it the certificate's shift."""
+    n = gram.shape[0]
+    mag = np.abs(gram.vals)
+    sums = np.bincount(gram.rows, mag, minlength=n)
+    if not sums.any():
+        return 0.0
+    k = np.bincount(gram.rows).max()
+    eps = np.finfo(float).eps
+    top = np.flatnonzero(sums >= sums.max() * (1 - 4 * k * eps))
+    near = np.isin(gram.rows, top)
+    rows = np.zeros((len(top), n))
+    rows[np.searchsorted(top, gram.rows[near]), gram.cols[near]] = mag[near]
+    return float(rows.sum(axis=1).max())
 
 
 def certify_full_rank(gram):
-    """The level partition of a Gram matrix L L^T when the block Cholesky
-    factorisation of L L^T - s I succeeds, s = CERTIFIED_FLOOR^2 times the
-    Gershgorin bound on sigma_max^2; None when it fails.
+    """The level partition of a Gram matrix L L^T, given as its non-zero
+    :class:`Entries`, when the block Cholesky factorisation of L L^T - s I
+    succeeds, s = CERTIFIED_FLOOR^2 times the Gershgorin bound on
+    sigma_max^2; None when it fails.
 
     Success means every eigenvalue of L L^T exceeds s, so sigma_min /
     sigma_max > CERTIFIED_FLOOR and L has full row rank.  Failure decides
@@ -394,11 +533,11 @@ def length_variation_operator(ps):
     """
     if ps.kind == IDEAL:
         raise ValueError("use decorated_length_variation_operator for ideal")
+    a = _link_entries(ps)
     metric = ps.links().signs.reshape(-1).astype(float)
-    # G A pairs each link tangent with the frame rows; adding 0.0 clears
-    # the -0.0 that negative signs put on the zeros of A
-    mat = (metric[:, None] * _link_rows(ps)).T + 0.0
-    return OperatorBundle(mat, gram=_link_gram(ps))
+    # L = (G A)^T pairs each link tangent with the frame rows
+    return OperatorBundle(Entries(a.cols, a.rows, metric[a.rows] * a.vals,
+                                  a.shape[::-1]), gram=_link_gram(ps))
 
 
 def angle_motion_operator(ps):
@@ -409,7 +548,7 @@ def angle_motion_operator(ps):
     if ps.kind == IDEAL:
         raise ValueError("use ideal_angle_variation_operator for ideal")
     metric = ps.links().signs.reshape(-1).astype(float)
-    return OperatorBundle(_link_rows(ps), codomain_metric=metric)
+    return OperatorBundle(_link_entries(ps), codomain_metric=metric)
 
 
 # ---------------------------------------------------------------------------
@@ -423,9 +562,8 @@ def shift_map_matrix(surface):
     kernel is the zero-sum constraint space.
     """
     m = np.zeros((surface.n_edges, surface.n_vertices), dtype=int)
-    for e, (u, v) in enumerate(surface.edges):
-        m[e, u] += 1
-        m[e, v] += 1
+    np.add.at(m, (np.arange(surface.n_edges).repeat(2),
+                  np.reshape(surface.edges, -1)), 1)
     return m
 
 
@@ -541,24 +679,24 @@ def zero_sum_basis(surface):
     return b_int, q
 
 
-def _link_rows(ps):
-    """Link coordinates accumulated by tail vertex: the (k|V|) x |E| matrix
-    whose column e holds coords[d] in the k rows of tail(d), for both darts
-    d of e (k = 3 frame coordinates, or 2 chart coordinates if ideal)."""
+def _link_entries(ps):
+    """The link-row matrix A, (k|V|) x |E|, as its per-dart entries: coords[d]
+    in the k rows of tail(d), column edge(d), for every dart d (k = 3 frame
+    coordinates, or 2 chart coordinates if ideal)."""
     links = ps.links()
     nv, k = links.signs.shape
     rows = k * ps.tri.dart_tail[:, None] + np.arange(k)
-    edges = np.arange(ps.tri.n_darts)[:, None] // 2
-    a = np.zeros((k * nv, ps.tri.n_edges))
-    np.add.at(a, (rows, edges), links.coords)
-    return a
+    edges = np.arange(ps.tri.n_darts) // 2
+    return Entries(rows.reshape(-1), edges.repeat(k),
+                   links.coords.reshape(-1), (k * nv, ps.tri.n_edges))
 
 
 def _link_gram(ps):
-    """A^T A for the link-row matrix A of :func:`_link_rows`, scattered over
-    the pairs of darts with a common tail: entry (e, f) sums <coords[d],
-    coords[d']> over the darts d of e and d' of f with tail(d) = tail(d')
-    (sum of deg(v)^2 pairs instead of a dense product)."""
+    """A^T A for the link-row matrix A of :func:`_link_entries`, as its
+    non-zero :class:`Entries` summed over the pairs of darts with a common
+    tail: entry (e, f) sums <coords[d], coords[d']> over the darts d of e
+    and d' of f with tail(d) = tail(d') (sum of deg(v)^2 pairs instead of a
+    dense product)."""
     coords = ps.links().coords
     star, start = ps.tri.star, ps.tri.star_start
     deg = np.diff(start)
@@ -567,10 +705,12 @@ def _link_gram(ps):
     k = np.arange(len(v)) - np.repeat(np.cumsum(pairs) - pairs, pairs)
     left = star[start[v] + k // deg[v]]
     right = star[start[v] + k % deg[v]]
-    gram = np.zeros((ps.tri.n_edges, ps.tri.n_edges))
-    np.add.at(gram, (left // 2, right // 2),
-              np.vecdot(coords[left], coords[right]))
-    return gram
+    gram = Entries(left // 2, right // 2,
+                   np.vecdot(coords[left], coords[right]),
+                   (ps.tri.n_edges, ps.tri.n_edges)).summed()
+    nonzero = gram.vals != 0
+    return Entries(gram.rows[nonzero], gram.cols[nonzero],
+                   gram.vals[nonzero], gram.shape)
 
 
 def decorated_length_variation_operator(ps, basis=None):
@@ -586,7 +726,7 @@ def decorated_length_variation_operator(ps, basis=None):
     if ps.kind != IDEAL:
         raise ValueError("ideal surfaces only")
     b_int, q = zero_sum_basis(ps.tri) if basis is None else basis
-    raw = _link_rows(ps).T
+    raw = _link_entries(ps).dense().T
     mat = q.T @ raw
     return OperatorBundle(mat, embedding=q, int_basis=b_int,
                           meta={"raw_rows": raw})
@@ -602,7 +742,7 @@ def ideal_angle_variation_operator(ps, basis=None):
     if ps.kind != IDEAL:
         raise ValueError("ideal surfaces only")
     b_int, q = zero_sum_basis(ps.tri) if basis is None else basis
-    mat = _link_rows(ps) @ q
+    mat = _link_entries(ps).dense() @ q
     return OperatorBundle(mat, embedding=q, int_basis=b_int)
 
 
@@ -638,17 +778,20 @@ def adjointness_residual(lop, mop):
     operator M, G the frame metric on the domain of L.
 
     It bounds |<L z, t> - <z, M t>_G| / (|z| |t|) over all pairs (z, t).
-    The difference is formed ROW_BLOCK rows at a time, so no temporary as
-    large as M is.
+    Two operators given as dense matrices (the ideal pair) are subtracted
+    densely; otherwise the difference is summed position by position over
+    the entries of the two operators, so no array of their size is formed.
     """
-    lt, m, metric = lop.matrix.T, mop.matrix, mop.codomain_metric
-    squares = 0.0
-    for r in range(0, len(m), ROW_BLOCK):
-        block = metric[r:r + ROW_BLOCK, None] * m[r:r + ROW_BLOCK]
-        np.subtract(lt[r:r + ROW_BLOCK], block, out=block)
-        block = block.ravel()
-        squares += block @ block
-    return math.sqrt(squares)
+    if lop._given_dense and mop._given_dense:
+        return float(np.linalg.norm(
+            lop.matrix.T - mop.codomain_metric[:, None] * mop.matrix))
+    lt, m = lop.entries.T, mop.entries
+    diff = Entries(np.concatenate([lt.rows, m.rows]),
+                   np.concatenate([lt.cols, m.cols]),
+                   np.concatenate([lt.vals,
+                                   -mop.codomain_metric[m.rows] * m.vals]),
+                   lt.shape).summed().vals
+    return math.sqrt(diff @ diff)
 
 
 # ---------------------------------------------------------------------------
@@ -726,11 +869,11 @@ def projective_rigidity_verdict(ps, tau_rank=TAU_RANK):
     del mop
     dim, gap = kernel_dimension(op, tau_rank)
     tb = trivial_motion_basis(ps)
-    rank = op.matrix.shape[1] - dim
+    rows, cols = op.shape
     # trivial motions must lie inside the kernel; when the kernel is as
     # large as they are and L is onto, they are its basis, off it by only
     # their row-space part
-    if dim == tb.shape[1] and rank == op.matrix.shape[0]:
+    if dim == tb.shape[1] and cols - dim == rows:
         kb = tb
         resid = op.row_space_residual(tb)
     else:
@@ -758,4 +901,4 @@ def projective_rigidity_verdict(ps, tau_rank=TAU_RANK):
         decorations=decos,
         spectrum=(None if op.certifies_full_rank(tau_rank)
                   else op.singular_values),
-        spectrum_count=min(op.matrix.shape), notes=notes)
+        spectrum_count=min(op.shape), notes=notes)

@@ -296,6 +296,18 @@ def test_nothing_to_check_is_bad_input(tmp_path, capsys, argv, flag):
     assert "argument %s: must be at least" % flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cut", ["nan", "inf", "-1", "0", "1", "2"])
+def test_undefined_rank_cut_is_bad_input(tmp_path, capsys, cut):
+    # the cut sigma / sigma_max must lie strictly between 0 and 1; nan, inf
+    # and 2 used to print "dim: 12" and "gap: inf" and exit 0
+    out = tmp_path / "out.txt"
+    code = main(["rigidity", "--tol-rank", cut, "--out", str(out),
+                 str(INPUTS / "octahedron.poly")])
+    assert (code, out.exists()) == (2, False)
+    assert ("argument --tol-rank: must be a finite number in (0, 1) (got %s)"
+            % cut) in capsys.readouterr().err
+
+
 def test_fixture_labels_guard(tmp_path):
     # --fixture-labels must reject inputs that are not the packaged fixture
     assert main(["check-admissible", "--fixture-labels",

@@ -649,3 +649,82 @@ def test_frames_and_convexity_match_scalar_loops(make):
         ps._check_convexity()
         assert ps.diagnostics["flat_edges"] == expect["flat_edges"]
 
+
+
+def parent_face_normals(ps):
+    """PolySurface._face_normals as it was before the vertex ids of each
+    face size became one ``dart_tail`` gather, kept verbatim (``self`` read
+    as ``ps``) as its oracle; returns (normals, planarity margins)."""
+    g = np.diag(mink.METRIC_DIAG)
+    cycles = ps.base.face_cycles
+    sizes = np.array([len(cyc) for cyc in cycles])
+    out = np.empty((len(cycles), 4))
+    planarity_margin = np.zeros(len(cycles))
+    for k in np.unique(sizes):
+        faces = np.flatnonzero(sizes == k)
+        vids = np.array([[ps.base.tail(d) for d in cycles[f]]
+                         for f in faces])
+        _, sing, vt = np.linalg.svd(ps.vectors[vids] @ g)
+        if k >= 4:
+            planarity_margin[faces] = sing[:, 3] / sing[:, 0]
+        out[faces] = vt[:, 3]
+    nn = mdot(out, out)
+    null = np.flatnonzero(np.abs(nn) <= mink.TAU_NULL
+                          * np.sum(out * out, axis=1))
+    if null.size:
+        raise PolyBuildError("face %d has a null support plane" % null[0])
+    out /= np.sqrt(np.abs(nn))[:, None]
+    out[(nn < 0) & (out[:, 3] < 0)] *= -1
+    out[mdot(out, ps.reference) > 0] *= -1
+    return out, planarity_margin
+
+
+def parent_planarity_message(ps):
+    """PolySurface._check_planarity's loop before np.flatnonzero: the
+    message it raises, or None."""
+    bad = [f for f in range(ps.base.n_faces)
+           if ps._planarity_margin[f] > ps.tau_plane]
+    return "non-planar declared face: %s" % bad if bad else None
+
+
+NORMAL_SURFACES = {name: make for name, make in ORACLE_SURFACES.items()
+                   if "seed" not in name or name.endswith("seed1")}
+
+
+@pytest.mark.parametrize("make", NORMAL_SURFACES.values(),
+                         ids=NORMAL_SURFACES.keys())
+def test_face_normals_match_parent_loop(make):
+    ps = make()
+    normals, margins = parent_face_normals(ps)
+    assert np.array_equal(ps.base_face_normals, normals)
+    assert np.array_equal(ps._planarity_margin, margins)
+
+
+def _bumped_square_pyramid(bump, tau_plane):
+    # square_pyramid with base vertex 0 moved off the base plane by ``bump``
+    rho, h = 0.8, 0.7
+    pts = [np.array([math.sinh(rho) * math.cos(math.pi * i / 2),
+                     math.sinh(rho) * math.sin(math.pi * i / 2),
+                     -bump if i == 0 else 0.0, math.cosh(rho)])
+           for i in range(4)]
+    pts.append(np.array([0.0, 0.0, math.sinh(h), math.cosh(h)]))
+    faces = [[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4], [3, 2, 1, 0]]
+    return PolySurface(from_face_vertex_lists(faces, n_vertices=5),
+                       [compact_point(p) for p in pts], tau_plane=tau_plane)
+
+
+@pytest.mark.parametrize("bump, tau_plane", [
+    (0.0, polysurf.TAU_PLANE), (0.1, polysurf.TAU_PLANE), (0.0, -1.0),
+    (0.1, -1.0), (0.1, 0.5)])
+def test_planarity_message_matches_parent_loop(bump, tau_plane):
+    # tau_plane -1 flags every face, triangles included: a list of several
+    ps = _bumped_square_pyramid(bump, polysurf.TAU_PLANE if bump == 0.0
+                                else 1.0)
+    ps.tau_plane = tau_plane
+    expect = parent_planarity_message(ps)
+    if expect is None:
+        ps._check_planarity()
+        return
+    with pytest.raises(PolyBuildError) as got:
+        ps._check_planarity()
+    assert str(got.value) == expect

@@ -293,6 +293,34 @@ def test_zero_sum_basis_is_the_sympy_basis(make):
     assert np.array_equal(q, expect_q)
 
 
+def parent_shift_map_matrix(surface):
+    """shift_map_matrix as a loop over the edges, as it was before one
+    ``np.add.at``: kept verbatim as its oracle."""
+    m = np.zeros((surface.n_edges, surface.n_vertices), dtype=int)
+    for e, (u, v) in enumerate(surface.edges):
+        m[e, u] += 1
+        m[e, v] += 1
+    return m
+
+
+SHIFT_MAP_SURFACES = dict(ZERO_SUM_SURFACES, **{
+    "compact-tetrahedron": lambda: fixtures.compact_tetrahedron(1.0).tri,
+    "hyperideal-tetrahedron": lambda: fixtures.hyperideal_tetrahedron(2.0)
+    .tri,
+    "flat-vertex": lambda: fixtures.flat_vertex_pyramid().tri,
+})
+
+
+@pytest.mark.parametrize("make", SHIFT_MAP_SURFACES.values(),
+                         ids=SHIFT_MAP_SURFACES.keys())
+def test_shift_map_matches_parent_loop(make):
+    # the multigraph's loops count twice, as the loop adds 1 twice
+    surface = make()
+    m = shift_map_matrix(surface)
+    expect = parent_shift_map_matrix(surface)
+    assert m.dtype == expect.dtype and np.array_equal(m, expect)
+
+
 def test_zero_sum_basis_rejects_bipartite_skeleton():
     cube = from_face_vertex_lists([[0, 1, 2, 3], [4, 7, 6, 5], [0, 4, 5, 1],
                                    [1, 5, 6, 2], [2, 6, 7, 3], [3, 7, 4, 0]])
@@ -486,6 +514,17 @@ def test_rank_deficient_verdict_factors_once(monkeypatch):
                      "angle_motion_operator": 1}
 
 
+def _with_entries_added(op, *added):
+    """A copy of op with one more entry per (row, col, value): the value is
+    added at that position, as ``op.matrix[row, col] += value`` would."""
+    e = op.entries
+    rows, cols, vals = np.array(added).T
+    return OperatorBundle(rigidity.Entries(
+        np.append(e.rows, rows.astype(int) % e.shape[0]),
+        np.append(e.cols, cols.astype(int) % e.shape[1]),
+        np.append(e.vals, vals), e.shape), codomain_metric=op.codomain_metric)
+
+
 def test_adjointness_residual_bounds_every_pair():
     rng = np.random.default_rng(4)
     for fx, lbuild, mbuild in (
@@ -497,7 +536,7 @@ def test_adjointness_residual_bounds_every_pair():
         assert adjointness_residual(lop, mop) < 1e-12
         # a defect in one entry of M shows at its full size, and bounds the
         # pairing defect of every sampled pair
-        mop.matrix[1, 2] += 1e-3
+        mop = _with_entries_added(mop, (1, 2, 1e-3))
         resid = adjointness_residual(lop, mop)
         assert 0.9e-3 < resid < 1.1e-3
         for _ in range(50):
@@ -632,7 +671,8 @@ LINK_GRAM_CASES = dict(GRAM_CASES, **{
 def test_link_gram_matches_parent_grouping(make):
     ps = make()
     # no loops, so each entry sums at most two terms: bit for bit
-    assert np.array_equal(rigidity._link_gram(ps), parent_link_gram(ps))
+    assert np.array_equal(rigidity._link_gram(ps).dense(),
+                          parent_link_gram(ps))
 
 
 @pytest.mark.parametrize("make", GRAM_CASES.values(), ids=GRAM_CASES)
@@ -757,7 +797,7 @@ LEVEL_CASES = {
 @pytest.mark.parametrize("make", LEVEL_CASES.values(), ids=LEVEL_CASES)
 def test_level_partition_is_block_tridiagonal(make):
     g = make()
-    levels = rigidity.level_partition(g)
+    levels = rigidity.level_partition(rigidity.Entries.from_dense(g))
     np.testing.assert_array_equal(np.sort(np.concatenate(levels)),
                                   np.arange(len(g)))
     level = np.empty(len(g), dtype=int)
@@ -769,7 +809,7 @@ def test_level_partition_is_block_tridiagonal(make):
 
 def test_level_partition_of_a_spiral_hull_is_narrow():
     g = _length_operator(_spiral("compact", 128))._row_gram()
-    levels = rigidity.level_partition(g)
+    levels = rigidity.level_partition(rigidity.Entries.from_dense(g))
     assert len(levels) >= 8 and max(map(len, levels)) <= 80
 
 
@@ -781,7 +821,9 @@ def test_block_solve_matches_dense_solve(make):
     # the forward substitution alone gives the quadratic form of the
     # inverse: ||C^-1 b||^2 = b^T gram^-1 b for gram = C C^T
     g = make()
-    factor = rigidity.block_cholesky(g, rigidity.level_partition(g))
+    nonzero = rigidity.Entries.from_dense(g)
+    factor = rigidity.block_cholesky(nonzero,
+                                     rigidity.level_partition(nonzero))
     rng = np.random.default_rng(8)
     for b in (rng.normal(size=(len(g), 3)), rng.normal(size=len(g))):
         z = rigidity.block_forward(factor, b)
@@ -790,10 +832,15 @@ def test_block_solve_matches_dense_solve(make):
         assert np.sum(z * z) == pytest.approx(ref, rel=1e-10)
 
 
+#: rows per block of the parent's row-blocked dense passes (the Gershgorin
+#: bound and the adjointness residual), which the tests of both span
+PARENT_ROW_BLOCK = 256
+
+
 def test_gershgorin_bound_in_row_blocks():
     g = _length_operator(_spiral("compact", 128))._row_gram()
-    assert len(g) > rigidity.ROW_BLOCK
-    bound = rigidity._gershgorin_bound(g)
+    assert len(g) > PARENT_ROW_BLOCK
+    bound = rigidity._gershgorin_bound(rigidity.Entries.from_dense(g))
     assert bound == np.abs(g).sum(axis=1).max()
     assert bound >= np.linalg.eigvalsh(g)[-1]
 
@@ -813,7 +860,8 @@ def _conditioned(smallest, rows=rigidity.SPECTRUM_MAX + 20, cols=None):
 @pytest.mark.parametrize("smallest", [1e-4, 5e-4])
 def test_certificate_fails_near_the_floor(smallest):
     b = _conditioned(smallest)
-    assert rigidity.certify_full_rank(b._row_gram()) is None
+    assert rigidity.certify_full_rank(
+        rigidity.Entries.from_dense(b._row_gram())) is None
     assert not b.certifies_full_rank()
     # the spectrum route decides instead, from the spectrum
     assert kernel_dimension(b) == (6, math.inf)
@@ -834,7 +882,8 @@ CERTIFIED = {
 @pytest.mark.parametrize("make", CERTIFIED.values(), ids=CERTIFIED)
 def test_certificate_agrees_with_the_spectrum(make):
     op = _length_operator(make())
-    assert rigidity.certify_full_rank(op._row_gram()) is not None
+    assert rigidity.certify_full_rank(
+        rigidity.Entries.from_dense(op._row_gram())) is not None
     s = np.linalg.svd(op.matrix, compute_uv=False)
     assert s[-1] > rigidity.CERTIFIED_FLOOR * s[0]
     assert len(s) == op.matrix.shape[0]
@@ -948,12 +997,151 @@ def test_certificate_route_reports_the_spectrum_route_verdict(
 def test_adjointness_residual_over_several_row_blocks():
     ps = _spiral("compact", 128)
     lop, mop = length_variation_operator(ps), angle_motion_operator(ps)
-    assert len(mop.matrix) > rigidity.ROW_BLOCK
+    assert len(mop.matrix) > PARENT_ROW_BLOCK
     assert adjointness_residual(lop, mop) == 0.0
     # defects in the first and the last block both count
-    mop.matrix[3, 5] += 3e-3
-    mop.matrix[-2, 7] -= 4e-3
+    mop = _with_entries_added(mop, (3, 5, 3e-3), (-2, 7, -4e-3))
     dense = np.linalg.norm(lop.matrix.T - mop.codomain_metric[:, None]
                            * mop.matrix)
     assert adjointness_residual(lop, mop) == pytest.approx(dense, rel=1e-12)
     assert dense == pytest.approx(5e-3, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the certificate route over the non-zeros: oracles and memory
+
+
+def parent_level_partition(gram):
+    """level_partition before it read the Gram's non-zeros, kept verbatim
+    as its oracle: the search over a dense boolean pattern."""
+    pattern = gram != 0
+    pattern |= pattern.T
+    degree = np.count_nonzero(pattern, axis=1)
+    seen = np.zeros(len(gram), dtype=bool)
+    levels = []
+    while not seen.all():
+        rows = np.flatnonzero(~seen)
+        frontier = rows[[np.argmin(degree[rows])]]
+        while frontier.size:
+            seen[frontier] = True
+            levels.append(frontier)
+            frontier = np.flatnonzero(pattern[frontier].any(axis=0) & ~seen)
+    return levels
+
+
+def parent_gershgorin_bound(gram, row_block=PARENT_ROW_BLOCK):
+    """_gershgorin_bound before it read the Gram's non-zeros, kept verbatim
+    as its oracle: dense row sums, ROW_BLOCK rows at a time."""
+    return max((float(np.abs(gram[r:r + row_block]).sum(axis=1).max())
+                for r in range(0, len(gram), row_block)), default=0.0)
+
+
+SPARSE_GRAM_CASES = {
+    "compact-128": lambda: _length_operator(_spiral("compact", 128)),
+    "hull-60": lambda: _length_operator(fixtures.random_convex_compact(3, 60)),
+    "hyper-128": lambda: _length_operator(_spiral("hyper", 128)),
+    "relabeled-compact-60": lambda: _length_operator(_relabeled_hull(
+        fixtures.random_convex_compact(3, 60), 1)),
+}
+
+
+@pytest.mark.parametrize("make", LEVEL_CASES.values(), ids=LEVEL_CASES)
+def test_level_partition_and_bound_match_parent_dense(make):
+    g = make()
+    nonzero = rigidity.Entries.from_dense(g)
+    levels = rigidity.level_partition(nonzero)
+    expect = parent_level_partition(g)
+    assert len(levels) == len(expect)
+    for got, want in zip(levels, expect):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert rigidity._gershgorin_bound(nonzero) == parent_gershgorin_bound(g)
+
+
+@pytest.mark.parametrize("make", SPARSE_GRAM_CASES.values(),
+                         ids=SPARSE_GRAM_CASES)
+def test_link_gram_entries_feed_the_parent_blocks(make):
+    # the Gram's summed non-zeros scatter to the dense Gram, give the
+    # parent's levels and bound, and block_cholesky gets the parent's
+    # blocks bit for bit: the factor is the dense one's
+    op = make()
+    dense = op._row_gram()
+    assert np.array_equal(op.gram.dense(), dense)
+    assert np.all(op.gram.vals != 0)
+    levels = rigidity.level_partition(op.gram)
+    for got, want in zip(levels, parent_level_partition(dense),
+                         strict=True):
+        assert np.array_equal(got, want)
+    assert rigidity._gershgorin_bound(op.gram) == parent_gershgorin_bound(
+        dense)
+    for (rows, c, w), (_, c_ref, w_ref) in zip(
+            rigidity.block_cholesky(op.gram, levels),
+            rigidity.block_cholesky(rigidity.Entries.from_dense(dense),
+                                    levels), strict=True):
+        assert np.array_equal(c, np.linalg.cholesky(
+            dense[np.ix_(rows, rows)] - (0 if w is None else w @ w.T)))
+        assert np.array_equal(c, c_ref)
+        assert (w is None and w_ref is None) or np.array_equal(w, w_ref)
+
+
+PRODUCT_CASES = {
+    "compact-tetrahedron": lambda: fixtures.compact_tetrahedron(1.0),
+    "hyperideal-tetrahedron": lambda: fixtures.hyperideal_tetrahedron(2.0),
+    "hyperideal-dual": lambda: fixtures.compact_tetrahedron(1.0)
+    .dual_surface(),
+    "flat-vertex": fixtures.flat_vertex_pyramid,
+    "random-compact-60": lambda: fixtures.random_convex_compact(3, 60),
+    "random-compact-100": _hull_100,
+    "compact-128": lambda: _spiral("compact", 128),
+    "hyper-128": lambda: _spiral("hyper", 128),
+}
+
+
+@pytest.mark.parametrize("make", PRODUCT_CASES.values(), ids=PRODUCT_CASES)
+def test_entry_products_match_dense_products(make):
+    ps = make()
+    lop, mop = length_variation_operator(ps), angle_motion_operator(ps)
+    rng = np.random.default_rng(13)
+    for op in (lop, mop):
+        m = op.matrix
+        for x in (rng.normal(size=m.shape[1]),
+                  rng.normal(size=(m.shape[1], 6))):
+            got, want = op.entries.dot(x), m @ x
+            assert got.shape == want.shape
+            scale = np.linalg.norm(np.abs(m) @ np.abs(x))
+            assert np.linalg.norm(got - want) <= 1e-15 * scale
+    # M is the metric-signed transpose of L's entries
+    assert np.array_equal(mop.matrix,
+                          mop.codomain_metric[:, None] * lop.matrix.T)
+
+
+def test_certified_verdict_forms_no_dense_operator(monkeypatch):
+    # neither L, M nor the Gram is scattered to a dense array on the
+    # certificate route
+    ps = _hull_100()
+    dense = collections.Counter()
+    scatter = rigidity.Entries.dense
+
+    def watched(entries):
+        dense[entries.shape] += 1
+        return scatter(entries)
+    monkeypatch.setattr(rigidity.Entries, "dense", watched)
+    v = projective_rigidity_verdict(ps)
+    assert v.spectrum is None and v.spectrum_count == ps.tri.n_edges
+    assert dense == {}
+
+
+def test_verdict_peak_memory_below_one_dense_gram():
+    # compact-512 (1530 edges): one dense Gram is 8 E^2 bytes, 18.7 MB;
+    # the dense L, M and Gram together peaked at about 60 MB
+    import tracemalloc
+    ps = _spiral("compact", 512)
+    ps.links()
+    n = ps.tri.n_edges
+    tracemalloc.start()
+    try:
+        v = projective_rigidity_verdict(ps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v.spectrum is None and v.kernel_dim == 6
+    assert peak < 8 * n * n
