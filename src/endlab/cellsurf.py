@@ -533,7 +533,8 @@ def _need(off, nbr, starts, n_vertices, l_max):
         rep, idx = _expand(off, verts)
         rows, verts = rows[rep], nbr[idx]
         new = (verts > starts[rows]) & (need[rows, verts] > r)
-        key = np.unique(rows[new] * n_vertices + verts[new])
+        key = np.sort(rows[new] * n_vertices + verts[new])
+        key = key[np.diff(key, prepend=-1) != 0]
         rows, verts = key // n_vertices, key % n_vertices
         need[rows, verts] = r
     return need

@@ -176,7 +176,8 @@ def horosphere_chart(u):
     m = m_raw / (u[3] * u[3])
     spatial = u[:3]
     axes = []
-    for seed in np.eye(3):
+    # least-aligned seed axes first: their projections off u cancel least
+    for seed in np.eye(3)[np.argsort(np.abs(spatial), kind="stable")]:
         w = seed - (seed @ spatial) / (spatial @ spatial) * spatial
         for a in axes:
             w = w - (w @ a[:3]) * a[:3]

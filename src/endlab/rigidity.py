@@ -105,10 +105,12 @@ the operator has full row rank (every rigid closed polyhedron), the
 reported kernel basis is the trivial-motion basis itself, which no LAPACK
 build can change, and its distance from the kernel is the norm of the
 row-space part L^T (L L^T)^-1 L X of its columns X.  On the spectrum route
-it comes from one ``np.linalg.solve`` with the Gram matrix.  On the
-certificate route L L^T = C C^T for the unshifted block Cholesky factor C,
-so the norm is ||C^-1 L X||_F (Golub & Van Loan 4.2), from one block
-forward substitution and no back substitution.  Any other kernel comes
+it comes from one ``np.linalg.solve`` with the Gram matrix, exactly.  On
+the certificate route, (L L^T - s I)^-1 >= (L L^T)^-1 in the Loewner
+order (Horn & Johnson 7.7), so ||C_s^-1 L X||_F for the certificate's own
+factor C_s C_s^T = L L^T - s I, one block forward substitution, is a
+certified upper bound, at most (1 - s / lambda_min)^-1/2 times the exact
+residual (lambda_min the least eigenvalue of L L^T).  Any other kernel comes
 from the right singular vectors of a full SVD.  The decorations of all
 kernel vectors share one deformation pass; on ideal surfaces that is one
 least-squares solve with the shift map for all of them.  (Closed
@@ -211,13 +213,13 @@ class OperatorBundle:
     only the spectrum route's SVD and :meth:`kernel_basis` read it.  A
     dense matrix (the ideal operators, tests) is kept as ``matrix`` for its
     products, and ``entries`` are then its non-zeros, taken on first use;
-    its Gram is the dense product L L^T, taken apart the same way where
-    the certificate reads it.  ``codomain_metric`` holds the diagonal
-    signs of the codomain pairing (the hyperideal tangent frames are
-    Lorentzian); ``int_basis``, when present, is an exact integer basis of
-    the zero-sum space realized inside R^E (columns of ``embedding`` give
-    the orthonormal basis actually used for coordinates); ``meta`` holds
-    the raw link rows of the decorated length operator.
+its ``gram`` is the non-zeros of the dense product L L^T, likewise.
+    ``codomain_metric`` holds the diagonal signs of the codomain pairing
+    (the hyperideal tangent frames are Lorentzian); ``int_basis``, when
+    present, is an exact integer basis of the zero-sum space realized
+    inside R^E (columns of ``embedding`` give the orthonormal basis
+    actually used for coordinates); ``meta`` holds the raw link rows of the
+    decorated length operator.
 
     The rank is decided on first use by one of two routes (see the module
     docstring).  An operator with more than SPECTRUM_MAX rows and at least
@@ -227,14 +229,14 @@ class OperatorBundle:
     succeeds, the rank is the row count under any tolerance below
     CERTIFIED_FLOOR, no singular value is computed, no dense array of the
     operator's or the Gram's size is formed, and :meth:`row_space_residual`
-    solves with the unshifted block factor.  Otherwise the singular values
-    are computed, as the square roots of the eigenvalues of the dense Gram
-    matrix of the smaller side (``eigvalsh``, no vectors), in descending
-    order.  When the smallest of them is under GRAM_MIN_SIGMA times the
-    largest, they come instead from one full SVD, whose right singular
-    vectors then serve :meth:`kernel_basis`; on the Gram route a full SVD
-    runs only if :meth:`kernel_basis` is called.  :attr:`singular_values`
-    computes the spectrum on either route when it is asked for.
+    solves with that factor.  Otherwise the singular values are computed,
+    as the square roots of the eigenvalues of the dense Gram matrix of the
+    smaller side (``eigvalsh``, no vectors), in descending order.  When
+    the smallest of them is under GRAM_MIN_SIGMA times the largest, they
+    come instead from one full SVD, whose right singular vectors then
+    serve :meth:`kernel_basis`; on the Gram route a full SVD runs only if
+    :meth:`kernel_basis` is called.  :attr:`singular_values` computes the
+    spectrum on either route when it is asked for.
     """
 
     def __init__(self, operator, codomain_metric=None, embedding=None,
@@ -251,8 +253,8 @@ class OperatorBundle:
         self.embedding = embedding
         self.int_basis = int_basis
         self.meta = {} if meta is None else meta
-        self.gram = gram
-        self._dense_gram = None
+        if gram is not None:
+            self.gram = gram
 
     @cached_property
     def matrix(self):
@@ -271,42 +273,41 @@ class OperatorBundle:
             return (self.matrix.T if transpose else self.matrix) @ x
         return (self.entries.T if transpose else self.entries).dot(x)
 
+    @cached_property
+    def gram(self):
+        """L L^T as its non-zero entries: as given, or the dense product's."""
+        return Entries.from_dense(self.matrix @ self.matrix.T)
+
+    @cached_property
     def _row_gram(self):
-        """L L^T as a dense matrix, for ``eigvalsh`` and ``solve``; formed
-        on first use."""
-        if self._dense_gram is None:
-            self._dense_gram = (self.matrix @ self.matrix.T
-                                if self.gram is None else self.gram.dense())
-        return self._dense_gram
+        """L L^T as a dense matrix, for ``eigvalsh`` and ``solve``: the
+        product if given dense (four times cheaper than ``gram.dense()``)."""
+        if self._given_dense:
+            return self.matrix @ self.matrix.T
+        return self.gram.dense()
 
     @cached_property
-    def _gram_entries(self):
-        """The non-zeros of L L^T, which the certificate reads."""
-        if self.gram is None:
-            return Entries.from_dense(self._row_gram())
-        return self.gram
-
-    @cached_property
-    def _levels(self):
-        """The level partition of L L^T when the inertia certificate holds,
-        None when it fails or is not tried (at most SPECTRUM_MAX rows, or
-        more rows than columns)."""
+    def _certificate(self):
+        """The block Cholesky factor of L L^T - s I when the inertia
+        certificate holds (:func:`certify_full_rank`), None when it fails
+        or is not tried (at most SPECTRUM_MAX rows, or more rows than
+        columns)."""
         rows, cols = self.shape
         if not SPECTRUM_MAX < rows <= cols:
             return None
-        return certify_full_rank(self._gram_entries)
+        return certify_full_rank(self.gram)
 
     def certifies_full_rank(self, tau_rank=TAU_RANK):
         """Whether the inertia certificate decides the rank under tau_rank:
         every singular value exceeds CERTIFIED_FLOOR > tau_rank times the
         largest, so the rank is the row count and the gap infinite."""
-        return tau_rank < CERTIFIED_FLOOR and self._levels is not None
+        return tau_rank < CERTIFIED_FLOOR and self._certificate is not None
 
     @cached_property
     def _factors(self):
         """(singular values, V^T of a full SVD or None on the Gram route)."""
         rows, cols = self.shape
-        g = self._row_gram() if rows <= cols else self.matrix.T @ self.matrix
+        g = self._row_gram if rows <= cols else self.matrix.T @ self.matrix
         s = np.sqrt(np.maximum(np.linalg.eigvalsh(g)[::-1], 0.0))
         if len(s) and s[0] > 0 and s[-1] >= GRAM_MIN_SIGMA * s[0]:
             return s, None
@@ -333,19 +334,18 @@ class OperatorBundle:
 
     def row_space_residual(self, x):
         """Frobenius norm of the row-space part L^T (L L^T)^-1 L x of the
-        columns of x (products by :meth:`_apply`).  When the inertia
-        certificate holds, L L^T = C C^T for its unshifted block Cholesky
-        factor C, and the norm is ||C^-1 L x||_F, from one block forward
-        substitution; otherwise it is taken from one ``np.linalg.solve``
-        with the dense L L^T.  For an operator of full row rank this is the
-        exact distance of x from the kernel, ||x - K K^T x||_F for an
-        orthonormal kernel basis K."""
+        columns of x (products by :meth:`_apply`): for an operator of full
+        row rank, the distance ||x - K K^T x||_F of x from the kernel (K an
+        orthonormal kernel basis).  Without the inertia certificate it is
+        exact, from one ``np.linalg.solve`` with the dense L L^T.  With it,
+        it is bounded above by ||C_s^-1 L x||_F for the certificate's factor
+        C_s C_s^T = L L^T - s I, one block forward substitution, within a
+        factor (1 - s / lambda_min)^-1/2 (see the module docstring)."""
         lx = self._apply(x)
-        if self._levels is None:
-            y = np.linalg.solve(self._row_gram(), lx)
+        if self._certificate is None:
+            y = np.linalg.solve(self._row_gram, lx)
             return float(np.linalg.norm(self._apply(y, transpose=True)))
-        factor = block_cholesky(self._gram_entries, self._levels)
-        return float(np.linalg.norm(block_forward(factor, lx)))
+        return float(np.linalg.norm(block_forward(self._certificate, lx)))
 
     def rank_profile(self, tau_rank=TAU_RANK):
         """(rank, kernel dim, spectral gap) under the tolerance."""
@@ -414,7 +414,7 @@ def level_partition(gram):
     return levels
 
 
-def block_cholesky(gram, levels, shift=0.0):
+def block_cholesky(gram, levels, shift):
     """Block Cholesky factor of gram - shift I, block tridiagonal over
     ``levels`` (:func:`level_partition` of the same non-zero
     :class:`Entries`, one entry per position).
@@ -496,25 +496,23 @@ def _gershgorin_bound(gram):
 
 
 def certify_full_rank(gram):
-    """The level partition of a Gram matrix L L^T, given as its non-zero
-    :class:`Entries`, when the block Cholesky factorisation of L L^T - s I
-    succeeds, s = CERTIFIED_FLOOR^2 times the Gershgorin bound on
-    sigma_max^2; None when it fails.
+    """The :func:`block_cholesky` factor of L L^T - s I over the levels of
+    :func:`level_partition`, for a Gram matrix L L^T given as its non-zero
+    :class:`Entries`, s = CERTIFIED_FLOOR^2 times the Gershgorin bound on
+    sigma_max^2; None when the factorisation fails.
 
     Success means every eigenvalue of L L^T exceeds s, so sigma_min /
     sigma_max > CERTIFIED_FLOOR and L has full row rank.  Failure decides
     nothing: the bound is conservative by the ratio of the Gershgorin bound
     to sigma_max^2.
     """
-    levels = level_partition(gram)
     shift = CERTIFIED_FLOOR ** 2 * _gershgorin_bound(gram)
     if not shift > 0:
         return None
     try:
-        block_cholesky(gram, levels, shift)
+        return block_cholesky(gram, level_partition(gram), shift)
     except np.linalg.LinAlgError:  # a pivot block that is not positive
         return None
-    return levels
 
 
 # ---------------------------------------------------------------------------
@@ -844,19 +842,20 @@ def projective_rigidity_verdict(ps, tau_rank=TAU_RANK):
     operator serves only the adjointness check, which runs first so that
     its memory is released before the factorisation.  Only the length
     operator is factored, by one of two routes.  With more than
-    SPECTRUM_MAX singular values, two block Cholesky factorisations of its
-    Gram matrix over the Gram's levels: one shifted, whose success
-    certifies full row rank with every sigma_rel > CERTIFIED_FLOOR (the
-    spectrum is then None), one unshifted whose forward substitution gives
-    the trivial-match residual; no ``eigvalsh``, SVD or solve of the full
-    size runs.  Otherwise, or if the certificate fails, one ``eigvalsh`` of
-    the Gram, one full SVD only when the Gram is too ill-conditioned to
-    decide the rank or the kernel basis is needed, and one solve for the
-    residual.  When the kernel is
-    as large as the trivial motions and the length operator has full row
-    rank, the kernel basis reported is the trivial-motion basis; otherwise
-    it comes from a full SVD.  All kernel vectors become deformations in
-    one :func:`kernel_vector_as_deformation` call.
+    SPECTRUM_MAX singular values, one shifted block Cholesky factorisation
+    of its Gram matrix over the Gram's levels, whose success certifies full
+    row rank with every sigma_rel > CERTIFIED_FLOOR (the spectrum is then
+    None), and whose forward substitution gives the trivial-match residual
+    as a certified upper bound, within (1 - s / lambda_min)^-1/2 of the
+    exact one; no ``eigvalsh``, SVD or solve of the full size runs.
+    Otherwise, or if the certificate fails, one ``eigvalsh`` of the Gram,
+    one full SVD only when the Gram is too ill-conditioned to decide the
+    rank or the kernel basis is needed, and one solve for the exact
+    residual.  When the kernel is as large as the trivial motions and the
+    length operator has full row rank, the kernel basis reported is the
+    trivial-motion basis; otherwise it comes from a full SVD.  All kernel
+    vectors become deformations in one :func:`kernel_vector_as_deformation`
+    call.
     """
     if ps.kind == IDEAL:
         basis = zero_sum_basis(ps.tri)

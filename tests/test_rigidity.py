@@ -680,7 +680,7 @@ def test_spectrum_from_the_gram(make):
     op = _length_operator(make())
     m = op.matrix
     product = m @ m.T
-    gram = op._row_gram()
+    gram = op._row_gram
     assert np.max(np.abs(gram - product)) <= 1e-13 * max(
         1.0, np.max(np.abs(product)))
     s = np.linalg.svd(m, compute_uv=False)
@@ -772,7 +772,7 @@ def _disconnected_gram(zero_row=True):
     """Two hull Grams and a zero row on the diagonal, rows shuffled so the
     components interleave."""
     parts = [length_variation_operator(fixtures.random_convex_compact(s, n))
-             ._row_gram() for s, n in ((3, 9), (4, 12))]
+             ._row_gram for s, n in ((3, 9), (4, 12))]
     sizes = [len(p) for p in parts] + [int(zero_row)]
     g = np.zeros((sum(sizes), sum(sizes)))
     at = 0
@@ -785,12 +785,12 @@ def _disconnected_gram(zero_row=True):
 
 LEVEL_CASES = {
     "compact-128": lambda: _length_operator(_spiral("compact", 128))
-    ._row_gram(),
+    ._row_gram,
     "hull-60": lambda: _length_operator(
-        fixtures.random_convex_compact(3, 60))._row_gram(),
+        fixtures.random_convex_compact(3, 60))._row_gram,
     "disconnected": _disconnected_gram,
     "dense-ideal": lambda: _length_operator(fixtures.random_ideal(13, 10))
-    ._row_gram(),
+    ._row_gram,
 }
 
 
@@ -808,7 +808,7 @@ def test_level_partition_is_block_tridiagonal(make):
 
 
 def test_level_partition_of_a_spiral_hull_is_narrow():
-    g = _length_operator(_spiral("compact", 128))._row_gram()
+    g = _length_operator(_spiral("compact", 128))._row_gram
     levels = rigidity.level_partition(rigidity.Entries.from_dense(g))
     assert len(levels) >= 8 and max(map(len, levels)) <= 80
 
@@ -823,7 +823,7 @@ def test_block_solve_matches_dense_solve(make):
     g = make()
     nonzero = rigidity.Entries.from_dense(g)
     factor = rigidity.block_cholesky(nonzero,
-                                     rigidity.level_partition(nonzero))
+                                     rigidity.level_partition(nonzero), 0.0)
     rng = np.random.default_rng(8)
     for b in (rng.normal(size=(len(g), 3)), rng.normal(size=len(g))):
         z = rigidity.block_forward(factor, b)
@@ -838,7 +838,7 @@ PARENT_ROW_BLOCK = 256
 
 
 def test_gershgorin_bound_in_row_blocks():
-    g = _length_operator(_spiral("compact", 128))._row_gram()
+    g = _length_operator(_spiral("compact", 128))._row_gram
     assert len(g) > PARENT_ROW_BLOCK
     bound = rigidity._gershgorin_bound(rigidity.Entries.from_dense(g))
     assert bound == np.abs(g).sum(axis=1).max()
@@ -861,7 +861,7 @@ def _conditioned(smallest, rows=rigidity.SPECTRUM_MAX + 20, cols=None):
 def test_certificate_fails_near_the_floor(smallest):
     b = _conditioned(smallest)
     assert rigidity.certify_full_rank(
-        rigidity.Entries.from_dense(b._row_gram())) is None
+        rigidity.Entries.from_dense(b._row_gram)) is None
     assert not b.certifies_full_rank()
     # the spectrum route decides instead, from the spectrum
     assert kernel_dimension(b) == (6, math.inf)
@@ -883,7 +883,7 @@ CERTIFIED = {
 def test_certificate_agrees_with_the_spectrum(make):
     op = _length_operator(make())
     assert rigidity.certify_full_rank(
-        rigidity.Entries.from_dense(op._row_gram())) is not None
+        rigidity.Entries.from_dense(op._row_gram)) is not None
     s = np.linalg.svd(op.matrix, compute_uv=False)
     assert s[-1] > rigidity.CERTIFIED_FLOOR * s[0]
     assert len(s) == op.matrix.shape[0]
@@ -1064,7 +1064,7 @@ def test_link_gram_entries_feed_the_parent_blocks(make):
     # parent's levels and bound, and block_cholesky gets the parent's
     # blocks bit for bit: the factor is the dense one's
     op = make()
-    dense = op._row_gram()
+    dense = op._row_gram
     assert np.array_equal(op.gram.dense(), dense)
     assert np.all(op.gram.vals != 0)
     levels = rigidity.level_partition(op.gram)
@@ -1074,9 +1074,9 @@ def test_link_gram_entries_feed_the_parent_blocks(make):
     assert rigidity._gershgorin_bound(op.gram) == parent_gershgorin_bound(
         dense)
     for (rows, c, w), (_, c_ref, w_ref) in zip(
-            rigidity.block_cholesky(op.gram, levels),
+            rigidity.block_cholesky(op.gram, levels, 0.0),
             rigidity.block_cholesky(rigidity.Entries.from_dense(dense),
-                                    levels), strict=True):
+                                    levels, 0.0), strict=True):
         assert np.array_equal(c, np.linalg.cholesky(
             dense[np.ix_(rows, rows)] - (0 if w is None else w @ w.T)))
         assert np.array_equal(c, c_ref)
@@ -1145,3 +1145,74 @@ def test_verdict_peak_memory_below_one_dense_gram():
         tracemalloc.stop()
     assert v.spectrum is None and v.kernel_dim == 6
     assert peak < 8 * n * n
+
+
+# ---------------------------------------------------------------------------
+# the certificate's factor bounds the residual; moved ideal hulls
+
+
+@pytest.mark.parametrize("kind", ["compact", "hyper"])
+def test_certified_verdict_factors_the_gram_once(monkeypatch, kind):
+    # the shifted factor that certifies the rank also gives the residual
+    shifts = []
+    factor = rigidity.block_cholesky
+
+    def counted(gram, levels, shift):
+        shifts.append(shift)
+        return factor(gram, levels, shift)
+    monkeypatch.setattr(rigidity, "block_cholesky", counted)
+    v = projective_rigidity_verdict(_spiral(kind, 128))
+    assert v.spectrum is None and v.residual_dim == 0
+    assert v.trivial_match_residual <= 1e-12
+    assert len(shifts) == 1 and shifts[0] > 0
+
+
+BOUND_CASES = {
+    "compact-128": lambda: _spiral("compact", 128),
+    "hyper-128": lambda: _spiral("hyper", 128),
+    "compact-512": lambda: _spiral("compact", 512),
+}
+
+
+@pytest.mark.parametrize("make", BOUND_CASES.values(), ids=BOUND_CASES)
+def test_certified_residual_bounds_the_exact_one(make):
+    # (L L^T - s I)^-1 >= (L L^T)^-1: the bound is never below the exact
+    # residual, and s is far enough below lambda_min that it is within 1 %
+    ps = make()
+    op = length_variation_operator(ps)
+    assert op._certificate is not None
+    frame, _ = np.linalg.qr(
+        np.random.default_rng(14).normal(size=(op.shape[1], 4)))
+    for x in (trivial_motion_basis(ps), frame):
+        bound = op.row_space_residual(x)
+        # the spectrum route's formula, one solve with the dense Gram
+        y = np.linalg.solve(op._row_gram, op._apply(x))
+        exact = float(np.linalg.norm(op._apply(y, transpose=True)))
+        assert exact * (1 - 1e-9) <= bound <= 1.01 * exact * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("n", [16, 32, 128])
+def test_moved_ideal_hulls_match_the_trivial_motions(n):
+    # the horosphere charts do not lose digits wherever the isometry moves
+    # the ideal vertices
+    spiral = _bench_module("spiral")
+    worst = max(projective_rigidity_verdict(spiral.build(
+        "ideal", n, np.random.default_rng([seed, n]))).trivial_match_residual
+        for seed in range(30))
+    assert worst <= 1e-12
+
+
+def test_bench_seed_3005_ideal_32_is_rigid(tmp_path):
+    # the benchmark's ideal-32 input of seed 3005, whose residual was 3.3e-12
+    cases = _bench_module("cases")
+    i = cases.RIGIDITY_SIZES.index(("ideal", 32))
+    ps = _bench_module("spiral").build("ideal", 32,
+                                       np.random.default_rng([3005, i]))
+    path = tmp_path / "ideal-32.poly"
+    path.write_text(serialize_poly(ps))
+    out = tmp_path / "report.txt"
+    assert main(["rigidity", "--seed", "3005", str(path), "--out",
+                 str(out)]) == 0
+    lines = out.read_text().splitlines()
+    for line in cases.RIGID_LINES:
+        assert line in lines
