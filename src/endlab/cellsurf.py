@@ -10,7 +10,11 @@ the face predecessor ``fprev`` and the vertex stars as one pair of arrays:
 ``star`` holds each vertex's darts in rotation order from its lowest dart,
 vertex after vertex, and ``star_start`` the offsets.  ``vertex_star`` slices
 them, and the batched code of decor, crossratio and rigidity reads them
-instead of grouping darts by tail again.  Input that is not a closed
+instead of grouping darts by tail again.  Three more read-only arrays
+serve that code: ``rotation_next`` (each dart's rotation successor, which
+the star walk reads) and, built on first use, ``degrees`` and a
+triangulation's (F x 3) ``face_darts``, whose presence is the
+quasi-simplicial flag.  Input that is not a closed
 connected surface (an edge endpoint out of range, a vertex with no darts or
 with more than one rotation cycle, more than one component) is rejected
 there, the first fault in face and vertex order.
@@ -49,6 +53,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -82,6 +88,12 @@ class MissingLabelError(ValueError):
 
 def twin(d):
     return d ^ 1
+
+
+def _frozen(a):
+    """``a``, made read-only: a cached array stays the surface's."""
+    a.flags.writeable = False
+    return a
 
 
 class CellSurface:
@@ -150,7 +162,7 @@ class CellSurface:
         degree = np.bincount(self.dart_tail, minlength=self.n_vertices)
         first = np.full(self.n_vertices, self.n_darts)
         np.minimum.at(first, self.dart_tail, np.arange(self.n_darts))
-        vnext = self.fnext[np.arange(self.n_darts) ^ 1].tolist()
+        vnext = self.rotation_next.tolist()
         star, start = [], [0]
         for v, (d0, deg) in enumerate(zip(first.tolist(), degree.tolist())):
             if not deg:
@@ -206,7 +218,27 @@ class CellSurface:
         return (2 - self.euler_characteristic()) // 2
 
     def is_quasi_simplicial(self):
-        return all(len(c) == 3 for c in self.face_cycles)
+        return self.face_darts is not None
+
+    @cached_property
+    def face_darts(self):
+        """The (F x 3) darts of each face in cycle order, or None unless
+        every face is a triangle."""
+        if any(len(c) != 3 for c in self.face_cycles):
+            return None
+        return _frozen(np.fromiter(chain.from_iterable(self.face_cycles),
+                                   dtype=int, count=self.n_darts)
+                       .reshape(-1, 3))
+
+    @cached_property
+    def rotation_next(self):
+        """:meth:`vnext` of every dart, as one array."""
+        return _frozen(self.fnext[np.arange(self.n_darts) ^ 1])
+
+    @cached_property
+    def degrees(self):
+        """Number of darts at each vertex."""
+        return _frozen(np.diff(self.star_start))
 
     def vnext(self, d):
         """Next dart in the rotation around tail(d)."""

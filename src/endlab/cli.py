@@ -252,10 +252,12 @@ def cmd_pak_search(args):
         ne, nf = surface.n_edges, surface.n_faces
         states = np.zeros((ne + nf + 1, ne), dtype=int)
         states[np.arange(ne), np.arange(ne)] = decor.FORWARD
-        for f, cyc in enumerate(surface.face_cycles):
-            for d in cyc:
-                states[ne + f, d // 2] = (decor.FORWARD if d % 2 == 0
-                                          else decor.BACKWARD)
+        # one scatter per face position, in cycle order: a face holding
+        # both darts of an edge leaves the later one's state, as a walk
+        # of the cycle does
+        for darts in surface.face_darts.T:
+            states[ne + np.arange(nf), darts // 2] = np.where(
+                darts % 2 == 0, decor.FORWARD, decor.BACKWARD)
         states[-1] = decor.orient_by_vertex_order(surface).states
         rep = decor.batch_report(surface, states)
         identities = identities and bool(np.all(rep.identities))

@@ -355,7 +355,7 @@ class NewtonResult:
 def _star_arrays(surface):
     """The vertex stars as a padded (V x max degree) array of edge ids in
     rotation order, with the mask of the entries that are real."""
-    degree = np.diff(surface.star_start)
+    degree = surface.degrees
     mask = np.arange(degree.max()) < degree[:, None]
     edges = np.zeros(mask.shape, dtype=int)
     edges[mask] = surface.star // 2

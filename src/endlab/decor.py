@@ -29,8 +29,11 @@ itself is never asserted as an invariant here.
 :func:`batch_report` answers the same questions (tight, components
 outside coverage, identities held) for many decorations at once, as array
 operations over an (n x E) state array whose per-vertex totals are
-reductions over the surface's stored vertex stars; :func:`is_tight` and
-:func:`pak_report` stay the per-decoration path and its test oracle.
+reductions over the surface's stored vertex stars.  The component counts
+depend on a decoration only through its kept faces, so they are taken once
+per distinct kept-face pattern of the array, not once per row.
+:func:`is_tight` and :func:`pak_report` stay the per-decoration path and
+its test oracle.
 """
 
 from __future__ import annotations
@@ -363,14 +366,13 @@ def _batch_tight(surface, st):
     the doubled corner value is |a - b|; vertex totals and consecutive
     unoriented pairs are reductions over the vertex stars.
     """
-    darts = np.arange(surface.n_darts)
-    away = st[:, darts // 2] * np.where(darts % 2 == 0, 1, -1)
+    away = np.stack([st, -st], axis=2).reshape(len(st), -1)
     twice = np.abs(away - away[:, surface.fprev ^ 1])
     totals2 = _star_reduce(np.add, twice, surface)
     unor = away == 0
-    vnext = surface.fnext[darts ^ 1]
-    consec = _star_reduce(np.logical_or, unor & unor[:, vnext], surface)
-    consec &= np.diff(surface.star_start) > 1
+    consec = _star_reduce(np.logical_or, unor & unor[:, surface.rotation_next],
+                          surface)
+    consec &= surface.degrees > 1
     limits2 = np.where(consec, 2, 4)
     return ~np.any(totals2 > limits2, axis=1)
 
@@ -391,22 +393,40 @@ def _min_labels(labels, succ):
         labels = nxt
 
 
+def _kept_faces(surface, st):
+    """(n x F) mask of the faces with an oriented edge, per state row."""
+    return np.any(st[:, surface.face_darts // 2] != 0, axis=2)
+
+
+def _distinct_rows(a):
+    """(first, inverse) for the rows of a 2-d array: the least index of each
+    distinct row, and for each row the position of its value in ``first``;
+    one stable lexsort over the columns."""
+    order = np.lexsort(a.T)
+    ordered = a[order]
+    new = np.ones(len(a), dtype=bool)
+    new[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    inverse = np.empty(len(a), dtype=int)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
+
+
 def _component_counts(surface, st):
     """Per-component counts of :func:`pak_report`, for every state row.
 
     Returns the five (n, F) arrays V, E, F, e_b and b, indexed by the row
     and the component's least face id, and zero where no component has
     that least face.  Each count is taken independently, never derived
-    from an identity.
+    from an identity.  The states are read only through their kept-face
+    mask (:func:`_kept_faces`), so rows with one mask get equal counts.
     """
     s = surface
     n, nf, nd = len(st), s.n_faces, s.n_darts
     darts = np.arange(nd)
-    face_darts = np.array(s.face_cycles)
-    kept = np.any(st[:, face_darts // 2] != 0, axis=2)
+    kept = _kept_faces(s, st)
 
     # face components: min-label propagation with pointer jumping
-    nbr = s.dart_face[face_darts ^ 1]
+    nbr = s.dart_face[s.face_darts ^ 1]
     sentinel = np.full((n, 1), nf)
     labels = np.where(kept, np.arange(nf), nf)
     while True:
@@ -431,9 +451,8 @@ def _component_counts(surface, st):
     first = s.star[s.star_start[:-1]]
 
     # boundary successor: fnext, then rotate through interior edges
-    vnext = s.fnext[darts ^ 1]
-    skip = np.where(kt & kd, vnext, darts)
-    for _ in range(int(np.diff(s.star_start).max()).bit_length()):
+    skip = np.where(kt & kd, s.rotation_next, darts)
+    for _ in range(int(s.degrees.max()).bit_length()):
         skip = _row_gather(skip, skip)
     succ = np.where(boundary, skip[:, s.fnext], darts)
     labels_b = _min_labels(np.broadcast_to(darts, (n, nd)), succ)
@@ -457,12 +476,19 @@ def _component_counts(surface, st):
 def batch_report(surface, states):
     """Tightness and counting identities for each row of an (n x E) state
     array, the array counterpart of :func:`is_tight` and :func:`pak_report`
-    (which stay the per-decoration path and the test oracle)."""
+    (which stay the per-decoration path and the test oracle).
+
+    Tightness reads the full states and is taken per row.  The component
+    counts depend on the kept-face mask alone, so they are taken once per
+    distinct kept-face pattern of the array, on its first row, and the
+    per-row results are read back through the pattern of each row.
+    """
     s = surface
     if not s.is_quasi_simplicial():
         raise DecorationError("component counting needs a triangulation")
     st = _states_array(s, states, 2)
-    nv, ne, nf, eb, nb = _component_counts(s, st)
+    first, inverse = _distinct_rows(np.packbits(_kept_faces(s, st), axis=1))
+    nv, ne, nf, eb, nb = _component_counts(s, st[first])
     exists = nf > 0
     chi = nv - ne + nf
     g2 = 2 - nb - chi
@@ -472,8 +498,8 @@ def batch_report(surface, states):
     holds = ((3 * nf == 2 * ne - eb) & (chi == 2 - 2 * genus - nb)
              & (2 * nv - eb == nf + (4 - 4 * genus - 2 * nb)))
     return BatchReport(tight=_batch_tight(s, st),
-                       outside=np.sum(exists & (chi >= 0), axis=1),
-                       identities=np.all(holds | ~exists, axis=1))
+                       outside=np.sum(exists & (chi >= 0), axis=1)[inverse],
+                       identities=np.all(holds | ~exists, axis=1)[inverse])
 
 
 def orient_by_vertex_order(surface):

@@ -120,6 +120,34 @@ def test_star_arrays_match_parent_walk(name, relabel):
     assert cellsurf.dual_cell_surface(s).face_cycles == walked
 
 
+@pytest.mark.parametrize("name", STAR_SURFACES)
+def test_cached_dart_arrays_are_the_surface_data(name):
+    # one read-only array each, the face darts only for a triangulation
+    s = STAR_SURFACES[name]()
+    triangulated = all(len(c) == 3 for c in s.face_cycles)
+    assert s.is_quasi_simplicial() == triangulated
+    if triangulated:
+        assert s.face_darts.tolist() == s.face_cycles
+    else:
+        assert s.face_darts is None
+    assert s.rotation_next.tolist() == [s.vnext(d) for d in range(s.n_darts)]
+    assert s.degrees.tolist() == [s.vertex_degree(v)
+                                  for v in range(s.n_vertices)]
+    for attr in ("face_darts", "rotation_next", "degrees"):
+        a = getattr(s, attr)
+        assert a is getattr(s, attr)
+        if a is not None:
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+
+def test_parse_builds_no_face_darts_or_degrees():
+    # a quad pattern's parse pays only for the arrays the constructor reads
+    s = parse_surf(serialize_surf(thurston_pattern(tetrahedron_surface())))
+    assert not {"face_darts", "degrees"} & set(vars(s))
+    assert not s.is_quasi_simplicial()
+
+
 def test_vertex_without_darts_rejected():
     sphere = ("v 0\nv 1\nv 2\ne 0 0 1\ne 1 1 2\ne 2 2 0\n"
               "f 0 0+ 1+ 2+\nf 1 2- 1- 0-\n")

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from endlab import decor
+from endlab import decor, rigidity
 from endlab.decor import (BACKWARD, FORWARD, UNORIENTED, Decoration,
                           DecorationError, corner_changes, is_tight, orient_by_vertex_order,
                           pak_report, parse_decoration, random_decoration,
@@ -18,7 +18,7 @@ from endlab.cellsurf import from_face_vertex_lists, parse_surf
 from endlab.fixtures import (genus2_complex, genus2_surface_file,
                              octahedron_surface, random_convex_compact,
                              tetrahedron_surface)
-from scripts_path import INPUTS  # see conftest
+from scripts_path import INPUTS, spiral_module  # see conftest
 
 
 @pytest.fixture(scope="module")
@@ -406,3 +406,124 @@ def test_kept_tightness_rule_matches_paper_rule(which):
         assert rep.tight == batch_tight == (not offenders)
         flags.append(rep.tight)
     assert any(flags) and not all(flags)
+
+
+# ---------------------------------------------------------------------------
+# component counts: a function of the kept faces, taken once per pattern
+
+
+def _kept(surface, states):
+    """Faces with an oriented edge, read off the face cycles."""
+    faces = np.array(surface.face_cycles)
+    return np.any(np.asarray(states)[:, faces // 2] != 0, axis=2)
+
+
+COUNT_SURFACES = {
+    "genus2-uniform": lambda: parse_surf(
+        (INPUTS / "genus2_uniform.surf").read_text()),
+    "genus2-data": lambda: parse_surf(genus2_surface_file().read_text()),
+    "octahedron": octahedron_surface,
+}
+
+
+@pytest.mark.parametrize("which", COUNT_SURFACES)
+def test_counts_depend_only_on_kept_faces(which):
+    surface = COUNT_SURFACES[which]()
+    rng = np.random.default_rng(23)
+    states = np.vstack([decor.random_states(surface, rng, 200)]
+                       + [_sparse_states(surface, rng, 200, p)
+                          for p in (0.05, 0.2)])
+    kept = _kept(surface, states)
+    # re-signed: every oriented edge flipped, or each at random
+    variants = [-states,
+                states * np.where(rng.random(states.shape) < 0.5, 1, -1)]
+    # re-oriented: unoriented edges whose faces are all kept get a state
+    both_kept = (kept[:, surface.dart_face[0::2]]
+                 & kept[:, surface.dart_face[1::2]])
+    fill = np.where(rng.random(states.shape) < 0.5, FORWARD, BACKWARD)
+    variants.append(np.where(both_kept & (states == 0), fill, states))
+    counts = decor._component_counts(surface, states)
+    for other in variants:
+        assert not np.array_equal(other, states)
+        assert np.array_equal(_kept(surface, other), kept)
+        for a, b in zip(decor._component_counts(surface, other), counts):
+            assert np.array_equal(a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(which=st.sampled_from(sorted(COUNT_SURFACES)),
+       seed=st.integers(0, 2**32 - 1),
+       p=st.sampled_from([0.05, 0.2, 2 / 3]),
+       n=st.integers(1, 60), data=st.data())
+def test_batch_report_commutes_with_row_selection(which, seed, p, n, data):
+    # a permutation, a duplication or any mix of the two: row r of the
+    # selected array's report is row idx[r] of the original's
+    surface = COUNT_SURFACES[which]()
+    states = _sparse_states(surface, np.random.default_rng(seed), n, p)
+    idx = np.array(data.draw(st.one_of(
+        st.permutations(range(n)),
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))))
+    whole = decor.batch_report(surface, states)
+    picked = decor.batch_report(surface, states[idx])
+    for name in ("tight", "outside", "identities"):
+        assert np.array_equal(getattr(picked, name), getattr(whole, name)[idx])
+
+
+def _spy_counts(monkeypatch):
+    """Row count of each call of ``decor._component_counts``."""
+    rows = []
+    counts = decor._component_counts
+
+    def spy(surface, st):
+        rows.append(len(st))
+        return counts(surface, st)
+
+    monkeypatch.setattr(decor, "_component_counts", spy)
+    return rows
+
+
+def test_block_counted_once_per_kept_pattern(uniform_surf, monkeypatch):
+    states = decor.random_states(uniform_surf, np.random.default_rng(7), 500)
+    patterns = len(np.unique(_kept(uniform_surf, states), axis=0))
+    assert 1 < patterns < 500
+    rows = _spy_counts(monkeypatch)
+    rep = decor.batch_report(uniform_surf, states)
+    assert rows == [patterns]
+    assert rep.identities.flags.writeable and len(rep.identities) == 500
+
+
+def _parent_decorations(surface, states):
+    """The verdict's decoration dicts with every row counted, by the
+    formula of ``batch_report`` before it counted each kept-face pattern
+    once; kept as its oracle."""
+    nv, ne, nf, eb, nb = decor._component_counts(surface, states)
+    exists = nf > 0
+    chi = nv - ne + nf
+    g2 = 2 - nb - chi
+    assert not np.any(exists & (g2 % 2 != 0))
+    genus = g2 // 2
+    holds = ((3 * nf == 2 * ne - eb) & (chi == 2 - 2 * genus - nb)
+             & (2 * nv - eb == nf + (4 - 4 * genus - 2 * nb)))
+    return [{"tight": bool(tight), "oriented_edges": int(oriented),
+             "components_outside_coverage": int(outside),
+             "identities_hold": bool(ok)}
+            for tight, oriented, outside, ok in zip(
+                decor._batch_tight(surface, states),
+                np.count_nonzero(states, axis=1),
+                np.sum(exists & (chi >= 0), axis=1),
+                np.all(holds | ~exists, axis=1))]
+
+
+def test_spiral_hull_verdict_counts_one_row(monkeypatch):
+    ps = spiral_module().build("compact", 128, np.random.default_rng([5, 128]))
+    counts = decor._component_counts
+    seen = []
+    batch = rigidity.batch_report
+    monkeypatch.setattr(rigidity, "batch_report",
+                        lambda surface, st: seen.append(st) or batch(surface, st))
+    rows = _spy_counts(monkeypatch)
+    verdict = rigidity.projective_rigidity_verdict(ps)
+    (states,) = seen
+    assert len(states) == 6 and rows == [1]
+    monkeypatch.setattr(decor, "_component_counts", counts)
+    assert verdict.decorations == _parent_decorations(ps.tri, states)
