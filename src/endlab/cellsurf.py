@@ -17,7 +17,16 @@ triangulation's (F x 3) ``face_darts``, whose presence is the
 quasi-simplicial flag.  Input that is not a closed
 connected surface (an edge endpoint out of range, a vertex with no darts or
 with more than one rotation cycle, more than one component) is rejected
-there, the first fault in face and vertex order.
+there, the first fault in face and vertex order.  The face cycles are
+checked as arrays over their darts laid end to end, and the stars are
+ordered by pointer jumping along the rotation, each fault found being the
+one a walk face by face, then vertex by vertex, would meet first.
+
+``parse_surf`` reads "surf v1" by columns: it splits each line once, groups
+the records by kind, converts each kind's fields in one pass with Python's
+``int`` and ``float``, and checks ids, ranges and finiteness over whole
+columns.  Only when a record fails its own checks does it walk the records
+one by one, to report the first fault in line order.
 
 The module also carries the weighted-graph validators: face sums of an
 edge weight function theta must equal 2*pi, and short contractible cycles
@@ -52,9 +61,11 @@ when the surface carries edge labels.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -110,40 +121,41 @@ class CellSurface:
     """
 
     def __init__(self, n_vertices, edges, face_cycles, theta=None):
+        self._build(n_vertices, [(int(u), int(v)) for u, v in edges],
+                    [list(map(int, c)) for c in face_cycles], theta)
+
+    @classmethod
+    def _of_ints(cls, n_vertices, edges, face_cycles, theta=None):
+        """The surface of a list of (tail, head) tuples and a list of face
+        cycles, all Python ints, kept as given (:func:`parse_surf`'s)."""
+        surface = cls.__new__(cls)
+        surface._build(n_vertices, edges, face_cycles, theta)
+        return surface
+
+    def _build(self, n_vertices, edges, face_cycles, theta):
         self.n_vertices = int(n_vertices)
-        self.edges = [(int(u), int(v)) for u, v in edges]
+        self.edges = edges
         self.n_edges = len(self.edges)
         self.n_darts = 2 * self.n_edges
-        self.face_cycles = [list(map(int, c)) for c in face_cycles]
+        self.face_cycles = face_cycles
         self.theta = None if theta is None else np.asarray(theta, dtype=float)
 
-        self.dart_tail = np.array(self.edges, dtype=int).reshape(self.n_darts)
+        self.dart_tail = np.fromiter(chain.from_iterable(self.edges),
+                                     dtype=int, count=self.n_darts)
         outside = (self.dart_tail < 0) | (self.dart_tail >= self.n_vertices)
         if outside.any():
             raise SurfaceFormatError(
                 "edge %d endpoint out of range 0..%d"
                 % (np.argmax(outside) // 2, self.n_vertices - 1))
-        tail = self.dart_tail.tolist()
-        fnext, face = [-1] * self.n_darts, [-1] * self.n_darts
-        for f, cyc in enumerate(self.face_cycles):
-            if not cyc:
-                raise SurfaceFormatError("empty face cycle")
-            for d in cyc:
-                if not 0 <= d < self.n_darts:
-                    raise _DartOutOfRange(d, f)
-            for d, dn in zip(cyc, cyc[1:] + cyc[:1]):
-                if fnext[d] != -1:
-                    raise SurfaceFormatError("dart %d used twice" % d)
-                if tail[d ^ 1] != tail[dn]:
-                    raise SurfaceFormatError(
-                        "face cycle not head-to-tail at dart %d" % d)
-                fnext[d] = dn
-                face[d] = f
-        if -1 in fnext:
+        darts, succ, face = self._check_faces()
+        self.fnext = np.full(self.n_darts, -1)
+        self.fnext[darts] = darts[succ]
+        missing = np.flatnonzero(self.fnext < 0)
+        if missing.size:
             raise SurfaceFormatError(
-                "dart %d missing from faces" % fnext.index(-1))
-        self.fnext = np.array(fnext, dtype=int)
-        self.dart_face = np.array(face, dtype=int)
+                "dart %d missing from faces" % missing[0])
+        self.dart_face = np.empty(self.n_darts, dtype=int)
+        self.dart_face[darts] = face
         self.fprev = np.empty(self.n_darts, dtype=int)
         self.fprev[self.fnext] = np.arange(self.n_darts)
         #: the vertex stars: vertex v's darts, in rotation order from its
@@ -153,27 +165,88 @@ class CellSurface:
         if self.theta is not None and len(self.theta) != self.n_edges:
             raise SurfaceFormatError("theta length != edge count")
 
+    def _check_faces(self):
+        """(darts, succ, face) of the face cycles laid end to end: the
+        darts, the position of each one's successor in its cycle, and its
+        face.  Raises the fault a walk over the cycles, face by face, would
+        meet first: an empty face; a dart out of range anywhere in the face;
+        then dart by dart, a dart met before, and a successor whose tail is
+        not the dart's head."""
+        n_faces = len(self.face_cycles)
+        sizes = np.fromiter(map(len, self.face_cycles), dtype=int,
+                            count=n_faces)
+        flat = list(chain.from_iterable(self.face_cycles))
+        if flat and (min(flat) < 0 or max(flat) >= self.n_darts):
+            # out of range, however large, becomes -1
+            flat_in = [d if 0 <= d < self.n_darts else -1 for d in flat]
+        else:
+            flat_in = flat
+        darts = np.array(flat_in, dtype=int)
+        face = np.repeat(np.arange(n_faces), sizes)
+        ends = np.cumsum(sizes)[sizes > 0]
+        succ = np.arange(1, len(darts) + 1)
+        succ[ends - 1] = ends - sizes[sizes > 0]
+        faults = []  # (face, step, position, error); the least is met first
+        empty = np.flatnonzero(sizes == 0)
+        if empty.size:
+            faults.append((empty[0], 0, 0,
+                           SurfaceFormatError("empty face cycle")))
+        outside = np.flatnonzero(darts < 0)
+        if outside.size:
+            p = outside[0]
+            faults.append((face[p], 1, 0,
+                           _DartOutOfRange(flat[p], int(face[p]))))
+        inside = np.flatnonzero(darts >= 0)
+        if np.bincount(darts[inside], minlength=self.n_darts).max(
+                initial=0) > 1:
+            order = inside[np.argsort(darts[inside], kind="stable")]
+            p = order[1:][darts[order[1:]] == darts[order[:-1]]].min()
+            faults.append((face[p], 2, 2 * p, SurfaceFormatError(
+                "dart %d used twice" % flat[p])))
+        inside = inside[darts[succ[inside]] >= 0]
+        turn = inside[self.dart_tail[darts[inside] ^ 1]
+                      != self.dart_tail[darts[succ[inside]]]]
+        if turn.size:
+            p = turn[0]
+            faults.append((face[p], 2, 2 * p + 1, SurfaceFormatError(
+                "face cycle not head-to-tail at dart %d" % flat[p])))
+        if faults:
+            raise min(faults, key=lambda fault: fault[:3])[3]
+        return darts, succ, face
+
     def _walk_stars(self):
-        """(star, star_start), walking each vertex's rotation from its lowest
-        dart; rejects a vertex whose darts are not one rotation cycle.  The
-        walk closes: vnext = fnext o twin keeps the tail (faces are
-        head-to-tail) and is a permutation (each dart lies in one face
-        cycle)."""
-        degree = np.bincount(self.dart_tail, minlength=self.n_vertices)
+        """(star, star_start): each vertex's rotation from its lowest dart,
+        by pointer jumping; rejects the first vertex, in vertex order, that
+        has no darts or whose darts are not one rotation cycle.  vnext =
+        fnext o twin keeps the tail (faces are head-to-tail) and is a
+        permutation (each dart lies in one face cycle), so the rotation from
+        a vertex's lowest dart d0 closes, at the dart whose successor is d0.
+        Pointer jumping halves, per step, the distance of every dart of that
+        cycle to this last dart; the darts of any other cycle at the vertex
+        never reach it."""
+        tail = self.dart_tail
+        degree = np.bincount(tail, minlength=self.n_vertices)
         first = np.full(self.n_vertices, self.n_darts)
-        np.minimum.at(first, self.dart_tail, np.arange(self.n_darts))
-        vnext = self.rotation_next.tolist()
-        star, start = [], [0]
-        for v, (d0, deg) in enumerate(zip(first.tolist(), degree.tolist())):
-            if not deg:
-                raise SurfaceFormatError("vertex %d has no darts" % v)
-            star.append(d0)
-            while vnext[star[-1]] != d0:
-                star.append(vnext[star[-1]])
-            if len(star) - start[-1] != deg:
-                raise SurfaceFormatError("vertex %d has a disconnected star" % v)
-            start.append(len(star))
-        return np.array(star, dtype=int), np.array(start, dtype=int)
+        np.minimum.at(first, tail, np.arange(self.n_darts))
+        last = self.rotation_next == first[tail]
+        nxt = np.where(last, np.arange(self.n_darts), self.rotation_next)
+        to_last = (~last).astype(int)
+        reach = 1
+        while reach < degree.max(initial=0) - 1:
+            to_last += to_last[nxt]
+            nxt = nxt[nxt]
+            reach *= 2
+        faults = np.concatenate([np.flatnonzero(degree == 0),
+                                 tail[~last[nxt]]])
+        if faults.size:
+            v = faults.min()
+            raise SurfaceFormatError(
+                "vertex %d has no darts" % v if degree[v] == 0
+                else "vertex %d has a disconnected star" % v)
+        start = np.concatenate([[0], np.cumsum(degree)])
+        star = np.empty(self.n_darts, dtype=int)
+        star[start[tail + 1] - 1 - to_last] = np.arange(self.n_darts)
+        return star, start
 
     def _check_connected(self):
         """Rejects a complex that is empty or has more than one component."""
@@ -353,86 +426,192 @@ def serialize_surf(surface):
     return "\n".join(lines) + "\n"
 
 
-def _record(lines, token, what, ln):
-    """Record id ``token`` read on line ``ln``; rejects a repeated id."""
+#: the record kinds of surf v1, with the geom records of poly v1
+_KINDS = ("v", "e", "f", "theta", "geom")
+#: a comment: from "#" to the end of its line, as str.splitlines ends lines
+_COMMENT = re.compile("#[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*")
+_DART_SIGN = {"+": 0, "-": 1}
+
+
+def _group_records(text):
+    """{kind: (line numbers, field counts, fields end to end)} of the
+    records of ``text``, each kind in line order.  A comment becomes a
+    blank, so the lines stay where ``str.splitlines`` puts them.  Each
+    line's field list is dropped once read: the parse leaves no object per
+    line for the garbage collector to scan.  Raises KeyError on a record of
+    no known kind."""
+    groups = {kind: ([], [], []) for kind in _KINDS}
+    rows = map(str.split, _COMMENT.sub(" ", text).splitlines())
+    for ln, parts in enumerate(rows, start=1):
+        if parts:
+            lines, counts, fields = groups[parts[0]]
+            lines.append(ln)
+            counts.append(len(parts))
+            fields += parts
+    return groups
+
+
+def _columns(group, n_fields):
+    """The fields of a group of records that must have ``n_fields`` each,
+    column by column."""
+    _, counts, fields = group
+    if set(counts) - {n_fields}:
+        raise ValueError("wrong field count")
+    return [fields[i::n_fields] for i in range(n_fields)]
+
+
+def _pieces(items, sizes, skip=0):
+    """``items`` cut into consecutive lists of the given sizes, each but its
+    first ``skip`` items, lazily."""
+    ends = list(accumulate(sizes))
+    starts = [end - size + skip for end, size in zip(ends, sizes)]
+    return map(items.__getitem__, map(slice, starts, ends))
+
+
+def _ids(tokens, what):
+    """The ids of one kind's records, which must differ."""
+    ids = list(map(int, tokens))
+    if len(set(ids)) != len(ids):
+        raise ValueError("duplicate %s" % what)
+    return ids
+
+
+def _surf_columns(groups):
+    """The fields of every surf v1 record kind, converted one kind at a
+    time: (vertex ids, edge ids, edge tails, edge heads, face ids, face
+    cycles, theta ids, theta values), each in line order, the face cycles
+    as a one-pass iterator.  Raises ValueError (or KeyError) if some record
+    fails its own checks."""
+    _, vertex_ids = _columns(groups["v"], 2)
+    _, edge_ids, tails, heads = _columns(groups["e"], 4)
+    _, counts, fields = groups["f"]
+    if min(counts, default=3) < 3:
+        raise ValueError("empty face")
+    darts = [2 * int(tok[:-1]) + _DART_SIGN[tok[-1]]
+             for tok in chain.from_iterable(_pieces(fields, counts, 2))]
+    _, theta_ids, theta = _columns(groups["theta"], 3)
+    theta = list(map(float, theta))
+    if not all(map(math.isfinite, theta)):
+        raise ValueError("non-finite theta")
+    return (_ids(vertex_ids, "vertex"), _ids(edge_ids, "edge"),
+            list(map(int, tails)), list(map(int, heads)),
+            _ids(map(itemgetter(0), _pieces(fields, counts, 1)), "face"),
+            _pieces(darts, [n - 2 for n in counts]),
+            _ids(theta_ids, "theta"), theta)
+
+
+def _record(seen, token, what):
+    """Record id ``token``; rejects an id in the set ``seen`` of its kind."""
     key = int(token)
-    if key in lines:
+    if key in seen:
         raise ValueError("duplicate %s %d" % (what, key))
-    lines[key] = ln
-    return key
+    seen.add(key)
 
 
-def _check_ids(lines, count, message):
-    """Record ids must be exactly 0..count-1; an error names the line of the
-    first record whose id lies outside that range, when there is one."""
-    if sorted(lines) != list(range(count)):
-        outside = [ln for key, ln in lines.items() if not 0 <= key < count]
+def _first_record_fault(text):
+    """Raises the first fault of a single surf v1 record of ``text``, in
+    line order, with its line: the checks of each record, one record at a
+    time, for when the columns of :func:`parse_surf` fail."""
+    seen = {"vertex": set(), "edge": set(), "face": set(), "theta": set()}
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
+            continue
+        try:
+            if parts[0] == "v" and len(parts) == 2:
+                _record(seen["vertex"], parts[1], "vertex")
+            elif parts[0] == "e" and len(parts) == 4:
+                _record(seen["edge"], parts[1], "edge")
+                int(parts[2]), int(parts[3])
+            elif parts[0] == "f":
+                for tok in parts[2:]:
+                    if tok[-1] not in "+-":
+                        raise ValueError("dart token %r" % tok)
+                    int(tok[:-1])
+                if len(parts) < 3:
+                    raise ValueError("empty face")
+                _record(seen["face"], parts[1], "face")
+            elif parts[0] == "theta" and len(parts) == 3:
+                if not math.isfinite(float(parts[2])):
+                    raise ValueError("non-finite theta %r" % parts[2])
+                _record(seen["theta"], parts[1], "theta")
+            elif parts[0] != "geom":
+                raise ValueError("unrecognized record %r" % parts[0])
+        except ValueError as exc:
+            raise SurfaceFormatError(str(exc), line=ln) from exc
+    raise ValueError("surf v1 columns rejected records that pass one by one")
+
+
+def _check_ids(ids, lines, count, message):
+    """The distinct record ``ids`` must be exactly 0..count-1; an error
+    names the line of the first record whose id lies outside that range,
+    when there is one."""
+    if len(ids) != count or (ids and (min(ids) < 0 or max(ids) >= count)):
+        outside = [ln for key, ln in zip(ids, lines) if not 0 <= key < count]
         raise SurfaceFormatError(message, line=min(outside, default=None))
+
+
+def _in_id_order(ids, values):
+    """The list of ``values`` sorted by their record ids."""
+    if ids == list(range(len(ids))):
+        return list(values)
+    return [value for _, value in sorted(zip(ids, values), key=itemgetter(0))]
 
 
 def parse_surf(text, geom_records=None):
     """Parse "surf v1"; raises SurfaceFormatError with a line number.
 
+    The lines are split once and grouped by record kind, and each kind's
+    fields are converted in one pass with Python's ``int`` and ``float``.
+    If some record fails, :func:`_first_record_fault` walks the records
+    one by one to report the first fault in line order.  The checks across
+    records follow: ids, edge ends, theta cover, then the surface's own.
     The ``geom`` records of the poly v1 extension are skipped, or, when a
-    list ``geom_records`` is given, appended to it as (line number, fields)
-    for :func:`endlab.polysurf.parse_poly` to check.
+    list ``geom_records`` is given, their line numbers, field counts and
+    fields end to end are appended to it for
+    :func:`endlab.polysurf.parse_poly` to check.
     """
-    vertex_lines = {}
-    edges, edge_lines = {}, {}
-    faces, face_lines = {}, {}
-    thetas, theta_lines = {}, {}
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        try:
-            if parts[0] == "v" and len(parts) == 2:
-                _record(vertex_lines, parts[1], "vertex", ln)
-            elif parts[0] == "e" and len(parts) == 4:
-                e = _record(edge_lines, parts[1], "edge", ln)
-                edges[e] = (int(parts[2]), int(parts[3]))
-            elif parts[0] == "f":
-                cyc = []
-                for tok in parts[2:]:
-                    if tok[-1] not in "+-":
-                        raise ValueError("dart token %r" % tok)
-                    cyc.append(2 * int(tok[:-1]) + (0 if tok[-1] == "+" else 1))
-                if not cyc:
-                    raise ValueError("empty face")
-                faces[_record(face_lines, parts[1], "face", ln)] = cyc
-            elif parts[0] == "theta" and len(parts) == 3:
-                value = float(parts[2])
-                if not math.isfinite(value):
-                    raise ValueError("non-finite theta %r" % parts[2])
-                thetas[_record(theta_lines, parts[1], "theta", ln)] = value
-            elif parts[0] == "geom":
-                if geom_records is not None:
-                    geom_records.append((ln, parts))
-            else:
-                raise ValueError("unrecognized record %r" % parts[0])
-        except ValueError as exc:
-            raise SurfaceFormatError(str(exc), line=ln) from exc
-    n_vertices = len(vertex_lines)
+    try:
+        groups = _group_records(text)
+        (vertex_ids, edge_ids, tails, heads, face_ids, cycles, theta_ids,
+         theta) = _surf_columns(groups)
+    except (ValueError, KeyError):
+        _first_record_fault(text)
+    if geom_records is not None:
+        geom_records.extend(groups["geom"])
+    # only line numbers are read from here on; dropping the fields before
+    # the surface is built keeps the parse's peak memory that of a
+    # line-by-line reader
+    lines = {kind: group[0] for kind, group in groups.items()}
+    del groups
+    n_vertices = len(vertex_ids)
     if not n_vertices:
         raise SurfaceFormatError("no vertices")
-    _check_ids(vertex_lines, n_vertices, "vertex ids must be 0..n-1")
-    for e, ends in edges.items():
-        if not all(0 <= u < n_vertices for u in ends):
-            raise SurfaceFormatError("edge %d endpoint out of range 0..%d"
-                                     % (e, n_vertices - 1),
-                                     line=edge_lines[e])
-    _check_ids(edge_lines, len(edges), "edge ids must be 0..m-1")
-    _check_ids(face_lines, len(faces), "face ids must be 0..k-1")
-    theta = None
-    if thetas:
-        _check_ids(theta_lines, len(edges), "theta must cover all edges")
-        theta = [thetas[e] for e in range(len(edges))]
+    _check_ids(vertex_ids, lines["v"], n_vertices,
+               "vertex ids must be 0..n-1")
+    ends = tails + heads
+    if ends and (min(ends) < 0 or max(ends) >= n_vertices):
+        i = next(i for i, uv in enumerate(zip(tails, heads))
+                 if not all(0 <= u < n_vertices for u in uv))
+        raise SurfaceFormatError("edge %d endpoint out of range 0..%d"
+                                 % (edge_ids[i], n_vertices - 1),
+                                 line=lines["e"][i])
+    n_edges = len(edge_ids)
+    _check_ids(edge_ids, lines["e"], n_edges, "edge ids must be 0..m-1")
+    _check_ids(face_ids, lines["f"], len(face_ids), "face ids must be 0..k-1")
+    if theta_ids:
+        _check_ids(theta_ids, lines["theta"], n_edges,
+                   "theta must cover all edges")
+        theta = _in_id_order(theta_ids, theta)
+    else:
+        theta = None
     try:
-        return CellSurface(n_vertices, [edges[e] for e in range(len(edges))],
-                           [faces[f] for f in range(len(faces))], theta)
+        return CellSurface._of_ints(
+            n_vertices, _in_id_order(edge_ids, zip(tails, heads)),
+            _in_id_order(face_ids, cycles), theta)
     except _DartOutOfRange as exc:
-        raise SurfaceFormatError(str(exc), line=face_lines[exc.face]) from None
+        line = lines["f"][face_ids.index(exc.face)]
+        raise SurfaceFormatError(str(exc), line=line) from None
 
 
 # ---------------------------------------------------------------------------

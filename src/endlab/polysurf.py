@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mink
-from .cellsurf import (CellSurface, SurfaceFormatError, _check_ids, _record,
+from .cellsurf import (CellSurface, SurfaceFormatError, _check_ids, _columns,
+                       _ids, _in_id_order, _pieces, _record,
                        dual_cell_surface, parse_surf, serialize_surf, twin)
 from .decor import BACKWARD, FORWARD, Decoration
 from .mink import GeometryError, mdot
@@ -512,21 +513,74 @@ def serialize_poly(ps):
     return text + "\n".join(lines) + "\n"
 
 
-def parse_poly(text):
-    records = []
-    surface = parse_surf(text, records)
-    geoms, geom_lines = {}, {}
-    for ln, parts in records:
+def _normalized(kinds, vecs):
+    """The vectors VertexGeom keeps for the rows of ``vecs`` (n x 4) of
+    kinds ``kinds``, all at once and bit for bit: <v, v> is mink.mdot's sum
+    in its order, each row is divided by the correctly rounded square root
+    as one vector is, and the null test of an ideal row takes its Euclidean
+    norm from ``np.vecdot``, which runs the same dot per row as the
+    ``np.dot`` of mink.classify.  Raises ValueError if VertexGeom would
+    reject a row."""
+    q = mdot(vecs, vecs)
+    timelike, null, spacelike = (kinds == k for k in (COMPACT, IDEAL, HYPER))
+    e2 = np.vecdot(vecs[null], vecs[null])
+    if (np.any(q[timelike] >= 0) or np.any(q[spacelike] <= 0)
+            or not np.all((np.abs(q[null]) <= mink.TAU_NULL * e2)
+                          & (vecs[null, 3] > 0) & (e2 != 0))):
+        raise ValueError("vertex vector of the wrong causal type")
+    out = vecs.copy()
+    out[timelike] /= np.sqrt(-q[timelike])[:, None]
+    out[timelike & (out[:, 3] < 0)] *= -1
+    out[spacelike] /= np.sqrt(q[spacelike])[:, None]
+    return out
+
+
+def _geom(kind, vec):
+    """A VertexGeom of a vector that its kind's normalisation gave."""
+    geom = object.__new__(VertexGeom)
+    object.__setattr__(geom, "kind", kind)
+    object.__setattr__(geom, "vec", vec)
+    return geom
+
+
+def _first_geom_fault(lines, records):
+    """Raises the first fault of a single geom record, in line order, with
+    its line: the checks of each record, one record at a time, for when the
+    columns of :func:`parse_poly` fail."""
+    seen = set()
+    for ln, parts in zip(lines, records):
         if len(parts) != 7 or parts[2] not in (COMPACT, IDEAL, HYPER):
             raise SurfaceFormatError("bad geom record", line=ln)
         try:
             vec = np.array([float(x) for x in parts[3:7]])
             if not np.all(np.isfinite(vec)):
                 raise ValueError("non-finite geom coordinate")
-            v = _record(geom_lines, parts[1], "geom", ln)
-            geoms[v] = VertexGeom(parts[2], vec)
+            _record(seen, parts[1], "geom")
+            VertexGeom(parts[2], vec)
         except (ValueError, PolyBuildError) as exc:
             raise SurfaceFormatError(str(exc), line=ln) from exc
-    _check_ids(geom_lines, surface.n_vertices,
+    raise ValueError("geom columns rejected records that pass one by one")
+
+
+def parse_poly(text):
+    """Parse "poly v1": the surface as :func:`parse_surf` reads it, then the
+    geom records, converted and normalised in one pass over all vertices
+    (one by one only to report the first fault, in line order)."""
+    group = []
+    surface = parse_surf(text, group)
+    lines, counts, fields = group
+    try:
+        _, ids, kinds, *coords = _columns(group, 7)
+        if not set(kinds) <= {COMPACT, IDEAL, HYPER}:
+            raise ValueError("unknown vertex kind")
+        vecs = np.array([list(map(float, c)) for c in coords]).T.copy()
+        if not np.all(np.isfinite(vecs)):
+            raise ValueError("non-finite geom coordinate")
+        ids = _ids(ids, "geom")
+        vecs = _normalized(np.array(kinds, dtype=str), vecs)
+    except ValueError:
+        _first_geom_fault(lines, _pieces(fields, counts))
+    _check_ids(ids, lines, surface.n_vertices,
                "geom records must cover all vertices")
-    return PolySurface(surface, [geoms[v] for v in range(surface.n_vertices)])
+    return PolySurface(surface, list(map(
+        _geom, _in_id_order(ids, kinds), _in_id_order(ids, vecs))))

@@ -2,6 +2,8 @@ import functools
 import itertools
 import math
 import operator
+import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -242,6 +244,340 @@ def test_malformed_surf_rejected(text, message):
 def test_empty_complex_rejected():
     with pytest.raises(SurfaceFormatError, match="no vertices"):
         CellSurface(0, [], [])
+
+
+# ---------------------------------------------------------------------------
+# the columnar parser against the per-line parser it replaced
+
+
+class ParentFaceLoop(CellSurface):
+    """CellSurface whose constructor checks the face cycles with the
+    per-dart loop it had before the array checks, kept as their oracle.
+    Verbatim, bar the class line."""
+
+    def __init__(self, n_vertices, edges, face_cycles, theta=None):
+        self.n_vertices = int(n_vertices)
+        self.edges = [(int(u), int(v)) for u, v in edges]
+        self.n_edges = len(self.edges)
+        self.n_darts = 2 * self.n_edges
+        self.face_cycles = [list(map(int, c)) for c in face_cycles]
+        self.theta = None if theta is None else np.asarray(theta, dtype=float)
+
+        self.dart_tail = np.array(self.edges, dtype=int).reshape(self.n_darts)
+        outside = (self.dart_tail < 0) | (self.dart_tail >= self.n_vertices)
+        if outside.any():
+            raise SurfaceFormatError(
+                "edge %d endpoint out of range 0..%d"
+                % (np.argmax(outside) // 2, self.n_vertices - 1))
+        tail = self.dart_tail.tolist()
+        fnext, face = [-1] * self.n_darts, [-1] * self.n_darts
+        for f, cyc in enumerate(self.face_cycles):
+            if not cyc:
+                raise SurfaceFormatError("empty face cycle")
+            for d in cyc:
+                if not 0 <= d < self.n_darts:
+                    raise cellsurf._DartOutOfRange(d, f)
+            for d, dn in zip(cyc, cyc[1:] + cyc[:1]):
+                if fnext[d] != -1:
+                    raise SurfaceFormatError("dart %d used twice" % d)
+                if tail[d ^ 1] != tail[dn]:
+                    raise SurfaceFormatError(
+                        "face cycle not head-to-tail at dart %d" % d)
+                fnext[d] = dn
+                face[d] = f
+        if -1 in fnext:
+            raise SurfaceFormatError(
+                "dart %d missing from faces" % fnext.index(-1))
+        self.fnext = np.array(fnext, dtype=int)
+        self.dart_face = np.array(face, dtype=int)
+        self.fprev = np.empty(self.n_darts, dtype=int)
+        self.fprev[self.fnext] = np.arange(self.n_darts)
+        #: the vertex stars: vertex v's darts, in rotation order from its
+        #: lowest dart, are star[star_start[v]:star_start[v + 1]]
+        self.star, self.star_start = self._walk_stars()
+        self._check_connected()
+        if self.theta is not None and len(self.theta) != self.n_edges:
+            raise SurfaceFormatError("theta length != edge count")
+
+
+def parent_record(lines, token, what, ln):
+    """Record id ``token`` read on line ``ln``; rejects a repeated id."""
+    key = int(token)
+    if key in lines:
+        raise ValueError("duplicate %s %d" % (what, key))
+    lines[key] = ln
+    return key
+
+
+def parent_check_ids(lines, count, message):
+    """Record ids must be exactly 0..count-1; an error names the line of the
+    first record whose id lies outside that range, when there is one."""
+    if sorted(lines) != list(range(count)):
+        outside = [ln for key, ln in lines.items() if not 0 <= key < count]
+        raise SurfaceFormatError(message, line=min(outside, default=None))
+
+
+def parent_parse_surf(text, geom_records=None):
+    """The per-line parser that the columnar one replaced, kept as its
+    oracle.  Verbatim, bar the helper and class names."""
+    vertex_lines = {}
+    edges, edge_lines = {}, {}
+    faces, face_lines = {}, {}
+    thetas, theta_lines = {}, {}
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        try:
+            if parts[0] == "v" and len(parts) == 2:
+                parent_record(vertex_lines, parts[1], "vertex", ln)
+            elif parts[0] == "e" and len(parts) == 4:
+                e = parent_record(edge_lines, parts[1], "edge", ln)
+                edges[e] = (int(parts[2]), int(parts[3]))
+            elif parts[0] == "f":
+                cyc = []
+                for tok in parts[2:]:
+                    if tok[-1] not in "+-":
+                        raise ValueError("dart token %r" % tok)
+                    cyc.append(2 * int(tok[:-1]) + (0 if tok[-1] == "+" else 1))
+                if not cyc:
+                    raise ValueError("empty face")
+                faces[parent_record(face_lines, parts[1], "face", ln)] = cyc
+            elif parts[0] == "theta" and len(parts) == 3:
+                value = float(parts[2])
+                if not math.isfinite(value):
+                    raise ValueError("non-finite theta %r" % parts[2])
+                thetas[parent_record(theta_lines, parts[1], "theta", ln)] = value
+            elif parts[0] == "geom":
+                if geom_records is not None:
+                    geom_records.append((ln, parts))
+            else:
+                raise ValueError("unrecognized record %r" % parts[0])
+        except ValueError as exc:
+            raise SurfaceFormatError(str(exc), line=ln) from exc
+    n_vertices = len(vertex_lines)
+    if not n_vertices:
+        raise SurfaceFormatError("no vertices")
+    parent_check_ids(vertex_lines, n_vertices, "vertex ids must be 0..n-1")
+    for e, ends in edges.items():
+        if not all(0 <= u < n_vertices for u in ends):
+            raise SurfaceFormatError("edge %d endpoint out of range 0..%d"
+                                     % (e, n_vertices - 1),
+                                     line=edge_lines[e])
+    parent_check_ids(edge_lines, len(edges), "edge ids must be 0..m-1")
+    parent_check_ids(face_lines, len(faces), "face ids must be 0..k-1")
+    theta = None
+    if thetas:
+        parent_check_ids(theta_lines, len(edges), "theta must cover all edges")
+        theta = [thetas[e] for e in range(len(edges))]
+    try:
+        return ParentFaceLoop(n_vertices,
+                              [edges[e] for e in range(len(edges))],
+                              [faces[f] for f in range(len(faces))], theta)
+    except cellsurf._DartOutOfRange as exc:
+        raise SurfaceFormatError(str(exc), line=face_lines[exc.face]) from None
+
+
+SURF_CORPUS = {
+    "packaged-genus2": lambda: genus2_surface_file().read_text(),
+    **{path.name: path.read_text
+       for path in sorted(INPUTS.iterdir()) if path.suffix == ".surf"},
+    "octahedron-poly": (INPUTS / "octahedron.poly").read_text,
+    "pattern-tetrahedron": lambda: serialize_surf(
+        thurston_pattern(tetrahedron_surface())),
+    "pattern-octahedron": lambda: serialize_surf(thurston_pattern(
+        octahedron_surface().with_theta(np.full(12, math.pi / 2)))),
+    "pattern-genus2": lambda: serialize_surf(
+        thurston_pattern(genus2_complex().surface)),
+}
+
+
+def _records_by_kind(lines):
+    out = {}
+    for i, ln in enumerate(lines):
+        parts = ln.split("#", 1)[0].split()
+        if parts:
+            out.setdefault(parts[0], []).append(i)
+    return out
+
+
+def _mutate(lines, rng):
+    """``lines`` of a surf v1 text with one seeded fault put in (or, when
+    the fault picked has no record to go in, unchanged)."""
+    lines = list(lines)
+    records = _records_by_kind(lines)
+    count = {kind: len(ix) for kind, ix in records.items()}
+    n_v, n_e = count.get("v", 0), count.get("e", 0)
+    huge = 10 ** 20
+    how = rng.choice(["drop-field", "add-field", "duplicate", "drop-record",
+                      "sign", "theta", "endpoint", "dart", "id",
+                      "empty-face", "swap-darts", "reuse-dart", "unknown"])
+    kind = {"sign": "f", "theta": "theta", "endpoint": "e", "dart": "f",
+            "empty-face": "f", "swap-darts": "f",
+            "reuse-dart": "f"}.get(how) or rng.choice(sorted(records))
+    if kind not in records:
+        return lines
+    i = rng.choice(records[kind])
+    parts = lines[i].split("#", 1)[0].split()
+    darts = list(range(2, len(parts))) if kind == "f" else []
+    if how == "drop-field":
+        del parts[rng.randrange(len(parts))]
+    elif how == "add-field":
+        parts.insert(rng.randrange(1, len(parts) + 1),
+                     rng.choice(["7", "x", "1+", "nan", "0"]))
+    elif how == "duplicate":
+        lines.insert(rng.randrange(len(lines) + 1), lines[i])
+        return lines
+    elif how == "drop-record":
+        return lines[:i] + lines[i + 1:]
+    elif how == "sign" and darts:
+        j = rng.choice(darts)
+        parts[j] = parts[j][:-1] + rng.choice("*x0")
+    elif how == "theta":
+        parts[-1] = rng.choice(["nan", "inf", "-inf", "1e999", "-nan"])
+    elif how == "endpoint":
+        parts[rng.choice([2, 3])] = str(rng.choice([n_v, n_v + 5, -1, huge]))
+    elif how == "dart" and darts:
+        parts[rng.choice(darts)] = "%d%s" % (
+            rng.choice([n_e, n_e + 3, -1, huge]), rng.choice("+-"))
+    elif how == "id":
+        parts[1] = str(rng.choice([count[kind], count[kind] + 2, -1, huge]))
+    elif how == "empty-face":
+        parts = parts[:rng.choice([1, 2])]
+    elif how == "swap-darts" and len(darts) > 1:
+        a, b = rng.sample(darts, 2)
+        parts[a], parts[b] = parts[b], parts[a]
+    elif how == "reuse-dart" and darts:
+        other = lines[rng.choice(records["f"])].split()[2:]
+        if other:
+            parts[rng.choice(darts)] = rng.choice(other)
+    elif how == "unknown":
+        parts[0] = rng.choice(["x", "vv", "E"])
+    lines[i] = " ".join(parts)
+    return lines
+
+
+def _outcome(parse, text):
+    """The serialized surface, or the (type, message) of what was raised."""
+    try:
+        return serialize_surf(parse(text))
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("name", SURF_CORPUS)
+def test_parse_surf_matches_per_line_parser_on_mutations(name):
+    # one fault, or two in one file: the same surface or the same first
+    # error (type, message and line) as the per-line parser
+    lines = SURF_CORPUS[name]().splitlines()
+    rng = random.Random(name)
+    errors = set()
+    for trial in range(120):
+        mutated = _mutate(lines, rng)
+        if trial % 3 == 2:
+            mutated = _mutate(mutated, rng)
+        text = "\n".join(mutated) + "\n"
+        expected = _outcome(parent_parse_surf, text)
+        assert _outcome(parse_surf, text) == expected, text
+        if isinstance(expected, tuple):
+            assert expected[0] in {"SurfaceFormatError", "_DartOutOfRange"}
+            errors.add(re.sub(r"'.*'|-?\d+", "N", expected[1]))
+    # the corpus reaches the record, id and face-cycle checks alike
+    assert len(errors) >= 12, sorted(errors)
+
+
+def _mutate_cycles(cycles, n_darts, rng):
+    """Face cycles with one or two seeded faults."""
+    cycles = [list(c) for c in cycles]
+    for _ in range(rng.choice([1, 2])):
+        f = rng.randrange(len(cycles))
+        cyc = cycles[f]
+        how = rng.choice(["empty", "out", "huge", "swap", "reuse", "drop",
+                          "move"])
+        if how == "empty":
+            cyc.clear()
+        elif how == "out" and cyc:
+            cyc[rng.randrange(len(cyc))] = rng.choice([-1, n_darts,
+                                                       n_darts + 1])
+        elif how == "huge" and cyc:
+            cyc[rng.randrange(len(cyc))] = rng.choice([2 ** 64, -2 ** 70])
+        elif how == "swap" and len(cyc) > 1:
+            a, b = rng.sample(range(len(cyc)), 2)
+            cyc[a], cyc[b] = cyc[b], cyc[a]
+        elif how == "reuse" and cyc:
+            cyc[rng.randrange(len(cyc))] = rng.randrange(n_darts)
+        elif how == "drop" and cyc:
+            del cyc[rng.randrange(len(cyc))]
+        elif how == "move" and cyc:
+            cycles[rng.randrange(len(cycles))].append(
+                cyc.pop(rng.randrange(len(cyc))))
+    return cycles
+
+
+@pytest.mark.parametrize("name", STAR_SURFACES)
+def test_face_checks_match_per_dart_loop(name):
+    # the array checks meet the first fault in face order, as the loop did
+    s = STAR_SURFACES[name]()
+    rng = random.Random(name)
+
+    def build(cls, cycles):
+        try:
+            t = cls(s.n_vertices, s.edges, cycles)
+            return t.fnext.tolist(), t.dart_face.tolist(), t.star.tolist()
+        except Exception as exc:
+            return type(exc).__name__, str(exc), getattr(exc, "face", None)
+
+    assert build(CellSurface, s.face_cycles) == build(ParentFaceLoop,
+                                                      s.face_cycles)
+    for _ in range(150):
+        cycles = _mutate_cycles(s.face_cycles, s.n_darts, rng)
+        assert build(CellSurface, cycles) == build(ParentFaceLoop, cycles)
+
+
+def _scrambled(text, rng):
+    """surf/poly text with its records shuffled, comments, tabs and blank
+    lines put in, and the header dropped."""
+    records = [ln for ln in text.splitlines() if not ln.startswith("#")]
+    rng.shuffle(records)
+    out = []
+    for ln in records:
+        ln = rng.choice(["\t", "  ", ""]) + ln.replace(" ", rng.choice(
+            [" ", "\t", " \t "]))
+        if rng.random() < 0.3:
+            ln += rng.choice(["  # note", "#x", "\t# v 9 # nested"])
+        out.append(ln)
+        if rng.random() < 0.2:
+            out.append(rng.choice(["", "   ", "# a comment", "\t"]))
+    return "\r\n".join(out) + "\n"
+
+
+@pytest.mark.parametrize("name", SURF_CORPUS)
+def test_surf_records_in_any_order_with_comments(name):
+    text = SURF_CORPUS[name]()
+    canonical = serialize_surf(parse_surf(text))
+    rng = random.Random(name)
+    for _ in range(5):
+        assert serialize_surf(parse_surf(_scrambled(text, rng))) == canonical
+
+
+def test_comment_keeps_line_numbers():
+    # a comment between a carriage return and a line feed ends no line
+    text = "v 0\r# note\nv 0\n"
+    with pytest.raises(SurfaceFormatError, match="^line 3: duplicate vertex 0$"):
+        parse_surf(text)
+
+
+def test_columns_that_fail_without_a_record_fault_are_internal(monkeypatch):
+    # the record-by-record walk must find what the columns rejected; if it
+    # finds nothing, the fault is endlab's (a ValueError, exit 3)
+    def reject(groups):
+        raise ValueError("rejected")
+
+    monkeypatch.setattr(cellsurf, "_surf_columns", reject)
+    with pytest.raises(ValueError) as err:
+        parse_surf(SPHERE)
+    assert not isinstance(err.value, SurfaceFormatError)
 
 
 # ---------------------------------------------------------------------------

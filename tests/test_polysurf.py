@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -434,8 +435,11 @@ def test_poly_parse_geom_error():
 
 def _two_pass_parse_poly(text):
     """parse_poly as it was when it split the text a second time after
-    parse_surf.  Verbatim."""
-    from endlab.cellsurf import _check_ids, _record, parse_surf
+    parse_surf, over the per-line surf parser.  Verbatim, bar the names of
+    the per-line parser and its helpers."""
+    from test_cellsurf import (parent_check_ids as _check_ids,
+                               parent_parse_surf as parse_surf,
+                               parent_record as _record)
     from endlab.polysurf import COMPACT, HYPER, IDEAL
     surface = parse_surf(text)
     geoms, geom_lines = {}, {}
@@ -467,21 +471,54 @@ def _poly_variants(text):
     geoms = [i for i, ln in enumerate(lines) if ln.startswith("geom ")]
     first, last = geoms[0], geoms[-1]
     fields = lines[first].split()
+    other = {"compact": "hyper", "hyper": "ideal", "ideal": "compact"}
 
-    def swap(i, new):
-        return lines[:i] + [new] + lines[i + 1:]
+    def swap(i, new, at=None):
+        return (at or lines)[:i] + [new] + (at or lines)[i + 1:]
+
+    def vector(kind, *coords, i=first):
+        return " ".join(lines[i].split()[:2] + [kind, *coords])
 
     yield lines
     yield swap(first, " ".join(fields[:2] + ["weird"] + fields[3:]))
     yield swap(first, " ".join(fields[:6]))
     yield swap(first, " ".join(fields[:3] + ["nan"] + fields[4:]))
+    yield swap(first, " ".join(fields[:5] + ["inf"] + fields[6:]))
+    yield swap(first, " ".join(fields[:4] + ["-1e999"] + fields[5:]))
     yield swap(first, " ".join(fields[:3] + ["x"] + fields[4:]))
     yield swap(first, " ".join(["geom", "99"] + fields[2:]))
+    yield swap(first, " ".join(["geom", "-1"] + fields[2:]))
+    yield swap(first, " ".join(["geom", "100000000000000000000"] + fields[2:]))
     yield swap(first, " ".join(["geom", "a"] + fields[2:]))
     yield swap(first, " ".join(fields[:3] + ["5"] + fields[4:]))
     yield swap(first, lines[first] + "  # a comment")
     yield swap(first, "geom")
+    # vectors of the wrong causal type for their tag
+    yield swap(first, vector("ideal", "0", "0", "0", "1"))     # timelike
+    yield swap(first, vector("ideal", "0", "0", "1", "-1"))    # past null
+    yield swap(first, vector("ideal", "0", "0", "0", "0"))     # zero
+    yield swap(first, vector("ideal", "1", "0", "0", "0"))     # spacelike
+    yield swap(first, vector("compact", "0", "0", "1", "1"))   # null
+    yield swap(first, vector("compact", "1", "0", "0", "0"))   # spacelike
+    yield swap(first, vector("hyper", "0", "0", "0", "2"))     # timelike
+    yield swap(first, vector("hyper", "0", "0", "1", "1"))     # null
+    # valid vectors needing normalisation: scaled, on the past sheet
+    yield swap(first, vector(fields[2], *("%r" % (3.5 * float(x))
+                                         for x in fields[3:])))
+    yield swap(first, vector(fields[2], *("%r" % (-float(x))
+                                         for x in fields[3:])))
+    # mixed kinds: a valid vector of another kind
+    yield swap(first, vector(other[fields[2]], *{
+        "compact": ("0", "0", "0.5", "2"), "hyper": ("0", "2", "0", "1"),
+        "ideal": ("0.6", "0", "0.8", "1")}[other[fields[2]]]))
+    # a fault in the last record beats an id out of range in the first,
+    # and the first of two faulty records wins
+    yield swap(last, vector("compact", "1", "0", "0", "0", i=last),
+               at=swap(first, " ".join(["geom", "99"] + fields[2:])))
+    yield swap(last, "geom", at=swap(first, vector("hyper", "0", "0", "0",
+                                                   "2")))
     yield lines[:last] + lines[last + 1:]
+    yield [ln for ln in lines if not ln.startswith("geom ")]
     yield lines + [lines[last]]
     yield [lines[first]] + lines[:first] + lines[first + 1:]
     # a bad geom record before a bad surf record: the surf error wins
@@ -489,10 +526,27 @@ def _poly_variants(text):
     yield swap(0, "e 0 0") + swap(first, "geom")[1:]
 
 
-@pytest.mark.parametrize("fixture", [fixtures.ideal_octahedron,
-                                     fixtures.compact_tetrahedron,
-                                     fixtures.hyperideal_tetrahedron])
-def test_parse_poly_reads_like_two_passes(fixture):
+def _spiral_hull(kind):
+    """serialize_poly text of a 120-vertex spiral hull of the benchmark."""
+    spiral = spiral_module()
+    return spiral.serialize(kind, spiral.build(
+        kind, 120, np.random.default_rng(11)))
+
+
+POLY_TEXTS = {
+    "ideal_octahedron": lambda: serialize_poly(fixtures.ideal_octahedron()),
+    "compact_tetrahedron": lambda: serialize_poly(
+        fixtures.compact_tetrahedron()),
+    "hyperideal_tetrahedron": lambda: serialize_poly(
+        fixtures.hyperideal_tetrahedron()),
+    "compact_hull_120": lambda: _spiral_hull("compact"),
+    "ideal_hull_120": lambda: _spiral_hull("ideal"),
+    "hyper_hull_120": lambda: _spiral_hull("hyper"),
+}
+
+
+@pytest.mark.parametrize("name", POLY_TEXTS)
+def test_parse_poly_reads_like_two_passes(name):
     # one pass over the text: the same surfaces, and the same first error
     # with the same message and line
     def outcome(parse, text):
@@ -501,10 +555,54 @@ def test_parse_poly_reads_like_two_passes(fixture):
         except (SurfaceFormatError, PolyBuildError) as exc:
             return "%s: %s" % (type(exc).__name__, exc)
 
-    for lines in _poly_variants(serialize_poly(fixture())):
+    for lines in _poly_variants(POLY_TEXTS[name]()):
         text = "\n".join(lines) + "\n"
         assert outcome(parse_poly, text) == outcome(_two_pass_parse_poly,
                                                     text)
+
+
+def _scaled_geoms(text, rng):
+    """poly text with each geom vector scaled by a factor in 1/4..4, of
+    random sign on compact vertices (whose normalisation takes the upper
+    sheet)."""
+    out = []
+    for ln in text.splitlines():
+        parts = ln.split()
+        if parts[:1] == ["geom"]:
+            scale = math.exp(rng.uniform(-1.4, 1.4))
+            if parts[2] == "compact":
+                scale *= rng.choice([-1, 1])
+            parts[3:] = ["%.17g" % (scale * float(x)) for x in parts[3:]]
+            ln = " ".join(parts)
+        out.append(ln)
+    return "\n".join(out) + "\n"
+
+
+@pytest.mark.parametrize("scaled", [False, True], ids=["as_written",
+                                                       "rescaled"])
+@pytest.mark.parametrize("name", POLY_TEXTS)
+def test_poly_vectors_normalised_as_one_vertex_at_a_time(name, scaled):
+    # the one-pass normalisation gives VertexGeom's vector, bit for bit
+    text = POLY_TEXTS[name]()
+    if scaled:
+        text = _scaled_geoms(text, np.random.default_rng(5))
+    ps = parse_poly(text)
+    raw = {int(p[1]): (p[2], np.array([float(x) for x in p[3:]]))
+           for p in map(str.split, text.splitlines()) if p[:1] == ["geom"]}
+    one_by_one = np.array([VertexGeom(*raw[v]).vec
+                           for v in range(ps.base.n_vertices)])
+    assert ps.vectors.tobytes() == one_by_one.tobytes()
+    assert [g.kind for g in ps.geoms] == [raw[v][0] for v in sorted(raw)]
+
+
+@pytest.mark.parametrize("name", POLY_TEXTS)
+def test_poly_records_in_any_order_with_comments(name):
+    from test_cellsurf import _scrambled
+    text = POLY_TEXTS[name]()
+    canonical = serialize_poly(parse_poly(text))
+    rng = random.Random(name)
+    for _ in range(3):
+        assert serialize_poly(parse_poly(_scrambled(text, rng))) == canonical
 
 
 def test_surf_with_geom_records_parses():
