@@ -15,6 +15,7 @@ sentinels so reruns stay stable.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -394,41 +395,44 @@ def build_parser():
                     help="also search cycles with repeated vertices")
     sp.add_argument("--fixture-labels", action="store_true",
                     help="attach the packaged genus-2 octagon labels")
-    sp.set_defaults(func=cmd_check_admissible)
 
     sp = sub.add_parser("rigidity", help="operator spectra and kernels")
     common(sp)
     sp.add_argument("--tol-rank", type=_rank_cut, default=rigidity.TAU_RANK)
-    sp.set_defaults(func=cmd_rigidity)
 
     sp = sub.add_parser("render", help="SVG of the Gauss-map circle pattern")
     common(sp)
-    sp.set_defaults(func=cmd_render)
 
     sp = sub.add_parser("pak-search", help="sample decorations for tightness")
     common(sp)
     sp.add_argument("--samples", type=_int_at_least(0), default=1000)
     sp.add_argument("--structured", action="store_true")
-    sp.set_defaults(func=cmd_pak_search)
 
     sp = sub.add_parser("schlafli", help="finite-difference volume checks")
     common(sp, files=0)
-    sp.set_defaults(func=cmd_schlafli)
 
     sp = sub.add_parser("crossratio", help="vertex conditions and holonomy")
     common(sp)
-    sp.set_defaults(func=cmd_crossratio)
     return p
 
 
+@functools.cache
+def _parser():
+    """The :func:`build_parser` parser, built on the first call in a process
+    and reused by every later :func:`main`: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    # the handler is looked up at each call, so a cached parser reaches a
+    # cmd_* function rebound since (a wrapper, a monkeypatch) or restored
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except INPUT_ERRORS as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_USAGE

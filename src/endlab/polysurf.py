@@ -163,6 +163,46 @@ def _complement_frames(vecs):
     return basis[:, 1:], norms[:, 1:].astype(int)
 
 
+def _horosphere_charts(vectors):
+    """The :func:`horosphere_chart` rows (ea, eb, m) of every ideal vector
+    in ``vectors`` (V, 4), as an array (V, 3, 4).
+
+    The seed axes e_0..e_2 are taken least-aligned first (a stable sort of
+    |u_i|, whose projections off u cancel least), each projected off the
+    spatial part of u and the axes already kept, and skipped where the norm
+    of what is left is under 1e-10 or undefined, until two axes are kept.
+    A finite u fails only when its spatial part squares to zero; any other
+    leaves norms of at least 1/sqrt(2) on the first two seeds.  Every
+    vertex runs through the same float operations in the same order as it
+    would alone (``vecdot`` for each dot product, the 1-D ``@`` kernel, and
+    sqrt(<w, w>) for the norm); only the vertices still short of two axes
+    take each seed.
+    """
+    n = len(vectors)
+    spatial = vectors[:, :3]
+    out = np.zeros((n, 3, 4))
+    out[:, 2, :3] = -spatial
+    out[:, 2, 3] = vectors[:, 3]
+    out[:, 2] /= (vectors[:, 3] * vectors[:, 3])[:, None]
+    seeds = np.eye(3)[np.argsort(np.abs(spatial), axis=1, kind="stable")]
+    count = np.zeros(n, dtype=int)
+    for s in range(3):
+        act = np.flatnonzero(count < 2)
+        sp, seed = spatial[act], seeds[act, s]
+        w = seed - (np.vecdot(seed, sp) / np.vecdot(sp, sp))[:, None] * sp
+        a = out[act, 0, :3]  # the one axis kept so far, if any
+        w = np.where((count[act] > 0)[:, None],
+                     w - np.vecdot(w, a)[:, None] * a, w)
+        nrm = np.sqrt(np.vecdot(w, w))
+        ok = nrm >= 1e-10  # false for nan: a vector with no spatial part
+        act, w, nrm = act[ok], w[ok], nrm[ok]
+        out[act, count[act], :3] = w / nrm[:, None]
+        count[act] += 1
+    if np.any(count < 2):
+        raise PolyBuildError("degenerate horosphere chart")
+    return out
+
+
 def horosphere_chart(u):
     """Flat chart data of the horosphere with vector u.
 
@@ -170,27 +210,11 @@ def horosphere_chart(u):
     and the opposite null vector m with <u, m> = -2.  The horosphere
     {<p, u> = -1} is the image of the plane under
     p(xi) = ((1 + |xi|^2)/2) u + m/2 + xi_1 ea + xi_2 eb, and a point p on
-    it has chart coordinates xi = (<p, ea>, <p, eb>).
+    it has chart coordinates xi = (<p, ea>, <p, eb>).  The axes are those
+    of :func:`_horosphere_charts`.
     """
-    u = np.asarray(u, dtype=float)
-    m_raw = np.array([-u[0], -u[1], -u[2], u[3]])
-    m = m_raw / (u[3] * u[3])
-    spatial = u[:3]
-    axes = []
-    # least-aligned seed axes first: their projections off u cancel least
-    for seed in np.eye(3)[np.argsort(np.abs(spatial), kind="stable")]:
-        w = seed - (seed @ spatial) / (spatial @ spatial) * spatial
-        for a in axes:
-            w = w - (w @ a[:3]) * a[:3]
-        nrm = np.linalg.norm(w)
-        if nrm < 1e-10:
-            continue
-        axes.append(np.array([w[0], w[1], w[2], 0.0]) / nrm)
-        if len(axes) == 2:
-            break
-    if len(axes) != 2:
-        raise PolyBuildError("degenerate horosphere chart")
-    return axes[0], axes[1], m
+    ea, eb, m = _horosphere_charts(np.asarray(u, dtype=float)[None])[0]
+    return ea, eb, m
 
 
 def ideal_link_point(u_v, u_w):
@@ -388,7 +412,7 @@ class PolySurface:
         if self._links is not None:
             return self._links
         if self.kind == IDEAL:
-            frames = np.array([horosphere_chart(u) for u in self.vectors])
+            frames = _horosphere_charts(self.vectors)
             signs = np.ones((self.tri.n_vertices, 2), dtype=int)
         else:
             frames, signs = _complement_frames(self.vectors)

@@ -108,8 +108,9 @@ row-space part L^T (L L^T)^-1 L X of its columns X.  On the spectrum route
 it comes from one ``np.linalg.solve`` with the Gram matrix, exactly.  On
 the certificate route, (L L^T - s I)^-1 >= (L L^T)^-1 in the Loewner
 order (Horn & Johnson 7.7), so ||C_s^-1 L X||_F for the certificate's own
-factor C_s C_s^T = L L^T - s I, one block forward substitution, is a
-certified upper bound, at most (1 - s / lambda_min)^-1/2 times the exact
+factor C_s C_s^T = L L^T - s I, one block forward substitution by the
+inverses of its diagonal blocks, formed once with them, is a certified
+upper bound, at most (1 - s / lambda_min)^-1/2 times the exact
 residual (lambda_min the least eigenvalue of L L^T).  Any other kernel comes
 from the right singular vectors of a full SVD.  The decorations of all
 kernel vectors share one deformation pass; on ideal surfaces that is one
@@ -229,7 +230,8 @@ its ``gram`` is the non-zeros of the dense product L L^T, likewise.
     succeeds, the rank is the row count under any tolerance below
     CERTIFIED_FLOOR, no singular value is computed, no dense array of the
     operator's or the Gram's size is formed, and :meth:`row_space_residual`
-    solves with that factor.  Otherwise the singular values are computed,
+    multiplies by that factor's blocks: it holds C_k and C_k^-1 for each
+    level, so the certificate route runs products, no solve.  Otherwise the singular values are computed,
     as the square roots of the eigenvalues of the dense Gram matrix of the
     smaller side (``eigvalsh``, no vectors), in descending order.  When
     the smallest of them is under GRAM_MIN_SIGMA times the largest, they
@@ -414,20 +416,44 @@ def level_partition(gram):
     return levels
 
 
+#: rows at and below which :func:`_lower_inverse` inverts a block directly
+INVERSE_LEAF = 32
+
+
+def _lower_inverse(c):
+    """The inverse of a lower triangular matrix c, by halves (Higham,
+    Accuracy and Stability of Numerical Algorithms, 14.2.2): for
+    c = [[a, 0], [b, d]], c^-1 = [[a^-1, 0], [-d^-1 b a^-1, d^-1]], each
+    half inverted the same way down to blocks of INVERSE_LEAF rows, which
+    ``np.linalg.inv`` inverts; their upper triangles, zero but for
+    rounding, are cleared."""
+    n = len(c)
+    if n <= INVERSE_LEAF:
+        return np.tril(np.linalg.inv(c))
+    h = n // 2
+    a, d = _lower_inverse(c[:h, :h]), _lower_inverse(c[h:, h:])
+    out = np.zeros_like(c)
+    out[:h, :h] = a
+    out[h:, h:] = d
+    out[h:, :h] = -(d @ (c[h:, :h] @ a))
+    return out
+
+
 def block_cholesky(gram, levels, shift):
     """Block Cholesky factor of gram - shift I, block tridiagonal over
     ``levels`` (:func:`level_partition` of the same non-zero
-    :class:`Entries`, one entry per position).
+    :class:`Entries`, one entry per position; Golub & Van Loan 4.2).
 
-    Per level k it holds (rows, C_k, W_k): C_k lower triangular and W_k the
-    coupling to level k-1 (None for the first level), with W_k C_{k-1}^T =
-    B_k and C_k C_k^T = D_k - shift I - W_k W_k^T for the diagonal block D_k
-    and the block B_k left of it.  Only these two blocks of each level are
-    scattered from the entries; each level costs one small solve and one
-    small Cholesky, and no matrix as large as gram is formed.  Raises
-    LinAlgError when a pivot block is not positive definite, which happens
-    exactly when gram - shift I is not (Sylvester's law of inertia), up to
-    rounding of order n eps ||gram||.
+    Per level k it holds (rows, C_k, C_k^-1, W_k): C_k lower triangular,
+    its inverse (:func:`_lower_inverse`, formed once), and W_k the coupling
+    to level k-1 (None for the first level), with W_k = B_k C_{k-1}^-T and
+    C_k C_k^T = D_k - shift I - W_k W_k^T for the diagonal block D_k and the
+    block B_k left of it.  Only these two blocks of each level are
+    scattered from the entries; each level costs products, one small
+    Cholesky and one blocked triangular inverse, no solve, and no matrix as
+    large as gram is formed.  Raises LinAlgError when a pivot block is not
+    positive definite, which happens exactly when gram - shift I is not
+    (Sylvester's law of inertia), up to rounding of order n eps ||gram||.
     """
     level = np.empty(gram.shape[0], dtype=np.intp)
     pos = np.empty(gram.shape[0], dtype=np.intp)
@@ -454,22 +480,23 @@ def block_cholesky(gram, levels, shift):
         d[np.diag_indices_from(d)] -= shift
         w = None
         if k:
-            prev, c_prev, _ = factor[-1]
-            w = np.linalg.solve(c_prev, scatter(2 * k - 1, prev, rows)).T
+            prev, _, c_inv_prev, _ = factor[-1]
+            w = scatter(2 * k - 1, prev, rows).T @ c_inv_prev.T
             d -= w @ w.T
-        factor.append((rows, np.linalg.cholesky(d), w))
+        c = np.linalg.cholesky(d)
+        factor.append((rows, c, _lower_inverse(c), w))
     return factor
 
 
 def block_forward(factor, b):
     """C^-1 b, C the block lower bidiagonal :func:`block_cholesky` factor
     of gram (gram = C C^T over the rows in level order), by one block
-    forward substitution; its rows are in level order.  Its squared
-    Frobenius norm is trace(b^T gram^-1 b)."""
+    forward substitution, z_k = C_k^-1 (b_k - W_k z_{k-1}), with the
+    factor's own inverses: products only.  Its rows are in level order,
+    and its squared Frobenius norm is trace(b^T gram^-1 b)."""
     z = []
-    for rows, c, w in factor:
-        z.append(np.linalg.solve(c, b[rows] if w is None
-                                 else b[rows] - w @ z[-1]))
+    for rows, _, c_inv, w in factor:
+        z.append(c_inv @ (b[rows] if w is None else b[rows] - w @ z[-1]))
     return np.concatenate(z)
 
 

@@ -3,7 +3,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from endlab import cellsurf, fixtures
+from endlab import cellsurf, cli, fixtures
 from endlab.cli import main
 from scripts_path import GOLDEN, INPUTS, RUNS  # see conftest
 
@@ -27,6 +27,44 @@ def test_rerun_byte_identical(tmp_path):
     _, a = run_to_bytes(tmp_path, argv, "a.txt")
     _, b = run_to_bytes(tmp_path, argv, "b.txt")
     assert a == b
+
+
+def test_one_parser_serves_every_call(tmp_path, monkeypatch, capsys):
+    # main builds its parser once per process and looks the handler up at
+    # each call: every golden run, twice, around a usage error and an
+    # input error, reads its golden, and a rebound cmd_* is what runs
+    built = []
+    build = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    handled = []
+    handler = cli.cmd_rigidity
+
+    def watched(args):
+        handled.append(args.files[0])
+        return handler(args)
+
+    def golden_round(runs):
+        for name, expect_code, argv in runs:
+            assert run_to_bytes(tmp_path, argv, name) == (
+                expect_code, (GOLDEN / name).read_bytes())
+
+    missing = str(tmp_path / "missing.poly")
+    golden_round(RUNS)
+    assert main(["rigidity", "--tol-rank", "nan",
+                 str(INPUTS / "octahedron.poly")]) == 2
+    monkeypatch.setattr(cli, "cmd_rigidity", watched)
+    assert main(["rigidity", missing]) == 2
+    golden_round(RUNS[::-1])
+    assert len(built) == 1
+    assert handled == [missing] + [argv[-1] for _, _, argv in RUNS[::-1]
+                                   if argv[0] == "rigidity"]
+    err = capsys.readouterr().err
+    assert "argument --tol-rank" in err and "error: [Errno" in err
 
 
 def test_exit_codes_usage_errors(tmp_path, capsys):

@@ -644,6 +644,31 @@ def _gram_schmidt_frame(v):
     return np.array(rows), np.array(signs)
 
 
+def _horosphere_chart_loop(u):
+    """horosphere_chart as a loop over the seed axes of one vector, before
+    the charts of all vertices became one array pass, kept verbatim as its
+    oracle."""
+    u = np.asarray(u, dtype=float)
+    m_raw = np.array([-u[0], -u[1], -u[2], u[3]])
+    m = m_raw / (u[3] * u[3])
+    spatial = u[:3]
+    axes = []
+    # least-aligned seed axes first: their projections off u cancel least
+    for seed in np.eye(3)[np.argsort(np.abs(spatial), kind="stable")]:
+        w = seed - (seed @ spatial) / (spatial @ spatial) * spatial
+        for a in axes:
+            w = w - (w @ a[:3]) * a[:3]
+        nrm = np.linalg.norm(w)
+        if nrm < 1e-10:
+            continue
+        axes.append(np.array([w[0], w[1], w[2], 0.0]) / nrm)
+        if len(axes) == 2:
+            break
+    if len(axes) != 2:
+        raise PolyBuildError("degenerate horosphere chart")
+    return axes[0], axes[1], m
+
+
 def _check_convexity_loop(self):
     """PolySurface._check_convexity as one loop over the edges (``self`` a
     built PolySurface); returns the diagnostics it would set."""
@@ -722,12 +747,15 @@ for _kind in ("compact", "hyper"):
                          ids=ORACLE_SURFACES.keys())
 def test_frames_and_convexity_match_scalar_loops(make):
     ps = make()
+    links = ps.links()
     if ps.kind != "ideal":
-        links = ps.links()
         rows, signs = zip(*(_gram_schmidt_frame(v) for v in ps.vectors))
         assert np.array_equal(links.frames, np.array(rows))
         assert np.array_equal(links.signs, np.array(signs))
         assert links.signs.dtype == np.array(signs).dtype
+    else:
+        assert np.array_equal(links.frames, np.array(
+            [_horosphere_chart_loop(u) for u in ps.vectors]))
     expect = _check_convexity_loop(ps)
     assert ps.diagnostics.keys() >= expect.keys()
     assert np.array_equal(ps.diagnostics["convexity_margins"],
@@ -747,6 +775,32 @@ def test_frames_and_convexity_match_scalar_loops(make):
         ps._check_convexity()
         assert ps.diagnostics["flat_edges"] == expect["flat_edges"]
 
+
+
+@pytest.mark.parametrize("n", [8, 32, 128])
+def test_horosphere_charts_match_the_loop_on_moved_hulls(n):
+    # wherever the isometry moves the ideal vertices, bit for bit
+    for seed in range(30):
+        ps = spiral_module().build("ideal", n,
+                                   np.random.default_rng([seed, n]))
+        assert np.array_equal(
+            polysurf._horosphere_charts(ps.vectors),
+            np.array([_horosphere_chart_loop(u) for u in ps.vectors]))
+
+
+def test_horosphere_chart_of_no_spatial_part_is_degenerate():
+    # no seed has a projection off a zero spatial part (0 / 0), so no
+    # axis is kept, in the array pass as for one vector
+    ideal = fixtures.ideal_octahedron().vectors
+    with np.errstate(invalid="ignore"):
+        for vectors in (np.array([[0.0, 0.0, 0.0, 1.0]]),
+                        np.vstack([ideal, [0.0, 0.0, 0.0, 1.0]])):
+            with pytest.raises(PolyBuildError,
+                               match="degenerate horosphere chart"):
+                polysurf._horosphere_charts(vectors)
+        with pytest.raises(PolyBuildError,
+                           match="degenerate horosphere chart"):
+            polysurf.horosphere_chart([0.0, 0.0, 0.0, 1.0])
 
 
 def parent_face_normals(ps):

@@ -824,6 +824,9 @@ def test_block_solve_matches_dense_solve(make):
     nonzero = rigidity.Entries.from_dense(g)
     factor = rigidity.block_cholesky(nonzero,
                                      rigidity.level_partition(nonzero), 0.0)
+    # each level's inverse, which the substitution multiplies by
+    for _, c, c_inv, _ in factor:
+        assert np.linalg.norm(c_inv @ c - np.eye(len(c))) <= 1e-12
     rng = np.random.default_rng(8)
     for b in (rng.normal(size=(len(g), 3)), rng.normal(size=len(g))):
         z = rigidity.block_forward(factor, b)
@@ -1073,7 +1076,7 @@ def test_link_gram_entries_feed_the_parent_blocks(make):
         assert np.array_equal(got, want)
     assert rigidity._gershgorin_bound(op.gram) == parent_gershgorin_bound(
         dense)
-    for (rows, c, w), (_, c_ref, w_ref) in zip(
+    for (rows, c, _, w), (_, c_ref, _, w_ref) in zip(
             rigidity.block_cholesky(op.gram, levels, 0.0),
             rigidity.block_cholesky(rigidity.Entries.from_dense(dense),
                                     levels, 0.0), strict=True):
@@ -1153,18 +1156,27 @@ def test_verdict_peak_memory_below_one_dense_gram():
 
 @pytest.mark.parametrize("kind", ["compact", "hyper"])
 def test_certified_verdict_factors_the_gram_once(monkeypatch, kind):
-    # the shifted factor that certifies the rank also gives the residual
+    # the shifted factor that certifies the rank also gives the residual,
+    # by products with its inverted blocks: nothing is solved
     shifts = []
     factor = rigidity.block_cholesky
+    solves = collections.Counter()
+    solve = np.linalg.solve
 
     def counted(gram, levels, shift):
         shifts.append(shift)
         return factor(gram, levels, shift)
+
+    def counted_solve(*args, **kwargs):
+        solves["solve"] += 1
+        return solve(*args, **kwargs)
     monkeypatch.setattr(rigidity, "block_cholesky", counted)
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
     v = projective_rigidity_verdict(_spiral(kind, 128))
     assert v.spectrum is None and v.residual_dim == 0
     assert v.trivial_match_residual <= 1e-12
     assert len(shifts) == 1 and shifts[0] > 0
+    assert solves == {}
 
 
 BOUND_CASES = {
