@@ -400,6 +400,22 @@ def _condition_jacobian(cr, edges, mask):
     return jac
 
 
+def _newton_step(jac, r):
+    """Minimum-norm least-squares solution of the complex system jac @ delta
+    = r, with the residual and the step stacked as real vectors (real parts,
+    then imaginary parts).
+
+    The real block form [[Re J, -Im J], [Im J, Re J]] of the same system has
+    J's singular values, each taken twice, so both have one minimum-norm
+    solution; the cut eps * 2 * max(J.shape) is the block form's default,
+    so the rank decision is the block form's too.
+    """
+    half = len(r) // 2
+    delta, *_ = np.linalg.lstsq(jac, r[:half] + 1j * r[half:],
+                                rcond=np.finfo(float).eps * 2 * max(jac.shape))
+    return np.concatenate([delta.real, delta.imag])
+
+
 def solve_vertex_conditions(surface, seed=0, spread=0.08, max_iter=200):
     """Damped Gauss-Newton solve of the vertex conditions from a seeded
     start near the symmetric point cr = i (a solution when every vertex
@@ -409,13 +425,15 @@ def solve_vertex_conditions(surface, seed=0, spread=0.08, max_iter=200):
     spreads reach solutions with hyperbolic holonomy.  Each step solves the
     least-squares system of the exact Jacobian (both conditions are
     holomorphic in the cross-ratios, so it is the closed-form complex
-    Jacobian in real block form) and halves the step up to 40 times until
-    the residual norm drops; a trial point whose residual is not finite, or
-    has an entry no smaller than the current norm, is rejected before its
-    norm is taken.  The stopping rule is unchanged from the finite-difference
-    solver: the iteration stops once every residual is below 1e-12, or after
-    ``max_iter`` steps, and converged means below 1e-10.  Non-convergence is
-    reported in the result, never retried silently.
+    2V x E Jacobian) and halves the step up to 40 times until the residual
+    norm drops; a trial point whose residual is not finite, or has an entry
+    no smaller than the current norm, is rejected before its norm is taken.
+    The stopping rule is unchanged from the finite-difference solver: the
+    iteration stops once every residual is below 1e-12, after ``max_iter``
+    steps, or when a line search fails, and converged means below 1e-10.
+    ``iterations`` counts the Newton steps, one Jacobian each (a step whose
+    line search fails included).  Non-convergence is reported in the result,
+    never retried silently.
     """
     rng = np.random.default_rng(seed)
     ne = surface.n_edges
@@ -430,12 +448,10 @@ def solve_vertex_conditions(surface, seed=0, spread=0.08, max_iter=200):
     x = np.concatenate([cr.real, cr.imag])
     r = real_residual(x)
     it = 0
-    for it in range(1, max_iter + 1):
-        if np.linalg.norm(r, np.inf) < 1e-12:
-            break
-        j = _condition_jacobian(x[:ne] + 1j * x[ne:], edges, mask)
-        jac = np.block([[j.real, -j.imag], [j.imag, j.real]])
-        step, *_ = np.linalg.lstsq(jac, r, rcond=None)
+    while it < max_iter and np.linalg.norm(r, np.inf) >= 1e-12:
+        it += 1
+        step = _newton_step(
+            _condition_jacobian(x[:ne] + 1j * x[ne:], edges, mask), r)
         lam = 1.0
         norm_r = np.linalg.norm(r)
         for _ in range(40):

@@ -31,13 +31,15 @@ outside coverage, identities held) for many decorations at once, as array
 operations over an (n x E) state array whose per-vertex totals are
 reductions over the surface's stored vertex stars.  The component counts
 depend on a decoration only through its kept faces, so they are taken once
-per distinct kept-face pattern of the array, not once per row.
+per distinct kept-face pattern of the surface, not once per row: a table
+per surface keeps each pattern's results across calls.
 :func:`is_tight` and :func:`pak_report` stay the per-decoration path and
 its test oracle.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
@@ -473,22 +475,15 @@ def _component_counts(surface, st):
     )
 
 
-def batch_report(surface, states):
-    """Tightness and counting identities for each row of an (n x E) state
-    array, the array counterpart of :func:`is_tight` and :func:`pak_report`
-    (which stay the per-decoration path and the test oracle).
+#: per surface, packed kept-face pattern -> (outside, identities); a surface
+#: hashes by identity and its combinatorial arrays are frozen, so an entry
+#: never goes stale, and the table dies with its surface
+_PATTERNS = weakref.WeakKeyDictionary()
 
-    Tightness reads the full states and is taken per row.  The component
-    counts depend on the kept-face mask alone, so they are taken once per
-    distinct kept-face pattern of the array, on its first row, and the
-    per-row results are read back through the pattern of each row.
-    """
-    s = surface
-    if not s.is_quasi_simplicial():
-        raise DecorationError("component counting needs a triangulation")
-    st = _states_array(s, states, 2)
-    first, inverse = _distinct_rows(np.packbits(_kept_faces(s, st), axis=1))
-    nv, ne, nf, eb, nb = _component_counts(s, st[first])
+
+def _pattern_results(surface, st):
+    """(outside, identities) per state row, from its component counts."""
+    nv, ne, nf, eb, nb = _component_counts(surface, st)
     exists = nf > 0
     chi = nv - ne + nf
     g2 = 2 - nb - chi
@@ -497,9 +492,39 @@ def batch_report(surface, states):
     genus = g2 // 2
     holds = ((3 * nf == 2 * ne - eb) & (chi == 2 - 2 * genus - nb)
              & (2 * nv - eb == nf + (4 - 4 * genus - 2 * nb)))
+    return (np.sum(exists & (chi >= 0), axis=1),
+            np.all(holds | ~exists, axis=1))
+
+
+def batch_report(surface, states):
+    """Tightness and counting identities for each row of an (n x E) state
+    array, the array counterpart of :func:`is_tight` and :func:`pak_report`
+    (which stay the per-decoration path and the test oracle).
+
+    Tightness reads the full states and is taken per row.  The component
+    counts depend on the kept-face mask alone, so they are taken once per
+    distinct kept-face pattern of the surface: the surface's pattern table
+    keeps each pattern's results, the patterns of the array it does not
+    hold yet are counted on their first row, and the per-row results are
+    read back through the pattern of each row.
+    """
+    s = surface
+    if not s.is_quasi_simplicial():
+        raise DecorationError("component counting needs a triangulation")
+    st = _states_array(s, states, 2)
+    packed = np.packbits(_kept_faces(s, st), axis=1)
+    first, inverse = _distinct_rows(packed)
+    table = _PATTERNS.setdefault(s, {})
+    keys = [row.tobytes() for row in packed[first]]
+    new = [i for i, key in enumerate(keys) if key not in table]
+    if new:
+        outside, identities = _pattern_results(s, st[first[new]])
+        table.update(zip([keys[i] for i in new],
+                         zip(outside.tolist(), identities.tolist())))
+    results = np.array([table[key] for key in keys], dtype=int).reshape(-1, 2)
     return BatchReport(tight=_batch_tight(s, st),
-                       outside=np.sum(exists & (chi >= 0), axis=1)[inverse],
-                       identities=np.all(holds | ~exists, axis=1)[inverse])
+                       outside=results[inverse, 0],
+                       identities=results[inverse, 1] == 1)
 
 
 def orient_by_vertex_order(surface):

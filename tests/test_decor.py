@@ -1,15 +1,17 @@
+import gc
 import itertools
 import math
 import pathlib
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from endlab import decor, rigidity
+from endlab import cli, decor, rigidity
 from endlab.decor import (BACKWARD, FORWARD, UNORIENTED, Decoration,
                           DecorationError, corner_changes, is_tight, orient_by_vertex_order,
                           pak_report, parse_decoration, random_decoration,
@@ -286,9 +288,15 @@ def _sparse_states(surface, rng, n, p):
     return np.where(oriented, signs, UNORIENTED)
 
 
-@pytest.fixture(scope="module")
-def uniform_surf():
+def _fresh_uniform_surf():
     return parse_surf((INPUTS / "genus2_uniform.surf").read_text())
+
+
+@pytest.fixture
+def uniform_surf():
+    # one surface per test: a surface keeps its kept-face pattern table, so
+    # a shared one would let a test read results another test counted
+    return _fresh_uniform_surf()
 
 
 def test_batch_matches_scalar_random(uniform_surf):
@@ -464,7 +472,9 @@ def test_batch_report_commutes_with_row_selection(which, seed, p, n, data):
         st.permutations(range(n)),
         st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))))
     whole = decor.batch_report(surface, states)
-    picked = decor.batch_report(surface, states[idx])
+    # a second parse of the surface, whose pattern table is empty, so the
+    # selected array is counted again rather than read from the first call's
+    picked = decor.batch_report(COUNT_SURFACES[which](), states[idx])
     for name in ("tight", "outside", "identities"):
         assert np.array_equal(getattr(picked, name), getattr(whole, name)[idx])
 
@@ -490,6 +500,86 @@ def test_block_counted_once_per_kept_pattern(uniform_surf, monkeypatch):
     rep = decor.batch_report(uniform_surf, states)
     assert rows == [patterns]
     assert rep.identities.flags.writeable and len(rep.identities) == 500
+
+
+def test_second_report_counts_no_rows(uniform_surf, monkeypatch):
+    surface = uniform_surf
+    states = decor.random_states(surface, np.random.default_rng(11), 300)
+    first = decor.batch_report(surface, states)
+    rows = _spy_counts(monkeypatch)
+    again = decor.batch_report(surface, states)
+    assert rows == []
+    for name in ("tight", "outside", "identities"):
+        assert np.array_equal(getattr(again, name), getattr(first, name))
+        assert getattr(again, name).dtype == getattr(first, name).dtype
+
+
+def test_block_counts_only_its_new_patterns(uniform_surf, monkeypatch):
+    surface = uniform_surf
+    rng = np.random.default_rng(13)
+    seen = set()
+    rows = _spy_counts(monkeypatch)
+    for n in (200, 200, 1, 500):
+        states = decor.random_states(surface, rng, n)
+        patterns = {row.tobytes() for row in _kept(surface, states)}
+        new = len(patterns - seen)
+        rows.clear()
+        decor.batch_report(surface, states)
+        assert rows == ([new] if new else [])
+        seen |= patterns
+    assert 0 < new < 500
+
+
+def test_pattern_table_lets_its_surface_go(monkeypatch):
+    monkeypatch.setattr(decor, "_PATTERNS", weakref.WeakKeyDictionary())
+    surface = _fresh_uniform_surf()
+    decor.batch_report(
+        surface, decor.random_states(surface, np.random.default_rng(3), 50))
+    assert len(decor._PATTERNS) == 1 and len(decor._PATTERNS[surface]) > 1
+    del surface
+    gc.collect()
+    assert len(decor._PATTERNS) == 0
+
+
+def _parent_batch_report(surface, states):
+    """``batch_report`` before the surface's pattern table: the component
+    counts once per distinct kept-face pattern of each array.  Verbatim."""
+    s = surface
+    if not s.is_quasi_simplicial():
+        raise DecorationError("component counting needs a triangulation")
+    st = decor._states_array(s, states, 2)
+    first, inverse = decor._distinct_rows(
+        np.packbits(decor._kept_faces(s, st), axis=1))
+    nv, ne, nf, eb, nb = decor._component_counts(s, st[first])
+    exists = nf > 0
+    chi = nv - ne + nf
+    g2 = 2 - nb - chi
+    if np.any(exists & (g2 % 2 != 0)):
+        raise ValueError("component has inconsistent Euler data")
+    genus = g2 // 2
+    holds = ((3 * nf == 2 * ne - eb) & (chi == 2 - 2 * genus - nb)
+             & (2 * nv - eb == nf + (4 - 4 * genus - 2 * nb)))
+    return decor.BatchReport(
+        tight=decor._batch_tight(s, st),
+        outside=np.sum(exists & (chi >= 0), axis=1)[inverse],
+        identities=np.all(holds | ~exists, axis=1)[inverse])
+
+
+@pytest.mark.parametrize("structured", [False, True])
+@pytest.mark.parametrize("samples", [0, 1, 37, 500, 501, 2001])
+def test_pak_search_reports_match_per_block_loop(tmp_path, monkeypatch,
+                                                 samples, structured):
+    argv = ["pak-search", "--samples", str(samples),
+            str(INPUTS / "genus2_uniform.surf")]
+    argv += ["--structured"] if structured else []
+    for seed in (0, 1, 7, 99):
+        runs = []
+        for report in (_parent_batch_report, decor.batch_report):
+            monkeypatch.setattr(decor, "batch_report", report)
+            out = tmp_path / "out.txt"
+            code = cli.main(argv + ["--seed", str(seed), "--out", str(out)])
+            runs.append((code, out.read_bytes()))
+        assert runs[0] == runs[1] and runs[0][0] == 0, seed
 
 
 def _parent_decorations(surface, states):
