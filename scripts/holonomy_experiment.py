@@ -22,13 +22,16 @@ def main():
     ap.add_argument("--spreads", type=float, nargs="*",
                     default=[0.1, 0.5, 1.0])
     args = ap.parse_args()
-    g = fixtures.genus2_complex()
-    p1, p2 = g.class_positions(1)
-    loop = [2 * p1, 2 * p2 + 1]
+    surface = fixtures.genus2_surface()
+    # a handle loop: out along one cone edge from the octagon's center to a
+    # trisection vertex and back along the other (the vertex has two copies
+    # on the octagon's boundary)
+    e1, e2 = [e for e, uv in enumerate(surface.edges) if uv == (0, 1)]
+    loop = [2 * e1, 2 * e2 + 1]
     for seed in args.seeds:
         for spread in args.spreads:
             res = crossratio.solve_vertex_conditions(
-                g.surface, seed=seed, spread=spread)
+                surface, seed=seed, spread=spread)
             if not res.converged:
                 print("seed %d spread %.2f: no convergence "
                       "(residual %.2e after %d iterations)"

@@ -36,10 +36,9 @@ def build_inputs():
           polysurf.serialize_poly(fixtures.ideal_tetrahedron()))
     write(INPUTS / "tetrahedron_compact.poly",
           polysurf.serialize_poly(fixtures.compact_tetrahedron(1.0)))
-    g = fixtures.genus2_complex()
     write(INPUTS / "genus2_uniform.surf",
-          cellsurf.serialize_surf(
-              g.surface.with_theta(fixtures.genus2_theta_uniform())))
+          cellsurf.serialize_surf(fixtures.genus2_surface().with_theta(
+              fixtures.genus2_theta_uniform())))
 
 
 def build_outputs():

@@ -6,8 +6,9 @@ geometric polyhedral surfaces (polysurf), infinitesimal rigidity operators
 (rigidity), cross-ratio coordinates (crossratio), volume and variational
 checks (volume), and the ``endlab`` command line (cli).
 
-Imports sit at module level, except scipy's submodules and ``fixtures``
-(with surfgroup): imported where used, they stay off ``endlab.cli``'s path.
+Imports sit at module level, except scipy's submodules and ``fixtures``:
+imported where used, they stay off ``endlab.cli``'s path.  ``surfgroup`` is
+pure Python and on that path, through cellsurf.
 """
 
 __version__ = "0.1.0"

@@ -54,8 +54,9 @@ edge order; return-path sums are added left to right as well.  The
 builtin ``sum`` is not used for them: from Python 3.12 on it compensates
 float rounding, so a witness would carry other bits on other versions.
 Contractibility is decided per genus: trivially on spheres, by homology on
-tori, and through the surface-group machinery of :mod:`endlab.surfgroup`
-when the surface carries edge labels.
+tori, and from genus 2 on by Dehn's algorithm on the presentation that
+:mod:`endlab.surfgroup` reads off the surface's own cells (the dual
+surface's, for the hyperideal conditions).
 """
 
 from __future__ import annotations
@@ -68,6 +69,8 @@ from itertools import accumulate, chain
 from operator import itemgetter
 
 import numpy as np
+
+from .surfgroup import TreeCotreePresentation
 
 TAU_ANG = 1e-9
 DEFAULT_L_MAX = 12
@@ -91,10 +94,6 @@ class _DartOutOfRange(SurfaceFormatError):
     def __init__(self, dart, face):
         super().__init__("dart id %d out of range" % dart)
         self.face = face
-
-
-class MissingLabelError(ValueError):
-    """Raised when a contractibility decision needs absent edge labels."""
 
 
 def twin(d):
@@ -902,17 +901,17 @@ class ContractibilityOracle:
     """Decides contractibility of cycles for a fixed surface.
 
     genus 0: every cycle is contractible.  genus 1: null-homology over Q.
-    genus >= 2: requires a presentation with dart labels (see surfgroup);
-    raises MissingLabelError otherwise.
+    genus >= 2: Dehn's algorithm on the surface's tree-cotree presentation
+    (:class:`~endlab.surfgroup.TreeCotreePresentation`).
     """
 
-    def __init__(self, surface, presentation=None):
+    def __init__(self, surface):
         self.surface = surface
         self.genus = surface.genus()
-        self.presentation = presentation
-        self._boundary = None
         if self.genus == 1:
             self._boundary = face_boundary_matrix(surface)
+        elif self.genus >= 2:
+            self._presentation = TreeCotreePresentation(surface)
 
     def cycle_is_contractible(self, vseq, eseq):
         if self.genus == 0:
@@ -920,9 +919,7 @@ class ContractibilityOracle:
         darts = cycle_to_darts(self.surface, vseq, eseq)
         if self.genus == 1:
             return _homology_contractible(darts, self._boundary)
-        if self.presentation is None:
-            raise MissingLabelError("missing edge label")
-        return self.presentation.cycle_is_contractible(darts)
+        return self._presentation.cycle_is_contractible(darts)
 
 
 # ---------------------------------------------------------------------------
@@ -963,8 +960,7 @@ def _check_l_max(l_max):
         raise ValueError("l_max must be at least 1 (got %d)" % l_max)
 
 
-def validate_admissible(surface, l_max=DEFAULT_L_MAX, simple_cycles_only=True,
-                        presentation=None):
+def validate_admissible(surface, l_max=DEFAULT_L_MAX, simple_cycles_only=True):
     """Admissibility of (surface, theta): face sums 2*pi, short contractible
     non-facial cycles strictly above 2*pi.
     """
@@ -979,7 +975,7 @@ def validate_admissible(surface, l_max=DEFAULT_L_MAX, simple_cycles_only=True,
         report.violations.append(Witness(
             "face-sum", ("face", f), report.face_sums[f], 2.0 * math.pi))
 
-    oracle = ContractibilityOracle(surface, presentation)
+    oracle = ContractibilityOracle(surface)
     if simple_cycles_only:
         cycles = simple_cycles_upto(surface.n_vertices, surface.adjacency(),
                                     l_max)
@@ -1091,7 +1087,7 @@ def closed_trails_upto(n_vertices, adjacency, l_max, theta, budget):
     return out
 
 
-def validate_hyperideal(surface, l_max=DEFAULT_L_MAX, presentation=None):
+def validate_hyperideal(surface, l_max=DEFAULT_L_MAX):
     """Hyperideal angle conditions on the dual graph.
 
     (1) every closed contractible dual cycle has theta-sum > 2*pi;
@@ -1105,9 +1101,7 @@ def validate_hyperideal(surface, l_max=DEFAULT_L_MAX, presentation=None):
     th = surface.theta.tolist()  # Python floats: the searches add one per step
     dual_surface = dual_cell_surface(surface)
     dual_adj = dual_surface.adjacency()
-    oracle = ContractibilityOracle(
-        dual_surface,
-        None if presentation is None else presentation.dual_presentation())
+    oracle = ContractibilityOracle(dual_surface)
 
     # condition (1): contractible dual cycles
     _check_cycles(report, simple_cycles_upto(surface.n_faces, dual_adj, l_max),

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import FORMAT_VERSIONS, __version__
 from . import cellsurf, crossratio, decor, mink, polysurf, rigidity, volume
-from .cellsurf import MissingLabelError, SurfaceFormatError
+from .cellsurf import SurfaceFormatError
 from .decor import DecorationError
 from .mink import GeometryError
 from .polysurf import PolyBuildError, UnsupportedGeometry
@@ -32,9 +32,8 @@ from .svgout import render_circles
 EXIT_PASS, EXIT_VIOLATION, EXIT_USAGE, EXIT_INTERNAL = 0, 1, 2, 3
 
 #: the error classes that mean bad input or a command outside its scope
-INPUT_ERRORS = (SurfaceFormatError, MissingLabelError, PolyBuildError,
-                GeometryError, DecorationError, crossratio.CrossRatioError,
-                OSError)
+INPUT_ERRORS = (SurfaceFormatError, PolyBuildError, GeometryError,
+                DecorationError, crossratio.CrossRatioError, OSError)
 
 #: pak-search samples drawn and analyzed per array block
 PAK_BLOCK = 500
@@ -97,19 +96,9 @@ def _read(path):
 
 def cmd_check_admissible(args):
     surface = cellsurf.parse_surf(_read(args.files[0]))
-    presentation = None
-    if args.fixture_labels:
-        from .fixtures import genus2_complex
-        g = genus2_complex()
-        if cellsurf.serialize_surf(surface.with_theta(None)) != \
-                cellsurf.serialize_surf(g.surface):
-            raise SurfaceFormatError(
-                "--fixture-labels requires the packaged genus-2 fixture")
-        presentation = g.presentation
     rep = cellsurf.validate_admissible(
         surface, l_max=args.max_cycle,
-        simple_cycles_only=not args.all_cycles,
-        presentation=presentation)
+        simple_cycles_only=not args.all_cycles)
     w = ReportWriter("check-admissible", seed=args.seed,
                      tolerances={"tau-ang": cellsurf.TAU_ANG,
                                  "l-max": args.max_cycle,
@@ -237,10 +226,11 @@ def cmd_pak_search(args):
     w.section("RANDOM")
     tight_random = 0
     identities = True
+    patterns = {}  # one kept-face pattern table for the run
     for done in range(0, args.samples, PAK_BLOCK):
         states = decor.random_states(surface, rng,
                                      min(PAK_BLOCK, args.samples - done))
-        rep = decor.batch_report(surface, states)
+        rep = decor.batch_report(surface, states, patterns)
         tight_random += int(np.sum(rep.tight & np.any(states != 0, axis=1)))
         identities = identities and bool(np.all(rep.identities))
     w.kv("samples", args.samples)
@@ -260,7 +250,7 @@ def cmd_pak_search(args):
             states[ne + np.arange(nf), darts // 2] = np.where(
                 darts % 2 == 0, decor.FORWARD, decor.BACKWARD)
         states[-1] = decor.orient_by_vertex_order(surface).states
-        rep = decor.batch_report(surface, states)
+        rep = decor.batch_report(surface, states, patterns)
         identities = identities and bool(np.all(rep.identities))
         single = rep.tight[:ne]
         w.section("STRUCTURED")
@@ -394,7 +384,8 @@ def build_parser():
     sp.add_argument("--all-cycles", action="store_true",
                     help="also search cycles with repeated vertices")
     sp.add_argument("--fixture-labels", action="store_true",
-                    help="attach the packaged genus-2 octagon labels")
+                    help="accepted and ignored: contractibility on genus >= 2 "
+                    "comes from the surface's own cells")
 
     sp = sub.add_parser("rigidity", help="operator spectra and kernels")
     common(sp)

@@ -31,15 +31,14 @@ outside coverage, identities held) for many decorations at once, as array
 operations over an (n x E) state array whose per-vertex totals are
 reductions over the surface's stored vertex stars.  The component counts
 depend on a decoration only through its kept faces, so they are taken once
-per distinct kept-face pattern of the surface, not once per row: a table
-per surface keeps each pattern's results across calls.
+per distinct kept-face pattern, not once per row: a pattern table, which a
+caller may keep across calls on one surface, holds each pattern's results.
 :func:`is_tight` and :func:`pak_report` stay the per-decoration path and
 its test oracle.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
@@ -475,12 +474,6 @@ def _component_counts(surface, st):
     )
 
 
-#: per surface, packed kept-face pattern -> (outside, identities); a surface
-#: hashes by identity and its combinatorial arrays are frozen, so an entry
-#: never goes stale, and the table dies with its surface
-_PATTERNS = weakref.WeakKeyDictionary()
-
-
 def _pattern_results(surface, st):
     """(outside, identities) per state row, from its component counts."""
     nv, ne, nf, eb, nb = _component_counts(surface, st)
@@ -496,17 +489,19 @@ def _pattern_results(surface, st):
             np.all(holds | ~exists, axis=1))
 
 
-def batch_report(surface, states):
+def batch_report(surface, states, table=None):
     """Tightness and counting identities for each row of an (n x E) state
     array, the array counterpart of :func:`is_tight` and :func:`pak_report`
     (which stay the per-decoration path and the test oracle).
 
     Tightness reads the full states and is taken per row.  The component
     counts depend on the kept-face mask alone, so they are taken once per
-    distinct kept-face pattern of the surface: the surface's pattern table
-    keeps each pattern's results, the patterns of the array it does not
-    hold yet are counted on their first row, and the per-row results are
-    read back through the pattern of each row.
+    distinct kept-face pattern: ``table`` maps each packed pattern to its
+    (outside, identities) results, the patterns of the array it does not
+    hold yet are counted on their first row and added to it, and the
+    per-row results are read back through the pattern of each row.  A
+    caller that passes one table to every call on a surface counts each
+    pattern once in all; without one, each call counts its own patterns.
     """
     s = surface
     if not s.is_quasi_simplicial():
@@ -514,7 +509,7 @@ def batch_report(surface, states):
     st = _states_array(s, states, 2)
     packed = np.packbits(_kept_faces(s, st), axis=1)
     first, inverse = _distinct_rows(packed)
-    table = _PATTERNS.setdefault(s, {})
+    table = {} if table is None else table
     keys = [row.tobytes() for row in packed[first]]
     new = [i for i, key in enumerate(keys) if key not in table]
     if new:

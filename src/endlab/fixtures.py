@@ -13,20 +13,21 @@ import math
 import numpy as np
 
 from . import cellsurf, mink, polysurf
-from .cellsurf import CellSurface, from_face_vertex_lists
-from .surfgroup import Genus2Complex
-
-
-@functools.lru_cache(maxsize=1)
-def genus2_complex():
-    """The 10-vertex genus-2 octagon fixture (cached; carries labels)."""
-    return Genus2Complex()
+from .cellsurf import from_face_vertex_lists
 
 
 def genus2_surface_file():
     """Path of the shipped "surf v1" serialization of the genus-2 fixture."""
     import importlib.resources as res
     return res.files("endlab").joinpath("data/genus2.surf")
+
+
+@functools.lru_cache(maxsize=1)
+def genus2_surface():
+    """The 10-vertex, 36-edge, 24-face genus-2 triangulation (the regular
+    octagon with trisected sides, coned from its center), parsed from the
+    shipped file (cached)."""
+    return cellsurf.parse_surf(genus2_surface_file().read_text())
 
 
 def tetrahedron_surface():
@@ -66,8 +67,7 @@ def octahedron_null_vectors(scales=None):
 
 def genus2_theta_uniform():
     """All weights 2*pi/3: every face of the fixture sums to 2*pi."""
-    g = genus2_complex()
-    return np.full(g.surface.n_edges, 2.0 * math.pi / 3.0)
+    return np.full(genus2_surface().n_edges, 2.0 * math.pi / 3.0)
 
 
 def genus2_theta_bad_link():
@@ -78,8 +78,7 @@ def genus2_theta_bad_link():
     sums to 2*pi (remaining weights solved by least squares).  Returns
     (theta, link_cycle_edge_ids).
     """
-    g = genus2_complex()
-    s = g.surface
+    s = genus2_surface()
     star = s.vertex_star(1)
     spokes = sorted({d // 2 for d in star})
     link_edges = sorted({int(s.fnext[d]) // 2 for d in star})

@@ -15,8 +15,7 @@ RUNS = [
     ("check_admissible_bad.txt", 1,
      ["check-admissible", str(INPUTS / "pattern_bad.surf")]),
     ("check_admissible_genus2.txt", 0,
-     ["check-admissible", "--fixture-labels",
-      str(INPUTS / "genus2_uniform.surf")]),
+     ["check-admissible", str(INPUTS / "genus2_uniform.surf")]),
     ("rigidity_octahedron.txt", 0,
      ["rigidity", "--seed", "7", str(INPUTS / "octahedron.poly")]),
     ("rigidity_compact_tetrahedron.txt", 0,

@@ -178,7 +178,7 @@ def test_acceptance_9_pak_machinery():
         else:
             assert total == 0.0
     # seeded sampling on the genus-2 fixture
-    g2 = fixtures.genus2_complex().surface
+    g2 = fixtures.genus2_surface()
     rng = np.random.default_rng(7)
     tight_random = 0
     for _ in range(1000):
@@ -200,7 +200,7 @@ def test_acceptance_9_pak_machinery():
 
 def test_acceptance_10_thurston_pattern_sums():
     nerves = [fixtures.tetrahedron_surface(),
-              fixtures.genus2_complex().surface,
+              fixtures.genus2_surface(),
               fixtures.random_convex_compact(5, 8).base]
     for nerve in nerves:
         pat = cellsurf.thurston_pattern(nerve)

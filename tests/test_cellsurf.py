@@ -12,14 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from endlab import cellsurf
-from endlab.cellsurf import (CellSurface, SurfaceFormatError, MissingLabelError,
+from endlab.cellsurf import (CellSurface, SurfaceFormatError,
                              from_face_vertex_lists, parse_surf, serialize_surf,
                              simple_cycles_upto, thurston_pattern,
                              validate_admissible, validate_hyperideal)
-from endlab.fixtures import (genus2_complex, genus2_surface_file,
+from endlab.fixtures import (genus2_surface, genus2_surface_file,
                              genus2_theta_bad_link, genus2_theta_uniform,
                              octahedron_surface, random_convex_compact,
                              tetrahedron_surface)
+from octagon import genus2_complex
 from scripts_path import INPUTS, spiral_module  # see conftest
 
 
@@ -46,7 +47,7 @@ def test_vertex_star_closes():
 
 
 def test_vertex_star_is_a_lookup(monkeypatch):
-    s = genus2_complex().surface
+    s = genus2_surface()
     assert np.array_equal(s.fnext[s.fprev], np.arange(s.n_darts))
     walked = []
     for v in range(s.n_vertices):
@@ -94,9 +95,9 @@ STAR_SURFACES = {
     "genus2-complex": lambda: genus2_complex().surface,
     "genus2-data": lambda: parse_surf(genus2_surface_file().read_text()),
     "pattern-tetrahedron": lambda: thurston_pattern(tetrahedron_surface()),
-    "pattern-genus2": lambda: thurston_pattern(genus2_complex().surface),
+    "pattern-genus2": lambda: thurston_pattern(genus2_surface()),
     "dual-genus2": lambda: cellsurf.dual_cell_surface(
-        genus2_complex().surface),
+        genus2_surface()),
     "hull-8": lambda: random_convex_compact(0, 8).base,
     "hull-60": lambda: random_convex_compact(3, 60).base,
     "pattern-hull-40": lambda: thurston_pattern(
@@ -389,7 +390,7 @@ SURF_CORPUS = {
     "pattern-octahedron": lambda: serialize_surf(thurston_pattern(
         octahedron_surface().with_theta(np.full(12, math.pi / 2)))),
     "pattern-genus2": lambda: serialize_surf(
-        thurston_pattern(genus2_complex().surface)),
+        thurston_pattern(genus2_surface())),
 }
 
 
@@ -601,8 +602,7 @@ def test_thurston_pattern_tetrahedron():
 
 
 def test_thurston_pattern_genus2():
-    g = genus2_complex()
-    pat = thurston_pattern(g.surface)
+    pat = thurston_pattern(genus2_surface())
     assert pat.n_vertices == 34
     assert pat.n_edges == 72
     assert pat.n_faces == 36
@@ -792,7 +792,7 @@ def pruned_simple_cycles_upto(n_vertices, adjacency, l_max):
     return out
 
 
-def hyperideal_dual_graph(surface, presentation=None):
+def hyperideal_dual_graph(surface):
     """(n, adjacency, theta) of the dual graph validate_hyperideal searches."""
     seen = []
 
@@ -803,8 +803,7 @@ def hyperideal_dual_graph(surface, presentation=None):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(cellsurf, "simple_cycles_upto", capture)
         theta = np.full(surface.n_edges, 0.5 * math.pi)
-        validate_hyperideal(surface.with_theta(theta), l_max=1,
-                            presentation=presentation)
+        validate_hyperideal(surface.with_theta(theta), l_max=1)
     (graph,) = seen
     return graph
 
@@ -847,8 +846,7 @@ ORACLE_GRAPHS = {
         parse_surf(genus2_surface_file().read_text())),
     "dual-tetrahedron": lambda: hyperideal_dual_graph(tetrahedron_surface()),
     "dual-octahedron": lambda: hyperideal_dual_graph(octahedron_surface()),
-    "dual-genus2": lambda: hyperideal_dual_graph(
-        genus2_complex().surface, genus2_complex().presentation),
+    "dual-genus2": lambda: hyperideal_dual_graph(genus2_surface()),
     # loops at the start vertex, whose trails are met in both directions
     "two-loops-two-parallel": lambda: multigraph(
         2, [(0, 0), (0, 1), (0, 0), (1, 0)]),
@@ -1081,9 +1079,8 @@ def test_admissible_theta_range_checked():
 
 
 def test_admissible_genus2_uniform_passes():
-    g = genus2_complex()
-    s = g.surface.with_theta(genus2_theta_uniform())
-    rep = validate_admissible(s, presentation=g.presentation)
+    s = genus2_surface().with_theta(genus2_theta_uniform())
+    rep = validate_admissible(s)
     assert rep.passed
     assert rep.checked_cycles > 0
 
@@ -1091,11 +1088,9 @@ def test_admissible_genus2_uniform_passes():
 def test_admissible_genus2_bad_link_fails_with_witness():
     # the failing witness is a vertex link, which revisits the cone apex:
     # only the trail mode (simple_cycles_only=False) can see it
-    g = genus2_complex()
     theta, link_edges = genus2_theta_bad_link()
-    rep = validate_admissible(g.surface.with_theta(theta),
-                              simple_cycles_only=False,
-                              presentation=g.presentation)
+    rep = validate_admissible(genus2_surface().with_theta(theta),
+                              simple_cycles_only=False)
     assert not rep.passed
     hits = [w for w in rep.violations if w.kind == "contractible-cycle"]
     assert hits
@@ -1103,19 +1098,46 @@ def test_admissible_genus2_bad_link_fails_with_witness():
 
 
 def test_admissible_genus2_bad_link_invisible_to_simple_mode():
-    g = genus2_complex()
     theta, _ = genus2_theta_bad_link()
-    rep = validate_admissible(g.surface.with_theta(theta),
-                              simple_cycles_only=True,
-                              presentation=g.presentation)
+    rep = validate_admissible(genus2_surface().with_theta(theta),
+                              simple_cycles_only=True)
     assert rep.passed
 
 
-def test_admissible_genus2_needs_labels():
-    g = genus2_complex()
-    s = g.surface.with_theta(genus2_theta_uniform())
-    with pytest.raises(MissingLabelError):
-        validate_admissible(s, presentation=None)
+class OctagonLabelOracle:
+    """ContractibilityOracle with the octagon fixture's labels, primal or
+    dual: the oracle the validators used on genus 2 before they read a
+    presentation off the surface's own cells."""
+
+    def __init__(self, surface):
+        g = genus2_complex()
+        self.surface = surface
+        self.genus = surface.genus()
+        self.labels = (g.presentation if surface.n_vertices == 10
+                       else g.dual_presentation)
+
+    def cycle_is_contractible(self, vseq, eseq):
+        return self.labels.cycle_is_contractible(
+            cellsurf.cycle_to_darts(self.surface, vseq, eseq))
+
+
+GENUS2_WEIGHTS = {"uniform": genus2_theta_uniform,
+                  "bad-link": lambda: genus2_theta_bad_link()[0]}
+
+
+@pytest.mark.parametrize("weights", GENUS2_WEIGHTS)
+@pytest.mark.parametrize("l_max", [4, 6])
+def test_admissible_genus2_without_labels_is_the_labelled_verdict(
+        monkeypatch, weights, l_max):
+    s = genus2_surface().with_theta(GENUS2_WEIGHTS[weights]())
+    reports = []
+    for oracle in (cellsurf.ContractibilityOracle, OctagonLabelOracle):
+        monkeypatch.setattr(cellsurf, "ContractibilityOracle", oracle)
+        reports.append([validate_admissible(s, l_max=l_max,
+                                            simple_cycles_only=simple)
+                        for simple in (True, False)])
+    assert reports[0] == reports[1]
+    assert reports[0][1].passed == (weights == "uniform" or l_max < 4)
 
 
 def _violation_edges(surface, report, eperm=None):
@@ -1228,38 +1250,44 @@ def hyperideal_bruteforce(surface, l_max):
 
 
 def test_hyperideal_genus2_with_labels():
-    g = genus2_complex()
-    ok = g.surface.with_theta(np.full(36, 0.52 * math.pi))
-    rep = validate_hyperideal(ok, l_max=6, presentation=g.presentation)
+    ok = genus2_surface().with_theta(np.full(36, 0.52 * math.pi))
+    rep = validate_hyperideal(ok, l_max=6)
     assert rep.passed
     assert rep.checked_cycles > 0
 
-    bad = g.surface.with_theta(np.full(36, 0.45 * math.pi))
-    rep2 = validate_hyperideal(bad, l_max=6, presentation=g.presentation)
+    bad = genus2_surface().with_theta(np.full(36, 0.45 * math.pi))
+    rep2 = validate_hyperideal(bad, l_max=6)
     assert not rep2.passed
     assert any(w.kind == "dual-cycle" for w in rep2.violations)
 
 
-def test_hyperideal_genus2_needs_labels():
-    g = genus2_complex()
-    s = g.surface.with_theta(np.full(36, 0.52 * math.pi))
-    with pytest.raises(MissingLabelError):
-        validate_hyperideal(s, l_max=6, presentation=None)
+@pytest.mark.parametrize("weights",
+                         [*GENUS2_WEIGHTS, "0.3pi", "0.45pi", "0.52pi"])
+@pytest.mark.parametrize("l_max", [4, 6])
+def test_hyperideal_genus2_without_labels_is_the_labelled_verdict(
+        monkeypatch, weights, l_max):
+    theta = (np.full(36, float(weights[:-2]) * math.pi)
+             if weights.endswith("pi") else GENUS2_WEIGHTS[weights]())
+    s = genus2_surface().with_theta(theta)
+    reports = []
+    for oracle in (cellsurf.ContractibilityOracle, OctagonLabelOracle):
+        monkeypatch.setattr(cellsurf, "ContractibilityOracle", oracle)
+        reports.append(validate_hyperideal(s, l_max=l_max))
+    assert reports[0] == reports[1]
+    assert reports[0].passed == (weights not in ("0.3pi", "0.45pi"))
 
 
 def test_hyperideal_genus2_return_paths_need_labels():
     # at l_max=3 the dual graph has no short cycles, so only the return-path
-    # condition needs contractibility; without labels it must not pass
-    g = genus2_complex()
-    s = g.surface.with_theta(np.full(36, 0.3 * math.pi))
-    rep = validate_hyperideal(s, l_max=3, presentation=g.presentation)
+    # condition needs contractibility, which the dual surface's own
+    # presentation decides
+    s = genus2_surface().with_theta(np.full(36, 0.3 * math.pi))
+    rep = validate_hyperideal(s, l_max=3)
     assert not rep.passed
     assert len(rep.violations) == 32
-    with pytest.raises(MissingLabelError):
-        validate_hyperideal(s, l_max=3, presentation=None)
 
 
-def _hyperideal_checking_every_return_path(surface, l_max, presentation):
+def _hyperideal_checking_every_return_path(surface, l_max):
     """validate_hyperideal as it was before return paths were compared with
     pi first: the Dehn test runs on every return path.  Verbatim loops."""
     report = cellsurf.ValidationReport(True)
@@ -1273,9 +1301,7 @@ def _hyperideal_checking_every_return_path(surface, l_max, presentation):
             dual_adj[f2].append((f1, e))
 
     dual_surface = cellsurf.dual_cell_surface(surface)
-    oracle = cellsurf.ContractibilityOracle(
-        dual_surface,
-        None if presentation is None else presentation.dual_presentation())
+    oracle = cellsurf.ContractibilityOracle(dual_surface)
 
     # condition (1): contractible dual cycles
     for vseq, eseq in simple_cycles_upto(surface.n_faces, dual_adj, l_max):
@@ -1316,8 +1342,7 @@ def test_hyperideal_return_paths_same_violations_as_dehn_first(theta):
     # comparing with pi before the Dehn test only skips paths that are no
     # witness: the violations, in order, are those of testing every path;
     # the random weights put return paths on both sides of pi
-    g = genus2_complex()
-    n = g.surface.n_edges
+    n = genus2_surface().n_edges
     if theta == "bad-link":
         values = genus2_theta_bad_link()[0]
     elif theta.startswith("random"):
@@ -1325,9 +1350,9 @@ def test_hyperideal_return_paths_same_violations_as_dehn_first(theta):
         values = rng.uniform(0.2 * math.pi, 0.6 * math.pi, size=n)
     else:
         values = np.full(n, float(theta[:-2]) * math.pi)
-    s = g.surface.with_theta(values)
-    rep = validate_hyperideal(s, l_max=6, presentation=g.presentation)
-    old = _hyperideal_checking_every_return_path(s, 6, g.presentation)
+    s = genus2_surface().with_theta(values)
+    rep = validate_hyperideal(s, l_max=6)
+    old = _hyperideal_checking_every_return_path(s, 6)
     assert rep.violations == old.violations
     assert (rep.passed, rep.checked_cycles) == (old.passed, old.checked_cycles)
     assert any(w.kind == "return-path" for w in old.violations) \
@@ -1337,12 +1362,11 @@ def test_hyperideal_return_paths_same_violations_as_dehn_first(theta):
 def test_hyperideal_return_paths_same_violations_at_l_max_8():
     # the budget prune at pi only drops paths that are no witness; random
     # weights put return paths of up to 5 edges on both sides of pi
-    g = genus2_complex()
     rng = np.random.default_rng(0)
-    s = g.surface.with_theta(
-        rng.uniform(0.2 * math.pi, 0.6 * math.pi, size=g.surface.n_edges))
-    rep = validate_hyperideal(s, l_max=8, presentation=g.presentation)
-    old = _hyperideal_checking_every_return_path(s, 8, g.presentation)
+    s = genus2_surface().with_theta(
+        rng.uniform(0.2 * math.pi, 0.6 * math.pi, size=36))
+    rep = validate_hyperideal(s, l_max=8)
+    old = _hyperideal_checking_every_return_path(s, 8)
     assert rep.violations == old.violations
     assert (rep.passed, rep.checked_cycles) == (old.passed, old.checked_cycles)
     assert any(w.kind == "return-path" for w in rep.violations)
@@ -1352,19 +1376,16 @@ def test_hyperideal_return_paths_same_violations_at_l_max_8():
 def test_witnesses_do_not_depend_on_the_builtin_sum(request, l_max):
     # Python 3.12 and later add floats in the builtin sum with Neumaier
     # compensation; every witness must keep its bits under that sum
-    g = genus2_complex()
     rng = np.random.default_rng(0)
-    s = g.surface.with_theta(
-        rng.uniform(0.2 * math.pi, 0.6 * math.pi, size=g.surface.n_edges))
-    hyper = validate_hyperideal(s, l_max=l_max, presentation=g.presentation)
-    primal = validate_admissible(s, l_max=l_max, presentation=g.presentation)
+    s = genus2_surface().with_theta(
+        rng.uniform(0.2 * math.pi, 0.6 * math.pi, size=36))
+    hyper = validate_hyperideal(s, l_max=l_max)
+    primal = validate_admissible(s, l_max=l_max)
     assert any(w.kind == "return-path" for w in hyper.violations)
     request.getfixturevalue("compensated_builtin_sum")  # from here on
-    assert validate_hyperideal(s, l_max=l_max, presentation=g.presentation
-                               ).violations == hyper.violations
-    assert validate_admissible(s, l_max=l_max, presentation=g.presentation
-                               ).violations == primal.violations
-    old = _hyperideal_checking_every_return_path(s, l_max, g.presentation)
+    assert validate_hyperideal(s, l_max=l_max).violations == hyper.violations
+    assert validate_admissible(s, l_max=l_max).violations == primal.violations
+    old = _hyperideal_checking_every_return_path(s, l_max)
     assert old.violations == hyper.violations
 
 

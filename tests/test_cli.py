@@ -5,6 +5,7 @@ import pytest
 
 from endlab import cellsurf, cli, fixtures
 from endlab.cli import main
+from octagon import double_cover, genus2_complex
 from scripts_path import GOLDEN, INPUTS, RUNS  # see conftest
 
 
@@ -289,8 +290,8 @@ def test_pak_search_broken_identity_fails(tmp_path, monkeypatch, block, row):
     structured_rows = surface.n_edges + surface.n_faces + 1
     batch_report = decor.batch_report
 
-    def breaking(surface, states):
-        rep = batch_report(surface, states)
+    def breaking(surface, states, table=None):
+        rep = batch_report(surface, states, table)
         if (len(states) == structured_rows) == (block == "structured"):
             rep.identities[row] = False
         return rep
@@ -346,16 +347,25 @@ def test_undefined_rank_cut_is_bad_input(tmp_path, capsys, cut):
             % cut) in capsys.readouterr().err
 
 
-def test_fixture_labels_guard(tmp_path):
-    # --fixture-labels must reject inputs that are not the packaged fixture
-    assert main(["check-admissible", "--fixture-labels",
-                 str(INPUTS / "pattern.surf")]) == 2
+@pytest.mark.parametrize("argv", [
+    ["pattern.surf"], ["pattern_bad.surf"], ["genus2_uniform.surf"],
+    ["--all-cycles", "--max-cycle", "6", "genus2_uniform.surf"]])
+def test_fixture_labels_change_no_byte(tmp_path, argv):
+    # --fixture-labels is accepted and ignored, on any surface
+    argv = ["check-admissible", *argv[:-1], str(INPUTS / argv[-1])]
+    plain = run_to_bytes(tmp_path, argv, "plain.txt")
+    assert run_to_bytes(tmp_path, argv + ["--fixture-labels"],
+                        "flagged.txt") == plain
 
 
-def test_admissible_needs_labels_on_genus2(capsys):
-    assert main(["check-admissible",
-                 str(INPUTS / "genus2_uniform.surf")]) == 2
-    assert "label" in capsys.readouterr().err
+def test_admissible_genus3_cover_gets_a_verdict(tmp_path):
+    cover, _ = double_cover()
+    path = tmp_path / "cover.surf"
+    path.write_text(cellsurf.serialize_surf(
+        cover.with_theta(np.full(cover.n_edges, 2 * np.pi / 3))))
+    code, data = run_to_bytes(tmp_path, ["check-admissible", str(path)])
+    assert code in (0, 1)
+    assert b"contractible-non-facial-checked: " in data
 
 
 def test_render_without_decorations_still_renders(tmp_path):
@@ -373,7 +383,7 @@ def test_render_without_decorations_still_renders(tmp_path):
 
 def test_shipped_fixture_data_matches_builder():
     shipped = fixtures.genus2_surface_file().read_text()
-    built = cellsurf.serialize_surf(fixtures.genus2_complex().surface)
+    built = cellsurf.serialize_surf(genus2_complex().surface)
     assert shipped == built
 
 

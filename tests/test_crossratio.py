@@ -18,6 +18,7 @@ from endlab.crossratio import (CrossRatioAssignment, CrossRatioError,
                                shear_angle_split, solve_vertex_conditions,
                                to_homog, vertex_conditions,
                                vertex_loop_darts)
+from octagon import genus2_complex
 from scripts_path import INPUTS  # see conftest
 
 
@@ -229,7 +230,7 @@ def test_chart_independence_of_geometric_assignment():
 
 
 def test_synthetic_genus2_solution():
-    g = fixtures.genus2_complex()
+    g = genus2_complex()
     res = solve_vertex_conditions(g.surface, seed=1, spread=1.0)
     assert res.converged
     rep = vertex_conditions(res.assignment)
@@ -262,7 +263,7 @@ def one_vertex_torus():
 
 JACOBIAN_SURFACES = {
     "genus2-uniform": genus2_uniform,
-    "genus2-complex": lambda: fixtures.genus2_complex().surface,
+    "genus2-complex": lambda: genus2_complex().surface,
     "one-vertex-torus": one_vertex_torus,
 }
 
@@ -319,8 +320,8 @@ def test_overflowing_trial_step_is_rejected_quietly():
 
 
 def test_synthetic_reports_nonconvergence():
-    g = fixtures.genus2_complex()
-    res = solve_vertex_conditions(g.surface, seed=0, max_iter=1)
+    res = solve_vertex_conditions(fixtures.genus2_surface(), seed=0,
+                                  max_iter=1)
     assert not res.converged
     assert res.residual > 0
 

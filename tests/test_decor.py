@@ -1,10 +1,8 @@
-import gc
 import itertools
 import math
 import pathlib
 import subprocess
 import sys
-import weakref
 
 import numpy as np
 import pytest
@@ -17,7 +15,7 @@ from endlab.decor import (BACKWARD, FORWARD, UNORIENTED, Decoration,
                           pak_report, parse_decoration, random_decoration,
                           serialize_decoration, vertex_changes)
 from endlab.cellsurf import from_face_vertex_lists, parse_surf
-from endlab.fixtures import (genus2_complex, genus2_surface_file,
+from endlab.fixtures import (genus2_surface, genus2_surface_file,
                              octahedron_surface, random_convex_compact,
                              tetrahedron_surface)
 from scripts_path import INPUTS, spiral_module  # see conftest
@@ -25,7 +23,7 @@ from scripts_path import INPUTS, spiral_module  # see conftest
 
 @pytest.fixture(scope="module")
 def g2surf():
-    return genus2_complex().surface
+    return genus2_surface()
 
 
 def test_trivial_all_corners_zero(g2surf):
@@ -138,7 +136,7 @@ def test_pak_fully_oriented_whole_surface(g2surf):
 @given(st.integers(0, 100_000))
 @settings(max_examples=80, deadline=None)
 def test_pak_identities_random(seed):
-    g2surf = genus2_complex().surface
+    g2surf = genus2_surface()
     rng = np.random.default_rng(seed)
     dec = random_decoration(g2surf, rng)
     rep = pak_report(dec)
@@ -150,7 +148,7 @@ def test_pak_identities_random(seed):
 @given(st.integers(0, 100_000))
 @settings(max_examples=40, deadline=None)
 def test_corner_total_reversal_invariant(seed):
-    g2surf = genus2_complex().surface
+    g2surf = genus2_surface()
     rng = np.random.default_rng(seed)
     dec = random_decoration(g2surf, rng)
     t1 = sum(corner_changes(dec).values())
@@ -288,15 +286,9 @@ def _sparse_states(surface, rng, n, p):
     return np.where(oriented, signs, UNORIENTED)
 
 
-def _fresh_uniform_surf():
-    return parse_surf((INPUTS / "genus2_uniform.surf").read_text())
-
-
-@pytest.fixture
+@pytest.fixture(scope="module")
 def uniform_surf():
-    # one surface per test: a surface keeps its kept-face pattern table, so
-    # a shared one would let a test read results another test counted
-    return _fresh_uniform_surf()
+    return parse_surf((INPUTS / "genus2_uniform.surf").read_text())
 
 
 def test_batch_matches_scalar_random(uniform_surf):
@@ -397,7 +389,7 @@ def _paper_tight(surface, states):
 
 @pytest.mark.parametrize("which", ["genus2", "octahedron", "compact-hull"])
 def test_kept_tightness_rule_matches_paper_rule(which):
-    surface = {"genus2": lambda: genus2_complex().surface,
+    surface = {"genus2": genus2_surface,
                "octahedron": octahedron_surface,
                "compact-hull": lambda: random_convex_compact(4, 12).tri}[which]()
     rng = np.random.default_rng(17)
@@ -505,9 +497,10 @@ def test_block_counted_once_per_kept_pattern(uniform_surf, monkeypatch):
 def test_second_report_counts_no_rows(uniform_surf, monkeypatch):
     surface = uniform_surf
     states = decor.random_states(surface, np.random.default_rng(11), 300)
-    first = decor.batch_report(surface, states)
+    table = {}
+    first = decor.batch_report(surface, states, table)
     rows = _spy_counts(monkeypatch)
-    again = decor.batch_report(surface, states)
+    again = decor.batch_report(surface, states, table)
     assert rows == []
     for name in ("tight", "outside", "identities"):
         assert np.array_equal(getattr(again, name), getattr(first, name))
@@ -518,32 +511,37 @@ def test_block_counts_only_its_new_patterns(uniform_surf, monkeypatch):
     surface = uniform_surf
     rng = np.random.default_rng(13)
     seen = set()
+    table = {}
     rows = _spy_counts(monkeypatch)
     for n in (200, 200, 1, 500):
         states = decor.random_states(surface, rng, n)
         patterns = {row.tobytes() for row in _kept(surface, states)}
         new = len(patterns - seen)
         rows.clear()
-        decor.batch_report(surface, states)
+        decor.batch_report(surface, states, table)
         assert rows == ([new] if new else [])
         seen |= patterns
     assert 0 < new < 500
 
 
-def test_pattern_table_lets_its_surface_go(monkeypatch):
-    monkeypatch.setattr(decor, "_PATTERNS", weakref.WeakKeyDictionary())
-    surface = _fresh_uniform_surf()
-    decor.batch_report(
-        surface, decor.random_states(surface, np.random.default_rng(3), 50))
-    assert len(decor._PATTERNS) == 1 and len(decor._PATTERNS[surface]) > 1
-    del surface
-    gc.collect()
-    assert len(decor._PATTERNS) == 0
+def test_reports_without_a_table_share_no_patterns(uniform_surf,
+                                                    monkeypatch):
+    # the pattern table is the caller's: calls without one keep nothing,
+    # and a table passed in holds exactly the patterns counted into it
+    states = decor.random_states(uniform_surf, np.random.default_rng(3), 50)
+    patterns = len(np.unique(_kept(uniform_surf, states), axis=0))
+    rows = _spy_counts(monkeypatch)
+    decor.batch_report(uniform_surf, states)
+    decor.batch_report(uniform_surf, states)
+    table = {}
+    decor.batch_report(uniform_surf, states, table)
+    assert rows == [patterns] * 3 and len(table) == patterns > 1
 
 
-def _parent_batch_report(surface, states):
-    """``batch_report`` before the surface's pattern table: the component
-    counts once per distinct kept-face pattern of each array.  Verbatim."""
+def _parent_batch_report(surface, states, table=None):
+    """``batch_report`` before any pattern table: the component counts once
+    per distinct kept-face pattern of each array.  Verbatim, but for the
+    ``table`` argument that pak-search now passes, which it ignores."""
     s = surface
     if not s.is_quasi_simplicial():
         raise DecorationError("component counting needs a triangulation")

@@ -5,12 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from endlab import cellsurf, surfgroup
-from endlab.surfgroup import (Genus2Complex, SurfaceGroupPresentation,
+import octagon
+from endlab import cellsurf
+from endlab.fixtures import genus2_surface
+from endlab.surfgroup import (SurfaceGroupPresentation, TreeCotreePresentation,
                               cyclic_reduce, format_word, free_reduce,
-                              invert_word, matrix_is_identity_class,
-                              parse_word)
-from endlab.fixtures import genus2_complex
+                              invert_word, parse_word, standard_relator)
+from octagon import (Genus2Complex, double_cover, genus2_complex,
+                     matrix_is_identity_class)
+
+STANDARD = standard_relator(2)
 
 
 @pytest.fixture(scope="module")
@@ -31,22 +35,22 @@ def test_free_reduce():
 
 
 def test_dehn_relator_trivial():
-    pres = SurfaceGroupPresentation(2)
+    pres = SurfaceGroupPresentation(STANDARD)
     assert pres.is_trivial(parse_word("abABcdCD"))
 
 
 def test_dehn_generator_nontrivial():
-    pres = SurfaceGroupPresentation(2)
+    pres = SurfaceGroupPresentation(STANDARD)
     assert not pres.is_trivial(parse_word("a"))
 
 
 def test_dehn_empty_trivial():
-    pres = SurfaceGroupPresentation(2)
+    pres = SurfaceGroupPresentation(STANDARD)
     assert pres.is_trivial(())
 
 
 def test_dehn_conjugates_and_products():
-    pres = SurfaceGroupPresentation(2)
+    pres = SurfaceGroupPresentation(STANDARD)
     rel = pres.relator
     conj = (3, -4) + rel + (4, -3)
     assert pres.is_trivial(conj)
@@ -73,7 +77,7 @@ def test_dehn_matches_matrix_oracle(seed):
     are uniformly far from identity at these word lengths.
     """
     g2 = genus2_complex()
-    pres = SurfaceGroupPresentation(2)
+    pres = SurfaceGroupPresentation(STANDARD)
     rng = np.random.default_rng(seed)
     w = random_word(rng)
     dehn = pres.is_trivial(w)
@@ -137,13 +141,13 @@ def test_develop_matrix_matches_rho(g2):
         ret = g2.tree_path(s.head(d1), v)
         word, mat = g2.develop([d1] + ret)
         diff = g2.schema.rho(word)
-        m1 = surfgroup.normalize_det(mat)
-        m2 = surfgroup.normalize_det(diff)
+        m1 = octagon.normalize_det(mat)
+        m2 = octagon.normalize_det(diff)
         assert min(np.max(np.abs(m1 - m2)), np.max(np.abs(m1 + m2))) < 1e-9
 
 
 def test_is_contractible_dispatch(g2):
-    pres = SurfaceGroupPresentation(2)
+    pres = SurfaceGroupPresentation(STANDARD)
     assert pres.is_trivial(parse_word("abABcdCD"))
     assert not pres.is_trivial(parse_word("a"))
     assert pres.is_trivial(parse_word(""))
@@ -169,7 +173,7 @@ class _ParentDehn:
     a scan of every cyclic form per (length, start).  Verbatim method."""
 
     def __init__(self, genus):
-        self.relator = surfgroup.standard_relator(genus)
+        self.relator = standard_relator(genus)
         self._forms = _relator_forms(self.relator)
 
     def dehn_reduce(self, word):
@@ -210,7 +214,7 @@ class _ParentDualWalker:
         self.complex = complex_
 
     def cycle_word(self, dual_darts):
-        _CROSS_LETTER, _SIGMA = surfgroup._CROSS_LETTER, surfgroup._SIGMA
+        _CROSS_LETTER, _SIGMA = octagon._CROSS_LETTER, octagon._SIGMA
         surf = self.complex.surface
         word = []
         current = int(surf.dart_face[dual_darts[0]])
@@ -300,7 +304,7 @@ def _dual_loops(g2, l_max):
 
 
 def test_dual_table_matches_parent_walker(g2):
-    dual = g2.presentation.dual_presentation()
+    dual = g2.dual_presentation
     walker = _ParentDualWalker(g2)
     loops = _dual_loops(g2, 8)
     assert len(loops) > 1000
@@ -313,10 +317,11 @@ def test_dual_table_matches_parent_walker(g2):
 
 
 @pytest.mark.parametrize("which", ["primal", "dual"])
-def test_open_or_broken_paths_raise(g2, which):
-    pres = g2.presentation
+def test_open_or_broken_paths_raise(which):
+    surface = genus2_surface()
     if which == "dual":
-        pres = pres.dual_presentation()
+        surface = cellsurf.dual_cell_surface(surface)
+    pres = TreeCotreePresentation(surface)
     tail = pres.tail
     d = next(x for x in range(72) if tail[x] != tail[x ^ 1])
     with pytest.raises(ValueError, match="is not closed"):
@@ -338,13 +343,12 @@ def test_admissibility_never_develops(g2, monkeypatch):
     s = g2.surface.with_theta(np.full(g2.surface.n_edges, 2 * math.pi / 3))
     for simple in (True, False):
         rep = cellsurf.validate_admissible(s, l_max=8,
-                                           simple_cycles_only=simple,
-                                           presentation=g2.presentation)
+                                           simple_cycles_only=simple)
         assert rep.passed
     assert calls == []
 
 
-_RELATOR_FORMS = _relator_forms(surfgroup.standard_relator(2))
+_RELATOR_FORMS = _relator_forms(STANDARD)
 _CHUNKS = st.one_of(
     st.sampled_from([(x,) for x in (1, 2, 3, 4, -1, -2, -3, -4)]),
     st.builds(lambda f, a, b: f[min(a, b):max(a, b)],
@@ -358,6 +362,138 @@ def test_table_dehn_matches_parent_scan(chunks):
     # words built partly from relator pieces, so that replacements of every
     # length happen
     word = tuple(x for c in chunks for x in c)[:24]
-    assert SurfaceGroupPresentation(2).dehn_reduce(word) \
+    assert SurfaceGroupPresentation(STANDARD).dehn_reduce(word) \
         == _ParentDehn(2).dehn_reduce(word)
 
+
+
+# ---------------------------------------------------------------------------
+# the tree-cotree presentation against the octagon oracle
+
+
+@given(st.lists(_CHUNKS, max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_shorten_keeps_the_group_element(chunks):
+    # words built partly from relator pieces, so that replacements happen;
+    # the deck matrices decide equality up to 8 letters (as in
+    # test_dehn_matches_matrix_oracle), beyond which their rounding grows
+    word = tuple(x for c in chunks for x in c)[:16]
+    pres = SurfaceGroupPresentation(STANDARD)
+    short = pres.shorten(word)
+    assert len(short) <= len(free_reduce(word))
+    assert short == free_reduce(short)
+    assert all(short[i:i + 5] not in pres._pieces for i in range(len(short)))
+    assert pres.is_trivial(short + invert_word(word))
+    if len(word) <= 8:
+        rho = genus2_complex().schema.rho
+        assert matrix_is_identity_class(rho(short + invert_word(word)),
+                                        tol=1e-6)
+
+
+def test_tree_cotree_presentation_of_the_fixture():
+    s = genus2_surface()
+    pres = TreeCotreePresentation(s)
+    assert format_word(pres.relator) == "ACBDbdac"
+    lengths = [len(w) for w in pres.words]
+    assert (sum(lengths), max(lengths)) == (76, 4)
+    # a spanning tree's darts carry the empty word; the relator spells
+    # each of the 2g generators once and each inverse once
+    assert lengths.count(0) >= 2 * (s.n_vertices - 1)
+    assert sorted(pres.relator) == [-4, -3, -2, -1, 1, 2, 3, 4]
+    for d, w in enumerate(pres.words):
+        assert pres.is_trivial(w + pres.words[d ^ 1])
+    # every face bounds a disk
+    for cyc in s.face_cycles:
+        assert pres.cycle_is_contractible(cyc)
+
+
+def _random_closed_walks(surface, seed, count, max_steps=39):
+    """Seeded closed dart walks: 1..max_steps random steps from a random
+    vertex, closed by a shortest path back."""
+    rng = np.random.default_rng(seed)
+    stars = [surface.vertex_star(v) for v in range(surface.n_vertices)]
+    back = []  # back[v][w]: first dart of a shortest path from w to v
+    for v in range(surface.n_vertices):
+        first = {v: None}
+        order = [v]
+        for u in order:
+            for d in stars[u]:
+                w = surface.head(d)
+                if w not in first:
+                    first[w] = d ^ 1
+                    order.append(w)
+        back.append(first)
+    walks = []
+    for _ in range(count):
+        start = int(rng.integers(surface.n_vertices))
+        darts, v = [], start
+        for _ in range(int(rng.integers(1, max_steps + 1))):
+            d = stars[v][int(rng.integers(len(stars[v])))]
+            darts.append(d)
+            v = surface.head(d)
+        while v != start:
+            darts.append(back[start][v])
+            v = surface.head(darts[-1])
+        walks.append(darts)
+    return walks
+
+
+def _all_cycles_and_trails(surface, trail_max):
+    adj = surface.adjacency()
+    n, ne = surface.n_vertices, surface.n_edges
+    return (_dart_cycles(surface, cellsurf.simple_cycles_upto(n, adj, 10))
+            + _dart_cycles(surface, cellsurf.closed_trails_upto(
+                n, adj, trail_max, [1.0] * ne, trail_max + 0.5)))
+
+
+@pytest.mark.parametrize("which", ["primal", "dual"])
+def test_tree_cotree_oracle_agrees_with_the_octagon(g2, which):
+    # every simple cycle of at most 10 edges; every closed trail of at most
+    # 10 edges on the dual graph, and of at most 6 on the primal one (65,536
+    # of them; at most 8 would be 3.25 million); and 10^4 random closed walks
+    surface = genus2_surface()
+    labels = g2.presentation
+    if which == "dual":
+        surface = cellsurf.dual_cell_surface(surface)
+        labels = g2.dual_presentation
+    pres = TreeCotreePresentation(surface)
+    paths = _all_cycles_and_trails(surface, 10 if which == "dual" else 6)
+    paths += _random_closed_walks(surface, 26, 10**4)
+    verdicts = [pres.cycle_is_contractible(darts) for darts in paths]
+    assert verdicts == [labels.cycle_is_contractible(darts) for darts in paths]
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_tree_cotree_oracle_agrees_on_return_path_loops(g2):
+    pres = TreeCotreePresentation(cellsurf.dual_cell_surface(genus2_surface()))
+    loops = _dual_loops(g2, 8)
+    verdicts = [pres.cycle_is_contractible(darts) for darts in loops]
+    assert verdicts == [g2.dual_presentation.cycle_is_contractible(darts)
+                        for darts in loops]
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+# ---------------------------------------------------------------------------
+# a genus-3 surface: the double cover of the fixture
+
+
+def test_double_cover_is_genus_3(g2):
+    cover, down = double_cover()
+    assert (cover.n_vertices, cover.n_edges, cover.n_faces) == (20, 72, 48)
+    assert cover.genus() == 3 and cover.is_quasi_simplicial()
+    assert len(TreeCotreePresentation(cover).relator) == 12
+
+
+def test_cover_loops_contract_exactly_when_their_projections_do(g2):
+    # the covering map is injective on fundamental groups
+    cover, down = double_cover()
+    oracle = cellsurf.ContractibilityOracle(cover)
+    cycles = cellsurf.simple_cycles_upto(cover.n_vertices, cover.adjacency(), 8)
+    assert len(cycles) == 41057
+    verdicts = [oracle.cycle_is_contractible(list(v), list(e))
+                for v, e in cycles]
+    below = [g2.presentation.cycle_is_contractible(
+        [down[d] for d in cellsurf.cycle_to_darts(cover, v, e)])
+        for v, e in cycles]
+    assert verdicts == below
+    assert 0 < sum(verdicts) < len(verdicts)
