@@ -33,28 +33,23 @@ edge weight function theta must equal 2*pi, and short contractible cycles
 that do not bound a face must have theta-sum strictly above 2*pi (primal
 condition), with the analogous conditions on the dual graph for the
 hyperideal case.  Cycle searches are bounded by ``l_max`` and verdicts are
-always "pass up to l_max".  The searches are exact yet skip every branch
-that cannot close: they leave a vertex unentered when its breadth-first
-distance back to the start leaves no room for a closed walk of at most
-``l_max`` edges (:func:`simple_cycles_upto` says why nothing is lost).
-They keep no table of what they have found: each meets a cycle (trail,
-return path) from its least vertex s once per traversal, and a rule on the
-edges at s keeps one.  The closed-trail and return-path searches are
-depth-first; a theta budget is tested on the partial sums of the traversal
-followed.  The simple-cycle search is a level-synchronous array search
-over blocks of starts: it extends every path of k edges at once through
-the slots of its last vertex's adjacency list, and then restores the order
-in which the depth-first search would meet the cycles, which is the
-lexicographic order of their sequences of adjacency slots.  Its result is
-a :class:`CycleTable` of padded arrays, each row turned into the direction
-:func:`_canon` picks by reversing it where its last vertex is below its
-second.  The validators skip facial cycles by comparing sorted edge rows,
-and add each theta-sum column by column, left to right in the reported
-edge order; return-path sums are added left to right as well.  The
-builtin ``sum`` is not used for them: from Python 3.12 on it compensates
-float rounding, so a witness would carry other bits on other versions.
-Contractibility is decided per genus: trivially on spheres, by homology on
-tori, and from genus 2 on by Dehn's algorithm on the presentation that
+always "pass up to l_max".  Simple cycles, closed trails and the
+hyperideal return paths are found by one level-synchronous array search
+over blocks of starts, :func:`_block_cycles`: it extends every walk of k
+edges at once through the slots of its last vertex's adjacency list, and
+then restores the order in which a depth-first search would meet the
+walks, the lexicographic order of their sequences of adjacency slots.  It
+keeps no table of what it has found: it meets a walk from its start once
+per traversal, and a rule on the edges at the start keeps one.  It skips
+every closed walk's branch that cannot close, by the breadth-first
+distance back to the start (:func:`simple_cycles_upto` says why nothing is
+lost); trails and return paths carry their partial theta-sums, and end
+where one passes the budget.  The validators skip facial cycles by
+comparing sorted edge rows, and add each theta-sum column by column, left
+to right in the reported edge order.  The builtin ``sum`` is not used for
+them: from Python 3.12 on it compensates float rounding, so a witness
+would carry other bits on other versions.  Contractibility is decided on
+every genus by the dart words of the presentation that
 :mod:`endlab.surfgroup` reads off the surface's own cells (the dual
 surface's, for the hyperideal conditions).
 """
@@ -65,7 +60,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate, chain, groupby
 from operator import itemgetter
 
 import numpy as np
@@ -357,16 +352,6 @@ class CellSurface:
         return [(int(self.dart_face[2 * e]), int(self.dart_face[2 * e + 1]))
                 for e in range(self.n_edges)]
 
-    def dual_face_boundary(self, v):
-        """Signed dual edges around the dual face of primal vertex v.
-
-        Returns (edge id, sign) pairs; sign +1 when the dual edge is crossed
-        in its canonical direction (left face of dart 2e to left face of
-        dart 2e+1).
-        """
-        star = self.vertex_star(v)
-        return [(self.edge_of(d), 1 if d % 2 == 0 else -1) for d in star]
-
 
 def from_face_vertex_lists(faces, n_vertices=None):
     """Build a surface from faces given as counterclockwise vertex cycles.
@@ -645,20 +630,6 @@ def thurston_pattern(surface):
 # cycle enumeration
 
 
-def _canon(vseq, eseq):
-    """Least (vertex tuple, edge tuple) over rotations and reflections of a
-    closed walk given as aligned vertex and edge lists that begin at its
-    least vertex: over the rotations that begin there, just two when the
-    walk passes that vertex once (as every simple cycle does)."""
-    vs, es = tuple(vseq), tuple(eseq)
-    back = vs[:1] + vs[:0:-1], es[::-1]
-    if vs.count(vs[0]) == 1:
-        return min((vs, es), back)
-    return min((v[r:] + v[:r], e[r:] + e[:r])
-               for v, e in ((vs, es), back)
-               for r, u in enumerate(v) if u == vs[0])
-
-
 @dataclass(eq=False)
 class CycleTable:
     """Closed walks as padded rows: row i runs through the vertices
@@ -670,12 +641,6 @@ class CycleTable:
     verts: np.ndarray
     edges: np.ndarray
     length: np.ndarray
-
-    @classmethod
-    def from_pairs(cls, pairs):
-        """The table of (vertex sequence, edge sequence) pairs, in order."""
-        verts, length = _padded([v for v, _ in pairs])
-        return cls(verts, _padded([e for _, e in pairs])[0], length)
 
     def __len__(self):
         return len(self.length)
@@ -750,21 +715,48 @@ def _need(off, nbr, starts, n_vertices, l_max):
     return need
 
 
-def _block_cycles(off, nbr, eid, starts, n_vertices, l_max):
-    """The cycles of :func:`simple_cycles_upto` whose least vertex is in
-    ``starts`` (ascending) as rows of the CSR indices of their steps, -1
-    past each row's length, in the depth-first search's order."""
-    need = _need(off, nbr, starts, n_vertices, l_max)
+def _on_path(path, up, key):
+    """Whether key[i] is one of the entries p[up[i]] of the arrays p of
+    ``path``."""
+    on = path[0][up] == key
+    for p in path[1:]:
+        on |= p[up] == key
+    return on
+
+
+def _block_cycles(off, nbr, eid, starts, n_vertices, l_max, theta=None,
+                  budget=math.inf, trails=False, ends=None):
+    """The walks from one block of ``starts`` (ascending) as rows of the CSR
+    indices of their steps, -1 past each row's length, in the depth-first
+    search's order: by default the cycles of :func:`simple_cycles_upto`
+    whose least vertex is a start.
+
+    With ``theta``, each row carries its partial theta-sum, and a step that
+    takes it past ``budget``, or back onto the row, neither closes nor
+    extends it.  With ``trails`` (and ``theta``) the rows are the closed
+    trails of :func:`closed_trails_upto`.  With ``ends`` (and ``theta``), a
+    (len(starts) x n_vertices) boolean table, they are the return paths of
+    :func:`_return_paths` that end at a w with ends[b, w] or back at
+    starts[b], each row led by its b.
+    """
+    rows = np.arange(len(starts))
+    if ends is None:
+        need = _need(off, nbr, starts, n_vertices, l_max)
+        reach = need.min(axis=0)
+    else:  # a return path may end at every step
+        need = np.ones((len(starts), n_vertices), dtype=np.intp)
+        reach = 1 - ends.any(axis=0)
+    # a trail may pass through its start again; no other walk does
+    need[rows, starts] = 1 if trails else l_max + 1
     # a slot into w is of use at room r only if need[b, w] < r for some
-    # start, or if w is a start (closing the cycle)
-    reach = need.min(axis=0)
+    # start, or if a walk can end at w
     reach[starts] = 0
     reach = reach[nbr]
     need = need.ravel()
-    # the frontier: paths from the starts[b] that take the CSR indices
-    # steps[j] to the vertices path[j], one int32 array per depth, ending
-    # at last
-    b, last = np.arange(len(starts)), starts
+    # the frontier: walks from the starts[b] that take the CSR indices
+    # steps[j] to the vertices (edges, for trails) path[j], one int32 array
+    # per depth, ending at last, with theta-sums total
+    b, last, total = rows, starts, np.zeros(len(starts))
     path, steps = [], []
     found = []
     for k in range(l_max):
@@ -772,26 +764,52 @@ def _block_cycles(off, nbr, eid, starts, n_vertices, l_max):
         kept = np.flatnonzero(reach < l_max - k)
         rep, slot = _expand(np.searchsorted(kept, off), last)
         rb, w = b[rep], nbr[kept][slot]
+        if theta is not None:
+            e = eid[kept[slot]]
+            t = total[rep] + theta[e]
+            live = t <= budget
+            if k:
+                live &= ~_on_path(path, rep, e if trails else w)
+            if k and trails:
+                # never leave or re-enter the start below the first edge
+                live &= (e > first[rep]) | ((last[rep] != starts[rb])
+                                            & (w != starts[rb]))
+            live = np.flatnonzero(live)
+            rep, slot, rb, w, t = (rep[live], slot[live], rb[live], w[live],
+                                   t[live])
         home = np.flatnonzero(w == starts[rb])
         if k:
             home = home[eid[kept[slot[home]]] > first[rep[home]]]
+            if trails:
+                # after a loop first, keep the rest R where R <= reversed R
+                loop = nbr[steps[0][rep[home]]] == starts[rb[home]]
+                rest = np.column_stack([p[rep[home]] for p in path[1:]]
+                                       + [eid[kept[slot[home]]]])
+                i = np.arange(len(home))
+                j = (rest != rest[:, ::-1]).argmax(axis=1)
+                home = home[~loop | (rest[i, j] <= rest[i, -1 - j])]
+            if ends is not None:
+                home = np.append(home, np.flatnonzero(ends[rb, w]))
+        elif ends is not None:
+            home = home[:0]  # a return path has two or more edges
         if len(home):
-            found.append(np.column_stack([st[rep[home]] for st in steps]
-                                         + [kept[slot[home]]]))
+            lead = [] if ends is None else [rb[home]]
+            found.append(np.column_stack(
+                lead + [st[rep[home]] for st in steps] + [kept[slot[home]]]))
         go = np.flatnonzero(need[rb * n_vertices + w] < l_max - k)
-        if k:
-            up, wg = rep[go], w[go]
-            on_path = path[0][up] == wg
-            for p in path[1:]:
-                on_path |= p[up] == wg
-            go = go[~on_path]
+        if k and theta is None:
+            go = go[~_on_path(path, rep[go], w[go])]
         if not len(go):
             break
         up = rep[go]
         b, last = rb[go], w[go]
-        path = [p[up] for p in path] + [last.astype(np.int32)]
-        steps = [st[up] for st in steps] + [kept[slot[go]].astype(np.int32)]
+        step = kept[slot[go]]
+        path = ([p[up] for p in path]
+                + [(eid[step] if trails else last).astype(np.int32)])
+        steps = [st[up] for st in steps] + [step.astype(np.int32)]
         first = eid[steps[0]]
+        if theta is not None:
+            total = t[go]
     rows = _stacked(found)
     # the search's order is the lexicographic order of the CSR index rows:
     # paths with a shared prefix next leave one vertex, whose slots are
@@ -799,33 +817,12 @@ def _block_cycles(off, nbr, eid, starts, n_vertices, l_max):
     return rows[np.lexsort(rows.T[::-1])] if rows.size else rows
 
 
-def simple_cycles_upto(n_vertices, adjacency, l_max):
-    """Undirected simple cycles with at most l_max edges, as a
-    :class:`CycleTable`.
-
-    ``adjacency`` maps a vertex to (neighbor, edge id) pairs.  A cycle is a
-    closed walk with distinct vertices and distinct edges; parallel edges
-    yield length-2 cycles.  Each cycle is reported once, as an edge-id
-    tuple aligned with a vertex tuple, canonicalized as by :func:`_canon`.
-    Of the two directions from the least vertex s, the search keeps the one
-    leaving s through the smaller edge: it closes a path only through an
-    edge larger than the path's first edge, the only path edge at s.  The
-    search from s enters w at depth k only if k + dist(w, s) <= l_max,
-    with distances through vertices >= s.  This is exact: the rest of a
-    closing walk is at least dist(w, s) long, and dist(w, s) <= min(k,
-    l_max - k), so a ball of radius l_max // 2 holds every distance needed.
-
-    The search is level-synchronous over blocks of ``START_BLOCK``
-    starts, the vertices with a loop or with two slots to larger vertices
-    (no cycle has another least vertex): all paths of k edges are extended
-    at once through the slots of their last vertex's adjacency list.  The
-    rows come out in the order in which a depth-first search over the
-    lists as given meets them, the order of their sequences of adjacency
-    slots.  Of the two directions from s, :func:`_canon` keeps the lesser
-    vertex tuple; with three or more vertices it reverses a cycle exactly
-    when the last vertex is below the second (a loop or a pair of parallel
-    edges is least as found, its closing edge being the larger).
-    """
+def _cycle_table(n_vertices, adjacency, l_max, canonical, **rules):
+    """The :class:`CycleTable` of the closed walks that
+    :func:`_block_cycles` finds under ``rules``, from the vertices with a
+    loop or with two slots to larger vertices (no closed walk has another
+    least vertex), in blocks of ``START_BLOCK``; ``canonical`` puts each
+    block's rows in their reported direction, in place."""
     off, nbr, eid = _csr(adjacency)
     owner = np.repeat(np.arange(n_vertices, dtype=np.int32), np.diff(off))
     up = np.bincount(owner[nbr > owner], minlength=n_vertices)
@@ -837,18 +834,43 @@ def simple_cycles_upto(n_vertices, adjacency, l_max):
     verts, edges = [], []
     for i in range(0, len(starts), START_BLOCK):
         steps = _block_cycles(off, nbr, eid, starts[i:i + START_BLOCK],
-                              n_vertices, l_max)
+                              n_vertices, l_max, **rules)
         verts.append(owner[steps])
         edges.append(eid[steps])
-        _canonical(verts[-1], edges[-1], np.count_nonzero(steps >= 0, axis=1))
+        canonical(verts[-1], edges[-1], np.count_nonzero(steps >= 0, axis=1))
     verts, edges = _stacked(verts), _stacked(edges)
     return CycleTable(verts, edges, np.count_nonzero(verts >= 0, axis=1))
 
 
+def simple_cycles_upto(n_vertices, adjacency, l_max):
+    """Undirected simple cycles with at most l_max edges, as a
+    :class:`CycleTable`.
+
+    ``adjacency`` maps a vertex to (neighbor, edge id) pairs.  A cycle is a
+    closed walk with distinct vertices and distinct edges; parallel edges
+    yield length-2 cycles.  Each cycle is reported once, from its least
+    vertex s, in the lesser of its two directions (vertex tuples, then edge
+    tuples, compared).  Of the two traversals from s, the search keeps the
+    one leaving s through the smaller edge: it closes a path only through
+    an edge larger than the path's first edge, the only path edge at s.
+    The search from s enters w at depth k only if k + dist(w, s) <= l_max,
+    with distances through vertices >= s.  This is exact: the rest of a
+    closing walk is at least dist(w, s) long, and dist(w, s) <= min(k,
+    l_max - k), so a ball of radius l_max // 2 holds every distance needed.
+
+    The search is :func:`_block_cycles` with no rules.  The rows come out
+    in the order in which a depth-first search over the lists as given
+    meets them.  With three or more vertices a cycle is reversed exactly
+    when its last vertex is below its second (a loop or a pair of parallel
+    edges is least as found, its closing edge being the larger).
+    """
+    return _cycle_table(n_vertices, adjacency, l_max, _canonical)
+
+
 def _canonical(verts, edges, length):
     """Turns the vertex and edge rows of cycles that begin at their least
-    vertex, in place, into :func:`_canon`'s direction: a row of three or
-    more vertices is reversed where its last vertex is below its second."""
+    vertex, in place, into their lesser direction: a row of three or more
+    vertices is reversed where its last vertex is below its second."""
     if verts.shape[1] < 3:
         return
     last = verts[np.arange(len(verts)), length - 1]
@@ -862,26 +884,87 @@ def _canonical(verts, edges, length):
         edges[flip], np.where(inside, n - 1 - cols, cols), axis=1)
 
 
+def closed_trails_upto(n_vertices, adjacency, l_max, theta, budget):
+    """Closed walks with distinct edges, repeated vertices allowed, with at
+    most l_max edges and theta-sum at most ``budget``, as a
+    :class:`CycleTable`.
+
+    Each trail is reported once, as the least (vertex tuple, edge tuple)
+    over its rotations that begin at its least vertex s and its two
+    directions.  From s the search meets a trail once per passage through
+    s and direction, and keeps the traversal that begins with the least
+    edge m the trail has at s: it never leaves or re-enters s through an
+    edge smaller than the first.  A non-loop m begins one traversal; a loop
+    m is followed by the rest R of the trail either way, and the search
+    keeps R <= reversed R (edge tuples).  A partial theta-sum above the
+    budget ends a walk (the validators only ever report cycles at or below
+    the bound, so with positive weights this loses nothing).  The search is
+    :func:`_block_cycles` with the trail rule, in the same order as
+    :func:`simple_cycles_upto`.
+    """
+    return _cycle_table(n_vertices, adjacency, l_max, _canonical_trails,
+                        theta=np.asarray(theta, dtype=float), budget=budget,
+                        trails=True)
+
+
+def _canonical_trails(verts, edges, length):
+    """Turns the vertex and edge rows of closed trails that begin at their
+    least vertex, in place, into their reported form: the least (vertex
+    row, edge row) over the rotations that begin at that vertex, in both
+    directions."""
+    row, p = np.nonzero(verts == verts[:, :1])
+    width = verts.shape[1]
+    cols = np.arange(width)
+    p, row = np.tile(p[:, None], (2, 1)), np.tile(row, 2)
+    n = length[row, None]
+    # from passage p, forward: vertex p + j leaves along edge p + j;
+    # backward: vertex p - j leaves along edge p - 1 - j
+    sign = np.repeat([1, -1], len(row) // 2)[:, None]
+    vcol, ecol = (p + sign * cols) % n, (p + sign * cols - (sign < 0)) % n
+    inside = cols < n
+    key = np.hstack([np.where(inside, verts[row[:, None], vcol], -1),
+                     np.where(inside, edges[row[:, None], ecol], -1)])
+    order = np.lexsort(np.vstack([key.T[::-1], row]))
+    best = order[np.diff(row[order], prepend=-1) != 0]
+    verts[row[best]], edges[row[best]] = key[best, :width], key[best, width:]
+
+
+def _return_paths(n_vertices, adjacency, set_off, members, l_max, theta,
+                  budget):
+    """The return paths of the vertex sets ``members[set_off[v]:set_off[v +
+    1]]``: from each vertex f of each set v (v ascending, then f), the
+    paths of two to l_max edges through distinct vertices with theta-sum at
+    most ``budget`` that end at a vertex of set v above f, or back at f
+    through an edge above their first.  Each path is found once up to
+    reversal, in the depth-first search's order, by :func:`_block_cycles`
+    with the return-path rule and a theta column.  Yields one (owner,
+    verts, edges, length) per block of ``START_BLOCK`` starts, so that only
+    one block's paths are held at a time: row i is a path of set
+    ``owner[i]`` along the edges ``edges[i, :length[i]]`` through the
+    vertices ``verts[i, :length[i] + 1]``, -1 past them.
+    """
+    off, nbr, eid = _csr(adjacency)
+    around = np.sort(np.repeat(np.arange(len(set_off) - 1), np.diff(set_off))
+                     * n_vertices + members)
+    around = around[np.diff(around, prepend=-1) != 0]
+    owner, starts = around // n_vertices, around % n_vertices
+    nbr_end, eid_end = np.append(nbr, -1), np.append(eid, -1)
+    for i in range(0, len(starts), START_BLOCK):
+        block = starts[i:i + START_BLOCK]
+        rep, idx = _expand(set_off, owner[i:i + START_BLOCK])
+        ends = np.zeros((len(block), n_vertices), dtype=bool)
+        ends[rep, members[idx]] = members[idx] > block[rep]
+        rows = _block_cycles(off, nbr, eid, block, n_vertices, l_max, theta,
+                             budget, ends=ends)
+        if not rows.size:
+            continue
+        b, steps = rows[:, 0] + i, rows[:, 1:]
+        yield (owner[b], np.column_stack([starts[b], nbr_end[steps]]),
+               eid_end[steps], np.count_nonzero(steps >= 0, axis=1))
+
+
 # ---------------------------------------------------------------------------
 # contractibility dispatch
-
-
-def _homology_contractible(darts, boundary_matrix):
-    """Null-homology test over Q of a closed dart path (decides
-    contractibility when pi_1 is abelian)."""
-    z = np.zeros(boundary_matrix.shape[0])
-    np.add.at(z, [d // 2 for d in darts], [1.0 - 2.0 * (d & 1) for d in darts])
-    sol, *_ = np.linalg.lstsq(boundary_matrix, z, rcond=None)
-    return bool(np.linalg.norm(boundary_matrix @ sol - z) < 1e-8)
-
-
-def face_boundary_matrix(surface):
-    """E x F matrix of signed face boundaries (dart 2e positive)."""
-    mat = np.zeros((surface.n_edges, surface.n_faces))
-    for f, cyc in enumerate(surface.face_cycles):
-        for d in cyc:
-            mat[d // 2, f] += 1.0 if d % 2 == 0 else -1.0
-    return mat
 
 
 def cycle_to_darts(surface, vseq, eseq):
@@ -898,28 +981,25 @@ def cycle_to_darts(surface, vseq, eseq):
 
 
 class ContractibilityOracle:
-    """Decides contractibility of cycles for a fixed surface.
-
-    genus 0: every cycle is contractible.  genus 1: null-homology over Q.
-    genus >= 2: Dehn's algorithm on the surface's tree-cotree presentation
-    (:class:`~endlab.surfgroup.TreeCotreePresentation`).
+    """Decides contractibility of cycles for a fixed surface by the dart
+    words of its tree-cotree presentation
+    (:class:`~endlab.surfgroup.TreeCotreePresentation`), built on first
+    use: empty on a sphere, trivial on a torus exactly when every
+    generator's exponent sum is 0, and decided by Dehn's algorithm from
+    genus 2 on.
     """
 
     def __init__(self, surface):
         self.surface = surface
         self.genus = surface.genus()
-        if self.genus == 1:
-            self._boundary = face_boundary_matrix(surface)
-        elif self.genus >= 2:
-            self._presentation = TreeCotreePresentation(surface)
+
+    @cached_property
+    def _presentation(self):
+        return TreeCotreePresentation(self.surface)
 
     def cycle_is_contractible(self, vseq, eseq):
-        if self.genus == 0:
-            return True
-        darts = cycle_to_darts(self.surface, vseq, eseq)
-        if self.genus == 1:
-            return _homology_contractible(darts, self._boundary)
-        return self._presentation.cycle_is_contractible(darts)
+        return self._presentation.cycle_is_contractible(
+            cycle_to_darts(self.surface, vseq, eseq))
 
 
 # ---------------------------------------------------------------------------
@@ -982,9 +1062,8 @@ def validate_admissible(surface, l_max=DEFAULT_L_MAX, simple_cycles_only=True):
     else:
         report.note = ("trail search pruned to theta-sum <= 2*pi; "
                        "cycles above the bound cannot be witnesses")
-        # Python floats: the search adds one per step
         cycles = closed_trails_upto(surface.n_vertices, surface.adjacency(),
-                                    l_max, surface.theta.tolist(),
+                                    l_max, surface.theta,
                                     2.0 * math.pi + TAU_ANG)
     _check_cycles(report, cycles, oracle, surface.theta, "contractible-cycle",
                   faces)
@@ -1011,20 +1090,18 @@ def _row_keys(rows):
 
 
 def _check_cycles(report, cycles, oracle, theta, kind, faces=None):
-    """Count the contractible cycles whose edge multiset is not that of a
-    face, and record each with theta-sum at most 2*pi as a ``kind``
-    witness, in the order of ``cycles`` (a :class:`CycleTable` or a list
-    of (vseq, eseq) pairs).  ``faces`` is the padded table of face edges
-    and its lengths, as :func:`_padded` gives it, or None to skip none."""
-    if not isinstance(cycles, CycleTable):
-        cycles = CycleTable.from_pairs(cycles)
+    """Count the contractible cycles of the :class:`CycleTable` ``cycles``
+    whose edge multiset is not that of a face, and record each with
+    theta-sum at most 2*pi as a ``kind`` witness, in table order.
+    ``faces`` is the padded table of face edges and its lengths, as
+    :func:`_padded` gives it, or None to skip none."""
     keep = np.ones(len(cycles), dtype=bool)
     if faces is not None:
         for n in np.intersect1d(cycles.length, faces[1]).tolist():
             rows = np.flatnonzero(cycles.length == n)
             keep[rows] = ~np.isin(_row_keys(cycles.edges[rows, :n]),
                                   _row_keys(faces[0][faces[1] == n, :n]))
-    if oracle.genus:
+    if oracle.genus:  # on a sphere every cycle is contractible
         rows = np.flatnonzero(keep)
         keep[rows] = [oracle.cycle_is_contractible(list(v), list(e))
                       for v, e in cycles.rows(rows)]
@@ -1035,56 +1112,6 @@ def _check_cycles(report, cycles, oracle, theta, kind, faces=None):
         report.passed = False
         report.violations.append(
             Witness(kind, ("edges",) + eseq, float(sums[i]), 2.0 * math.pi))
-
-
-def closed_trails_upto(n_vertices, adjacency, l_max, theta, budget):
-    """Closed walks with distinct edges, repeated vertices allowed.
-
-    Each trail is reported once, canonicalized by :func:`_canon`.  From its
-    least vertex s the search meets it once per passage through s and
-    direction, and keeps the traversal that begins with the least edge m
-    the trail has at s: it never leaves or re-enters s through an edge
-    smaller than the first.  A non-loop m begins one traversal; a loop m is
-    followed by the rest R of the trail either way, and the search keeps
-    R <= reversed R (edge tuples).  Only trails whose theta-sum stays
-    within ``budget`` are produced (the validators only ever report cycles
-    at or below the bound, so with positive weights pruning by partial sum
-    loses nothing), with the distance prune of :func:`simple_cycles_upto`.
-    """
-    off, nbr, _ = _csr(adjacency)
-    out = []
-    used = [False] * len(theta)
-    epath = []
-
-    def dfs(v, room, total):
-        first = epath[0] if epath else -1
-        for w, e in adjacency[v]:
-            if used[e] or (e < first and (v == start or w == start)):
-                continue
-            t = total + theta[e]
-            if t > budget or room < 1:
-                continue
-            # after a loop first, keep the rest R only where R <= reversed R
-            if w == start and (vpath[1:2] != [start]
-                               or epath[1:] + [e] <= [e] + epath[:0:-1]):
-                out.append(_canon(vpath, epath + [e]))
-            if need[w] < room:
-                used[e] = True
-                vpath.append(w)
-                epath.append(e)
-                dfs(w, room - 1, t)
-                used[e] = False
-                vpath.pop()
-                epath.pop()
-
-    for i in range(0, n_vertices, START_BLOCK):
-        starts = np.arange(i, min(i + START_BLOCK, n_vertices))
-        for start, need in zip(starts.tolist(), _need(
-                off, nbr, starts, n_vertices, l_max).tolist()):
-            need[start] = 1  # a trail may pass through its start again
-            vpath = [start]
-            dfs(start, l_max, 0.0)
-    return out
 
 
 def validate_hyperideal(surface, l_max=DEFAULT_L_MAX):
@@ -1098,7 +1125,6 @@ def validate_hyperideal(surface, l_max=DEFAULT_L_MAX):
     _check_theta(surface)
     _check_l_max(l_max)
     report = ValidationReport(True)
-    th = surface.theta.tolist()  # Python floats: the searches add one per step
     dual_surface = dual_cell_surface(surface)
     dual_adj = dual_surface.adjacency()
     oracle = ContractibilityOracle(dual_surface)
@@ -1107,100 +1133,57 @@ def validate_hyperideal(surface, l_max=DEFAULT_L_MAX):
     _check_cycles(report, simple_cycles_upto(surface.n_faces, dual_adj, l_max),
                   oracle, surface.theta, "dual-cycle")
 
-    # condition (2): face-homotopic return paths
-    for v in range(surface.n_vertices):
-        boundary = surface.dual_face_boundary(v)
-        b_edges = [e for e, _ in boundary]
-        b_faces = [int(surface.dart_face[d]) for d in surface.vertex_star(v)]
-        # a path above pi is no witness, whatever its homotopy class, so
-        # the search stops there and the Dehn test runs only on paths that
-        # could be one
-        for path_vseq, path_eseq in _simple_paths_between(
-                dual_adj, set(b_faces), l_max, th, math.pi + TAU_ANG):
-            if all(e in b_edges for e in path_eseq):
-                continue
-            s = 0.0
-            for e in path_eseq:  # left to right on every Python version
-                s += th[e]
-            if _returns_through_face(surface, dual_surface, oracle, v,
-                                     boundary, b_faces, path_vseq, path_eseq):
-                report.passed = False
-                report.violations.append(
-                    Witness("return-path", ("vertex", v, "edges") + tuple(path_eseq),
-                            s, math.pi))
+    # condition (2): face-homotopic return paths.  A path above pi is no
+    # witness, whatever its homotopy class, so the search stops there and
+    # the Dehn test runs only on paths that could be one; a path along the
+    # boundary of its own dual face does not leave it.
+    around = (np.repeat(np.arange(surface.n_vertices), surface.degrees)
+              * surface.n_edges + surface.star // 2)
+    # one int object per id for every witness to share: tolist makes a new
+    # one for each entry above 256
+    ids = list(range(max(surface.n_vertices, surface.n_edges)))
+    for vertex, verts, edges, length in _return_paths(
+            surface.n_faces, dual_adj, surface.star_start,
+            surface.dart_face[surface.star], l_max, surface.theta,
+            math.pi + TAU_ANG):
+        leaves = (edges >= 0) & ~np.isin(
+            vertex[:, None] * surface.n_edges + edges, around)
+        rows = np.flatnonzero(leaves.any(axis=1))
+        sums = _row_sums(surface.theta, edges, length)
+        paths = zip(vertex[rows].tolist(), sums[rows].tolist(),
+                    verts[rows].tolist(), edges[rows].tolist(),
+                    length[rows].tolist())
+        for v, group in groupby(paths, key=itemgetter(0)):
+            star = surface.star[surface.star_start[v]:
+                                surface.star_start[v + 1]]
+            b_faces = surface.dart_face[star].tolist()
+            b_edges = (star // 2).tolist()
+            for _, s, vseq, eseq, n in group:
+                if _returns_through_face(oracle, b_faces, b_edges,
+                                         vseq[:n + 1], eseq[:n]):
+                    report.passed = False
+                    report.violations.append(Witness(
+                        "return-path", ("vertex", ids[v], "edges",
+                                        *[ids[e] for e in eseq[:n]]),
+                        s, math.pi))
     return report
 
 
-def _simple_paths_between(adjacency, endpoints, l_max, theta=None,
-                          budget=math.inf):
-    """Simple paths with >= 2 edges between endpoint vertices, as (vseq, eseq).
-
-    Interior vertices are distinct; the final vertex may close onto the
-    start.  Each path is reported once up to reversal: the search from each
-    endpoint s, in increasing order, keeps a path that ends at an endpoint
-    above s, or back at s through an edge larger than its first edge.  With
-    positive per-edge weights ``theta``, only paths whose weight sum is at
-    most ``budget`` are reported, and the search never extends a path past
-    the budget (no extension can come back under it).
-    """
-    out = []
-    on_path = [False] * len(adjacency)
-    vpath, epath = [], []
-
-    def dfs(v, total):
-        for w, e in adjacency[v]:
-            t = total if theta is None else total + theta[e]
-            if t > budget:
-                continue
-            if epath and (e > epath[0] if w == start else
-                          w > start and w in endpoints and not on_path[w]):
-                out.append((vpath + [w], epath + [e]))
-            if not on_path[w] and len(epath) + 1 < l_max:
-                on_path[w] = True
-                vpath.append(w)
-                epath.append(e)
-                dfs(w, t)
-                on_path[w] = False
-                vpath.pop()
-                epath.pop()
-
-    for start in sorted(endpoints):
-        on_path[start] = True
-        vpath.append(start)
-        dfs(start, 0.0)
-        on_path[start] = False
-        vpath.pop()
-    return out
-
-
-def _returns_through_face(surface, dual_surface, oracle, v, boundary, b_faces,
-                          path_vseq, path_eseq):
+def _returns_through_face(oracle, b_faces, b_edges, path_vseq, path_eseq):
     """Is the dual path homotopic (rel endpoints) into the dual face of v?
 
-    Closes the path along the dual face boundary from its end back to its
-    start in star order and tests the loop for contractibility; the route
-    against star order differs by the (contractible) face boundary.
+    ``b_faces`` and ``b_edges`` are the faces and edges of v's star in
+    rotation order, the boundary of v's dual face.  Closes the path along
+    that boundary from its end back to its start in star order and tests
+    the loop for contractibility; the route against star order differs by
+    the (contractible) face boundary.
     """
-    start, end = path_vseq[0], path_vseq[-1]
-    i0 = b_faces.index(start)
-    i1 = b_faces.index(end)
     k = len(b_faces)
-    # boundary walk from end back to start, following the star order
-    ret_edges = []
-    ret_vseq = [end]
-    i = i1
-    steps = (i0 - i1) % k
-    if steps == 0:
-        loop_v = path_vseq[:-1]
-        loop_e = path_eseq
-    else:
-        for _ in range(steps):
-            ret_edges.append(boundary[i][0])
-            i = (i + 1) % k
-            ret_vseq.append(b_faces[i])
-        loop_v = path_vseq[:-1] + ret_vseq[:-1]
-        loop_e = path_eseq + ret_edges
-    return oracle.cycle_is_contractible(loop_v, loop_e)
+    i0, i1 = b_faces.index(path_vseq[0]), b_faces.index(path_vseq[-1])
+    back = [(i1 + j) % k for j in range((i0 - i1) % k)]
+    return oracle.cycle_is_contractible(
+        path_vseq[:-1] + [b_faces[i] for i in back],
+        path_eseq + [b_edges[i] for i in back])
 
 
 def dual_cell_surface(surface):

@@ -1,5 +1,5 @@
 """Surface group words, Dehn's algorithm, and the presentation of a closed
-cell surface of genus >= 2 read off its own cells.
+cell surface read off its own cells.
 
 Words in a surface group are tuples of nonzero ints: letter i is the i-th
 generator, -i its inverse.  With four generators they print as a,b,c,d
@@ -30,10 +30,12 @@ closed path is the class of the path, based through T.  Every piece of
 the relator has length 1: a piece xy would mean the corners x->y and
 y^-1->x^-1 both lie on the one face, so the rotation at the one vertex
 would return to x^-1 after y, a vertex of degree 2, where it has degree
-4g >= 8.  The presentation is thus C'(1/7), and Dehn's algorithm decides
-it (Lyndon & Schupp, ch. V).  Each dart word is shortened once, when it is
-stored, by Dehn replacements of its subwords, which keep its group
-element.
+4g >= 8 from genus 2 on.  The presentation is thus C'(1/7), and Dehn's
+algorithm decides it (Lyndon & Schupp, ch. V).  Each dart word is
+shortened once, when it is stored, by Dehn replacements of its subwords,
+which keep its group element.  A sphere has no generators, and a torus's
+group is abelian, so a word there is trivial when each generator's
+exponent sum is 0; neither gets a Dehn table.
 """
 
 from __future__ import annotations
@@ -176,16 +178,16 @@ class SurfaceGroupPresentation:
         return len(self.dehn_reduce(word)) == 0
 
 
-class TreeCotreePresentation(SurfaceGroupPresentation):
-    """The presentation of a closed cell surface of genus >= 2 from a
-    tree-cotree split of its cells, with one word per dart (see the module
-    docstring).
+class TreeCotreePresentation:
+    """The presentation of a closed cell surface from a tree-cotree split
+    of its cells, with one word per dart (see the module docstring).
 
     ``surface`` is read through ``n_vertices``, ``edges`` (edge e's dart
     2e runs from its first vertex to its second, dart 2e + 1 back) and
     ``face_cycles`` (each face's darts in boundary order).  The product of
     the dart words along a closed path is the path's class, based at vertex
-    0 through the spanning tree.
+    0 through the spanning tree.  From genus 2 on, ``dehn`` is the
+    :class:`SurfaceGroupPresentation` of the relator; below it is None.
     """
 
     def __init__(self, surface):
@@ -213,9 +215,14 @@ class TreeCotreePresentation(SurfaceGroupPresentation):
                                for x in words[c])
             words[d ^ 1], words[d] = invert_word(rest), rest
         # the root face, 0, spells the relator
-        super().__init__(cyclic_reduce(
-            x for d in surface.face_cycles[0] for x in words[d]))
-        self.words = tuple(map(self.shorten, words))
+        self.relator = cyclic_reduce(
+            x for d in surface.face_cycles[0] for x in words[d])
+        self.genus = len(self.relator) // 4
+        self.dehn = None
+        if self.genus >= 2:  # a sphere or a torus gets no Dehn table
+            self.dehn = SurfaceGroupPresentation(self.relator)
+            words = map(self.dehn.shorten, words)
+        self.words = tuple(words)
 
     def cycle_word(self, darts):
         """Freely reduced product of the words of a closed head-to-tail path."""
@@ -226,6 +233,11 @@ class TreeCotreePresentation(SurfaceGroupPresentation):
         if tail[darts[-1] ^ 1] != tail[darts[0]]:
             raise ValueError("path is not closed")
         return free_reduce(x for d in darts for x in self.words[d])
+
+    def is_trivial(self, word):
+        if self.dehn is None:  # every exponent sum 0
+            return sorted(word) == sorted(-x for x in word)
+        return len(self.dehn.dehn_reduce(word)) == 0
 
     def cycle_is_contractible(self, darts):
         return self.is_trivial(self.cycle_word(darts))

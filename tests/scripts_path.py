@@ -1,6 +1,7 @@
-"""Golden locations and the golden run list, the one copy shared by the CLI
-tests, ``scripts/regenerate_goldens.py`` and the benchmark; and the loader
-of the benchmark's spiral-hull inputs for the tests."""
+"""Golden locations and the golden run lists, the one copy shared by the CLI
+tests, ``scripts/regenerate_goldens.py`` and the benchmark (which reads
+RUNS only); and the loader of the benchmark's spiral-hull inputs for the
+tests."""
 
 import importlib.util
 import pathlib
@@ -30,6 +31,15 @@ RUNS = [
     ("schlafli.txt", 0, ["schlafli"]),
     ("crossratio_octahedron.txt", 0,
      ["crossratio", str(INPUTS / "octahedron.poly")]),
+]
+
+#: golden runs the benchmark does not time: ``bench/cases.py`` turns each
+#: entry of RUNS into a case and a declared per-layer metric, these it
+#: never reads
+TEST_ONLY_RUNS = [
+    ("check_admissible_genus2_bad_link.txt", 1,
+     ["check-admissible", "--all-cycles",
+      str(INPUTS / "genus2_bad_link.surf")]),
 ]
 
 

@@ -762,6 +762,21 @@ def parent_starts(n_vertices, adjacency, l_max, need):
             need[w] = l_max + 1
 
 
+def parent_canon(vseq, eseq):
+    """The canonicaliser the recursive searches used.  Verbatim: least
+    (vertex tuple, edge tuple) over rotations and reflections of a closed
+    walk given as aligned vertex and edge lists that begin at its least
+    vertex: over the rotations that begin there, just two when the walk
+    passes that vertex once (as every simple cycle does)."""
+    vs, es = tuple(vseq), tuple(eseq)
+    back = vs[:1] + vs[:0:-1], es[::-1]
+    if vs.count(vs[0]) == 1:
+        return min((vs, es), back)
+    return min((v[r:] + v[:r], e[r:] + e[:r])
+               for v, e in ((vs, es), back)
+               for r, u in enumerate(v) if u == vs[0])
+
+
 def pruned_simple_cycles_upto(n_vertices, adjacency, l_max):
     """The recursive depth-first search the level-synchronous array search
     replaced, kept as the ordered-output oracle: its list, in its order, is
@@ -776,7 +791,7 @@ def pruned_simple_cycles_upto(n_vertices, adjacency, l_max):
             if w == start:
                 # closing the cycle (a loop edge when epath is empty)
                 if room > 0 and (not epath or e > epath[0]):
-                    out.append(cellsurf._canon(vpath, epath + [e]))
+                    out.append(parent_canon(vpath, epath + [e]))
             elif need[w] < room and not on_path[w]:
                 on_path[w] = True
                 vpath.append(w)
@@ -795,10 +810,11 @@ def pruned_simple_cycles_upto(n_vertices, adjacency, l_max):
 def hyperideal_dual_graph(surface):
     """(n, adjacency, theta) of the dual graph validate_hyperideal searches."""
     seen = []
+    search = cellsurf.simple_cycles_upto
 
     def capture(n_vertices, adjacency, l_max):
         seen.append((n_vertices, adjacency, surface.theta))
-        return []
+        return search(n_vertices, adjacency, l_max)
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(cellsurf, "simple_cycles_upto", capture)
@@ -885,7 +901,8 @@ def test_pruned_searches_match_unpruned_order(name):
     for l_max in range(1, (12 if n <= 8 else 8) + 1):
         assert (list(simple_cycles_upto(n, adj, l_max))
                 == reference_simple_cycles_upto(n, adj, l_max)), l_max
-        assert (cellsurf.closed_trails_upto(n, adj, l_max, theta, budget)
+        assert (list(cellsurf.closed_trails_upto(n, adj, l_max, theta,
+                                                 budget))
                 == reference_closed_trails_upto(n, adj, l_max, theta,
                                                 budget)), l_max
 
@@ -916,8 +933,8 @@ def test_searches_meet_each_cycle_once_in_any_adjacency_order(name):
                 assert len(set(ours)) == len(ours)
                 assert set(ours) == set(want), (trial, l_max)
             endpoints = set(range(0, n, 2))
-            ours = [undirected(p) for p in cellsurf._simple_paths_between(
-                shuffled, endpoints, l_max)]
+            ours = [undirected(p[1:]) for p in return_paths(
+                shuffled, [sorted(endpoints)], l_max, theta, math.inf)]
             want = _parent_simple_paths_between(adj, endpoints, l_max)
             assert len(set(ours)) == len(ours)
             assert set(ours) == {undirected(p) for p in want}, (trial, l_max)
@@ -978,16 +995,31 @@ def test_array_search_matches_depth_first_search_at_benchmark_scale(seed):
         assert (rep.passed, rep.checked_cycles) == (True, checked), n
 
 
-def test_cycle_search_memory_bound():
-    # the blocks of starts bound the frontier: one block of all 512 starts
-    # peaks at 15 MB, blocks of 64 at 4.0 MB (the recursive search, 5.9 MB)
-    s = benchmark_pattern(512, 1)
+def _peak_bytes(check, *args, **kwargs):
     tracemalloc.start()
     try:
-        validate_admissible(s, l_max=8)
-        peak = tracemalloc.get_traced_memory()[1]
+        check(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_cycle_search_memory_bound():
+    # the blocks of starts bound the frontier: one block of all 512 starts
+    # peaks at 15 MB, blocks of 64 at 4.0 MB (the recursive search, 5.9 MB);
+    # the trails of pattern-512 at 2.6 MB (the recursive search, 2.2 MB);
+    # the return paths of the compact-128 hull at 4.4 MB (the recursive
+    # search, 1.9 MB), of which the frontier of 64 starts is 2.7 MB
+    s = benchmark_pattern(512, 1)
+    for simple in (True, False):
+        peak = _peak_bytes(validate_admissible, s, l_max=8,
+                           simple_cycles_only=simple)
+        assert peak <= 8 * 2**20, (simple, peak / 2**20)
+    spiral = spiral_module()
+    hull = from_face_vertex_lists(
+        spiral.hull_faces(spiral.spiral_directions(128)), n_vertices=128)
+    peak = _peak_bytes(validate_hyperideal,
+                       hull.with_theta(np.full(hull.n_edges, 0.4)), l_max=8)
     assert peak <= 8 * 2**20, peak / 2**20
 
 
@@ -1289,7 +1321,8 @@ def test_hyperideal_genus2_return_paths_need_labels():
 
 def _hyperideal_checking_every_return_path(surface, l_max):
     """validate_hyperideal as it was before return paths were compared with
-    pi first: the Dehn test runs on every return path.  Verbatim loops."""
+    pi first: the Dehn test runs on every return path of the unpruned
+    search.  Verbatim loops."""
     report = cellsurf.ValidationReport(True)
     th = surface.theta
     duals = surface.dual_edges()
@@ -1316,16 +1349,14 @@ def _hyperideal_checking_every_return_path(surface, l_max):
 
     # condition (2): face-homotopic return paths
     for v in range(surface.n_vertices):
-        boundary = surface.dual_face_boundary(v)
-        b_edges = [e for e, _ in boundary]
+        b_edges = [d // 2 for d in surface.vertex_star(v)]
         b_faces = [int(surface.dart_face[d]) for d in surface.vertex_star(v)]
-        for path_vseq, path_eseq in cellsurf._simple_paths_between(
+        for path_vseq, path_eseq in _parent_simple_paths_between(
                 dual_adj, set(b_faces), l_max):
             if all(e in b_edges for e in path_eseq):
                 continue
             if not cellsurf._returns_through_face(
-                    surface, dual_surface, oracle, v, boundary, b_faces,
-                    path_vseq, path_eseq):
+                    oracle, b_faces, b_edges, path_vseq, path_eseq):
                 continue
             s = float(_left_sum(th[e] for e in path_eseq))
             if s <= math.pi + cellsurf.TAU_ANG:
@@ -1390,8 +1421,9 @@ def test_witnesses_do_not_depend_on_the_builtin_sum(request, l_max):
 
 
 def _parent_simple_paths_between(adjacency, endpoints, l_max):
-    """_simple_paths_between before the budget prune and the in-place path
-    stacks.  Verbatim."""
+    """The recursive return-path search (``_simple_paths_between``) before
+    its budget prune and in-place path stacks; the array search replaced
+    it.  Verbatim."""
     out = []
     seen = set()
 
@@ -1416,23 +1448,69 @@ def _parent_simple_paths_between(adjacency, endpoints, l_max):
     return out
 
 
-@pytest.mark.parametrize("name", ["dual-tetrahedron", "dual-octahedron",
-                                  "dual-genus2", "theta-sphere", "loop-torus"])
+def return_paths(adjacency, sets, l_max, theta, budget):
+    """cellsurf._return_paths from the endpoint sets ``sets``, as (set
+    index, vertex list, edge list) triples."""
+    set_off = np.cumsum([0] + [len(m) for m in sets])
+    members = np.array([x for m in sets for x in m], dtype=np.intp)
+    return [(i, v[:n + 1], e[:n])
+            for owner, verts, edges, length in cellsurf._return_paths(
+                len(adjacency), adjacency, set_off, members, l_max,
+                np.asarray(theta, dtype=float), budget)
+            for i, v, e, n in zip(owner.tolist(), verts.tolist(),
+                                  edges.tolist(), length.tolist())]
+
+
+def parent_return_paths(adjacency, sets, l_max, theta, budget):
+    """The same from the parent search: each set's list in its order, the
+    paths above the budget dropped."""
+    return [(i, vseq, eseq) for i, m in enumerate(sets)
+            for vseq, eseq in _parent_simple_paths_between(
+                adjacency, set(m), l_max)
+            if _left_sum(theta[e] for e in eseq) <= budget]
+
+
+@pytest.mark.parametrize("name", ORACLE_GRAPHS)
 def test_simple_paths_between_match_parent_search(name):
-    # unweighted: the same list in the same order; weighted: the parent's
-    # list filtered by the budget, still in order
+    # the return-path search from several endpoint sets at once: unweighted,
+    # the parent's lists set after set in the same order; weighted, those
+    # lists filtered by the budget, still in order
     n, adj, _ = ORACLE_GRAPHS[name]()
     n_edges = 1 + max(e for nbrs in adj for _, e in nbrs)
     rng = np.random.default_rng(7)
     for l_max in (2, 3, 5, 7):
-        for size in (1, 2, 3):
-            endpoints = set(rng.choice(n, size=min(size, n), replace=False)
-                            .tolist())
-            old = _parent_simple_paths_between(adj, endpoints, l_max)
-            assert cellsurf._simple_paths_between(adj, endpoints, l_max) == old
-            theta = rng.uniform(0.2 * math.pi, 0.6 * math.pi, size=n_edges)
-            for budget in (math.pi, 1.7 * math.pi):
-                kept = [p for p in old
-                        if _left_sum(theta[e] for e in p[1]) <= budget]
-                assert cellsurf._simple_paths_between(
-                    adj, endpoints, l_max, theta, budget) == kept
+        sets = [rng.choice(n, size=min(size, n), replace=False).tolist()
+                for size in (1, 2, 3)]
+        theta = rng.uniform(0.2 * math.pi, 0.6 * math.pi, size=n_edges)
+        old = parent_return_paths(adj, sets, l_max, theta, math.inf)
+        for budget in (math.pi, 1.7 * math.pi, math.inf):
+            assert return_paths(adj, sets, l_max, theta, budget) == [
+                p for p in old if _left_sum(theta[e] for e in p[2]) <= budget]
+
+
+@given(st.integers(0, 100_000), st.integers(1, 6),
+       st.sampled_from([1, 3, cellsurf.START_BLOCK]),
+       st.sampled_from([2 * math.pi + cellsurf.TAU_ANG,
+                        math.pi + cellsurf.TAU_ANG, math.inf]))
+@settings(max_examples=150, deadline=None)
+def test_trail_and_return_path_modes_match_their_references(
+        seed, l_max, block, budget):
+    # loops, parallel edges and isolated vertices, random weights; endpoint
+    # sets with repeats, as faces repeat around a vertex.  The lists are in
+    # edge-id order, where each reference meets first the traversal that
+    # the start-edge rules keep
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 7))
+    n_edges = int(rng.integers(0, 12))
+    _, adj, _ = multigraph(n, rng.integers(0, n, size=(n_edges, 2)).tolist())
+    theta = rng.uniform(0.1 * math.pi, 0.9 * math.pi, size=n_edges)
+    sets = [rng.integers(0, n, size=int(rng.integers(1, 5))).tolist()
+            for _ in range(int(rng.integers(1, 4)))]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cellsurf, "START_BLOCK", block)
+        trails = list(cellsurf.closed_trails_upto(n, adj, l_max, theta,
+                                                  budget))
+        paths = return_paths(adj, sets, l_max, theta, budget)
+    assert trails == reference_closed_trails_upto(n, adj, l_max, theta,
+                                                  budget)
+    assert paths == parent_return_paths(adj, sets, l_max, theta, budget)

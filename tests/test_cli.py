@@ -6,7 +6,7 @@ import pytest
 from endlab import cellsurf, cli, fixtures
 from endlab.cli import main
 from octagon import double_cover, genus2_complex
-from scripts_path import GOLDEN, INPUTS, RUNS  # see conftest
+from scripts_path import GOLDEN, INPUTS, RUNS, TEST_ONLY_RUNS  # see conftest
 
 
 def run_to_bytes(tmp_path, argv, name="out.txt"):
@@ -15,8 +15,8 @@ def run_to_bytes(tmp_path, argv, name="out.txt"):
     return code, out.read_bytes()
 
 
-@pytest.mark.parametrize("name,expect_code,argv",
-                         RUNS, ids=[r[0] for r in RUNS])
+@pytest.mark.parametrize("name,expect_code,argv", RUNS + TEST_ONLY_RUNS,
+                         ids=[r[0] for r in RUNS + TEST_ONLY_RUNS])
 def test_golden_outputs(tmp_path, name, expect_code, argv):
     code, data = run_to_bytes(tmp_path, argv, name)
     assert code == expect_code

@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 import octagon
 from endlab import cellsurf
-from endlab.fixtures import genus2_surface
+from endlab.fixtures import genus2_surface, octahedron_surface
 from endlab.surfgroup import (SurfaceGroupPresentation, TreeCotreePresentation,
                               cyclic_reduce, format_word, free_reduce,
                               invert_word, parse_word, standard_relator)
-from octagon import (Genus2Complex, double_cover, genus2_complex,
-                     matrix_is_identity_class)
+from octagon import double_cover, genus2_complex, matrix_is_identity_class
+from test_cellsurf import (_parent_simple_paths_between, grid_torus,
+                           reference_closed_trails_upto)
 
 STANDARD = standard_relator(2)
 
@@ -272,7 +273,7 @@ def test_fixture_labels_are_based_words(g2):
 def test_table_matches_development_on_cycles_and_trails(g2, primal_cycles):
     s = g2.surface
     pres = g2.presentation
-    trails = _dart_cycles(s, cellsurf.closed_trails_upto(
+    trails = _dart_cycles(s, reference_closed_trails_upto(
         s.n_vertices, s.adjacency(), 8, np.full(s.n_edges, 0.9), 6.3))
     assert len(trails) == 65536
     for darts in primal_cycles + trails:
@@ -282,7 +283,8 @@ def test_table_matches_development_on_cycles_and_trails(g2, primal_cycles):
 
 def _dual_loops(g2, l_max):
     """Every dual simple cycle up to l_max, and every loop that
-    validate_hyperideal closes from a return path, as dual dart lists."""
+    validate_hyperideal closes from a return path of any theta-sum, as dual
+    dart lists."""
     s = g2.surface
     dual = cellsurf.dual_cell_surface(s)
     adj = dual.adjacency()
@@ -295,11 +297,11 @@ def _dual_loops(g2, l_max):
             return True
 
     for v in range(s.n_vertices):
-        boundary = s.dual_face_boundary(v)
         b_faces = [int(s.dart_face[d]) for d in s.vertex_star(v)]
-        for pv, pe in cellsurf._simple_paths_between(adj, set(b_faces), l_max):
-            cellsurf._returns_through_face(s, dual, Recorder(), v, boundary,
-                                           b_faces, pv, pe)
+        b_edges = [d // 2 for d in s.vertex_star(v)]
+        for pv, pe in _parent_simple_paths_between(adj, set(b_faces), l_max):
+            cellsurf._returns_through_face(Recorder(), b_faces, b_edges,
+                                           pv, pe)
     return loops
 
 
@@ -316,6 +318,21 @@ def test_dual_table_matches_parent_walker(g2):
     assert 0 < contractible < len(loops)
 
 
+def test_tree_cotree_presentation_of_a_sphere_and_a_torus():
+    # no Dehn table below genus 2: the sphere's words are all empty, and the
+    # torus's relator is a commutator of its two generators
+    sphere = TreeCotreePresentation(octahedron_surface())
+    assert (sphere.genus, sphere.relator) == (0, ())
+    assert set(sphere.words) == {()}
+    assert sphere.cycle_is_contractible(octahedron_surface().face_cycles[0])
+    torus = TreeCotreePresentation(grid_torus())
+    assert torus.genus == 1 and sorted(torus.relator) == [-2, -1, 1, 2]
+    assert torus.is_trivial(torus.relator)
+    assert not torus.is_trivial((1, 2, 1))
+    with pytest.raises(ValueError, match="genus >= 2"):
+        SurfaceGroupPresentation(torus.relator)
+
+
 @pytest.mark.parametrize("which", ["primal", "dual"])
 def test_open_or_broken_paths_raise(which):
     surface = genus2_surface()
@@ -329,23 +346,6 @@ def test_open_or_broken_paths_raise(which):
     broken = next(x for x in range(72) if tail[x] != tail[d ^ 1])
     with pytest.raises(ValueError, match="discontinuity at dart %d" % broken):
         pres.cycle_word([d, broken, d ^ 1])
-
-
-def test_admissibility_never_develops(g2, monkeypatch):
-    calls = []
-    develop = Genus2Complex.develop
-
-    def counting(self, darts):
-        calls.append(len(darts))
-        return develop(self, darts)
-
-    monkeypatch.setattr(Genus2Complex, "develop", counting)
-    s = g2.surface.with_theta(np.full(g2.surface.n_edges, 2 * math.pi / 3))
-    for simple in (True, False):
-        rep = cellsurf.validate_admissible(s, l_max=8,
-                                           simple_cycles_only=simple)
-        assert rep.passed
-    assert calls == []
 
 
 _RELATOR_FORMS = _relator_forms(STANDARD)
@@ -442,7 +442,7 @@ def _all_cycles_and_trails(surface, trail_max):
     adj = surface.adjacency()
     n, ne = surface.n_vertices, surface.n_edges
     return (_dart_cycles(surface, cellsurf.simple_cycles_upto(n, adj, 10))
-            + _dart_cycles(surface, cellsurf.closed_trails_upto(
+            + _dart_cycles(surface, reference_closed_trails_upto(
                 n, adj, trail_max, [1.0] * ne, trail_max + 0.5)))
 
 
