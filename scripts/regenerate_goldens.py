@@ -4,12 +4,6 @@
 Run from the repository root after an intentional output-format change:
 
     python3 scripts/regenerate_goldens.py
-
-Every input but ``genus2_bad_link.surf`` is rewritten.  That one holds the
-genus-2 fixture with the weights of ``fixtures.genus2_theta_bad_link()``,
-which scipy's iterative ``lsq_linear`` solves for, so their last bits may
-differ between scipy builds; it is kept as committed, and only its report
-is regenerated.
 """
 
 import pathlib
@@ -45,6 +39,9 @@ def build_inputs():
     write(INPUTS / "genus2_uniform.surf",
           cellsurf.serialize_surf(fixtures.genus2_surface().with_theta(
               fixtures.genus2_theta_uniform())))
+    write(INPUTS / "genus2_bad_link.surf",
+          cellsurf.serialize_surf(fixtures.genus2_surface().with_theta(
+              fixtures.genus2_theta_bad_link()[0])))
 
 
 def build_outputs():

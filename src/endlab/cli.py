@@ -290,7 +290,9 @@ def cmd_schlafli(args):
         for eps, r in zip(rep.eps, rep.residuals):
             w.kv("residual eps=%s" % _fmt(eps), "%.6g" % r)
         w.kv("order", "%.3f" % rep.order)
-        w.kv("schlafli-sum", "%.12g" % rep.schlafli_sum)
+        # the split octahedron's sum is 0 exactly: its rounding is a sentinel
+        s = rep.schlafli_sum
+        w.kv("schlafli-sum", "<= 1e-12" if abs(s) <= 1e-12 else "%.12g" % s)
         w.kv("decoration-shift-change",
              _sentinel(rep.decoration_shift_change, 1e-12))
         ok = ok and rep.order_in(1.8, 2.2) \

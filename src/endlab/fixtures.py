@@ -70,43 +70,37 @@ def genus2_theta_uniform():
     return np.full(genus2_surface().n_edges, 2.0 * math.pi / 3.0)
 
 
+#: the weights of :func:`genus2_theta_bad_link`, edge by edge: 0.8*pi on
+#: the spokes at trisection vertex 1 (edges 1, 8, 24 and 25), and on the
+#: other edges a solution in [0.05, pi - 0.05] of the face sums 2*pi,
+#: found once by bounded least squares and written out bit for bit, so
+#: that no solver build changes it
+_BAD_LINK_THETA = (
+    1.2566370614359172, 2.5132741228718345, 1.2566370614359172,
+    2.1731245914838198, 2.3606126026233034, 1.7281801274231516,
+    2.1731245914838198, 1.2566370614359172, 2.5132741228718345,
+    1.2566370614359172, 2.6446676574710537, 1.4441250725754016,
+    3.089612121531722, 1.6107437557169215, 2.490106244096068,
+    1.596719510628454, 2.1565512374722067, 2.1540700206239474,
+    2.1731245914838193, 1.9137011632407037, 2.1871488365722853,
+    2.513207040676358, 1.8139875714314087, 2.4966336866647443,
+    2.5132741228718345, 2.5132741228718345, 2.8534236542598492,
+    1.749448113072463, 2.1943925771331307, 2.381880588272615,
+    1.582829429930943, 2.182335307366597, 2.196359552455064,
+    2.529914559078925, 1.972564049083433, 1.95599069507182,
+)
+
+
 def genus2_theta_bad_link():
     """Weights with correct face sums but a short failing contractible cycle.
 
     The four edges at trisection vertex 1 are pinned to spoke = 0.8*pi; its
     link 4-cycle then sums to 8*pi - 2*4*spoke < 2*pi while every face still
-    sums to 2*pi (remaining weights solved by least squares).  Returns
-    (theta, link_cycle_edge_ids).
+    sums to 2*pi.  Returns (theta, link_cycle_edge_ids).
     """
     s = genus2_surface()
-    star = s.vertex_star(1)
-    spokes = sorted({d // 2 for d in star})
-    link_edges = sorted({int(s.fnext[d]) // 2 for d in star})
-
-    n = s.n_edges
-    pins = {e: 0.8 * math.pi for e in spokes}
-    a_rows = []
-    b = []
-    for cyc in s.face_cycles:
-        row = np.zeros(n)
-        for d in cyc:
-            row[d // 2] += 1.0
-        a_rows.append(row)
-        b.append(2.0 * math.pi)
-    a = np.array(a_rows)
-    bvec = np.array(b)
-    free = [e for e in range(n) if e not in pins]
-    rhs = bvec - a[:, spokes] @ np.array([pins[e] for e in spokes])
-    afree = a[:, free]
-    from scipy.optimize import lsq_linear
-    sol = lsq_linear(afree, rhs, bounds=(0.05, math.pi - 0.05))
-    theta = np.empty(n)
-    theta[free] = sol.x
-    for e, val in pins.items():
-        theta[e] = val
-    assert np.all(theta > 0) and np.all(theta < math.pi)
-    assert np.max(np.abs(a @ theta - bvec)) < 1e-10
-    return theta, link_edges
+    link_edges = sorted({int(s.fnext[d]) // 2 for d in s.vertex_star(1)})
+    return np.array(_BAD_LINK_THETA), link_edges
 
 
 # ---------------------------------------------------------------------------

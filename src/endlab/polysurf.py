@@ -37,6 +37,9 @@ from .decor import BACKWARD, FORWARD, Decoration
 from .mink import GeometryError, mdot
 
 TAU_PLANE = 1e-8
+#: a triangle whose unit vertex rows span at most this volume has linearly
+#: dependent vertex vectors
+TAU_DEGENERATE = 1e-12
 
 COMPACT, IDEAL, HYPER = "compact", "ideal", "hyper"
 
@@ -121,6 +124,36 @@ def _triangulate(base):
             cycles.append([first, rot[i], last])
     tri = CellSurface(base.n_vertices, edges, cycles, None)
     return tri, diagonals
+
+
+# ---------------------------------------------------------------------------
+# triangle support planes
+
+
+def _triangle_planes(rows):
+    """Unnormalised support-plane normals of triangles, and the volumes
+    that their vertex rows span, both as arrays over the triangles.
+
+    ``rows`` (4, 3, F) holds each triangle's vertex vectors times the
+    metric, as (coordinate, vertex, triangle).  Each row is scaled to unit
+    Euclidean length, which moves no normal, and the normal is the
+    generalised cross product of a, b - a and c - a, the same as that of
+    a, b and c but with smaller minors: the cofactors of the first row of
+    det(x; a; b - a; c - a), elementwise from the six 2 x 2 minors of its
+    last two rows.  Its Euclidean pairings with a, b and c vanish, and its
+    length is the volume the unit rows span, 0 when they are linearly
+    dependent.
+    """
+    x = rows / np.sqrt(rows[0] * rows[0] + rows[1] * rows[1]
+                       + rows[2] * rows[2] + rows[3] * rows[3])
+    a, b, c = x[:, 0], x[:, 1] - x[:, 0], x[:, 2] - x[:, 0]
+    p = {(k, m): b[k] * c[m] - b[m] * c[k]
+         for k in range(4) for m in range(k + 1, 4)}
+    n = np.array([a[1] * p[2, 3] - a[2] * p[1, 3] + a[3] * p[1, 2],
+                  -(a[0] * p[2, 3] - a[2] * p[0, 3] + a[3] * p[0, 2]),
+                  a[0] * p[1, 3] - a[1] * p[0, 3] + a[3] * p[0, 1],
+                  -(a[0] * p[1, 2] - a[1] * p[0, 2] + a[2] * p[0, 1])])
+    return n, np.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2] + n[3] * n[3])
 
 
 # ---------------------------------------------------------------------------
@@ -307,23 +340,38 @@ class PolySurface:
         return mink.normalize_timelike(c)
 
     def _face_normals(self):
-        """Support-plane normals of the base faces, one stacked SVD per face
-        size: the right singular vector of the smallest singular value of
-        the face's vertex rows (times the metric), normalised and oriented
-        away from ``reference``.  The planarity margin is sigma_4 /
-        sigma_1 (0 on triangles)."""
-        g = np.diag(mink.METRIC_DIAG)
+        """Support-plane normals of the base faces, normalised and oriented
+        away from ``reference``.  A triangle's normal is the cross product
+        of its vertex rows times the metric (:func:`_triangle_planes`); a
+        triangle whose unit rows span a volume of at most TAU_DEGENERATE
+        has linearly dependent vertex vectors and is rejected.  A face of
+        k >= 4 vertices takes the right singular vector of the smallest
+        singular value of those rows, one stacked SVD per size, and its
+        planarity margin is sigma_4 / sigma_1 (0 on triangles)."""
         cycles = self.base.face_cycles
-        sizes = np.array([len(cyc) for cyc in cycles])
+        darts = self.base.face_darts
+        sizes = (np.full(len(cycles), 3) if darts is not None
+                 else np.array([len(cyc) for cyc in cycles]))
         out = np.empty((len(cycles), 4))
         self._planarity_margin = np.zeros(len(cycles))
         for k in np.unique(sizes):
             faces = np.flatnonzero(sizes == k)
-            vids = self.base.dart_tail[[cycles[f] for f in faces]]
-            _, sing, vt = np.linalg.svd(self.vectors[vids] @ g)
-            if k >= 4:
+            vids = self.base.dart_tail[darts if darts is not None
+                                       else [cycles[f] for f in faces]]
+            if k == 3:
+                n, volume = _triangle_planes(self.vectors.T[:, vids.T]
+                                             * mink.METRIC_DIAG[:, None, None])
+                bad = np.flatnonzero(volume <= TAU_DEGENERATE)
+                if bad.size:
+                    raise PolyBuildError("face %d is degenerate: its vertex "
+                                         "vectors are linearly dependent"
+                                         % faces[bad[0]])
+                out[faces] = n.T
+            else:
+                _, sing, vt = np.linalg.svd(
+                    self.vectors[vids] @ np.diag(mink.METRIC_DIAG))
                 self._planarity_margin[faces] = sing[:, 3] / sing[:, 0]
-            out[faces] = vt[:, 3]
+                out[faces] = vt[:, 3]
         nn = mdot(out, out)
         # mink.classify's rule: null within TAU_NULL of the Euclidean norm
         null = np.flatnonzero(np.abs(nn) <= mink.TAU_NULL
@@ -487,41 +535,53 @@ class PolySurface:
                            reference=reference, strict=False,
                            tau_plane=math.inf)
 
-    def decoration_from_deformation(self, z, certified=False):
-        """Edge decoration induced by a first-order deformation.
+    def deformation_states(self, z, certified=False):
+        """Edge states of k first-order deformations at once, a (k x E)
+        array whose row i is the decoration of deformation i.
 
-        For compact/hyperideal surfaces ``z`` is one tangent 4-vector per
-        vertex; an edge is oriented away from the endpoint where the
-        pairing with the link tangent is positive.  For ideal surfaces
-        ``z`` is one affine function per vertex, given as (w, c) with a
-        2-vector w in the horosphere chart; the pairing is w . xi + c at
-        the link point.  An edge stays unoriented when its value is at most
-        1e-9 times the largest one in magnitude.  With ``certified`` set, the
-        two endpoint values of every edge must cancel (a length-preserving
-        deformation), else a PolyBuildError is raised.
+        For compact/hyperideal surfaces ``z`` (k, V, 4) holds one tangent
+        4-vector per vertex; an edge is oriented away from the endpoint
+        where the pairing with the link tangent is positive.  For ideal
+        surfaces ``z`` is a pair (w, c) of (k, V, 2) chart vectors and
+        (k, V) constants, one affine function per vertex, and the pairing
+        is w . xi + c at the link point.  An edge stays unoriented in row i
+        when its value is at most 1e-9 times the largest of row i in
+        magnitude.  With ``certified`` set, the two endpoint values of
+        every edge must cancel (a length-preserving deformation), else a
+        PolyBuildError names the first offending edge of the first row
+        with one.
         """
         links = self.links()
         tail = self.tri.dart_tail
         if self.kind == IDEAL:
-            w, c = zip(*z)
-            vals = (np.vecdot(np.array(w, dtype=float)[tail], links.coords)
-                    + np.array(c, dtype=float)[tail])
+            w, c = z
+            vals = np.vecdot(w[:, tail], links.coords) + c[:, tail]
         else:
-            vals = mdot(np.asarray(z, dtype=float)[tail], links.raw)
-        scale = float(np.max(np.abs(vals), initial=0.0))
-        tau_orient = 1e-9 * max(scale, 1e-30)
+            vals = mdot(z[:, tail], links.raw)
+        scale = np.max(np.abs(vals), axis=1, initial=0.0)[:, None]
+        tau_orient = 1e-9 * np.maximum(scale, 1e-30)
         if certified:
-            resid = np.abs(vals[0::2] + vals[1::2])
-            bad = np.flatnonzero(resid > 1e3 * tau_orient
-                                 + 1e-8 * max(scale, 1.0))
+            resid = np.abs(vals[:, 0::2] + vals[:, 1::2])
+            bad = np.argwhere(resid > 1e3 * tau_orient
+                              + 1e-8 * np.maximum(scale, 1.0))
             if bad.size:
                 raise PolyBuildError(
                     "not length-preserving: edge %d residual %.3g"
-                    % (bad[0], resid[bad[0]]))
-        first = vals[0::2]
-        states = np.where(first > tau_orient, FORWARD,
-                          np.where(first < -tau_orient, BACKWARD, 0))
-        return Decoration(self.tri, states)
+                    % (bad[0, 1], resid[tuple(bad[0])]))
+        first = vals[:, 0::2]
+        return np.where(first > tau_orient, FORWARD,
+                        np.where(first < -tau_orient, BACKWARD, 0))
+
+    def decoration_from_deformation(self, z, certified=False):
+        """The decoration of one first-order deformation: the one-row case
+        of :meth:`deformation_states`, with ``z`` one tangent 4-vector per
+        vertex, or for ideal surfaces one pair (w, c) per vertex."""
+        if self.kind == IDEAL:
+            w, c = zip(*z)
+            z = np.array(w, dtype=float)[None], np.array(c, dtype=float)[None]
+        else:
+            z = np.asarray(z, dtype=float)[None]
+        return Decoration(self.tri, self.deformation_states(z, certified)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -113,8 +113,9 @@ inverses of its diagonal blocks, formed once with them, is a certified
 upper bound, at most (1 - s / lambda_min)^-1/2 times the exact
 residual (lambda_min the least eigenvalue of L L^T).  Any other kernel comes
 from the right singular vectors of a full SVD.  The decorations of all
-kernel vectors share one deformation pass; on ideal surfaces that is one
-least-squares solve with the shift map for all of them.  (Closed
+kernel vectors share one deformation pass, on ideal surfaces one solve of
+the shift map's normal equations for all of them, and one pass from
+deformations to edge states.  (Closed
 equivariant surfaces of genus g >= 2 in ends have no global isometries
 and their ideal angle-variation kernels have dimension 6g-6; finite
 polyhedra carry the 6 global motions instead, and only the algebraic
@@ -825,21 +826,25 @@ def adjointness_residual(lop, mop):
 
 def kernel_vector_as_deformation(ps, op, coords):
     """Convert kernel coordinates of the length operator ``op`` of ``ps``,
-    one kernel vector per column of ``coords``, into one deformation per
-    column, each consumable by decoration_from_deformation.  On ideal
-    surfaces one least-squares solve with the shift map serves every
-    column."""
+    one kernel vector per column of ``coords``, into the k deformations
+    that :meth:`~endlab.polysurf.PolySurface.deformation_states` reads:
+    (k, V, 4) tangent vectors, or on ideal surfaces the pair of (k, V, 2)
+    chart vectors and (k, V) shift constants.  On ideal surfaces the
+    constants of every column come from one solve of the normal equations
+    of the shift map M, whose V x V matrix M^T M = diag(deg) + adjacency
+    is invertible because M is injective (:func:`zero_sum_basis` checks
+    it)."""
+    k = coords.shape[1]
     if ps.kind == IDEAL:
         # choose decoration-shift constants so the raw length variation
         # vanishes, not only its quotient class
         delta = op.meta["raw_rows"] @ coords
         m = shift_map_matrix(ps.tri).astype(float)
-        a, *_ = np.linalg.lstsq(m, delta, rcond=None)
-        return [list(zip(np.reshape(c, (-1, 2)), -shift))
-                for c, shift in zip(coords.T, a.T)]
+        shift = np.linalg.solve(m.T @ m, m.T @ delta)
+        return coords.T.reshape(k, -1, 2), -shift.T
     frames = ps.links().frames
-    c = coords.T.reshape(coords.shape[1], len(frames), 3, 1)
-    return list((c * frames).sum(axis=2))
+    c = coords.T.reshape(k, len(frames), 3, 1)
+    return (c * frames).sum(axis=2)
 
 
 @dataclass
@@ -882,7 +887,7 @@ def projective_rigidity_verdict(ps, tau_rank=TAU_RANK):
     length operator has full row rank, the kernel basis reported is the
     trivial-motion basis; otherwise it comes from a full SVD.  All kernel
     vectors become deformations in one :func:`kernel_vector_as_deformation`
-    call.
+    call, and their edge states in one ``deformation_states`` pass.
     """
     if ps.kind == IDEAL:
         basis = zero_sum_basis(ps.tri)
@@ -906,10 +911,7 @@ def projective_rigidity_verdict(ps, tau_rank=TAU_RANK):
         kb = op.kernel_basis(tau_rank)
         resid = float(np.linalg.norm(tb - kb @ (kb.T @ tb)))
     residual_dim = dim - tb.shape[1]
-    states = np.array([
-        ps.decoration_from_deformation(z).states
-        for z in kernel_vector_as_deformation(ps, op, kb)],
-        dtype=int).reshape(-1, ps.tri.n_edges)
+    states = ps.deformation_states(kernel_vector_as_deformation(ps, op, kb))
     rep = batch_report(ps.tri, states)
     decos = [{"tight": bool(tight), "oriented_edges": int(oriented),
               "components_outside_coverage": int(outside),

@@ -1117,6 +1117,21 @@ def test_admissible_genus2_uniform_passes():
     assert rep.checked_cycles > 0
 
 
+def test_bad_link_weights_are_the_committed_input():
+    # bit for bit the weights of genus2_bad_link.surf, with every face
+    # summing to 2*pi and the link 4-cycle of vertex 1 summing below it
+    theta, link_edges = genus2_theta_bad_link()
+    text = (INPUTS / "genus2_bad_link.surf").read_text()
+    committed = parse_surf(text).theta
+    assert theta.tobytes() == committed.tobytes()
+    s = genus2_surface()
+    assert serialize_surf(s.with_theta(theta)) == text
+    for cyc in s.face_cycles:
+        assert abs(sum(theta[d // 2] for d in cyc) - 2 * math.pi) <= 1e-10
+    assert len(link_edges) == 4
+    assert sum(theta[e] for e in link_edges) < 2 * math.pi
+
+
 def test_admissible_genus2_bad_link_fails_with_witness():
     # the failing witness is a vertex link, which revisits the cone apex:
     # only the trail mode (simple_cycles_only=False) can see it

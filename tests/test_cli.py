@@ -219,14 +219,17 @@ def test_rigidity_rejects_mixed_vertex_kinds(tmp_path, capsys):
 
 
 def test_geometry_error_is_a_usage_error(tmp_path, capsys):
-    # two vertices at one ideal point (different decorations) share an edge
+    # two vertices at one ideal point (different decorations) share an
+    # edge, so the faces at that edge have linearly dependent vertices
     text = (INPUTS / "octahedron.poly").read_text()
     record = "geom 2 ideal 0 1 0 1"
     assert record in text
     path = tmp_path / "same.poly"
     path.write_text(text.replace(record, "geom 2 ideal 2 0 0 2", 1))
     assert main(["rigidity", str(path)]) == 2
-    assert capsys.readouterr().err == "error: same ideal point\n"
+    assert capsys.readouterr().err == (
+        "error: face 0 is degenerate: its vertex vectors are linearly "
+        "dependent\n")
 
 
 def test_pak_search_rejects_low_genus(tmp_path, capsys):
@@ -251,12 +254,14 @@ def test_indeterminate_rank_is_an_undecided_verdict(tmp_path, capsys):
 
 
 def test_linalg_failure_is_internal_error(monkeypatch, capsys):
-    def failing_svd(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
+    # the octahedron's verdict factors its Gram by eigvalsh
+    def failing_eigvalsh(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing_eigvalsh)
     assert main(["rigidity", str(INPUTS / "octahedron.poly")]) == 3
-    assert capsys.readouterr().err == "internal error: SVD did not converge\n"
+    assert capsys.readouterr().err == (
+        "internal error: Eigenvalues did not converge\n")
 
 
 @pytest.mark.parametrize("owner,name,argv,message", [

@@ -803,10 +803,12 @@ def test_horosphere_chart_of_no_spatial_part_is_degenerate():
             polysurf.horosphere_chart([0.0, 0.0, 0.0, 1.0])
 
 
-def parent_face_normals(ps):
+def parent_face_normals(ps, triangle=None):
     """PolySurface._face_normals as it was before the vertex ids of each
     face size became one ``dart_tail`` gather, kept verbatim (``self`` read
-    as ``ps``) as its oracle; returns (normals, planarity margins)."""
+    as ``ps``) as its oracle; returns (normals, planarity margins).  With
+    ``triangle`` given, a triangle f takes the unnormalised normal
+    ``triangle(ps, f)`` instead of the SVD's."""
     g = np.diag(mink.METRIC_DIAG)
     cycles = ps.base.face_cycles
     sizes = np.array([len(cyc) for cyc in cycles])
@@ -820,6 +822,8 @@ def parent_face_normals(ps):
         if k >= 4:
             planarity_margin[faces] = sing[:, 3] / sing[:, 0]
         out[faces] = vt[:, 3]
+        if k == 3 and triangle is not None:
+            out[faces] = [triangle(ps, f) for f in faces]
     nn = mdot(out, out)
     null = np.flatnonzero(np.abs(nn) <= mink.TAU_NULL
                           * np.sum(out * out, axis=1))
@@ -829,6 +833,27 @@ def parent_face_normals(ps):
     out[(nn < 0) & (out[:, 3] < 0)] *= -1
     out[mdot(out, ps.reference) > 0] *= -1
     return out, planarity_margin
+
+
+def triangle_cofactors(ps, f):
+    """polysurf._triangle_planes of face f alone, in Python floats and in
+    its operation order: the vertex rows times the metric, each divided by
+    its Euclidean length, then the cofactors of the first row of
+    det(x; a; b - a; c - a) from the 2 x 2 minors of its last two rows."""
+    rows = [[x * g for x, g in zip(ps.vectors[ps.base.tail(d)].tolist(),
+                                   mink.METRIC_DIAG.tolist())]
+            for d in ps.base.face_cycles[f]]
+    a, b, c = [[x / math.sqrt(r[0] * r[0] + r[1] * r[1] + r[2] * r[2]
+                              + r[3] * r[3]) for x in r] for r in rows]
+    b = [x - y for x, y in zip(b, a)]
+    c = [x - y for x, y in zip(c, a)]
+
+    def p(k, m):
+        return b[k] * c[m] - b[m] * c[k]
+    return [a[1] * p(2, 3) - a[2] * p(1, 3) + a[3] * p(1, 2),
+            -(a[0] * p(2, 3) - a[2] * p(0, 3) + a[3] * p(0, 2)),
+            a[0] * p(1, 3) - a[1] * p(0, 3) + a[3] * p(0, 1),
+            -(a[0] * p(1, 2) - a[1] * p(0, 2) + a[2] * p(0, 1))]
 
 
 def parent_planarity_message(ps):
@@ -846,10 +871,45 @@ NORMAL_SURFACES = {name: make for name, make in ORACLE_SURFACES.items()
 @pytest.mark.parametrize("make", NORMAL_SURFACES.values(),
                          ids=NORMAL_SURFACES.keys())
 def test_face_normals_match_parent_loop(make):
+    # polygons bit for bit as the parent's SVD, triangles as the scalar
+    # cofactors; all margins bit for bit
     ps = make()
-    normals, margins = parent_face_normals(ps)
+    normals, margins = parent_face_normals(ps, triangle_cofactors)
     assert np.array_equal(ps.base_face_normals, normals)
     assert np.array_equal(ps._planarity_margin, margins)
+    # the cofactor normals are the SVD's, oriented alike, to within 1e-13
+    # of the pairings' scale, and annihilate the vertex rows
+    svd, _ = parent_face_normals(ps)
+    for f, cyc in enumerate(ps.base.face_cycles):
+        verts = ps.vectors[[ps.base.tail(d) for d in cyc]]
+        n = ps.base_face_normals[f]
+        scale = np.max(np.abs(verts)) * np.max(np.abs(n))
+        assert np.max(np.abs(n - svd[f])) <= 1e-13 * scale
+        assert np.max(np.abs(mdot(verts, n))) <= 1e-12 * scale
+
+
+def _degenerate_tetrahedron(kind):
+    """A tetrahedron whose face 0 = (0, 1, 2) has linearly dependent vertex
+    vectors: vertex 2 on the geodesic of vertices 0 and 1 (compact), or at
+    the ideal point of vertex 0 with another decoration (ideal)."""
+    if kind == "compact":
+        p = [v.copy() for v in fixtures.compact_tetrahedron(1.0).vectors]
+        p[2] = mink.normalize_timelike(p[0] + p[1])
+        make = polysurf.compact_point
+    else:
+        p = [v.copy() for v in fixtures.ideal_tetrahedron().vectors]
+        p[2] = 2.0 * p[0]
+        make = polysurf.ideal_point
+    return fixtures.tetrahedron_surface(), [make(v) for v in p]
+
+
+@pytest.mark.parametrize("kind", ["compact", "ideal"])
+def test_degenerate_triangle_is_rejected(kind):
+    base, geoms = _degenerate_tetrahedron(kind)
+    with np.errstate(all="raise"):  # no NaN on the way
+        with pytest.raises(PolyBuildError, match="^face 0 is degenerate: its "
+                           "vertex vectors are linearly dependent$"):
+            PolySurface(base, geoms)
 
 
 def _bumped_square_pyramid(bump, tau_plane):

@@ -10,7 +10,7 @@ import pytest
 from endlab import fixtures, mink, rigidity
 from endlab.cellsurf import from_face_vertex_lists
 from endlab.cli import main
-from endlab.decor import is_tight, pak_report
+from endlab.decor import BACKWARD, FORWARD, is_tight, pak_report
 from endlab.mink import mdot
 from endlab.polysurf import PolySurface, compact_point, serialize_poly
 from endlab.rigidity import (IndeterminateRankError, OperatorBundle,
@@ -481,6 +481,7 @@ def _verdict_calls(monkeypatch, ps):
     counted(np.linalg, "svd")
     counted(np.linalg, "eigvalsh")
     counted(np.linalg, "lstsq")
+    counted(np.linalg, "solve")
     for name in ("length_variation_operator", "angle_motion_operator",
                  "decorated_length_variation_operator",
                  "ideal_angle_variation_operator", "zero_sum_basis"):
@@ -501,8 +502,10 @@ def test_verdict_assembles_and_factors_once(monkeypatch, make, length_op,
     assert v.kernel_dim == 6
     assert calls.pop("zero_sum_basis", 0) <= max_bases
     assert calls.pop("svd", 0) == 0
-    # one shift-map solve for all six kernel vectors of an ideal surface
-    assert calls.pop("lstsq", 0) == (ps.kind == "ideal")
+    # one solve for the exact trivial-match residual and, on an ideal
+    # surface, one of the shift map's normal equations for all six kernel
+    # vectors; no least-squares solve
+    assert calls.pop("solve", 0) == 1 + (ps.kind == "ideal")
     assert calls == {"eigvalsh": 1, length_op: 1, angle_op: 1}
 
 
@@ -736,9 +739,43 @@ def test_adjointness_residual_unchanged_by_in_place_subtraction():
         np.testing.assert_array_equal(mop.matrix, before)
 
 
-@pytest.mark.parametrize("make", list(FAST_PATH.values())
-                         + [fixtures.flat_vertex_pyramid],
-                         ids=list(FAST_PATH) + ["flat-vertex"])
+def _decoration_loop(ps, z):
+    """PolySurface.decoration_from_deformation as it was before the states
+    of all kernel vectors came from one array pass, kept as the oracle of
+    that pass: the edge states of one deformation z."""
+    links = ps.links()
+    tail = ps.tri.dart_tail
+    if ps.kind == "ideal":
+        w, c = zip(*z)
+        vals = (np.vecdot(np.array(w, dtype=float)[tail], links.coords)
+                + np.array(c, dtype=float)[tail])
+    else:
+        vals = mdot(np.asarray(z, dtype=float)[tail], links.raw)
+    scale = float(np.max(np.abs(vals), initial=0.0))
+    tau_orient = 1e-9 * max(scale, 1e-30)
+    first = vals[0::2]
+    return np.where(first > tau_orient, FORWARD,
+                    np.where(first < -tau_orient, BACKWARD, 0))
+
+
+def _deformation(batch, j):
+    """Deformation j of a :func:`kernel_vector_as_deformation` batch, in
+    the per-vertex form decoration_from_deformation reads."""
+    if isinstance(batch, tuple):  # ideal: (w, c)
+        return list(zip(batch[0][j], batch[1][j]))
+    return batch[j]
+
+
+BATCH_CASES = dict(FAST_PATH, **{
+    "flat-vertex": fixtures.flat_vertex_pyramid,
+    "compact-128": lambda: _spiral("compact", 128),
+    "hyper-128": lambda: _spiral("hyper", 128),
+    "ideal-32": lambda: _spiral("ideal", 32),
+    "ideal-80": lambda: _spiral("ideal", 80),
+})
+
+
+@pytest.mark.parametrize("make", BATCH_CASES.values(), ids=BATCH_CASES)
 def test_batched_decorations_match_scalar_path(make):
     ps = make()
     op = _length_operator(ps)
@@ -747,13 +784,22 @@ def test_batched_decorations_match_scalar_path(make):
           else op.kernel_basis())
     assert len(v.decorations) == kb.shape[1] == v.kernel_dim
     batched = kernel_vector_as_deformation(ps, op, kb)
-    assert len(batched) == kb.shape[1]
+    states = ps.deformation_states(batched)
+    assert states.shape == (kb.shape[1], ps.tri.n_edges)
+    # each row has its own threshold: rows scaled 2^40 apart keep theirs
+    scaled = kb * 2.0 ** (20 * (np.arange(kb.shape[1]) % 3 - 1))
+    np.testing.assert_array_equal(ps.deformation_states(
+        kernel_vector_as_deformation(ps, op, scaled)), states)
     for j, d in enumerate(v.decorations):
-        dec = ps.decoration_from_deformation(batched[j])
-        # one column at a time gives the same decoration
-        single, = kernel_vector_as_deformation(ps, op, kb[:, [j]])
+        # each row is the one-vector path's, and the parent's, decoration
+        dec = ps.decoration_from_deformation(_deformation(batched, j))
+        np.testing.assert_array_equal(dec.states, states[j])
         np.testing.assert_array_equal(
-            ps.decoration_from_deformation(single).states, dec.states)
+            _decoration_loop(ps, _deformation(batched, j)), states[j])
+        # one column at a time gives the same decoration
+        single = kernel_vector_as_deformation(ps, op, kb[:, [j]])
+        np.testing.assert_array_equal(ps.deformation_states(single)[0],
+                                      states[j])
         rep = pak_report(dec)
         assert d == {
             "tight": is_tight(dec).tight,
