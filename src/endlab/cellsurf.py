@@ -20,13 +20,20 @@ with more than one rotation cycle, more than one component) is rejected
 there, the first fault in face and vertex order.  The face cycles are
 checked as arrays over their darts laid end to end, and the stars are
 ordered by pointer jumping along the rotation, each fault found being the
-one a walk face by face, then vertex by vertex, would meet first.
+one a walk face by face, then vertex by vertex, would meet first.  The
+face cycles stay laid end to end (``cycle_darts``, ``cycle_start``); the
+lists ``face_cycles`` and ``edges`` are made from the arrays on first use.
 
-``parse_surf`` reads "surf v1" by columns: it splits each line once, groups
-the records by kind, converts each kind's fields in one pass with Python's
-``int`` and ``float``, and checks ids, ranges and finiteness over whole
-columns.  Only when a record fails its own checks does it walk the records
-one by one, to report the first fault in line order.
+``parse_surf`` reads "surf v1" in one grouping pass over the lines and one
+call of numpy's C reader (``np.loadtxt``) per record kind: the fields of
+v, e and theta records as columns, and the f records as one row of
+numbers, each kind word made -1 and each dart sign the last digit of its
+dart.  What the C reader rejects is read with Python's ``int`` and
+``float`` as a line-by-line reader would, so the accepted language and
+the bits of every value are Python's; only when a record fails there too
+does the parse walk the records one by one, to report the first fault in
+line order.  Ids, ranges and finiteness are checked over whole columns,
+and the surface is built from the arrays read.
 
 The module also carries the weighted-graph validators: face sums of an
 edge weight function theta must equal 2*pi, and short contractible cycles
@@ -58,9 +65,10 @@ from __future__ import annotations
 
 import math
 import re
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain, groupby
+from itertools import chain, groupby
 from operator import itemgetter
 
 import numpy as np
@@ -115,33 +123,41 @@ class CellSurface:
     """
 
     def __init__(self, n_vertices, edges, face_cycles, theta=None):
-        self._build(n_vertices, [(int(u), int(v)) for u, v in edges],
-                    [list(map(int, c)) for c in face_cycles], theta)
+        edges = [(int(u), int(v)) for u, v in edges]
+        face_cycles = [list(map(int, c)) for c in face_cycles]
+        self._build(n_vertices, np.array(edges, dtype=np.int64).reshape(-1, 2),
+                    _ints(list(chain.from_iterable(face_cycles))),
+                    np.fromiter(map(len, face_cycles), dtype=int,
+                                count=len(face_cycles)), theta)
+        self.edges, self.face_cycles = edges, face_cycles
 
     @classmethod
-    def _of_ints(cls, n_vertices, edges, face_cycles, theta=None):
-        """The surface of a list of (tail, head) tuples and a list of face
-        cycles, all Python ints, kept as given (:func:`parse_surf`'s)."""
+    def _of_arrays(cls, n_vertices, ends, darts, sizes, theta=None):
+        """The surface of an (E x 2) array of edge ends and the face cycles
+        as one array of darts laid end to end with the number of darts of
+        each face (:func:`parse_surf`'s); a dart may be any int, in an
+        object array."""
         surface = cls.__new__(cls)
-        surface._build(n_vertices, edges, face_cycles, theta)
+        surface._build(n_vertices, ends, darts, sizes, theta)
         return surface
 
-    def _build(self, n_vertices, edges, face_cycles, theta):
+    def _build(self, n_vertices, ends, darts, sizes, theta):
         self.n_vertices = int(n_vertices)
-        self.edges = edges
-        self.n_edges = len(self.edges)
+        self.n_edges = len(ends)
         self.n_darts = 2 * self.n_edges
-        self.face_cycles = face_cycles
         self.theta = None if theta is None else np.asarray(theta, dtype=float)
 
-        self.dart_tail = np.fromiter(chain.from_iterable(self.edges),
-                                     dtype=int, count=self.n_darts)
+        self.dart_tail = np.array(ends, dtype=int).reshape(self.n_darts)
         outside = (self.dart_tail < 0) | (self.dart_tail >= self.n_vertices)
         if outside.any():
             raise SurfaceFormatError(
                 "edge %d endpoint out of range 0..%d"
                 % (np.argmax(outside) // 2, self.n_vertices - 1))
-        darts, succ, face = self._check_faces()
+        darts, succ, face = self._check_faces(darts, sizes)
+        #: the face cycles laid end to end: face f's darts in cycle order
+        #: are cycle_darts[cycle_start[f]:cycle_start[f + 1]]
+        self.cycle_darts = darts
+        self.cycle_start = np.concatenate([[0], np.cumsum(sizes, dtype=int)])
         self.fnext = np.full(self.n_darts, -1)
         self.fnext[darts] = darts[succ]
         missing = np.flatnonzero(self.fnext < 0)
@@ -159,23 +175,18 @@ class CellSurface:
         if self.theta is not None and len(self.theta) != self.n_edges:
             raise SurfaceFormatError("theta length != edge count")
 
-    def _check_faces(self):
-        """(darts, succ, face) of the face cycles laid end to end: the
-        darts, the position of each one's successor in its cycle, and its
-        face.  Raises the fault a walk over the cycles, face by face, would
-        meet first: an empty face; a dart out of range anywhere in the face;
+    def _check_faces(self, flat, sizes):
+        """(darts, succ, face) of the face cycles, given as the darts
+        ``flat`` laid end to end and the ``sizes`` of the faces: the darts,
+        the position of each one's successor in its cycle, and its face.
+        Raises the fault a walk over the cycles, face by face, would meet
+        first: an empty face; a dart out of range anywhere in the face;
         then dart by dart, a dart met before, and a successor whose tail is
         not the dart's head."""
-        n_faces = len(self.face_cycles)
-        sizes = np.fromiter(map(len, self.face_cycles), dtype=int,
-                            count=n_faces)
-        flat = list(chain.from_iterable(self.face_cycles))
-        if flat and (min(flat) < 0 or max(flat) >= self.n_darts):
-            # out of range, however large, becomes -1
-            flat_in = [d if 0 <= d < self.n_darts else -1 for d in flat]
-        else:
-            flat_in = flat
-        darts = np.array(flat_in, dtype=int)
+        n_faces = len(sizes)
+        # out of range, however large, becomes -1
+        darts = np.where((flat < 0) | (flat >= self.n_darts), -1,
+                         flat).astype(int)
         face = np.repeat(np.arange(n_faces), sizes)
         ends = np.cumsum(sizes)[sizes > 0]
         succ = np.arange(1, len(darts) + 1)
@@ -243,23 +254,31 @@ class CellSurface:
         return star, start
 
     def _check_connected(self):
-        """Rejects a complex that is empty or has more than one component."""
+        """Rejects a complex that is empty or has more than one component.
+        Every vertex is labelled by the least vertex of its component: each
+        round hooks the larger label of each edge's ends under the smaller,
+        then jumps pointers until every label is a fixed point.  A label
+        with a smaller one across an edge merges that round, any other
+        within the next, so the labels at least halve every two rounds."""
         if not self.n_vertices:
             raise SurfaceFormatError("no vertices")
-        # the far end of each star dart, star by star
-        head = self.dart_tail[self.star ^ 1].tolist()
-        start = self.star_start.tolist()
-        seen = [True] + [False] * (self.n_vertices - 1)
-        todo = [0]
-        for v in todo:
-            for w in head[start[v]:start[v + 1]]:
-                if not seen[w]:
-                    seen[w] = True
-                    todo.append(w)
-        if not all(seen):
+        ends = self.dart_tail.reshape(-1, 2)
+        label = np.arange(self.n_vertices)
+        while True:
+            a, b = label[ends].T
+            lo, hi = np.minimum(a, b), np.maximum(a, b)
+            moved = lo != hi
+            if not moved.any():
+                break
+            np.minimum.at(label, hi[moved], lo[moved])
+            jumped = label[label]
+            while not np.array_equal(jumped, label):
+                label, jumped = jumped, jumped[jumped]
+        unreached = np.flatnonzero(label)
+        if unreached.size:
             raise SurfaceFormatError(
                 "surface is not connected (vertex %d unreached from vertex 0)"
-                % seen.index(False))
+                % unreached[0])
 
     # -- basic queries ----------------------------------------------------
 
@@ -274,7 +293,24 @@ class CellSurface:
 
     @property
     def n_faces(self):
-        return len(self.face_cycles)
+        return len(self.cycle_start) - 1
+
+    @cached_property
+    def edges(self):
+        """(tail, head) of each edge, as a list of int pairs."""
+        return list(zip(self.dart_tail[0::2].tolist(),
+                        self.dart_tail[1::2].tolist()))
+
+    @cached_property
+    def face_cycles(self):
+        """Each face's darts in cycle order, as a list of int lists."""
+        darts, start = self.cycle_darts.tolist(), self.cycle_start.tolist()
+        return list(map(darts.__getitem__, map(slice, start, start[1:])))
+
+    @cached_property
+    def face_sizes(self):
+        """Number of darts of each face."""
+        return _frozen(np.diff(self.cycle_start))
 
     def euler_characteristic(self):
         return self.n_vertices - self.n_edges + self.n_faces
@@ -291,11 +327,9 @@ class CellSurface:
     def face_darts(self):
         """The (F x 3) darts of each face in cycle order, or None unless
         every face is a triangle."""
-        if any(len(c) != 3 for c in self.face_cycles):
+        if np.any(self.face_sizes != 3):
             return None
-        return _frozen(np.fromiter(chain.from_iterable(self.face_cycles),
-                                   dtype=int, count=self.n_darts)
-                       .reshape(-1, 3))
+        return _frozen(self.cycle_darts.reshape(-1, 3))
 
     @cached_property
     def rotation_next(self):
@@ -328,7 +362,9 @@ class CellSurface:
         return adj
 
     def with_theta(self, theta):
-        return CellSurface(self.n_vertices, self.edges, self.face_cycles, theta)
+        return CellSurface._of_arrays(self.n_vertices,
+                                      self.dart_tail.reshape(-1, 2),
+                                      self.cycle_darts, self.face_sizes, theta)
 
     def relabeled(self, vperm, eperm=None):
         """Surface with vertices (and optionally edges) renamed by permutations."""
@@ -412,76 +448,149 @@ def serialize_surf(surface):
 
 #: the record kinds of surf v1, with the geom records of poly v1
 _KINDS = ("v", "e", "f", "theta", "geom")
+#: the kind of a run of lines that begin with this letter; its reader
+#: checks the kind words
+_BY_INITIAL = {kind[0]: kind for kind in _KINDS}
+#: the fields of the records of each kind but f as numpy reads them, the
+#: kind word first; a word field holds one letter more than any word it may
+#: be, so that a longer word reads as none of them
+_FIELDS = {
+    "v": np.dtype([("kind", "U2"), ("id", np.int64)]),
+    "e": np.dtype([("kind", "U2"), ("id", np.int64), ("ends", np.int64, 2)]),
+    "theta": np.dtype([("kind", "U6"), ("id", np.int64),
+                       ("value", np.float64)]),
+    "geom": np.dtype([("kind", "U5"), ("id", np.int64), ("type", "U8"),
+                      ("vec", np.float64, 4)]),
+}
 #: a comment: from "#" to the end of its line, as str.splitlines ends lines
 _COMMENT = re.compile("#[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*")
 _DART_SIGN = {"+": 0, "-": 1}
+#: f records that numpy's C reader reads at once, with their signs made
+#: digits
+_FACE_RECORDS = re.compile(r"(?:\s*f\s+[0-9]+(?:\s+[0-9]+[+-])+)*\s*")
+_PYTHON = {"i": int, "f": float, "U": str}
+
+
+def _ints(values):
+    """The list of ints ``values`` as an int64 array, or as an object array
+    if one of them does not fit."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _width(dtype):
+    """The number of text fields of a record of ``dtype``."""
+    return sum(math.prod(dtype[name].shape) for name in dtype.names)
 
 
 def _group_records(text):
-    """{kind: (line numbers, field counts, fields end to end)} of the
-    records of ``text``, each kind in line order.  A comment becomes a
-    blank, so the lines stay where ``str.splitlines`` puts them.  Each
-    line's field list is dropped once read: the parse leaves no object per
-    line for the garbage collector to scan.  Raises KeyError on a record of
-    no known kind."""
-    groups = {kind: ([], [], []) for kind in _KINDS}
-    rows = map(str.split, _COMMENT.sub(" ", text).splitlines())
-    for ln, parts in enumerate(rows, start=1):
-        if parts:
-            lines, counts, fields = groups[parts[0]]
-            lines.append(ln)
-            counts.append(len(parts))
-            fields += parts
+    """{kind: (line numbers, lines)} of the records of ``text``, comments
+    blanked, each kind in line order.  A run of lines that begin with a
+    letter of ``_BY_INITIAL`` joins its kind whole; any other line is split
+    once to find its kind.  Raises KeyError on a record of no known kind."""
+    groups = {kind: ([], []) for kind in _KINDS}
+    at = 1
+    for initial, run in groupby(text.splitlines(), itemgetter(slice(1))):
+        run = list(run)
+        if initial in _BY_INITIAL:
+            numbers, lines = groups[_BY_INITIAL[initial]]
+            numbers += range(at, at + len(run))
+            lines += run
+        else:
+            for ln, line in enumerate(run, start=at):
+                kind = line.split(None, 1)[:1]
+                if kind:
+                    numbers, lines = groups[kind[0]]
+                    numbers.append(ln)
+                    lines.append(line)
+        at += len(run)
     return groups
 
 
-def _columns(group, n_fields):
-    """The fields of a group of records that must have ``n_fields`` each,
-    column by column."""
-    _, counts, fields = group
-    if set(counts) - {n_fields}:
+def _table(lines, dtype, c_reader):
+    """The records ``lines`` as one array per field of ``dtype``.  With
+    ``c_reader`` set, numpy's C reader reads them at once; where it rejects
+    a field, or without it, Python's ``str.split``, ``int`` and ``float``
+    read them as the per-line parser did, an int field as an object array.
+    Raises ValueError if a record has another number of fields or a field
+    that Python cannot read either."""
+    if c_reader:
+        try:
+            table = (np.loadtxt(lines, dtype=dtype, ndmin=1, comments=None)
+                     if lines else np.zeros(0, dtype))
+            return [np.ascontiguousarray(table[name]) for name in dtype.names]
+        except ValueError:
+            pass
+    parts = list(map(str.split, lines))
+    if any(len(fields) != _width(dtype) for fields in parts):
         raise ValueError("wrong field count")
-    return [fields[i::n_fields] for i in range(n_fields)]
+    cells = np.array(parts, dtype=object).reshape(len(parts), _width(dtype))
+    out, at = [], 0
+    for name in dtype.names:
+        field = dtype[name]
+        block = cells[:, at:at + math.prod(field.shape)]
+        at += block.shape[1]
+        values = np.frompyfunc(_PYTHON[field.base.kind], 1, 1)(block)
+        if field.base.kind == "f":
+            values = values.astype(float)
+        out.append(values.reshape((len(parts),) + field.shape))
+    return out
 
 
-def _pieces(items, sizes, skip=0):
-    """``items`` cut into consecutive lists of the given sizes, each but its
-    first ``skip`` items, lazily."""
-    ends = list(accumulate(sizes))
-    starts = [end - size + skip for end, size in zip(ends, sizes)]
-    return map(items.__getitem__, map(slice, starts, ends))
+def _distinct(ids, kind):
+    ids = np.sort(ids)
+    if np.any(ids[1:] == ids[:-1]):
+        raise ValueError("duplicate %s id" % kind)
 
 
-def _ids(tokens, what):
-    """The ids of one kind's records, which must differ."""
-    ids = list(map(int, tokens))
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate %s" % what)
-    return ids
+def _fields(kind, lines, c_reader):
+    """The fields after the kind word of the ``kind`` records ``lines``,
+    one array per field, the ids first (:func:`_table`).  Raises ValueError
+    if a record is of another kind or repeats an id."""
+    words, *fields = _table(lines, _FIELDS[kind], c_reader)
+    if np.any(words != kind):
+        raise ValueError("unrecognized record")
+    _distinct(fields[0], kind)
+    return fields
 
 
-def _surf_columns(groups):
-    """The fields of every surf v1 record kind, converted one kind at a
-    time: (vertex ids, edge ids, edge tails, edge heads, face ids, face
-    cycles, theta ids, theta values), each in line order, the face cycles
-    as a one-pass iterator.  Raises ValueError (or KeyError) if some record
-    fails its own checks."""
-    _, vertex_ids = _columns(groups["v"], 2)
-    _, edge_ids, tails, heads = _columns(groups["e"], 4)
-    _, counts, fields = groups["f"]
-    if min(counts, default=3) < 3:
-        raise ValueError("empty face")
-    darts = [2 * int(tok[:-1]) + _DART_SIGN[tok[-1]]
-             for tok in chain.from_iterable(_pieces(fields, counts, 2))]
-    _, theta_ids, theta = _columns(groups["theta"], 3)
-    theta = list(map(float, theta))
-    if not all(map(math.isfinite, theta)):
-        raise ValueError("non-finite theta")
-    return (_ids(vertex_ids, "vertex"), _ids(edge_ids, "edge"),
-            list(map(int, tails)), list(map(int, heads)),
-            _ids(map(itemgetter(0), _pieces(fields, counts, 1)), "face"),
-            _pieces(darts, [n - 2 for n in counts]),
-            _ids(theta_ids, "theta"), theta)
+def _faces(lines, c_reader):
+    """(ids, darts, sizes) of the f records ``lines``: the face ids, the
+    darts of every face laid end to end, and the number of each face's
+    darts.  With ``c_reader`` set, and every id and edge id in ASCII digits,
+    each edge id with its sign after it, numpy's C reader reads all the
+    records at once, each kind word made -1 and each sign the last digit of
+    its dart (0 for +, 1 for -); else Python's ``int`` reads the ids and
+    darts, into object arrays.  Raises ValueError (or KeyError) if some
+    record fails its own checks."""
+    text, x = " ".join(lines), None
+    if c_reader and lines and _FACE_RECORDS.fullmatch(text):
+        with suppress(ValueError):  # a number of 19 digits or more
+            x = np.loadtxt([text.replace("+", "0").replace("-", "1")
+                            .replace("f", "-1")], dtype=np.int64, ndmin=1,
+                           comments=None)
+    if x is not None:
+        start = np.flatnonzero(x < 0)
+        dart = np.ones(len(x), dtype=bool)
+        dart[start] = dart[start + 1] = False
+        ids, darts = x[start + 1], x[dart]
+        darts = 2 * (darts // 10) + darts % 10
+        sizes = np.diff(start, append=len(x)) - 2
+    else:
+        parts = list(map(str.split, lines))
+        if set(map(itemgetter(0), parts)) - {"f"}:
+            raise ValueError("unrecognized record")
+        sizes = np.fromiter(map(len, parts), dtype=int, count=len(parts)) - 2
+        if np.any(sizes < 1):
+            raise ValueError("empty face")
+        ids = np.array([int(fields[1]) for fields in parts], dtype=object)
+        darts = np.array([2 * int(tok[:-1]) + _DART_SIGN[tok[-1]]
+                          for fields in parts for tok in fields[2:]],
+                         dtype=object)
+    _distinct(ids, "f")
+    return ids, darts, sizes
 
 
 def _record(seen, token, what):
@@ -490,6 +599,10 @@ def _record(seen, token, what):
     if key in seen:
         raise ValueError("duplicate %s %d" % (what, key))
     seen.add(key)
+
+
+#: the number of fields of the records of a fixed number of them
+_FIELD_COUNT = {kind: _width(_FIELDS[kind]) for kind in ("v", "e", "theta")}
 
 
 def _first_record_fault(text):
@@ -502,9 +615,12 @@ def _first_record_fault(text):
         if not parts:
             continue
         try:
-            if parts[0] == "v" and len(parts) == 2:
+            if len(parts) != _FIELD_COUNT.get(parts[0], len(parts)):
+                raise ValueError("%s record needs %d fields, got %d" % (
+                    parts[0], _FIELD_COUNT[parts[0]], len(parts)))
+            if parts[0] == "v":
                 _record(seen["vertex"], parts[1], "vertex")
-            elif parts[0] == "e" and len(parts) == 4:
+            elif parts[0] == "e":
                 _record(seen["edge"], parts[1], "edge")
                 int(parts[2]), int(parts[3])
             elif parts[0] == "f":
@@ -515,7 +631,7 @@ def _first_record_fault(text):
                 if len(parts) < 3:
                     raise ValueError("empty face")
                 _record(seen["face"], parts[1], "face")
-            elif parts[0] == "theta" and len(parts) == 3:
+            elif parts[0] == "theta":
                 if not math.isfinite(float(parts[2])):
                     raise ValueError("non-finite theta %r" % parts[2])
                 _record(seen["theta"], parts[1], "theta")
@@ -530,72 +646,85 @@ def _check_ids(ids, lines, count, message):
     """The distinct record ``ids`` must be exactly 0..count-1; an error
     names the line of the first record whose id lies outside that range,
     when there is one."""
-    if len(ids) != count or (ids and (min(ids) < 0 or max(ids) >= count)):
-        outside = [ln for key, ln in zip(ids, lines) if not 0 <= key < count]
-        raise SurfaceFormatError(message, line=min(outside, default=None))
-
-
-def _in_id_order(ids, values):
-    """The list of ``values`` sorted by their record ids."""
-    if ids == list(range(len(ids))):
-        return list(values)
-    return [value for _, value in sorted(zip(ids, values), key=itemgetter(0))]
+    outside = (ids < 0) | (ids >= count)
+    if len(ids) != count or outside.any():
+        raise SurfaceFormatError(message, line=lines[np.argmax(outside)]
+                                 if outside.any() else None)
 
 
 def parse_surf(text, geom_records=None):
     """Parse "surf v1"; raises SurfaceFormatError with a line number.
 
-    The lines are split once and grouped by record kind, and each kind's
-    fields are converted in one pass with Python's ``int`` and ``float``.
-    If some record fails, :func:`_first_record_fault` walks the records
-    one by one to report the first fault in line order.  The checks across
-    records follow: ids, edge ends, theta cover, then the surface's own.
-    The ``geom`` records of the poly v1 extension are skipped, or, when a
-    list ``geom_records`` is given, their line numbers, field counts and
-    fields end to end are appended to it for
-    :func:`endlab.polysurf.parse_poly` to check.
+    The lines are grouped by record kind in one pass, and numpy's C reader
+    reads each kind's records at once (:func:`_fields`, :func:`_faces`).
+    What it rejects, Python's ``int`` and ``float`` read as the per-line
+    parser did; the C reader is not used on text with a non-ASCII character
+    or a NUL outside comments, as it takes some non-ASCII letters for
+    digits and its word fields drop NULs.  If a record still fails,
+    :func:`_first_record_fault` walks the records one by one to report the
+    first fault in line order.  The checks across records follow: ids,
+    edge ends, theta cover, then the surface's own.  The ``geom`` records
+    of the poly v1 extension are skipped, or, when a list ``geom_records``
+    is given, read too: their line numbers and their fields (ids, vertex
+    kinds, (n x 4) vectors), or None if some record fails to read, are
+    appended to it for :func:`endlab.polysurf.parse_poly` to check.
     """
+    blanked = _COMMENT.sub(" ", text)
+    c_reader = blanked.isascii() and "\0" not in blanked
     try:
-        groups = _group_records(text)
-        (vertex_ids, edge_ids, tails, heads, face_ids, cycles, theta_ids,
-         theta) = _surf_columns(groups)
+        groups = _group_records(blanked)
+        (vertex_ids,) = _fields("v", groups["v"][1], c_reader)
+        edge_ids, ends = _fields("e", groups["e"][1], c_reader)
+        face_ids, darts, sizes = _faces(groups["f"][1], c_reader)
+        theta_ids, theta = _fields("theta", groups["theta"][1], c_reader)
+        if not np.all(np.isfinite(theta)):
+            raise ValueError("non-finite theta")
+        geom = None
+        if geom_records is not None:
+            with suppress(ValueError):
+                geom = _fields("geom", groups["geom"][1], c_reader)
+        # a geom record is checked here for its kind word alone
+        if geom is None and any(line.split(None, 1)[0] != "geom"
+                                for line in groups["geom"][1]):
+            raise ValueError("unrecognized record")
     except (ValueError, KeyError):
         _first_record_fault(text)
-    if geom_records is not None:
-        geom_records.extend(groups["geom"])
-    # only line numbers are read from here on; dropping the fields before
-    # the surface is built keeps the parse's peak memory that of a
-    # line-by-line reader
     lines = {kind: group[0] for kind, group in groups.items()}
+    if geom_records is not None:
+        geom_records += [lines["geom"], geom]
     del groups
     n_vertices = len(vertex_ids)
     if not n_vertices:
         raise SurfaceFormatError("no vertices")
     _check_ids(vertex_ids, lines["v"], n_vertices,
                "vertex ids must be 0..n-1")
-    ends = tails + heads
-    if ends and (min(ends) < 0 or max(ends) >= n_vertices):
-        i = next(i for i, uv in enumerate(zip(tails, heads))
-                 if not all(0 <= u < n_vertices for u in uv))
+    outside = np.any((ends < 0) | (ends >= n_vertices), axis=1)
+    if outside.any():
+        i = np.argmax(outside)
         raise SurfaceFormatError("edge %d endpoint out of range 0..%d"
                                  % (edge_ids[i], n_vertices - 1),
                                  line=lines["e"][i])
     n_edges = len(edge_ids)
     _check_ids(edge_ids, lines["e"], n_edges, "edge ids must be 0..m-1")
     _check_ids(face_ids, lines["f"], len(face_ids), "face ids must be 0..k-1")
-    if theta_ids:
+    if len(theta_ids):
         _check_ids(theta_ids, lines["theta"], n_edges,
                    "theta must cover all edges")
-        theta = _in_id_order(theta_ids, theta)
+        theta = theta[np.argsort(theta_ids)]
     else:
         theta = None
+    # the faces in id order, and their darts with them
+    faces = np.argsort(face_ids)
+    starts = (np.cumsum(sizes) - sizes)[faces]
+    sizes = sizes[faces]
+    darts = darts[np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
+                  + np.arange(len(darts))]
     try:
-        return CellSurface._of_ints(
-            n_vertices, _in_id_order(edge_ids, zip(tails, heads)),
-            _in_id_order(face_ids, cycles), theta)
+        return CellSurface._of_arrays(n_vertices, ends[np.argsort(edge_ids)],
+                                      darts, sizes, theta)
     except _DartOutOfRange as exc:
-        line = lines["f"][face_ids.index(exc.face)]
-        raise SurfaceFormatError(str(exc), line=line) from None
+        raise SurfaceFormatError(str(exc),
+                                 line=lines["f"][faces[exc.face]]) from None
 
 
 # ---------------------------------------------------------------------------
@@ -1031,8 +1160,10 @@ def _check_theta(surface):
     if surface.theta is None:
         raise SurfaceFormatError("theta required on all edges")
     th = surface.theta
-    if np.any(~np.isfinite(th)) or np.any(th <= 0) or np.any(th >= math.pi):
-        raise SurfaceFormatError("weight out of (0,pi)")
+    bad = np.flatnonzero(~((th > 0) & (th < math.pi)))
+    if bad.size:
+        raise SurfaceFormatError("weight out of (0,pi): edge %d has %.12g"
+                                 % (bad[0], th[bad[0]]))
 
 
 def _check_l_max(l_max):
@@ -1193,10 +1324,10 @@ def dual_cell_surface(surface):
     from face(2e) to face(2e+1)), dual face per primal vertex with boundary
     along the vertex star.
     """
-    duals = surface.dual_edges()
     # The dual dart with the same id as a primal dart d runs from face(d)
     # to face(twin d); the star order around a primal vertex is already
     # head-to-tail for these darts.
-    star, start = surface.star.tolist(), surface.star_start.tolist()
-    cycles = [star[a:b] for a, b in zip(start, start[1:])]
-    return CellSurface(surface.n_faces, duals, cycles, surface.theta)
+    return CellSurface._of_arrays(surface.n_faces,
+                                  surface.dart_face.reshape(-1, 2),
+                                  surface.star, surface.degrees,
+                                  surface.theta)

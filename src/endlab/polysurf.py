@@ -25,13 +25,13 @@ recorded as unverified in the build diagnostics.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import mink
-from .cellsurf import (CellSurface, SurfaceFormatError, _check_ids, _columns,
-                       _ids, _in_id_order, _pieces, _record,
+from .cellsurf import (CellSurface, SurfaceFormatError, _check_ids,
                        dual_cell_surface, parse_surf, serialize_surf, twin)
 from .decor import BACKWARD, FORWARD, Decoration
 from .mink import GeometryError, mdot
@@ -285,23 +285,42 @@ class LinkBundle:
 # the surface
 
 
+class _VertexArray(Sequence):
+    """Vertex data held as arrays, the vertex ``kinds`` and the (V x 4)
+    ``vectors`` that VertexGeom would keep for them, read as a sequence of
+    VertexGeom, each made when it is read."""
+
+    def __init__(self, kinds, vectors):
+        self.kinds, self.vectors = kinds, vectors
+
+    def __len__(self):
+        return len(self.vectors)
+
+    def __getitem__(self, v):
+        return _geom(str(self.kinds[v]), self.vectors[v].copy())
+
+
 class PolySurface:
     def __init__(self, base, geoms, *, is_dual=False, reference=None,
                  strict=True, tau_plane=TAU_PLANE):
         if base.n_vertices != len(geoms):
             raise PolyBuildError("one vertex datum per vertex required")
         self.base = base
-        self.geoms = list(geoms)
+        if isinstance(geoms, _VertexArray):
+            kinds, self.vectors = set(geoms.kinds.tolist()), geoms.vectors
+        else:
+            geoms = list(geoms)
+            kinds = {g.kind for g in geoms}
+            self.vectors = np.array([g.vec for g in geoms])
+        self.geoms = geoms
         self.is_dual = bool(is_dual)
         self.strict = bool(strict)
         self.tau_plane = float(tau_plane)
-        kinds = {g.kind for g in self.geoms}
         if len(kinds) > 1:
             raise UnsupportedGeometry("mixed vertex kinds are unsupported: %s"
                                       % sorted(kinds))
         self.kind = next(iter(kinds))
         self.tri, self.diagonal_edges = _triangulate(base)
-        self.vectors = np.array([g.vec for g in self.geoms])
         if reference is None:
             reference = self._default_reference()
         self.reference = np.asarray(reference, dtype=float)
@@ -311,8 +330,7 @@ class PolySurface:
         self.base_face_normals = self._face_normals()
         # triangulated faces inherit their polygon's plane
         self.face_normals = np.repeat(
-            self.base_face_normals,
-            [max(1, len(cyc) - 2) for cyc in base.face_cycles], axis=0)
+            self.base_face_normals, np.maximum(base.face_sizes - 2, 1), axis=0)
         self._check_planarity()
         self._check_convexity()
         self._links = None
@@ -324,7 +342,7 @@ class PolySurface:
         normalised vertex sum, or for hyperideal surfaces the normalised sum
         of the midpoints of the edges that cross H^3."""
         if self.kind == HYPER:
-            a, b = np.array(self.base.edges).T
+            a, b = self.base.dart_tail.reshape(-1, 2).T
             crossing = mdot(self.vectors[a], self.vectors[b]) < -1.0
             if not crossing.any():
                 raise PolyBuildError("no edge crosses H^3; "
@@ -348,16 +366,14 @@ class PolySurface:
         k >= 4 vertices takes the right singular vector of the smallest
         singular value of those rows, one stacked SVD per size, and its
         planarity margin is sigma_4 / sigma_1 (0 on triangles)."""
-        cycles = self.base.face_cycles
-        darts = self.base.face_darts
-        sizes = (np.full(len(cycles), 3) if darts is not None
-                 else np.array([len(cyc) for cyc in cycles]))
-        out = np.empty((len(cycles), 4))
-        self._planarity_margin = np.zeros(len(cycles))
+        base = self.base
+        sizes = base.face_sizes
+        out = np.empty((base.n_faces, 4))
+        self._planarity_margin = np.zeros(base.n_faces)
         for k in np.unique(sizes):
             faces = np.flatnonzero(sizes == k)
-            vids = self.base.dart_tail[darts if darts is not None
-                                       else [cycles[f] for f in faces]]
+            vids = base.dart_tail[base.cycle_darts[
+                base.cycle_start[faces, None] + np.arange(k)]]
             if k == 3:
                 n, volume = _triangle_planes(self.vectors.T[:, vids.T]
                                              * mink.METRIC_DIAG[:, None, None])
@@ -608,10 +624,12 @@ def _normalized(kinds, vecs):
     q = mdot(vecs, vecs)
     timelike, null, spacelike = (kinds == k for k in (COMPACT, IDEAL, HYPER))
     e2 = np.vecdot(vecs[null], vecs[null])
-    if (np.any(q[timelike] >= 0) or np.any(q[spacelike] <= 0)
+    if (not np.all(timelike | null | spacelike)
+            or np.any(q[timelike] >= 0) or np.any(q[spacelike] <= 0)
             or not np.all((np.abs(q[null]) <= mink.TAU_NULL * e2)
                           & (vecs[null, 3] > 0) & (e2 != 0))):
-        raise ValueError("vertex vector of the wrong causal type")
+        raise ValueError("unknown vertex kind, or a vector of the wrong "
+                         "causal type")
     out = vecs.copy()
     out[timelike] /= np.sqrt(-q[timelike])[:, None]
     out[timelike & (out[:, 3] < 0)] *= -1
@@ -627,19 +645,25 @@ def _geom(kind, vec):
     return geom
 
 
-def _first_geom_fault(lines, records):
-    """Raises the first fault of a single geom record, in line order, with
-    its line: the checks of each record, one record at a time, for when the
-    columns of :func:`parse_poly` fail."""
+def _first_geom_fault(text, lines):
+    """Raises the first fault of a single geom record of ``text``, on the
+    ``lines`` of the geom records, in line order, with its line: the checks
+    of each record, one record at a time, for when the columns of
+    :func:`parse_poly` fail."""
+    raw = text.splitlines()
     seen = set()
-    for ln, parts in zip(lines, records):
+    for ln in lines:
+        parts = raw[ln - 1].split("#", 1)[0].split()
         if len(parts) != 7 or parts[2] not in (COMPACT, IDEAL, HYPER):
             raise SurfaceFormatError("bad geom record", line=ln)
         try:
             vec = np.array([float(x) for x in parts[3:7]])
             if not np.all(np.isfinite(vec)):
                 raise ValueError("non-finite geom coordinate")
-            _record(seen, parts[1], "geom")
+            key = int(parts[1])
+            if key in seen:
+                raise ValueError("duplicate geom %d" % key)
+            seen.add(key)
             VertexGeom(parts[2], vec)
         except (ValueError, PolyBuildError) as exc:
             raise SurfaceFormatError(str(exc), line=ln) from exc
@@ -647,24 +671,24 @@ def _first_geom_fault(lines, records):
 
 
 def parse_poly(text):
-    """Parse "poly v1": the surface as :func:`parse_surf` reads it, then the
-    geom records, converted and normalised in one pass over all vertices
-    (one by one only to report the first fault, in line order)."""
-    group = []
-    surface = parse_surf(text, group)
-    lines, counts, fields = group
+    """Parse "poly v1": the surface as :func:`parse_surf` reads it, with the
+    fields of its geom records, read the same way; their vectors are
+    checked and normalised in one pass over all vertices, and a fault is
+    reported by :func:`_first_geom_fault`, in line order.  The surface
+    keeps the (V x 4) array of vectors; its ``geoms`` are made on reading."""
+    geom = []
+    surface = parse_surf(text, geom)
+    lines, fields = geom
     try:
-        _, ids, kinds, *coords = _columns(group, 7)
-        if not set(kinds) <= {COMPACT, IDEAL, HYPER}:
-            raise ValueError("unknown vertex kind")
-        vecs = np.array([list(map(float, c)) for c in coords]).T.copy()
+        if fields is None:
+            raise ValueError("unreadable geom record")
+        ids, kinds, vecs = fields
         if not np.all(np.isfinite(vecs)):
             raise ValueError("non-finite geom coordinate")
-        ids = _ids(ids, "geom")
-        vecs = _normalized(np.array(kinds, dtype=str), vecs)
+        vecs = _normalized(kinds, vecs)
     except ValueError:
-        _first_geom_fault(lines, _pieces(fields, counts))
+        _first_geom_fault(text, lines)
     _check_ids(ids, lines, surface.n_vertices,
                "geom records must cover all vertices")
-    return PolySurface(surface, list(map(
-        _geom, _in_id_order(ids, kinds), _in_id_order(ids, vecs))))
+    order = np.argsort(ids)
+    return PolySurface(surface, _VertexArray(kinds[order], vecs[order]))

@@ -123,6 +123,71 @@ def test_star_arrays_match_parent_walk(name, relabel):
     assert cellsurf.dual_cell_surface(s).face_cycles == walked
 
 
+def parent_check_connected(self):
+    """The breadth-first search that checked connectivity before the
+    labelling by pointer jumping, kept as its oracle.  Verbatim (a method
+    of CellSurface there)."""
+    if not self.n_vertices:
+        raise SurfaceFormatError("no vertices")
+    # the far end of each star dart, star by star
+    head = self.dart_tail[self.star ^ 1].tolist()
+    start = self.star_start.tolist()
+    seen = [True] + [False] * (self.n_vertices - 1)
+    todo = [0]
+    for v in todo:
+        for w in head[start[v]:start[v + 1]]:
+            if not seen[w]:
+                seen[w] = True
+                todo.append(w)
+    if not all(seen):
+        raise SurfaceFormatError(
+            "surface is not connected (vertex %d unreached from vertex 0)"
+            % seen.index(False))
+
+
+class UncheckedComponents(CellSurface):
+    """CellSurface that leaves the connectivity check to the caller."""
+
+    def _check_connected(self):
+        pass
+
+
+def _disjoint_union(surfaces, rng):
+    """The disjoint union of ``surfaces``, its vertices and edges renamed
+    at random."""
+    edges, cycles, nv = [], [], 0
+    for s in surfaces:
+        cycles += [[d + 2 * len(edges) for d in cyc] for cyc in s.face_cycles]
+        edges += [(u + nv, v + nv) for u, v in s.edges]
+        nv += s.n_vertices
+    vperm = rng.sample(range(nv), nv)
+    eperm = rng.sample(range(len(edges)), len(edges))
+    renamed = [None] * len(edges)
+    for e, (u, v) in enumerate(edges):
+        renamed[eperm[e]] = (vperm[u], vperm[v])
+    return UncheckedComponents(nv, renamed, [
+        [2 * eperm[d // 2] + d % 2 for d in cyc] for cyc in cycles])
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_components_found_as_the_parent_search_found_them(seed):
+    # one to four surfaces side by side: the same verdict, and the same
+    # least vertex unreached from vertex 0
+    rng = random.Random(seed)
+    names = sorted(STAR_SURFACES)
+    s = _disjoint_union([STAR_SURFACES[rng.choice(names)]()
+                         for _ in range(1 + seed % 4)], rng)
+
+    def outcome(check):
+        try:
+            return check(s)
+        except SurfaceFormatError as exc:
+            return str(exc)
+
+    assert outcome(CellSurface._check_connected) == outcome(
+        parent_check_connected)
+
+
 @pytest.mark.parametrize("name", STAR_SURFACES)
 def test_cached_dart_arrays_are_the_surface_data(name):
     # one read-only array each, the face darts only for a triangulation
@@ -232,10 +297,25 @@ def two_spheres(second, first=(0, 1, 2)):
      .replace("f 1 2- 1- 0-", "f 1 2- 1- 5-"), "dart 0 used twice"),
     (two_spheres((3, 4, 5), first=(1, 2, 3)), "vertex 0 has no darts"),
     (two_spheres((1, 4, 5)) + "v 6\n", "vertex 1 has a disconnected star"),
+    # a record of a known kind with the wrong number of fields
+    (SPHERE + "e\n", "line 9: e record needs 4 fields, got 1"),
+    (SPHERE.replace("e 1 1 2", "e 1 1 2 0"),
+     "line 5: e record needs 4 fields, got 5"),
+    (SPHERE.replace("v 2", "v"), "line 3: v record needs 2 fields, got 1"),
+    (SPHERE + "v 3 3\n", "line 9: v record needs 2 fields, got 3"),
+    (SPHERE + "theta 0\n", "line 9: theta record needs 3 fields, got 2"),
+    # numpy's C reader reads U+0761 as a digit, and drops the NUL of a word
+    (SPHERE.replace("e 1 1 2", "e 1 1 2\u0761"),
+     "line 5: invalid literal for int() with base 10: '2\u0761'"),
+    (SPHERE.replace("f 0 0+", "f 0\u0761 0+"),
+     "line 7: invalid literal for int() with base 10: '0\u0761'"),
+    (SPHERE.replace("v 2", "v\x00 2"), "line 3: unrecognized record 'v\\x00'"),
 ], ids=["unrecognized-record", "dart-token", "empty-face", "dart-used-twice",
         "disconnected-star", "two-components", "used-twice-then-out-of-range",
         "no-darts-then-disconnected-star",
-        "disconnected-star-then-no-darts"])
+        "disconnected-star-then-no-darts", "bare-e", "long-e", "bare-v",
+        "long-v", "short-theta", "non-ascii-digit", "non-ascii-face-id",
+        "nul-in-kind"])
 def test_malformed_surf_rejected(text, message):
     with pytest.raises(SurfaceFormatError) as err:
         parse_surf(text)
@@ -254,7 +334,17 @@ def test_empty_complex_rejected():
 class ParentFaceLoop(CellSurface):
     """CellSurface whose constructor checks the face cycles with the
     per-dart loop it had before the array checks, kept as their oracle.
-    Verbatim, bar the class line."""
+    Verbatim, bar the class line, and the face cycles laid end to end,
+    which the class keeps as arrays now, derived from the lists."""
+
+    @property
+    def cycle_darts(self):
+        return np.array([d for cyc in self.face_cycles for d in cyc],
+                        dtype=int)
+
+    @property
+    def cycle_start(self):
+        return np.cumsum([0] + [len(cyc) for cyc in self.face_cycles])
 
     def __init__(self, n_vertices, edges, face_cycles, theta=None):
         self.n_vertices = int(n_vertices)
@@ -318,9 +408,14 @@ def parent_check_ids(lines, count, message):
         raise SurfaceFormatError(message, line=min(outside, default=None))
 
 
+#: the field count of the records the oracle names in its field-count error
+FIELD_COUNT = {"v": 2, "e": 4, "theta": 3}
+
+
 def parent_parse_surf(text, geom_records=None):
     """The per-line parser that the columnar one replaced, kept as its
-    oracle.  Verbatim, bar the helper and class names."""
+    oracle.  Verbatim, bar the helper and class names and the field-count
+    error of a v, e or theta record (an unrecognized record before)."""
     vertex_lines = {}
     edges, edge_lines = {}, {}
     faces, face_lines = {}, {}
@@ -353,6 +448,10 @@ def parent_parse_surf(text, geom_records=None):
             elif parts[0] == "geom":
                 if geom_records is not None:
                     geom_records.append((ln, parts))
+            elif parts[0] in FIELD_COUNT:
+                raise ValueError("%s record needs %d fields, got %d"
+                                 % (parts[0], FIELD_COUNT[parts[0]],
+                                    len(parts)))
             else:
                 raise ValueError("unrecognized record %r" % parts[0])
         except ValueError as exc:
@@ -403,6 +502,23 @@ def _records_by_kind(lines):
     return out
 
 
+#: Arabic-Indic digits, which Python's int and float read as ASCII digits
+ARABIC_DIGITS = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663"
+                              "\u0664\u0665\u0666\u0667\u0668\u0669")
+#: reals that Python's float and numpy's reader may read apart
+REAL_FORMS = ["1_0.5", "0x1p3", "1e999", "+1.5", "1.5_0", "\u0663.5", "1.5"]
+#: whitespace that splits fields, or lines (all but the last)
+SEPARATORS = ["\x0b", "\x0c", "\x1c", "\u3000", "\xa0", "\x1f", "\t"]
+
+
+def _int_forms(digits):
+    """``digits`` written in ways that Python's int and numpy's reader may
+    read apart, and past int64."""
+    return ["+" + digits, "00" + digits,
+            digits[:1] + "_" + (digits[1:] or "0"),
+            digits.translate(ARABIC_DIGITS), str(2 ** 63), str(10 ** 20)]
+
+
 def _mutate(lines, rng):
     """``lines`` of a surf v1 text with one seeded fault put in (or, when
     the fault picked has no record to go in, unchanged)."""
@@ -413,10 +529,11 @@ def _mutate(lines, rng):
     huge = 10 ** 20
     how = rng.choice(["drop-field", "add-field", "duplicate", "drop-record",
                       "sign", "theta", "endpoint", "dart", "id",
-                      "empty-face", "swap-darts", "reuse-dart", "unknown"])
+                      "empty-face", "swap-darts", "reuse-dart", "unknown",
+                      "int-form", "real-form", "separator"])
     kind = {"sign": "f", "theta": "theta", "endpoint": "e", "dart": "f",
-            "empty-face": "f", "swap-darts": "f",
-            "reuse-dart": "f"}.get(how) or rng.choice(sorted(records))
+            "empty-face": "f", "swap-darts": "f", "reuse-dart": "f",
+            "real-form": "theta"}.get(how) or rng.choice(sorted(records))
     if kind not in records:
         return lines
     i = rng.choice(records[kind])
@@ -455,6 +572,19 @@ def _mutate(lines, rng):
             parts[rng.choice(darts)] = rng.choice(other)
     elif how == "unknown":
         parts[0] = rng.choice(["x", "vv", "E"])
+    elif how == "int-form" and len(parts) > 1:
+        # an id, an edge end or a dart's edge id; theta values stay
+        j = 1 if kind == "theta" else rng.randrange(1, len(parts))
+        sign = parts[j][-1] if j > 1 and kind == "f" else ""
+        parts[j] = rng.choice(_int_forms(parts[j][:len(parts[j])
+                                                  - len(sign)])) + sign
+    elif how == "real-form":
+        parts[-1] = rng.choice(REAL_FORMS)
+    elif how == "separator":
+        j = rng.randrange(1, len(parts) + 1)
+        lines[i] = (" ".join(parts[:j]) + rng.choice(SEPARATORS)
+                    + " ".join(parts[j:]))
+        return lines
     lines[i] = " ".join(parts)
     return lines
 
@@ -572,10 +702,10 @@ def test_comment_keeps_line_numbers():
 def test_columns_that_fail_without_a_record_fault_are_internal(monkeypatch):
     # the record-by-record walk must find what the columns rejected; if it
     # finds nothing, the fault is endlab's (a ValueError, exit 3)
-    def reject(groups):
+    def reject(lines, c_reader):
         raise ValueError("rejected")
 
-    monkeypatch.setattr(cellsurf, "_surf_columns", reject)
+    monkeypatch.setattr(cellsurf, "_faces", reject)
     with pytest.raises(ValueError) as err:
         parse_surf(SPHERE)
     assert not isinstance(err.value, SurfaceFormatError)
@@ -1108,6 +1238,29 @@ def test_admissible_theta_range_checked():
     theta[3] = math.pi
     with pytest.raises(SurfaceFormatError, match="weight out of"):
         validate_admissible(pat.with_theta(theta))
+
+
+@pytest.mark.parametrize("edge,value,shown", [
+    (0, 4.0, "4"), (3, math.pi, "3.14159265359"), (5, 0.0, "0"),
+    (7, -1.5, "-1.5"), (2, math.nan, "nan"), (9, math.inf, "inf")])
+def test_theta_range_error_names_first_edge(edge, value, shown):
+    # the first offending edge in id order, with its value
+    pat = thurston_pattern(tetrahedron_surface())
+    theta = pat.theta.copy()
+    theta[edge] = value
+    theta[edge + 1] = 5.0
+    with pytest.raises(SurfaceFormatError) as err:
+        validate_admissible(pat.with_theta(theta))
+    assert str(err.value) == "weight out of (0,pi): edge %d has %s" % (
+        edge, shown)
+
+
+def test_theta_range_error_of_parsed_text():
+    text = serialize_surf(thurston_pattern(tetrahedron_surface()))
+    text = re.sub("(?m)^theta 0 .*$", "theta 0 4", text)
+    with pytest.raises(SurfaceFormatError,
+                       match=re.escape("weight out of (0,pi): edge 0 has 4")):
+        validate_admissible(parse_surf(text))
 
 
 def test_admissible_genus2_uniform_passes():

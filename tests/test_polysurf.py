@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -467,6 +468,8 @@ def _two_pass_parse_poly(text):
 
 def _poly_variants(text):
     """The text with single records changed, added, moved or removed."""
+    from test_cellsurf import (ARABIC_DIGITS, REAL_FORMS, SEPARATORS,
+                               _int_forms)
     lines = text.splitlines()
     geoms = [i for i, ln in enumerate(lines) if ln.startswith("geom ")]
     first, last = geoms[0], geoms[-1]
@@ -524,6 +527,18 @@ def _poly_variants(text):
     # a bad geom record before a bad surf record: the surf error wins
     yield swap(first, "geom") + ["bogus 1"]
     yield swap(0, "e 0 0") + swap(first, "geom")[1:]
+    # ids, reals and separators that Python's int and float and numpy's
+    # reader may read apart: the same vectors or the same first error
+    for form in _int_forms(fields[1]):
+        yield swap(first, " ".join(["geom", form] + fields[2:]))
+    for form in REAL_FORMS:
+        yield swap(first, " ".join(fields[:4] + [form] + fields[5:]))
+    yield swap(first, " ".join(fields[:3] + [
+        re.sub("([0-9])([0-9])", r"\1_\2", x, count=1) for x in fields[3:]]))
+    yield swap(first, " ".join(fields[:3] + [
+        x.translate(ARABIC_DIGITS) for x in fields[3:]]))
+    for sep in SEPARATORS:
+        yield swap(first, sep.join(fields))
 
 
 def _spiral_hull(kind):
