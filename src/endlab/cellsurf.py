@@ -24,16 +24,17 @@ one a walk face by face, then vertex by vertex, would meet first.  The
 face cycles stay laid end to end (``cycle_darts``, ``cycle_start``); the
 lists ``face_cycles`` and ``edges`` are made from the arrays on first use.
 
-``parse_surf`` reads "surf v1" in one grouping pass over the lines and one
-call of numpy's C reader (``np.loadtxt``) per record kind: the fields of
-v, e and theta records as columns, and the f records as one row of
-numbers, each kind word made -1 and each dart sign the last digit of its
-dart.  What the C reader rejects is read with Python's ``int`` and
-``float`` as a line-by-line reader would, so the accepted language and
-the bits of every value are Python's; only when a record fails there too
-does the parse walk the records one by one, to report the first fault in
-line order.  Ids, ranges and finiteness are checked over whole columns,
-and the surface is built from the arrays read.
+``parse_surf`` reads "surf v1" with one of two readers.  The first is one
+grouping pass over the lines and one call of numpy's C reader
+(``np.loadtxt``) per record kind: the fields of v, e and theta records as
+columns, and the f records as one row of numbers, each kind word made -1
+and each dart sign the last digit of its dart.  Where it rejects a record,
+the second, :func:`_python_records`, reads the text record by record in
+line order with Python's ``str.split``, ``int`` and ``float``, as a
+line-by-line reader would: it gives the same columns, or names the first
+fault of a single record and its line.  So the accepted language and the
+bits of every value are Python's.  The ids and edge ends are checked over
+whole columns, and the surface is built from the arrays read.
 
 The module also carries the weighted-graph validators: face sums of an
 edge weight function theta must equal 2*pi, and short contractible cycles
@@ -288,9 +289,6 @@ class CellSurface:
     def tail(self, d):
         return int(self.dart_tail[d])
 
-    def edge_of(self, d):
-        return d // 2
-
     @property
     def n_faces(self):
         return len(self.cycle_start) - 1
@@ -468,7 +466,10 @@ _DART_SIGN = {"+": 0, "-": 1}
 #: f records that numpy's C reader reads at once, with their signs made
 #: digits
 _FACE_RECORDS = re.compile(r"(?:\s*f\s+[0-9]+(?:\s+[0-9]+[+-])+)*\s*")
-_PYTHON = {"i": int, "f": float, "U": str}
+#: the number of fields of the records of a fixed number of them
+_FIELD_COUNT = {"v": 2, "e": 4, "theta": 3}
+#: the record kinds of surf v1 as its errors name them
+_NAMES = {"v": "vertex", "e": "edge", "f": "face", "theta": "theta"}
 
 
 def _ints(values):
@@ -478,11 +479,6 @@ def _ints(values):
         return np.array(values, dtype=np.int64)
     except OverflowError:
         return np.array(values, dtype=object)
-
-
-def _width(dtype):
-    """The number of text fields of a record of ``dtype``."""
-    return sum(math.prod(dtype[name].shape) for name in dtype.names)
 
 
 def _group_records(text):
@@ -509,137 +505,105 @@ def _group_records(text):
     return groups
 
 
-def _table(lines, dtype, c_reader):
-    """The records ``lines`` as one array per field of ``dtype``.  With
-    ``c_reader`` set, numpy's C reader reads them at once; where it rejects
-    a field, or without it, Python's ``str.split``, ``int`` and ``float``
-    read them as the per-line parser did, an int field as an object array.
-    Raises ValueError if a record has another number of fields or a field
-    that Python cannot read either."""
-    if c_reader:
-        try:
-            table = (np.loadtxt(lines, dtype=dtype, ndmin=1, comments=None)
-                     if lines else np.zeros(0, dtype))
-            return [np.ascontiguousarray(table[name]) for name in dtype.names]
-        except ValueError:
-            pass
-    parts = list(map(str.split, lines))
-    if any(len(fields) != _width(dtype) for fields in parts):
-        raise ValueError("wrong field count")
-    cells = np.array(parts, dtype=object).reshape(len(parts), _width(dtype))
-    out, at = [], 0
-    for name in dtype.names:
-        field = dtype[name]
-        block = cells[:, at:at + math.prod(field.shape)]
-        at += block.shape[1]
-        values = np.frompyfunc(_PYTHON[field.base.kind], 1, 1)(block)
-        if field.base.kind == "f":
-            values = values.astype(float)
-        out.append(values.reshape((len(parts),) + field.shape))
-    return out
-
-
 def _distinct(ids, kind):
     ids = np.sort(ids)
     if np.any(ids[1:] == ids[:-1]):
         raise ValueError("duplicate %s id" % kind)
 
 
-def _fields(kind, lines, c_reader):
+def _fields(kind, lines):
     """The fields after the kind word of the ``kind`` records ``lines``,
-    one array per field, the ids first (:func:`_table`).  Raises ValueError
-    if a record is of another kind or repeats an id."""
-    words, *fields = _table(lines, _FIELDS[kind], c_reader)
+    one array per field, the ids first, as numpy's C reader reads them.
+    Raises ValueError if it rejects a field or a record's number of fields,
+    or if a record is of another kind or repeats an id."""
+    dtype = _FIELDS[kind]
+    table = (np.loadtxt(lines, dtype=dtype, ndmin=1, comments=None)
+             if lines else np.zeros(0, dtype))
+    words, *fields = (np.ascontiguousarray(table[name])
+                      for name in dtype.names)
     if np.any(words != kind):
         raise ValueError("unrecognized record")
     _distinct(fields[0], kind)
     return fields
 
 
-def _faces(lines, c_reader):
+def _faces(lines):
     """(ids, darts, sizes) of the f records ``lines``: the face ids, the
     darts of every face laid end to end, and the number of each face's
-    darts.  With ``c_reader`` set, and every id and edge id in ASCII digits,
-    each edge id with its sign after it, numpy's C reader reads all the
-    records at once, each kind word made -1 and each sign the last digit of
-    its dart (0 for +, 1 for -); else Python's ``int`` reads the ids and
-    darts, into object arrays.  Raises ValueError (or KeyError) if some
-    record fails its own checks."""
-    text, x = " ".join(lines), None
-    if c_reader and lines and _FACE_RECORDS.fullmatch(text):
-        with suppress(ValueError):  # a number of 19 digits or more
-            x = np.loadtxt([text.replace("+", "0").replace("-", "1")
-                            .replace("f", "-1")], dtype=np.int64, ndmin=1,
-                           comments=None)
-    if x is not None:
-        start = np.flatnonzero(x < 0)
-        dart = np.ones(len(x), dtype=bool)
-        dart[start] = dart[start + 1] = False
-        ids, darts = x[start + 1], x[dart]
-        darts = 2 * (darts // 10) + darts % 10
-        sizes = np.diff(start, append=len(x)) - 2
-    else:
-        parts = list(map(str.split, lines))
-        if set(map(itemgetter(0), parts)) - {"f"}:
-            raise ValueError("unrecognized record")
-        sizes = np.fromiter(map(len, parts), dtype=int, count=len(parts)) - 2
-        if np.any(sizes < 1):
-            raise ValueError("empty face")
-        ids = np.array([int(fields[1]) for fields in parts], dtype=object)
-        darts = np.array([2 * int(tok[:-1]) + _DART_SIGN[tok[-1]]
-                          for fields in parts for tok in fields[2:]],
-                         dtype=object)
+    darts.  Numpy's C reader reads all the records at once, each kind word
+    made -1 and each sign the last digit of its dart (0 for +, 1 for -).
+    Raises ValueError unless every id and edge id is in ASCII digits and
+    fits int64, each edge id with its sign after it, and no id repeats."""
+    text = " ".join(lines)
+    if not _FACE_RECORDS.fullmatch(text):
+        raise ValueError("not a run of f records in ASCII digits")
+    x = (np.loadtxt([text.replace("+", "0").replace("-", "1")
+                     .replace("f", "-1")], dtype=np.int64, ndmin=1,
+                    comments=None)
+         if lines else np.zeros(0, dtype=np.int64))
+    start = np.flatnonzero(x < 0)
+    dart = np.ones(len(x), dtype=bool)
+    dart[start] = dart[start + 1] = False
+    ids, darts = x[start + 1], x[dart]
+    darts = 2 * (darts // 10) + darts % 10
+    sizes = np.diff(start, append=len(x)) - 2
     _distinct(ids, "f")
     return ids, darts, sizes
 
 
-def _record(seen, token, what):
-    """Record id ``token``; rejects an id in the set ``seen`` of its kind."""
-    key = int(token)
-    if key in seen:
-        raise ValueError("duplicate %s %d" % (what, key))
-    seen.add(key)
-
-
-#: the number of fields of the records of a fixed number of them
-_FIELD_COUNT = {kind: _width(_FIELDS[kind]) for kind in ("v", "e", "theta")}
-
-
-def _first_record_fault(text):
-    """Raises the first fault of a single surf v1 record of ``text``, in
-    line order, with its line: the checks of each record, one record at a
-    time, for when the columns of :func:`parse_surf` fail."""
-    seen = {"vertex": set(), "edge": set(), "face": set(), "theta": set()}
+def _python_records(text):
+    """(lines, columns) of the surf v1 ``text`` as :func:`parse_surf`'s C
+    path reads them: {kind: line numbers} of every kind, geom too, and
+    {kind: arrays of the fields after the kind word} of v, e, f and theta,
+    read record by record in line order with ``str.split``, ``int`` and
+    ``float``, as the per-line parser read them (an int array is an object
+    array when an int does not fit int64).  The geom records are skipped.
+    Raises SurfaceFormatError with the first fault of a single record and
+    its line: an unknown record, a v, e or theta record with another number
+    of fields, a field that is not a number, a non-finite theta, an f
+    record without darts, a repeated id."""
+    lines = {kind: [] for kind in _KINDS}
+    ids = {kind: {} for kind in _NAMES}  # each kind's ids, in line order
+    ends, darts, sizes, theta = [], [], [], []
     for ln, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split("#", 1)[0].split()
         if not parts:
             continue
+        kind = parts[0]
         try:
-            if len(parts) != _FIELD_COUNT.get(parts[0], len(parts)):
-                raise ValueError("%s record needs %d fields, got %d" % (
-                    parts[0], _FIELD_COUNT[parts[0]], len(parts)))
-            if parts[0] == "v":
-                _record(seen["vertex"], parts[1], "vertex")
-            elif parts[0] == "e":
-                _record(seen["edge"], parts[1], "edge")
-                int(parts[2]), int(parts[3])
-            elif parts[0] == "f":
+            if kind not in lines:
+                raise ValueError("unrecognized record %r" % kind)
+            if len(parts) != _FIELD_COUNT.get(kind, len(parts)):
+                raise ValueError("%s record needs %d fields, got %d"
+                                 % (kind, _FIELD_COUNT[kind], len(parts)))
+            lines[kind].append(ln)
+            if kind == "geom":
+                continue
+            if kind == "f":
                 for tok in parts[2:]:
-                    if tok[-1] not in "+-":
+                    if tok[-1] not in _DART_SIGN:
                         raise ValueError("dart token %r" % tok)
-                    int(tok[:-1])
+                    darts.append(2 * int(tok[:-1]) + _DART_SIGN[tok[-1]])
                 if len(parts) < 3:
                     raise ValueError("empty face")
-                _record(seen["face"], parts[1], "face")
-            elif parts[0] == "theta":
-                if not math.isfinite(float(parts[2])):
+                sizes.append(len(parts) - 2)
+            elif kind == "theta":
+                theta.append(float(parts[2]))
+                if not math.isfinite(theta[-1]):
                     raise ValueError("non-finite theta %r" % parts[2])
-                _record(seen["theta"], parts[1], "theta")
-            elif parts[0] != "geom":
-                raise ValueError("unrecognized record %r" % parts[0])
+            key = int(parts[1])
+            if key in ids[kind]:
+                raise ValueError("duplicate %s %d" % (_NAMES[kind], key))
+            ids[kind][key] = None
+            if kind == "e":
+                ends.append((int(parts[2]), int(parts[3])))
         except ValueError as exc:
             raise SurfaceFormatError(str(exc), line=ln) from exc
-    raise ValueError("surf v1 columns rejected records that pass one by one")
+    ids = {kind: _ints(list(keys)) for kind, keys in ids.items()}
+    return lines, {"v": [ids["v"]],
+                   "e": [ids["e"], _ints(ends).reshape(-1, 2)],
+                   "f": [ids["f"], _ints(darts), np.array(sizes, dtype=int)],
+                   "theta": [ids["theta"], np.array(theta)]}
 
 
 def _check_ids(ids, lines, count, message):
@@ -655,44 +619,48 @@ def _check_ids(ids, lines, count, message):
 def parse_surf(text, geom_records=None):
     """Parse "surf v1"; raises SurfaceFormatError with a line number.
 
-    The lines are grouped by record kind in one pass, and numpy's C reader
-    reads each kind's records at once (:func:`_fields`, :func:`_faces`).
-    What it rejects, Python's ``int`` and ``float`` read as the per-line
-    parser did; the C reader is not used on text with a non-ASCII character
-    or a NUL outside comments, as it takes some non-ASCII letters for
-    digits and its word fields drop NULs.  If a record still fails,
-    :func:`_first_record_fault` walks the records one by one to report the
-    first fault in line order.  The checks across records follow: ids,
+    Two readers read the records.  The lines are grouped by record kind in
+    one pass, and numpy's C reader reads each kind's records at once
+    (:func:`_fields`, :func:`_faces`).  Where it rejects a field or a
+    record, and on any text with a non-ASCII character or a NUL outside
+    comments (numpy's reader takes some non-ASCII letters for digits, and
+    its word fields drop NULs), :func:`_python_records` reads the text
+    again, record by record in line order: it reads what numpy's reader
+    does not, as the per-line parser did, or names the first fault of a
+    single record and its line.  The checks across records follow: ids,
     edge ends, theta cover, then the surface's own.  The ``geom`` records
     of the poly v1 extension are skipped, or, when a list ``geom_records``
-    is given, read too: their line numbers and their fields (ids, vertex
-    kinds, (n x 4) vectors), or None if some record fails to read, are
-    appended to it for :func:`endlab.polysurf.parse_poly` to check.
+    is given, read too by numpy's reader: their line numbers and their
+    fields (ids, vertex kinds, (n x 4) vectors), or None if that reader did
+    not read them all, are appended to it for
+    :func:`endlab.polysurf.parse_poly` to check.
     """
     blanked = _COMMENT.sub(" ", text)
-    c_reader = blanked.isascii() and "\0" not in blanked
+    geom = None
     try:
+        if not blanked.isascii() or "\0" in blanked:
+            raise ValueError("text for Python's reader alone")
         groups = _group_records(blanked)
-        (vertex_ids,) = _fields("v", groups["v"][1], c_reader)
-        edge_ids, ends = _fields("e", groups["e"][1], c_reader)
-        face_ids, darts, sizes = _faces(groups["f"][1], c_reader)
-        theta_ids, theta = _fields("theta", groups["theta"][1], c_reader)
-        if not np.all(np.isfinite(theta)):
+        lines = {kind: group[0] for kind, group in groups.items()}
+        columns = {kind: _fields(kind, groups[kind][1])
+                   for kind in ("v", "e", "theta")}
+        columns["f"] = _faces(groups["f"][1])
+        if not np.all(np.isfinite(columns["theta"][1])):
             raise ValueError("non-finite theta")
-        geom = None
         if geom_records is not None:
             with suppress(ValueError):
-                geom = _fields("geom", groups["geom"][1], c_reader)
+                geom = _fields("geom", groups["geom"][1])
         # a geom record is checked here for its kind word alone
         if geom is None and any(line.split(None, 1)[0] != "geom"
                                 for line in groups["geom"][1]):
             raise ValueError("unrecognized record")
     except (ValueError, KeyError):
-        _first_record_fault(text)
-    lines = {kind: group[0] for kind, group in groups.items()}
+        lines, columns = _python_records(text)
     if geom_records is not None:
         geom_records += [lines["geom"], geom]
-    del groups
+    (vertex_ids,), (edge_ids, ends) = columns["v"], columns["e"]
+    face_ids, darts, sizes = columns["f"]
+    theta_ids, theta = columns["theta"]
     n_vertices = len(vertex_ids)
     if not n_vertices:
         raise SurfaceFormatError("no vertices")
@@ -783,15 +751,6 @@ class CycleTable:
                            self.edges[index].tolist(),
                            self.length[index].tolist()):
             yield tuple(v[:n]), tuple(e[:n])
-
-
-def _padded(rows):
-    """The integer rows as one array padded with -1, and their lengths."""
-    length = np.array([len(r) for r in rows], dtype=np.intp)
-    out = np.full((len(rows), length.max(initial=0)), -1, dtype=np.intp)
-    inside = np.arange(out.shape[1]) < length[:, None]
-    out[inside] = [x for r in rows for x in r]
-    return out, length
 
 
 def _stacked(blocks):
@@ -1178,7 +1137,13 @@ def validate_admissible(surface, l_max=DEFAULT_L_MAX, simple_cycles_only=True):
     _check_theta(surface)
     _check_l_max(l_max)
     report = ValidationReport(True)
-    faces = _padded([[d // 2 for d in cyc] for cyc in surface.face_cycles])
+    # the edges of each face in cycle order, padded with -1
+    sizes = surface.face_sizes
+    edges = np.full((surface.n_faces, sizes.max(initial=0)), -1,
+                    dtype=np.intp)
+    inside = np.arange(edges.shape[1]) < sizes[:, None]
+    edges[inside] = surface.cycle_darts // 2
+    faces = edges, sizes
     sums = _row_sums(surface.theta, *faces)
     report.face_sums = sums.tolist()
     for f in np.flatnonzero(np.abs(sums - 2.0 * math.pi) > TAU_ANG).tolist():
@@ -1224,8 +1189,8 @@ def _check_cycles(report, cycles, oracle, theta, kind, faces=None):
     """Count the contractible cycles of the :class:`CycleTable` ``cycles``
     whose edge multiset is not that of a face, and record each with
     theta-sum at most 2*pi as a ``kind`` witness, in table order.
-    ``faces`` is the padded table of face edges and its lengths, as
-    :func:`_padded` gives it, or None to skip none."""
+    ``faces`` is the table of face edges padded with -1 and their numbers,
+    as :func:`validate_admissible` makes it, or None to skip none."""
     keep = np.ones(len(cycles), dtype=bool)
     if faces is not None:
         for n in np.intersect1d(cycles.length, faces[1]).tolist():

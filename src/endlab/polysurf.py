@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mink
-from .cellsurf import (CellSurface, SurfaceFormatError, _check_ids,
+from .cellsurf import (CellSurface, SurfaceFormatError, _check_ids, _ints,
                        dual_cell_surface, parse_surf, serialize_surf, twin)
 from .decor import BACKWARD, FORWARD, Decoration
 from .mink import GeometryError, mdot
@@ -645,13 +645,18 @@ def _geom(kind, vec):
     return geom
 
 
-def _first_geom_fault(text, lines):
-    """Raises the first fault of a single geom record of ``text``, on the
-    ``lines`` of the geom records, in line order, with its line: the checks
-    of each record, one record at a time, for when the columns of
-    :func:`parse_poly` fail."""
+def _python_geoms(text, lines):
+    """(ids, kinds, vectors) of the geom records of ``text`` on the
+    ``lines``, as :func:`parse_poly` takes them from numpy's reader and
+    :func:`_normalized`, read record by record in line order with
+    ``str.split``, ``int`` and ``float``, each vector normalised by
+    VertexGeom (the ids are an object array when one does not fit int64).
+    Raises SurfaceFormatError with the first fault of a single record and
+    its line: another number of fields or an unknown vertex kind, a
+    coordinate that is not a finite number, a repeated id, a vector of the
+    wrong causal type."""
     raw = text.splitlines()
-    seen = set()
+    ids, kinds, vecs = {}, [], []
     for ln in lines:
         parts = raw[ln - 1].split("#", 1)[0].split()
         if len(parts) != 7 or parts[2] not in (COMPACT, IDEAL, HYPER):
@@ -661,33 +666,37 @@ def _first_geom_fault(text, lines):
             if not np.all(np.isfinite(vec)):
                 raise ValueError("non-finite geom coordinate")
             key = int(parts[1])
-            if key in seen:
+            if key in ids:
                 raise ValueError("duplicate geom %d" % key)
-            seen.add(key)
-            VertexGeom(parts[2], vec)
+            ids[key] = None
+            kinds.append(parts[2])
+            vecs.append(VertexGeom(parts[2], vec).vec)
         except (ValueError, PolyBuildError) as exc:
             raise SurfaceFormatError(str(exc), line=ln) from exc
-    raise ValueError("geom columns rejected records that pass one by one")
+    return (_ints(list(ids)), np.array(kinds, dtype=str),
+            np.array(vecs).reshape(-1, 4))
 
 
 def parse_poly(text):
     """Parse "poly v1": the surface as :func:`parse_surf` reads it, with the
-    fields of its geom records, read the same way; their vectors are
-    checked and normalised in one pass over all vertices, and a fault is
-    reported by :func:`_first_geom_fault`, in line order.  The surface
-    keeps the (V x 4) array of vectors; its ``geoms`` are made on reading."""
+    fields of its geom records as numpy's C reader reads them, their
+    vectors checked and normalised in one pass over all vertices.  Where
+    that reader or the check fails, :func:`_python_geoms` reads the geom
+    records again, record by record in line order, and names the first
+    fault of a single record and its line.  The surface keeps the (V x 4)
+    array of vectors; its ``geoms`` are made on reading."""
     geom = []
     surface = parse_surf(text, geom)
     lines, fields = geom
     try:
         if fields is None:
-            raise ValueError("unreadable geom record")
+            raise ValueError("geom records that numpy's reader rejects")
         ids, kinds, vecs = fields
         if not np.all(np.isfinite(vecs)):
             raise ValueError("non-finite geom coordinate")
         vecs = _normalized(kinds, vecs)
     except ValueError:
-        _first_geom_fault(text, lines)
+        ids, kinds, vecs = _python_geoms(text, lines)
     _check_ids(ids, lines, surface.n_vertices,
                "geom records must cover all vertices")
     order = np.argsort(ids)

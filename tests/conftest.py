@@ -30,3 +30,20 @@ def compensated_sum(iterable, /, start=0):
 def compensated_builtin_sum(monkeypatch):
     """``builtins.sum`` replaced by :func:`compensated_sum` for one test."""
     monkeypatch.setattr(builtins, "sum", compensated_sum)
+
+
+@pytest.fixture
+def reader(request, monkeypatch):
+    """The reader of surf v1 and poly v1 records, by indirect parameter:
+    "c", numpy's C reader as it is, or "python", that reader made to raise
+    ValueError on every call, so that the Python readers read every
+    record."""
+    if request.param == "python":
+        from endlab import cellsurf
+
+        def off(*args):
+            raise ValueError("numpy's reader is off")
+
+        monkeypatch.setattr(cellsurf, "_fields", off)
+        monkeypatch.setattr(cellsurf, "_faces", off)
+    return request.param

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from endlab import cellsurf
+from endlab import cellsurf, polysurf
 from endlab.cellsurf import (CellSurface, SurfaceFormatError,
                              from_face_vertex_lists, parse_surf, serialize_surf,
                              simple_cycles_upto, thurston_pattern,
@@ -284,7 +284,17 @@ def two_spheres(second, first=(0, 1, 2)):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("text,message", [
+def both_readers(cases, ids):
+    """pytest params of the argument tuples ``cases`` with their ``ids``,
+    each with one argument more for the ``reader`` fixture (indirect):
+    once as "c", numpy's C reader on, under its id, and once as "python",
+    that reader off, under its id and "-python-reader"."""
+    return ([pytest.param(*case, "c", id=i) for case, i in zip(cases, ids)]
+            + [pytest.param(*case, "python", id=i + "-python-reader")
+               for case, i in zip(cases, ids)])
+
+
+MALFORMED_SURF = [
     (SPHERE + "x 1\n", "line 9: unrecognized record 'x'"),
     (SPHERE.replace("f 0 0+ 1+ 2+", "f 0 0+ 1 2+"), "line 7: dart token '1'"),
     (SPHERE.replace("f 0 0+ 1+ 2+", "f 0"), "line 7: empty face"),
@@ -304,19 +314,27 @@ def two_spheres(second, first=(0, 1, 2)):
     (SPHERE.replace("v 2", "v"), "line 3: v record needs 2 fields, got 1"),
     (SPHERE + "v 3 3\n", "line 9: v record needs 2 fields, got 3"),
     (SPHERE + "theta 0\n", "line 9: theta record needs 3 fields, got 2"),
+    # within a record, a theta value is read before its id
+    (SPHERE + "theta 0 1\ntheta 0 nan\n", "line 10: non-finite theta 'nan'"),
+    (SPHERE + "theta x nan\n", "line 9: non-finite theta 'nan'"),
     # numpy's C reader reads U+0761 as a digit, and drops the NUL of a word
     (SPHERE.replace("e 1 1 2", "e 1 1 2\u0761"),
      "line 5: invalid literal for int() with base 10: '2\u0761'"),
     (SPHERE.replace("f 0 0+", "f 0\u0761 0+"),
      "line 7: invalid literal for int() with base 10: '0\u0761'"),
     (SPHERE.replace("v 2", "v\x00 2"), "line 3: unrecognized record 'v\\x00'"),
-], ids=["unrecognized-record", "dart-token", "empty-face", "dart-used-twice",
-        "disconnected-star", "two-components", "used-twice-then-out-of-range",
-        "no-darts-then-disconnected-star",
-        "disconnected-star-then-no-darts", "bare-e", "long-e", "bare-v",
-        "long-v", "short-theta", "non-ascii-digit", "non-ascii-face-id",
-        "nul-in-kind"])
-def test_malformed_surf_rejected(text, message):
+]
+
+
+@pytest.mark.parametrize("text,message,reader", both_readers(
+    MALFORMED_SURF,
+    ["unrecognized-record", "dart-token", "empty-face", "dart-used-twice",
+     "disconnected-star", "two-components", "used-twice-then-out-of-range",
+     "no-darts-then-disconnected-star", "disconnected-star-then-no-darts",
+     "bare-e", "long-e", "bare-v", "long-v", "short-theta",
+     "value-before-id", "value-before-bad-id", "non-ascii-digit",
+     "non-ascii-face-id", "nul-in-kind"]), indirect=["reader"])
+def test_malformed_surf_rejected(text, message, reader):
     with pytest.raises(SurfaceFormatError) as err:
         parse_surf(text)
     assert str(err.value) == message
@@ -597,10 +615,12 @@ def _outcome(parse, text):
         return type(exc).__name__, str(exc)
 
 
-@pytest.mark.parametrize("name", SURF_CORPUS)
-def test_parse_surf_matches_per_line_parser_on_mutations(name):
+@pytest.mark.parametrize("name,reader", both_readers(
+    [(name,) for name in SURF_CORPUS], SURF_CORPUS), indirect=["reader"])
+def test_parse_surf_matches_per_line_parser_on_mutations(name, reader):
     # one fault, or two in one file: the same surface or the same first
-    # error (type, message and line) as the per-line parser
+    # error (type, message and line) as the per-line parser, whichever
+    # reader reads it
     lines = SURF_CORPUS[name]().splitlines()
     rng = random.Random(name)
     errors = set()
@@ -699,16 +719,29 @@ def test_comment_keeps_line_numbers():
         parse_surf(text)
 
 
-def test_columns_that_fail_without_a_record_fault_are_internal(monkeypatch):
-    # the record-by-record walk must find what the columns rejected; if it
-    # finds nothing, the fault is endlab's (a ValueError, exit 3)
-    def reject(lines, c_reader):
-        raise ValueError("rejected")
-
-    monkeypatch.setattr(cellsurf, "_faces", reject)
-    with pytest.raises(ValueError) as err:
-        parse_surf(SPHERE)
-    assert not isinstance(err.value, SurfaceFormatError)
+def test_python_readers_read_only_what_the_c_reader_rejects(monkeypatch):
+    # numpy's reader alone reads every golden input; an id that only
+    # Python's int reads sends the text to the Python readers, which read
+    # the same surface
+    calls = []
+    for module, name in ((cellsurf, "_python_records"),
+                         (polysurf, "_python_geoms")):
+        monkeypatch.setattr(module, name, functools.partial(
+            lambda read, name, *args: calls.append(name) or read(*args),
+            getattr(module, name), name))
+    for path in sorted(INPUTS.iterdir()):
+        (polysurf.parse_poly if path.suffix == ".poly" else parse_surf)(
+            path.read_text())
+    assert not calls
+    text = (INPUTS / "genus2_uniform.surf").read_text()
+    odd = text.replace("v 0\n", "v 0_0\n", 1)
+    assert serialize_surf(parse_surf(odd)) == serialize_surf(parse_surf(text))
+    assert calls == ["_python_records"]
+    text = (INPUTS / "octahedron.poly").read_text()
+    odd = text.replace("geom 0 ", "geom 0_0 ", 1)
+    assert (polysurf.serialize_poly(polysurf.parse_poly(odd))
+            == polysurf.serialize_poly(polysurf.parse_poly(text)))
+    assert calls == ["_python_records", "_python_geoms"]
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from endlab.polysurf import (PolyBuildError, PolySurface, UnsupportedGeometry,
                              VertexGeom, compact_point, hyper_point,
                              ideal_point, parse_poly, serialize_poly)
 from scripts_path import spiral_module  # see conftest
+from test_cellsurf import both_readers
 
 
 def test_octahedron_builds_right_angles():
@@ -493,6 +494,9 @@ def _poly_variants(text):
     yield swap(first, " ".join(["geom", "-1"] + fields[2:]))
     yield swap(first, " ".join(["geom", "100000000000000000000"] + fields[2:]))
     yield swap(first, " ".join(["geom", "a"] + fields[2:]))
+    # the coordinates are read before the id
+    yield swap(first, " ".join(["geom", "a"] + fields[2:3] + ["nan"]
+                               + fields[4:]))
     yield swap(first, " ".join(fields[:3] + ["5"] + fields[4:]))
     yield swap(first, lines[first] + "  # a comment")
     yield swap(first, "geom")
@@ -523,6 +527,8 @@ def _poly_variants(text):
     yield lines[:last] + lines[last + 1:]
     yield [ln for ln in lines if not ln.startswith("geom ")]
     yield lines + [lines[last]]
+    # a repeated id is found before a vector of the wrong causal type
+    yield lines + [vector("hyper", "0", "0", "0", "2")]
     yield [lines[first]] + lines[:first] + lines[first + 1:]
     # a bad geom record before a bad surf record: the surf error wins
     yield swap(first, "geom") + ["bogus 1"]
@@ -560,10 +566,11 @@ POLY_TEXTS = {
 }
 
 
-@pytest.mark.parametrize("name", POLY_TEXTS)
-def test_parse_poly_reads_like_two_passes(name):
+@pytest.mark.parametrize("name,reader", both_readers(
+    [(name,) for name in POLY_TEXTS], POLY_TEXTS), indirect=["reader"])
+def test_parse_poly_reads_like_two_passes(name, reader):
     # one pass over the text: the same surfaces, and the same first error
-    # with the same message and line
+    # with the same message and line, whichever reader reads it
     def outcome(parse, text):
         try:
             return serialize_poly(parse(text))
